@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 
@@ -414,9 +415,31 @@ def _emit_report(args, report: Report):
 # -- wiring ------------------------------------------------------------------------
 
 
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
+    return value
+
+
+def _prime(text):
+    value = int(text)
+    try:
+        GF(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return value
+
+
+def _existing_file(text):
+    if not os.path.isfile(text):
+        raise argparse.ArgumentTypeError(f"no such file: {text}")
+    return text
+
+
 def _add_common(parser):
-    parser.add_argument("--n", type=int, default=2, help="matrix rank")
-    parser.add_argument("--prime", type=int, default=DEFAULT_PRIME)
+    parser.add_argument("--n", type=_positive_int, default=2, help="matrix rank")
+    parser.add_argument("--prime", type=_prime, default=DEFAULT_PRIME)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--samples", type=int, default=20)
     parser.add_argument("--format", choices=("json", "text"), default="json")
@@ -441,7 +464,9 @@ def build_parser():
     ext.add_argument(
         "--corpus", choices=("partitions", "random", "both", "none"), default="both"
     )
-    ext.add_argument("--corpus-file", default=None, help="read extra points from a corpus file")
+    ext.add_argument(
+        "--corpus-file", type=_existing_file, default=None, help="read extra points from a corpus file"
+    )
     ext.add_argument("--save-corpus", default=None, help="write the evaluated corpus to a file")
 
     parts = sub.add_parser("partitions", help="plane partition counts, two strategies")
@@ -465,7 +490,10 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the usage error
+        return exc.code
     rng = random.Random(args.seed) if hasattr(args, "seed") else random.Random(0)
 
     if args.command == "verify":

@@ -29,7 +29,7 @@ import json
 from fractions import Fraction
 from typing import Optional
 
-from .linalg import DenseMatrix, kernel_basis
+from .linalg import DenseMatrix, kernel_basis, rref
 from .scalars import QQ
 from .superpoly import Derivation, GeneratorTable, SuperPoly, poly_from_text, poly_to_text
 
@@ -340,45 +340,13 @@ class FreeComplex:
         return cls(table, ranks, diff, twist)
 
 
-def _image_basis(mat: DenseMatrix):
-    return [[mat.data[i][j] for i in range(mat.rows)] for j in range(mat.cols)]
-
-
-class _Span:
-    """Incremental row-echelon span over a field."""
-
-    def __init__(self, field, dim):
-        self.field = field
-        self.dim = dim
-        self.rows = []  # (pivot index, normalized vector)
-
-    def reduce(self, vec):
-        f = self.field
-        v = list(vec)
-        for piv, row in self.rows:
-            if not f.is_zero(v[piv]):
-                c = v[piv]
-                v = [f.sub(x, f.mul(c, y)) for x, y in zip(v, row)]
-        return v
-
-    def add(self, vec) -> bool:
-        f = self.field
-        v = self.reduce(vec)
-        for i, x in enumerate(v):
-            if not f.is_zero(x):
-                inv = f.inv(x)
-                v = [f.mul(inv, y) for y in v]
-                self.rows.append((i, v))
-                self.rows.sort(key=lambda r: r[0])
-                return True
-        return False
-
-    def size(self):
-        return len(self.rows)
-
-
 def homology_representatives(cx: FreeComplex, k: int):
-    """Vectors spanning H^k of a numeric complex, as cycle representatives."""
+    """Vectors spanning H^k of a numeric complex, as cycle representatives.
+
+    The kept cycles are the pivot columns in the cycle block of
+    rref([image of d^(k-1) | cycles]): a column is a pivot exactly when it
+    is not in the span of the columns before it.
+    """
     field = cx.base
     rk = cx.rank(k)
     if rk == 0:
@@ -390,15 +358,11 @@ def homology_representatives(cx: FreeComplex, k: int):
             [field.one if i == j else field.zero for i in range(rk)]
             for j in range(rk)
         ]
-    span = _Span(field, rk)
-    if cx.rank(k - 1):
-        for col in _image_basis(cx.differential(k - 1)):
-            span.add(col)
-    reps = []
-    for v in cycles:
-        if span.add(v):
-            reps.append(v)
-    return reps
+    image = cx.differential(k - 1).data if cx.rank(k - 1) else [[] for _ in range(rk)]
+    offset = len(image[0])
+    data = [image[i] + [v[i] for v in cycles] for i in range(rk)]
+    _, pivots = rref(DenseMatrix(field, rk, offset + len(cycles), data))
+    return [cycles[j - offset] for j in pivots if j >= offset]
 
 
 def _matrix_entries(m: SymMatrix) -> dict:

@@ -32,8 +32,8 @@ from itertools import product as iproduct
 
 from .complexes import ChainMap, FreeComplex, SymMatrix, homology_representatives
 from .freenc import DIFFERENTIAL_ON_LETTERS, NCElement
-from .linalg import DenseMatrix
-from .potential import CotangentModel, MatrixCdga, mat_transpose
+from .linalg import DenseMatrix, mat_mul, mat_sub, mat_transpose
+from .potential import CotangentModel, MatrixCdga
 from .scalars import QQ
 from .superpoly import SuperPoly
 
@@ -85,7 +85,7 @@ class DModuleAction:
         out = None
         for letter in word:
             m = self.matrices[letter]
-            out = m if out is None else _mat_mul(out, m)
+            out = m if out is None else mat_mul(out, m)
         if out is None:
             one = SuperPoly.one(t)
             zero = SuperPoly.zero(t)
@@ -109,7 +109,7 @@ class DModuleAction:
         d = self.cdga.differential
         lhs = [[d.apply(p) for p in row] for row in self.matrices[letter]]
         rhs = self.act(DIFFERENTIAL_ON_LETTERS[letter])
-        return _mat_sub(lhs, rhs)
+        return mat_sub(lhs, rhs)
 
     def leibniz_report(self) -> dict:
         out = {}
@@ -117,29 +117,6 @@ class DModuleAction:
             out[g] = all(p.is_zero() for row in self.leibniz_defect(g) for p in row)
         out["ok"] = all(out[g] for g in LETTER_NAMES)
         return out
-
-
-def _mat_mul(a, b):
-    n = len(a)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = None
-            for k in range(n):
-                term = a[i][k] * b[k][j]
-                acc = term if acc is None else acc + term
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-def _mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def _mat_eq(a, b):
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
 def build_universal_family(n: int, cdga: MatrixCdga = None) -> DModuleAction:
@@ -170,8 +147,8 @@ def build_universal_family(n: int, cdga: MatrixCdga = None) -> DModuleAction:
         target = partial.act(DIFFERENTIAL_ON_LETTERS[letter])
         winners = []
         for tag, cand in candidates:
-            if _mat_eq(d_matrix(cand), target):
-                if not any(_mat_eq(cand, w[1]) for w in winners):
+            if d_matrix(cand) == target:
+                if not any(cand == w[1] for w in winners):
                     winners.append((tag, cand))
         if len(winners) != 1:
             raise ValueError(

@@ -1,14 +1,16 @@
-"""Dense exact linear algebra: rank, kernel bases, solving, row reduction.
+"""Exact linear algebra: one elimination routine and the helpers built on it.
 
 Matrices are stored row-major over a field from :mod:`critlocus.scalars`.
-Over QQ the rank computation clears denominators row by row and runs
-fraction-free (Bareiss) elimination on integers, which keeps intermediate
-entries polynomial-size instead of letting rational gcd work blow up.  Over
-a prime field plain Gaussian elimination is used.
+:func:`rref` is the only elimination loop in the package: a single
+Gauss-Jordan pass returning the reduced rows and the pivot columns.  Over QQ
+it runs on integer rows kept primitive, so no rational gcd work happens
+until the pivot rows are normalized at the end; over GF(p) it runs on ints
+reduced mod p.  Rank, kernel bases, solving, row spaces and homology
+representatives are all read off that one result.
 
-Kernel bases and solving go through a reduced row echelon form; at the desk
-scales used here (blocks up to ~64 columns) a single normalization pass after
-echelon reduction is cheap.
+The list-matrix helpers at the end (``mat_mul`` and friends) act on plain
+nested lists with any ring entries, such as the SuperPoly matrices of the
+symbolic models or the Fraction matrices of classical points.
 """
 
 from __future__ import annotations
@@ -138,106 +140,68 @@ class DenseMatrix:
         return all(f.is_zero(x) for row in self.data for x in row)
 
     def rank(self) -> int:
-        if isinstance(self.field, RationalField):
-            return _rank_bareiss(self.data, self.rows, self.cols)
-        return _rank_modp(self.data, self.rows, self.cols, self.field.p)
-
-
-def _integer_rows(data, rows, cols):
-    """Scale each row by the lcm of denominators; rank is unchanged."""
-    out = []
-    for i in range(rows):
-        den = 1
-        for x in data[i]:
-            fx = Fraction(x)
-            den = den // gcd(den, fx.denominator) * fx.denominator
-        out.append([int(Fraction(x) * den) for x in data[i]])
-    return out
-
-
-def _rank_bareiss(data, rows, cols) -> int:
-    """Fraction-free (Bareiss) elimination rank over the integers."""
-    a = _integer_rows(data, rows, cols)
-    rank = 0
-    prev = 1
-    row = 0
-    for col in range(cols):
-        piv = None
-        for r in range(row, rows):
-            if a[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        a[row], a[piv] = a[piv], a[row]
-        p = a[row][col]
-        for r in range(row + 1, rows):
-            arc = a[r][col]
-            ar = a[r]
-            arow = a[row]
-            for c in range(col, cols):
-                ar[c] = (p * ar[c] - arc * arow[c]) // prev
-        prev = p
-        row += 1
-        rank += 1
-        if row == rows:
-            break
-    return rank
-
-
-def _rank_modp(data, rows, cols, p) -> int:
-    a = [[x % p for x in row] for row in data]
-    rank = 0
-    row = 0
-    for col in range(cols):
-        piv = None
-        for r in range(row, rows):
-            if a[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        a[row], a[piv] = a[piv], a[row]
-        inv = pow(a[row][col], -1, p)
-        a[row] = [x * inv % p for x in a[row]]
-        for r in range(rows):
-            if r != row and a[r][col]:
-                c0 = a[r][col]
-                a[r] = [(x - c0 * y) % p for x, y in zip(a[r], a[row])]
-        row += 1
-        rank += 1
-        if row == rows:
-            break
-    return rank
+        return len(rref(self)[1])
 
 
 def rref(m: DenseMatrix):
-    """Reduced row echelon form.  Returns (new matrix, pivot column list)."""
+    """Reduced row echelon form.  Returns (new matrix, pivot column list).
+
+    One Gauss-Jordan pass.  Over QQ each row is cleared to integers once and
+    every updated row is kept primitive (divided by the gcd of its entries);
+    Fractions are built only when the pivot rows are normalized at the end.
+    Over GF(p) the same pass runs on ints reduced mod p.
+    """
     f = m.field
-    a = [row[:] for row in m.data]
     rows, cols = m.rows, m.cols
+    p = None if isinstance(f, RationalField) else f.p
+    if p is None:
+        a = [_primitive(_integer_row(row)) for row in m.data]
+    else:
+        a = [[x % p for x in row] for row in m.data]
     pivots = []
-    row = 0
+    r = 0
     for col in range(cols):
-        piv = None
-        for r in range(row, rows):
-            if not f.is_zero(a[r][col]):
-                piv = r
-                break
+        piv = next((i for i in range(r, rows) if a[i][col]), None)
         if piv is None:
             continue
-        a[row], a[piv] = a[piv], a[row]
-        inv = f.inv(a[row][col])
-        a[row] = [f.mul(inv, x) for x in a[row]]
-        for r in range(rows):
-            if r != row and not f.is_zero(a[r][col]):
-                c0 = a[r][col]
-                a[r] = [f.sub(x, f.mul(c0, y)) for x, y in zip(a[r], a[row])]
+        a[r], a[piv] = a[piv], a[r]
+        prow = a[r]
+        if p is not None:
+            inv = pow(prow[col], -1, p)
+            prow = a[r] = [x * inv % p for x in prow]
+        pv = prow[col]
+        for i in range(rows):
+            c = a[i][col]
+            if i == r or not c:
+                continue
+            if p is None:
+                a[i] = _primitive([pv * x - c * y for x, y in zip(a[i], prow)])
+            else:
+                a[i] = [(x - c * y) % p for x, y in zip(a[i], prow)]
         pivots.append(col)
-        row += 1
-        if row == rows:
+        r += 1
+        if r == rows:
             break
+    if p is None:
+        zero = Fraction(0)
+        a = [
+            [Fraction(x, a[i][pc]) if x else zero for x in a[i]]
+            for i, pc in enumerate(pivots)
+        ] + [[zero] * cols for _ in range(rows - r)]
     return DenseMatrix(f, rows, cols, a), pivots
+
+
+def _integer_row(row):
+    """The row times the lcm of its denominators; row spaces are unchanged."""
+    den = 1
+    for x in row:
+        den = den // gcd(den, x.denominator) * x.denominator
+    return [x.numerator * (den // x.denominator) for x in row]
+
+
+def _primitive(row):
+    g = gcd(*row)
+    return row if g <= 1 else [x // g for x in row]
 
 
 def kernel_basis(m: DenseMatrix):
@@ -280,3 +244,33 @@ def solve(m: DenseMatrix, b) -> Optional[list]:
 def row_space_basis(m: DenseMatrix):
     red, pivots = rref(m)
     return [red.data[r][:] for r in range(len(pivots))]
+
+
+# -- list-matrix helpers ---------------------------------------------------------
+
+
+def mat_mul(a, b):
+    n, m, p = len(a), len(b), len(b[0])
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(p):
+            acc = None
+            for k in range(m):
+                term = a[i][k] * b[k][j]
+                acc = term if acc is None else acc + term
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def mat_sub(a, b):
+    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def mat_add(a, b):
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def mat_transpose(a):
+    return [[a[i][j] for i in range(len(a))] for j in range(len(a[0]))]

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .linalg import DenseMatrix
+from .linalg import DenseMatrix, mat_mul, row_space_basis, rref
 from .scalars import QQ
 
 
@@ -53,7 +53,7 @@ class MatrixPoint:
             g_inv = _invert(g)
             if g_inv is None:
                 raise ValueError("conjugating matrix is singular")
-        conj = lambda m: _mul(_mul(g, m), g_inv)
+        conj = lambda m: mat_mul(mat_mul(g, m), g_inv)
         v = _apply(g, self.v) if self.v is not None else None
         return MatrixPoint(
             conj(self.X), conj(self.Y), conj(self.Z), v, provenance="random-conjugate"
@@ -84,15 +84,8 @@ class MatrixPoint:
         )
 
 
-def _mul(a, b):
-    n = len(a)
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)
-    ]
-
-
 def _commutes(a, b):
-    return _mul(a, b) == _mul(b, a)
+    return mat_mul(a, b) == mat_mul(b, a)
 
 
 def _apply(m, v):
@@ -101,17 +94,13 @@ def _apply(m, v):
 
 
 def _invert(g):
+    """Inverse of g read off rref([g | I]), or None when g is singular."""
     n = len(g)
-    m = DenseMatrix.from_rows(g)
-    if m.rank() < n:
+    aug = DenseMatrix.from_rows([list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(g)])
+    red, pivots = rref(aug)
+    if pivots[:n] != list(range(n)):
         return None
-    from .linalg import solve
-
-    cols = []
-    for j in range(n):
-        e = [Fraction(1) if i == j else Fraction(0) for i in range(n)]
-        cols.append(solve(m, e))
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
+    return [row[n:] for row in red.data]
 
 
 def save_corpus(points, path):
@@ -127,47 +116,18 @@ def load_corpus(path):
 # -- cyclicity and criticality -------------------------------------------------
 
 
-class _RowSpan:
-    def __init__(self, dim):
-        self.dim = dim
-        self.rows = []
-
-    def reduce(self, vec):
-        v = list(vec)
-        for piv, row in self.rows:
-            if v[piv] != 0:
-                c = v[piv]
-                v = [x - c * y for x, y in zip(v, row)]
-        return v
-
-    def add(self, vec) -> bool:
-        v = self.reduce(vec)
-        for i, x in enumerate(v):
-            if x != 0:
-                v = [y / x for y in v]
-                self.rows.append((i, v))
-                self.rows.sort()
-                return True
-        return False
-
-
 def is_cyclic(pt: MatrixPoint) -> bool:
     """Krylov saturation: grow span{v} by X, Y, Z until stable."""
     if pt.v is None:
         raise ValueError("cyclicity needs a marked vector")
-    span = _RowSpan(pt.n)
-    if not span.add(pt.v):
-        return False
-    frontier = [pt.v]
-    while frontier and len(span.rows) < pt.n:
-        new_frontier = []
-        for vec in frontier:
-            for m in pt.matrices():
-                w = _apply(m, vec)
-                if span.add(w):
-                    new_frontier.append(w)
-        frontier = new_frontier
-    return len(span.rows) == pt.n
+    basis = row_space_basis(DenseMatrix.from_rows([pt.v]))
+    while basis and len(basis) < pt.n:
+        images = [_apply(m, vec) for vec in basis for m in pt.matrices()]
+        grown = row_space_basis(DenseMatrix.from_rows(basis + images))
+        if len(grown) == len(basis):
+            break
+        basis = grown
+    return len(basis) == pt.n
 
 
 def is_critical(pt: MatrixPoint) -> bool:

@@ -30,6 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .complexes import FreeComplex, SymMatrix
+from .linalg import mat_add, mat_mul, mat_sub, mat_transpose
 from .superpoly import Derivation, GeneratorTable, SuperPoly
 
 BLOCKS = ("X", "Y", "Z")
@@ -42,33 +43,6 @@ def _gen(table, name):
 def symbol_matrix(table, name: str, n: int):
     """The n x n matrix whose (i,j) entry is the generator name(i+1,j+1)."""
     return [[_gen(table, f"{name}({i},{j})") for j in range(1, n + 1)] for i in range(1, n + 1)]
-
-
-def mat_mul(a, b):
-    n, m, p = len(a), len(b), len(b[0])
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(p):
-            acc = None
-            for k in range(m):
-                term = a[i][k] * b[k][j]
-                acc = term if acc is None else acc + term
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_transpose(a):
-    return [[a[i][j] for i in range(len(a))] for j in range(len(a[0]))]
 
 
 def commutator(a, b):

@@ -284,11 +284,6 @@ class SuperPoly:
             raise ValueError(f"inhomogeneous form degree {sorted(degs)}")
         return degs.pop()
 
-    def form_component(self, q: int) -> "SuperPoly":
-        out = SuperPoly(self.table)
-        out.terms = {m: c for m, c in self.terms.items() if self.monomial_fdeg(m) == q}
-        return out
-
     # -- evaluation and coefficient extraction -----------------------------
 
     def evaluate(self, assignment: dict) -> Fraction:
@@ -341,12 +336,6 @@ class SuperPoly:
                 del d[k]
                 out += SuperPoly(t, {(tuple(sorted(d.items())), o): c})
         return out
-
-    def max_word_length(self) -> int:
-        return max(
-            (sum(x for _, x in e) + len(o) for (e, o) in self.terms),
-            default=0,
-        )
 
     # -- printing / parsing -------------------------------------------------
 

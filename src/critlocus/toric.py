@@ -12,8 +12,9 @@ all of them, with coordinates and an exact inverse.  The chart families:
 * plane: complements of the lines x0 + t x1 + t^2 x2 = 0, t = 0, 1, 2, ...;
   a point lies on at most two of these, so the search terminates.
 * Hirzebruch F_k: complements of (fiber  union  section disjoint from the
-  negative section); the section family is x4 + x2 P(x1, x3) = 0 with P
-  ranging over multiples of x1^k and x3^k.
+  negative section); the fiber is ell = b x1 - a x3 = 0 for a fiber form
+  avoiding every point, and the section is x4 + c x2 ell^k = 0 with
+  c = 0, 1, 2, ...; a point with x2 != 0 lies on exactly one of these.
 * blowup towers: pull back a plane chart and, for each blown-up point
   inside it, remove the proper transform of one line through the center
   whose direction avoids every given point, which leaves an affine plane
@@ -158,10 +159,6 @@ class Surface:
         self.fan = fan
         if not (self.fan.is_smooth() and self.fan.is_complete()):
             raise ValueError("blowup tower produced a bad fan")
-
-
-def build_surface(spec: SurfaceSpec) -> Surface:
-    return Surface(spec)
 
 
 # -- points -------------------------------------------------------------------
@@ -319,7 +316,7 @@ def p2_chart_embed(description: dict, u, v) -> P2Point:
 
 
 def find_chart_fn(k: int, points) -> ChartResult:
-    """Complement of (fiber over [a:b]) union (section x4 + x2 P = 0)."""
+    """Complement of (fiber ell = 0) union (section x4 + c x2 ell^k = 0)."""
     # fiber: line b x1 - a x3 = 0; candidates [1:0], [0:1], [1:1], [1:2], ...
     fiber_candidates = [(1, 0), (0, 1)] + [(1, t) for t in range(1, len(points) + 2)]
     fiber = None
@@ -330,38 +327,26 @@ def find_chart_fn(k: int, points) -> ChartResult:
     assert fiber is not None, "pigeonhole violated in fiber search"
     a, b = fiber
 
-    def section_value(p, family, c):
-        x1, x2, x3, x4 = p.coords
-        base = x1 if family == "x1" else x3
-        return x4 + x2 * c * base**k
-
-    section = None
-    candidates = [("x1", c) for c in range(0, len(points) + 2)] + [
-        ("x3", c) for c in range(1, len(points) + 2)
-    ]
-    for family, c in candidates:
-        if all(section_value(p, family, Fraction(c)) != 0 for p in points):
-            section = (family, Fraction(c))
+    # ell != 0 at every point, so x4 + c x2 ell^k vanishes for exactly one c
+    # at a point with x2 != 0 and for none at a point with x2 = 0 (x4 != 0)
+    ells = [b * p.coords[0] - a * p.coords[2] for p in points]
+    weights = [p.coords[1] * ell**k for p, ell in zip(points, ells)]
+    for c in range(len(points) + 1):
+        if all(p.coords[3] + c * w != 0 for p, w in zip(points, weights)):
             break
-    assert section is not None, "pigeonhole violated in section search"
-    family, c = section
+    else:
+        raise AssertionError("pigeonhole violated in section search")
 
     # a second fiber form with unimodular pairing for the base coordinate
     a2, b2 = _complete_unimodular(a, b)
     coords = []
-    for p in points:
-        x1, x2, x3, x4 = p.coords
-        ell = b * x1 - a * x3
-        ell2 = b2 * x1 - a2 * x3
-        u = ell2 / ell
-        denom = section_value(p, family, c)
-        v = x2 * ell**k / denom
-        coords.append((u, v))
+    for p, ell, w in zip(points, ells, weights):
+        x1, _, x3, x4 = p.coords
+        coords.append(((b2 * x1 - a2 * x3) / ell, w / (x4 + c * w)))
     description = {
         "surface": f"F{k}",
         "fiber": [str(a), str(b)],
         "fiber2": [str(a2), str(b2)],
-        "section_family": family,
         "section_c": str(c),
     }
     return ChartResult(description, coords)
@@ -394,10 +379,8 @@ def fn_chart_embed(k: int, description: dict, u, v) -> FnPoint:
     # solve (ell, ell2) = (1, u) for (x1, x3)
     x1 = ((-a2) * 1 - (-a) * u) / det
     x3 = (b * u - b2 * 1) / det
-    x2 = v  # with the section form normalized to 1 and ell = 1
-    c = Fraction(description["section_c"])
-    base = x1 if description["section_family"] == "x1" else x3
-    x4 = 1 - x2 * c * base**k
+    x2 = v  # with ell = 1 and the section form x4 + c x2 ell^k normalized to 1
+    x4 = 1 - Fraction(description["section_c"]) * x2
     return FnPoint(k, x1, x2, x3, x4)
 
 

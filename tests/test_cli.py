@@ -17,6 +17,22 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "cdga", "--n", "0"],
+        ["ext", "--n", "-1"],
+        ["ext", "--prime", "7"],
+        ["ext", "--prime", "1048577"],  # >= 2^20 but not prime
+        ["ext", "--corpus", "none", "--corpus-file", "{tmp}/missing.json"],
+    ],
+)
+def test_bad_values_exit_2_without_traceback(args, tmp_path, capsys):
+    assert main([a.format(tmp=tmp_path) for a in args]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+
+
 def test_verify_cdga_passes(tmp_path):
     code, text = run(["verify", "cdga", "--n", "1"], tmp_path)
     assert code == 0
@@ -95,6 +111,18 @@ def test_cover_stats_subcommand(tmp_path):
     assert code == 0
     payload = json.loads(text)
     assert payload["checks"][0]["details"]["successes"] == 10
+
+
+def test_cover_stats_f2_section_search(tmp_path):
+    # seed 13 draws a configuration that no section x4 + c x2 x1^2 or
+    # x4 + c x2 x3^2 avoids; x4 + c x2 ell^2 always leaves a free c
+    code, text = run(
+        ["toric", "cover-stats", "--surface", '{"base": "F2"}', "--trials", "400", "--seed", "13"],
+        tmp_path,
+    )
+    assert code == 0
+    details = json.loads(text)["checks"][0]["details"]
+    assert details["successes"] == details["trials"] == 400
 
 
 def test_all_battery_rank_one(tmp_path):

@@ -1,0 +1,177 @@
+"""The shared elimination kernel, checked against independent references.
+
+The endomorphism model and the Koszul oracle both reduce to ``rref``, so
+their agreement cannot expose a fault in it.  These tests compare it with a
+textbook Gauss-Jordan on Fractions (or on ints mod p), and compare
+``homology_representatives`` with the incremental greedy span it replaced.
+"""
+
+import random
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from critlocus.complexes import FreeComplex, homology_representatives
+from critlocus.linalg import DenseMatrix, kernel_basis, rref
+from critlocus.scalars import DEFAULT_PRIME, GF, QQ
+
+P = 1048583  # the smallest prime a PrimeField accepts
+
+SETTINGS = settings(max_examples=150, deadline=None)
+
+
+def naive_rref(rows, ncols, p=None):
+    """Textbook Gauss-Jordan: normalize each pivot row, clear its column."""
+    if p is None:
+        a = [[Fraction(x) for x in row] for row in rows]
+        norm, inv = (lambda x: x), (lambda x: 1 / x)
+    else:
+        a = [[x % p for x in row] for row in rows]
+        norm, inv = (lambda x: x % p), (lambda x: pow(x, -1, p))
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        for i in range(r, len(a)):
+            if a[i][col] != 0:
+                break
+        else:
+            continue
+        a[r], a[i] = a[i], a[r]
+        s = inv(a[r][col])
+        a[r] = [norm(x * s) for x in a[r]]
+        for j in range(len(a)):
+            if j != r:
+                c = a[j][col]
+                a[j] = [norm(x - c * y) for x, y in zip(a[j], a[r])]
+        pivots.append(col)
+        r += 1
+    return a, pivots
+
+
+class GreedySpan:
+    """Incremental row-echelon span: ``add`` keeps a vector iff it is new."""
+
+    def __init__(self, field):
+        self.field = field
+        self.rows = []  # (pivot index, normalized vector)
+
+    def add(self, vec) -> bool:
+        f = self.field
+        v = list(vec)
+        for piv, row in self.rows:
+            if not f.is_zero(v[piv]):
+                c = v[piv]
+                v = [f.sub(x, f.mul(c, y)) for x, y in zip(v, row)]
+        for i, x in enumerate(v):
+            if not f.is_zero(x):
+                inv = f.inv(x)
+                self.rows.append((i, [f.mul(inv, y) for y in v]))
+                self.rows.sort(key=lambda r: r[0])
+                return True
+        return False
+
+
+def greedy_representatives(cx, k):
+    """Cycles kept by offering the image columns, then each cycle, to a span."""
+    span = GreedySpan(cx.base)
+    if cx.rank(k - 1):
+        d = cx.differential(k - 1)
+        for j in range(d.cols):
+            span.add([d.data[i][j] for i in range(d.rows)])
+    return [v for v in kernel_basis(cx.differential(k)) if span.add(v)]
+
+
+def matrices(entries, max_rows=6, max_cols=7):
+    shape = st.tuples(st.integers(0, max_rows), st.integers(0, max_cols))
+    return shape.flatmap(
+        lambda rc: st.lists(
+            st.lists(entries, min_size=rc[1], max_size=rc[1]), min_size=rc[0], max_size=rc[0]
+        ).map(lambda rows: (rows, rc[1]))
+    )
+
+
+rationals = st.one_of(st.just(Fraction(0)), st.fractions(-9, 9, max_denominator=6))
+# small residues written with unreduced representatives, so rank-deficient
+# matrices are common and every entry must be reduced on the way in
+unreduced = st.tuples(st.integers(-3, 3), st.integers(-2, 2)).map(lambda t: t[0] + t[1] * P)
+small_ints = st.integers(-9, 9)
+
+
+@SETTINGS
+@given(matrices(rationals))
+def test_rref_matches_naive_over_qq(mat):
+    rows, ncols = mat
+    red, pivots = rref(DenseMatrix(QQ, len(rows), ncols, rows))
+    ref, ref_pivots = naive_rref(rows, ncols)
+    assert pivots == ref_pivots
+    assert red.data == ref
+    assert all(isinstance(x, Fraction) for row in red.data for x in row)
+    assert DenseMatrix(QQ, len(rows), ncols, rows).rank() == len(ref_pivots)
+
+
+@SETTINGS
+@given(matrices(unreduced))
+def test_rref_matches_naive_over_gf_p_unreduced_entries(mat):
+    rows, ncols = mat
+    field = GF(P)
+    red, pivots = rref(DenseMatrix(field, len(rows), ncols, rows))
+    ref, ref_pivots = naive_rref(rows, ncols, P)
+    assert pivots == ref_pivots
+    assert red.data == ref
+    assert DenseMatrix(field, len(rows), ncols, rows).rank() == len(ref_pivots)
+
+
+def test_multiples_of_p_are_zero():
+    field = GF(P)
+    m = DenseMatrix(field, 1, 2, [[P, 2 * P]])
+    assert m.rank() == 0
+    red, pivots = rref(m)
+    assert pivots == [] and red.data == [[0, 0]]
+    m = DenseMatrix(field, 2, 2, [[P + 1, 3 * P], [2, -P]])
+    assert m.rank() == 1
+    assert rref(m)[0].data == [[1, 0], [0, 0]]
+
+
+@SETTINGS
+@given(matrices(small_ints))
+def test_rref_qq_reduces_to_rref_gf_p(mat):
+    # entries |x| <= 9 in at most 6 rows bound every minor by Hadamard's
+    # 9^6 * 6^3 < DEFAULT_PRIME, so no pivot minor vanishes mod p and the
+    # rational RREF reduces entrywise to the RREF over GF(p)
+    rows, ncols = mat
+    field = GF(DEFAULT_PRIME)
+    red_q, piv_q = rref(DenseMatrix.from_rows(rows) if rows else DenseMatrix(QQ, 0, ncols, []))
+    red_p, piv_p = rref(DenseMatrix(field, len(rows), ncols, rows))
+    assert piv_q == piv_p
+    assert [[field.of(x) for x in row] for row in red_q.data] == red_p.data
+
+
+def random_complex(rng, field):
+    """A numeric complex C^0 -> C^1 -> C^2 with d1 . d0 = 0 by construction:
+    d0 factors through a matrix B and d1 through the left annihilator of B."""
+    c0, c1, c2, s = (rng.randint(1, 5) for _ in range(4))
+    s = min(s, c1)
+    entry = lambda: rng.choice([0, 0, 1, -1, 2, -3])
+    B = [[entry() for _ in range(s)] for _ in range(c1)]
+    R = [[entry() for _ in range(c0)] for _ in range(s)]
+    d0 = DenseMatrix.from_rows(B, field).matmul(DenseMatrix.from_rows(R, field))
+    left = kernel_basis(DenseMatrix.from_rows(B, field).transpose())
+    if left:
+        M = [[entry() for _ in range(len(left))] for _ in range(c2)]
+        d1 = DenseMatrix.from_rows(M, field).matmul(DenseMatrix.from_rows(left, field))
+    else:
+        d1 = DenseMatrix.zero(c2, c1, field)
+    return FreeComplex(field, {0: c0, 1: c1, 2: c2}, {0: d0, 1: d1})
+
+
+@SETTINGS
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_homology_representatives_match_greedy_span(seed, over_gf):
+    field = GF(P) if over_gf else QQ
+    cx = random_complex(random.Random(seed), field)
+    dims = cx.homology_dims()
+    for k in (0, 1, 2):
+        reps = homology_representatives(cx, k)
+        assert reps == greedy_representatives(cx, k)
+        assert len(reps) == dims[k]

@@ -78,6 +78,16 @@ def test_fn_chart_points_on_one_fiber():
         assert chart_embed(surf, res.description, u, v) == p
 
 
+def test_fn_chart_points_with_vanishing_fiber_coordinate():
+    # x1 = x4 = 0 kills every x4 + c x2 x1^2 and x3 = x4 = 0 every
+    # x4 + c x2 x3^2; the section x4 + c x2 ell^2 avoids both
+    surf = Surface(SurfaceSpec("F2"))
+    pts = [FnPoint(2, 0, 1, 1, 0), FnPoint(2, 1, 1, 0, 0)]
+    res = find_chart(surf, pts)
+    for p, (u, v) in zip(pts, res.coordinates):
+        assert chart_embed(surf, res.description, u, v) == p
+
+
 @pytest.mark.parametrize("base", ["P2", "F0", "F2"])
 def test_cover_statistics(base):
     surf = Surface(SurfaceSpec(base))

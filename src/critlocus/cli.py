@@ -11,9 +11,17 @@
     critlocus toric cover-stats --surface '{"base": "F2"}' --trials 50
     critlocus all --n 2
 
+Every report comes from one registry of batteries, ``BATTERIES``.
+``verify <what>``, ``ext``, ``partitions`` and ``toric cover-stats`` each
+run one battery; ``all`` runs them all in registry order, with the settings
+listed next to each.  A battery runs each of its checks through
+``Report.run``, so every record carries a measured ``seconds`` and an
+exception becomes a failing record instead of aborting the run.
+
 Global flags: --n, --prime, --seed, --samples, --format json|text,
 --out FILE.  Exit code 0 when every check passes (warnings allowed),
-1 otherwise; bad flags exit 2.
+1 otherwise; usage errors (bad flags, malformed JSON arguments, a bad
+corpus file) exit 2.
 """
 
 from __future__ import annotations
@@ -22,381 +30,358 @@ import argparse
 import json
 import os
 import random
+import re
 import sys
 
-from .report import Report
+from .report import CheckWarning, Report
 from .scalars import DEFAULT_PRIME, GF
 
 
-def _configuration(args, **extra):
-    cfg = {
-        "n": args.n,
-        "prime": args.prime,
-        "seed": args.seed,
-        "samples": args.samples,
-    }
-    cfg.update(extra)
-    return cfg
+def _shared(fn):
+    """A thunk that calls fn once: later calls return its result, or raise
+    its exception, again.  Records built from one computation share it, and
+    its time lands on the first record that needs it.  Unlike
+    ``functools.cache`` it keeps the exception too, so a failed computation
+    that drew from the rng is not run (and drawn from) a second time."""
+    memo = []
+
+    def thunk():
+        if not memo:
+            try:
+                memo.append((True, fn()))
+            except Exception as exc:
+                memo.append((False, exc))
+        ok, value = memo[0]
+        if not ok:
+            raise value
+        return value
+
+    return thunk
 
 
-# -- check batteries -------------------------------------------------------------
+# -- check batteries ---------------------------------------------------------------
+#
+# A battery is a function (report, args, rng) that runs its checks, each a
+# (name, operation, claim, fn) record, through Report.run.
 
 
-def checks_cdga(report: Report, n: int):
+def _run(report: Report, checks):
+    for name, operation, claim, fn in checks:
+        report.run(name, operation, claim, fn)
+
+
+def checks_cdga(report: Report, args, rng):
     from .potential import MatrixCdga, build_cotangent_complex
 
-    cdga = MatrixCdga(n)
+    n = args.n
+    cdga = _shared(lambda: MatrixCdga(n))
+    model = _shared(lambda: build_cotangent_complex(n, cdga()))
 
     def d_squared():
-        bad = cdga.d_squared_on_generators()
-        return not bad, f"{len(cdga.table)} generators", (
-            f"d(d({bad[0][0]})) = {bad[0][1]}" if bad else None
-        )
-
-    report.run(
-        "cdga.d_squared",
-        "build_koszul_cdga",
-        "the extended Koszul differential squares to zero on every generator",
-        d_squared,
-    )
-
-    report.run(
-        "cdga.koszul_display",
-        "check_d_squared",
-        "the displayed Koszul complex of the potential composes to zero",
-        lambda: cdga.koszul_display().check_d_squared()[0],
-    )
-
-    def gradient_identity():
-        return cdga.jacobian_entries() == cdga.commutator_entries_transposed()
-
-    report.run(
-        "cdga.gradient_is_commutators",
-        "build_potential",
-        "the potential gradient equals the transposed commutator entries",
-        gradient_identity,
-    )
-
-    model = build_cotangent_complex(n, cdga)
-    report.run(
-        "cotangent.flatness",
-        "build_cotangent_complex",
-        "the cotangent model satisfies the twisted flatness identity",
-        lambda: model.flatness_report()["ok"],
-    )
+        bad = cdga().d_squared_on_generators()
+        counterexample = f"d(d({bad[0][0]})) = {bad[0][1]}" if bad else None
+        return not bad, f"{len(cdga().table)} generators", counterexample
 
     def self_duality():
-        rep = model.self_duality_report()
+        rep = model().self_duality_report()
         return rep["ok"], f"outer sign {rep['outer_sign']}, middle symmetric", None
 
-    report.run(
-        "cotangent.self_duality",
-        "build_cotangent_complex",
-        "outer differentials transpose-match and the middle block is symmetric",
-        self_duality,
-    )
+    def ranks():
+        cx = model().complex
+        expected = {-2: n * n, -1: 3 * n * n, 0: 3 * n * n, 1: n * n}
+        return cx.ranks == expected and cx.euler_characteristic() == 0
 
-    report.run(
-        "cotangent.ranks",
-        "build_cotangent_complex",
-        "ranks are (n^2, 3n^2, 3n^2, n^2) with Euler characteristic zero",
-        lambda: (
-            model.complex.ranks
-            == {-2: n * n, -1: 3 * n * n, 0: 3 * n * n, 1: n * n}
-            and model.complex.euler_characteristic() == 0
-        ),
-    )
-    return report
+    _run(report, (
+        ("cdga.d_squared", "build_koszul_cdga",
+         "the extended Koszul differential squares to zero on every generator", d_squared),
+        ("cdga.koszul_display", "check_d_squared",
+         "the displayed Koszul complex of the potential composes to zero",
+         lambda: cdga().koszul_display().check_d_squared()[0]),
+        ("cdga.gradient_is_commutators", "build_potential",
+         "the potential gradient equals the transposed commutator entries",
+         lambda: cdga().jacobian_entries() == cdga().commutator_entries_transposed()),
+        ("cotangent.flatness", "build_cotangent_complex",
+         "the cotangent model satisfies the twisted flatness identity",
+         lambda: model().flatness_report()["ok"]),
+        ("cotangent.self_duality", "build_cotangent_complex",
+         "outer differentials transpose-match and the middle block is symmetric", self_duality),
+        ("cotangent.ranks", "build_cotangent_complex",
+         "ranks are (n^2, 3n^2, 3n^2, n^2) with Euler characteristic zero", ranks),
+    ))
 
 
-def checks_superpotential(report: Report, n: int):
+def checks_superpotential(report: Report, args, rng):
     from .potential import MatrixCdga, verify_superpotential_identities
 
-    rep = verify_superpotential_identities(MatrixCdga(n))
-    for key, claim in (
-        ("ddr_phi_equals_omega", "the de Rham derivative of the primitive equals the 2-form"),
-        ("ddr_bigphi_plus_d_phi_zero", "ddr(Phi) + d(phi) vanishes"),
-        ("omega_closed", "the 2-form is de Rham closed"),
-        ("calculus_consistent", "d.d = 0, ddr.ddr = 0 and d anticommutes with ddr"),
-    ):
-        report.record(
-            f"superpotential.{key}",
-            "verify_superpotential_identities",
-            claim,
-            "pass" if rep[key] else "fail",
-            0.0,
+    rep = _shared(lambda: verify_superpotential_identities(MatrixCdga(args.n)))
+    _run(report, (
+        (f"superpotential.{key}", "verify_superpotential_identities", claim, lambda key=key: rep()[key])
+        for key, claim in (
+            ("ddr_phi_equals_omega", "the de Rham derivative of the primitive equals the 2-form"),
+            ("ddr_bigphi_plus_d_phi_zero", "ddr(Phi) + d(phi) vanishes"),
+            ("omega_closed", "the 2-form is de Rham closed"),
+            ("calculus_consistent", "d.d = 0, ddr.ddr = 0 and d anticommutes with ddr"),
         )
-    return report
+    ))
 
 
-def checks_family(report: Report, n: int):
+def checks_family(report: Report, args, rng):
     from .family import build_universal_family
 
-    fam = build_universal_family(n)
-    report.record(
+    fam = _shared(lambda: build_universal_family(args.n))
+    leib = _shared(lambda: fam().leibniz_report())
+    report.run(
         "family.resolution",
         "build_universal_family",
         "the action search resolves to one variant per letter",
-        "pass",
-        0.0,
-        details=fam.provenance,
+        lambda: (True, fam().provenance),
     )
-    leib = fam.leibniz_report()
-    for g in "xyzuvwt":
-        report.record(
-            f"family.leibniz.{g}",
-            "build_universal_family",
-            f"the graded Leibniz identity holds for the letter {g}",
-            "pass" if leib[g] else "fail",
-            0.0,
-        )
-    return report
+    _run(report, (
+        (f"family.leibniz.{g}", "build_universal_family",
+         f"the graded Leibniz identity holds for the letter {g}", lambda g=g: leib()[g])
+        for g in "xyzuvwt"
+    ))
 
 
-def checks_resolution(report: Report):
+def checks_resolution(report: Report, args, rng):
     from .family import build_ginzburg_resolution
 
-    rep = build_ginzburg_resolution().composites_vanish()
-    for key, ok in rep.items():
-        if key == "ok":
-            continue
-        report.record(
-            f"resolution.{key.replace(' ', '_')}",
-            "build_ginzburg_resolution",
-            f"{key} cancels literally after commutation rewriting",
-            "pass" if ok else "fail",
-            0.0,
-        )
-    return report
+    _run(report, (
+        (f"resolution.{key.replace(' ', '_')}", "build_ginzburg_resolution",
+         f"{key} cancels literally after commutation rewriting",
+         lambda image=image: image().normalize().is_zero())
+        for key, image in build_ginzburg_resolution().composites().items()
+    ))
 
 
-def checks_chainmap(report: Report, n: int, samples: int, rng):
+def checks_chainmap(report: Report, args, rng):
     from .family import build_comparison_map
     from .points import random_conjugate_points
     from .potential import MatrixCdga
 
-    cdga = MatrixCdga(n)
-    cm, record = build_comparison_map(n, cdga)
-    details = {"chosen": str(record["chosen"])}
-    if record.get("search"):
-        details["solutions"] = record["symbolic_solutions"]
-    report.record(
-        "chainmap.symbolic",
-        "build_comparison_map",
-        "a signed permutation intertwines the models symbolically",
-        "pass",
-        0.0,
-        details=details,
-    )
-    pts = random_conjugate_points(n, samples, rng)
-    bad = 0
-    invertible = True
-    for pt in pts:
-        rep = cm.check_at_point(cdga.point_assignment(pt.X, pt.Y, pt.Z))
-        if not rep["ok"]:
-            bad += 1
-        invertible = invertible and rep["all_invertible"]
-    report.record(
-        "chainmap.points",
-        "check_chain_map",
-        f"the comparison squares commute at {samples} sampled commuting points",
-        "pass" if bad == 0 else "fail",
-        0.0,
-        details={"samples": samples, "failures": bad},
-    )
-    report.record(
-        "chainmap.invertible",
-        "check_chain_map",
-        "every degree of the comparison map is invertible at the samples",
-        "pass" if invertible else "fail",
-        0.0,
-    )
-    return report
+    n, samples = args.n, args.samples
+    cdga = _shared(lambda: MatrixCdga(n))
+    comparison = _shared(lambda: build_comparison_map(n, cdga()))
+
+    def symbolic():
+        record = comparison()[1]
+        details = {"chosen": str(record["chosen"])}
+        if record.get("search"):
+            details["solutions"] = record["symbolic_solutions"]
+        return True, details
+
+    @_shared
+    def at_points():
+        # draw the samples before anything can fail, so the batteries after
+        # this one see the same rng state either way
+        pts = random_conjugate_points(n, samples, rng)
+        cm = comparison()[0]
+        reps = [cm.check_at_point(cdga().point_assignment(pt.X, pt.Y, pt.Z)) for pt in pts]
+        return sum(not rep["ok"] for rep in reps), all(rep["all_invertible"] for rep in reps)
+
+    _run(report, (
+        ("chainmap.symbolic", "build_comparison_map",
+         "a signed permutation intertwines the models symbolically", symbolic),
+        ("chainmap.points", "check_chain_map",
+         f"the comparison squares commute at {samples} sampled commuting points",
+         lambda: (at_points()[0] == 0, {"samples": samples, "failures": at_points()[0]})),
+        ("chainmap.invertible", "check_chain_map",
+         "every degree of the comparison map is invertible at the samples", lambda: at_points()[1]),
+    ))
 
 
-def checks_ext(
-    report: Report,
-    n: int,
-    corpus: str,
-    samples: int,
-    prime: int,
-    rng,
-    corpus_file=None,
-    save_corpus_to=None,
-):
+def checks_ext(report: Report, args, rng):
     from .family import endomorphism_model, ext_dims_at
     from .points import (
         enumerate_partitions,
         koszul_ext_oracle,
-        load_corpus,
         point_from_partition,
         random_conjugate_points,
         save_corpus,
     )
 
-    points = []
-    if corpus_file:
-        points.extend(load_corpus(corpus_file))
-        n = points[0].n if points else n
-    if corpus in ("partitions", "both"):
-        points.extend(point_from_partition(pp) for pp in enumerate_partitions(n))
-    if corpus in ("random", "both"):
-        points.extend(random_conjugate_points(n, samples, rng))
-    if save_corpus_to:
-        save_corpus(points, save_corpus_to)
-    model = endomorphism_model(n)
-    field_p = GF(prime)
-    mismatches = []
-    pairing_failures = []
-    euler_failures = []
-    prime_warnings = []
-    per_point = []
-    for idx, pt in enumerate(points):
-        mine = ext_dims_at(pt, model=model)
-        oracle = koszul_ext_oracle(pt)
-        per_point.append(
-            {
-                "point": idx,
-                "provenance": pt.provenance,
-                "dims": [mine["dims"][k] for k in range(4)],
-                "pairing_ranks": [
-                    mine["pairing_ranks"][(0, 3)],
-                    mine["pairing_ranks"][(1, 2)],
-                ],
-            }
-        )
-        if mine["dims"] != oracle["dims"]:
-            mismatches.append((idx, mine["dims"], oracle["dims"]))
-        if mine["euler"] != 0:
-            euler_failures.append(idx)
-        if not (mine["pairing_perfect"] and oracle["pairing_perfect"]):
-            pairing_failures.append(idx)
-        try:
-            mod_p = model.evaluate_at(pt.X, pt.Y, pt.Z, field_p).homology_dims()
-            if mod_p != mine["dims"]:
-                prime_warnings.append(idx)
-        except ZeroDivisionError:
-            prime_warnings.append(idx)
-    report.record(
-        "ext.oracle_agreement",
-        "ext_dims_at",
-        "endomorphism-model Ext dimensions match the Koszul oracle at every corpus point",
-        "pass" if not mismatches else "fail",
-        0.0,
-        details={"points": len(points), "per_point": per_point},
-        counterexample=str(mismatches[:3]) if mismatches else None,
-    )
-    report.record(
-        "ext.euler",
-        "ext_dims_at",
-        "the Euler characteristic vanishes at every corpus point",
-        "pass" if not euler_failures else "fail",
-        0.0,
-    )
-    report.record(
-        "ext.serre_pairing",
-        "ext_dims_at",
-        "the composition-trace pairing is perfect at every corpus point",
-        "pass" if not pairing_failures else "fail",
-        0.0,
-    )
-    if prime_warnings:
-        report.warn(
-            "ext.prime_comparison",
-            "homology_dims",
-            f"dimensions over GF({prime}) disagree with the rational ones "
-            f"at {len(prime_warnings)} points (possible bad prime)",
-            details={"points": prime_warnings[:5]},
-        )
-    else:
-        report.record(
-            "ext.prime_comparison",
-            "homology_dims",
-            f"dimensions over GF({prime}) agree with the rational ones",
-            "pass",
-            0.0,
-        )
-    return report
+    prime = args.prime
+
+    @_shared
+    def ext():
+        points = list(args.corpus_points or [])
+        n = points[0].n if points else args.n
+        if args.corpus in ("partitions", "both"):
+            points.extend(point_from_partition(pp) for pp in enumerate_partitions(n))
+        if args.corpus in ("random", "both"):
+            points.extend(random_conjugate_points(n, args.samples, rng))
+        if args.save_corpus:
+            save_corpus(points, args.save_corpus)
+        model = endomorphism_model(n)
+        field_p = GF(prime)
+        out = {"per_point": [], "mismatches": [], "euler": [], "pairing": [], "prime": []}
+        for idx, pt in enumerate(points):
+            mine = ext_dims_at(pt, model=model)
+            oracle = koszul_ext_oracle(pt)
+            out["per_point"].append(
+                {
+                    "point": idx,
+                    "provenance": pt.provenance,
+                    "dims": [mine["dims"][k] for k in range(4)],
+                    "pairing_ranks": [mine["pairing_ranks"][(0, 3)], mine["pairing_ranks"][(1, 2)]],
+                }
+            )
+            if mine["dims"] != oracle["dims"]:
+                out["mismatches"].append((idx, mine["dims"], oracle["dims"]))
+            if mine["euler"] != 0:
+                out["euler"].append(idx)
+            if not (mine["pairing_perfect"] and oracle["pairing_perfect"]):
+                out["pairing"].append(idx)
+            try:
+                if model.evaluate_at(pt.X, pt.Y, pt.Z, field_p).homology_dims() != mine["dims"]:
+                    out["prime"].append(idx)
+            except ZeroDivisionError:
+                out["prime"].append(idx)
+        return out
+
+    def oracle_agreement():
+        bad = ext()["mismatches"]
+        details = {"points": len(ext()["per_point"]), "per_point": ext()["per_point"]}
+        return not bad, details, str(bad[:3]) if bad else None
+
+    def prime_comparison():
+        bad = ext()["prime"]
+        if bad:
+            raise CheckWarning(
+                f"dimensions over GF({prime}) disagree with the rational ones "
+                f"at {len(bad)} points (possible bad prime)",
+                {"points": bad[:5]},
+            )
+        return True
+
+    _run(report, (
+        ("ext.oracle_agreement", "ext_dims_at",
+         "endomorphism-model Ext dimensions match the Koszul oracle at every corpus point",
+         oracle_agreement),
+        ("ext.euler", "ext_dims_at",
+         "the Euler characteristic vanishes at every corpus point", lambda: not ext()["euler"]),
+        ("ext.serre_pairing", "ext_dims_at",
+         "the composition-trace pairing is perfect at every corpus point", lambda: not ext()["pairing"]),
+        ("ext.prime_comparison", "homology_dims",
+         f"dimensions over GF({prime}) agree with the rational ones", prime_comparison),
+    ))
 
 
-def checks_partitions(report: Report, n: int):
+def checks_partitions(report: Report, args, rng):
     from .points import enumerate_partitions, enumerate_partitions_by_heights
 
-    counts = []
-    ok = True
-    for size in range(1, n + 1):
-        a = enumerate_partitions(size)
-        b = enumerate_partitions_by_heights(size)
-        counts.append(len(a))
-        if sorted(p.cells for p in a) != sorted(p.cells for p in b):
-            ok = False
-    report.record(
+    n = args.n
+
+    def two_strategies():
+        counts = []
+        ok = True
+        for size in range(1, n + 1):
+            a = enumerate_partitions(size)
+            b = enumerate_partitions_by_heights(size)
+            counts.append(len(a))
+            if sorted(p.cells for p in a) != sorted(p.cells for p in b):
+                ok = False
+        return ok, {"counts": counts}
+
+    report.run(
         "partitions.two_strategies",
         "enumerate_partitions",
         f"two independent enumerations agree for sizes 1..{n}",
-        "pass" if ok else "fail",
-        0.0,
-        details={"counts": counts},
-    )
-    return report
-
-
-def cmd_toric_chart(args):
-    from .toric import (
-        FnPoint,
-        P2Point,
-        Surface,
-        SurfaceSpec,
-        TowerPoint,
-        find_chart,
+        two_strategies,
     )
 
-    spec = SurfaceSpec.from_json_obj(json.loads(args.surface))
-    surface = Surface(spec)
-    raw_points = json.loads(args.points)
-    points = []
-    for rp in raw_points:
-        if spec.blowups:
-            if isinstance(rp, dict):
-                points.append(
-                    TowerPoint(
-                        center=rp["center"],
-                        direction=P2Point(*rp["direction"]),
-                    )
-                )
-            else:
-                points.append(TowerPoint(base=P2Point(*rp)))
-        elif spec.base == "P2":
-            points.append(P2Point(*rp))
-        else:
-            points.append(FnPoint(int(spec.base[1:]), *rp))
-    result = find_chart(surface, points)
-    payload = json.dumps(result.to_json_obj(), sort_keys=True, indent=1)
-    _emit(args, payload)
-    return 0
+
+# (record name, claim, surface, trials, points per trial) of the covers `all` checks
+ALL_COVERS = (
+    ("toric.cover.P2", "chart search round-trips on P2", {"base": "P2"}, 25, 4),
+    ("toric.cover.F0", "chart search round-trips on F0", {"base": "F0"}, 25, 4),
+    ("toric.cover.F2", "chart search round-trips on F2", {"base": "F2"}, 25, 4),
+    ("toric.cover.tower", "chart search round-trips on a two-blowup tower",
+     {"base": "P2", "blowups": [0, 2]}, 25, 3),
+)
 
 
-def cmd_toric_cover_stats(args):
+def checks_covers(report: Report, args, rng):
+    """Chart search round trips on random configurations.  ``all`` passes its
+    covers as ``args.covers``; ``toric cover-stats`` checks the one surface
+    of its flags and also reports the trial count and the failures."""
     from .toric import Surface, SurfaceSpec, verify_cover_property
 
-    spec = SurfaceSpec.from_json_obj(json.loads(args.surface))
-    surface = Surface(spec)
-    rng = random.Random(args.seed)
-    report = Report(
-        _configuration(args, surface=spec.to_json_obj(), trials=args.trials)
-    )
-    rep = verify_cover_property(surface, args.trials, args.points_per_trial, rng)
-    report.record(
+    single = "covers" not in args
+    covers = args.covers if not single else [(
         "toric.cover_stats",
-        "verify_cover_property",
         f"chart search succeeds with exact round trip on {args.trials} random configurations",
-        "pass" if rep["ok"] else "fail",
-        0.0,
-        details={"successes": rep["successes"], "trials": rep["trials"]},
-        counterexample=str(rep["failures"]) if rep["failures"] else None,
-    )
-    _emit_report(args, report)
-    return 0 if report.ok else 1
+        args.surface, args.trials, args.points_per_trial,
+    )]
+    for name, claim, surface, trials, per_trial in covers:
+
+        def cover(surface=surface, trials=trials, per_trial=per_trial):
+            surface = Surface(SurfaceSpec.from_json_obj(surface))
+            rep = verify_cover_property(surface, trials, per_trial, rng)
+            if not single:
+                return rep["ok"], {"successes": rep["successes"]}
+            failures = str(rep["failures"]) if rep["failures"] else None
+            return rep["ok"], {"successes": rep["successes"], "trials": rep["trials"]}, failures
+
+        report.run(name, "verify_cover_property", claim, cover)
+
+
+# Every battery under the name its subcommand looks it up by, in the order
+# `all` runs them, with the settings `all` runs it with on top of its own
+# flags (a callable setting is computed from those flags).
+BATTERIES = {
+    "cdga": (checks_cdga, {}),
+    "superpotential": (checks_superpotential, {}),
+    "family": (checks_family, {}),
+    "resolution": (checks_resolution, {}),
+    "chainmap": (checks_chainmap, {}),
+    "ext": (checks_ext, {"corpus": "both", "corpus_points": None, "save_corpus": None}),
+    "partitions": (checks_partitions, {"n": lambda args: max(args.n, 4)}),
+    "cover-stats": (checks_covers, {"covers": ALL_COVERS}),
+}
+
+
+def _with_settings(args, settings):
+    out = argparse.Namespace(**vars(args))
+    for key, value in settings.items():
+        setattr(out, key, value(args) if callable(value) else value)
+    return out
+
+
+def cmd_toric_chart(parser, args):
+    from .toric import FnPoint, P2Point, Surface, SurfaceSpec, TowerPoint, find_chart
+
+    spec = SurfaceSpec.from_json_obj(args.surface)
+
+    def coords(raw, width):
+        if not isinstance(raw, list) or len(raw) != width:
+            raise ValueError(f"expected a list of {width} coordinates, got {json.dumps(raw)}")
+        return raw
+
+    def point(raw):
+        if spec.blowups and isinstance(raw, dict):
+            direction = P2Point(*coords(raw.get("direction"), 3))
+            return TowerPoint(center=raw.get("center"), direction=direction)
+        if spec.blowups:
+            return TowerPoint(base=P2Point(*coords(raw, 3)))
+        if spec.base == "P2":
+            return P2Point(*coords(raw, 3))
+        return FnPoint(int(spec.base[1:]), *coords(raw, 4))
+
+    # a malformed point is a usage error, and so is a point the chart search
+    # refuses (a plane point at a blowup center, say)
+    try:
+        points = []
+        for idx, raw in enumerate(args.points):
+            try:
+                points.append(point(raw))
+            except (TypeError, ValueError, ZeroDivisionError) as exc:
+                raise ValueError(f"point {idx}: {exc}") from None
+        result = find_chart(Surface(spec), points)
+    except ValueError as exc:
+        parser.error(f"argument --points: {exc}")
+    _emit(args, json.dumps(result.to_json_obj(), sort_keys=True, indent=1))
+    return 0
 
 
 def _emit(args, text):
@@ -405,11 +390,6 @@ def _emit(args, text):
             fh.write(text + "\n")
     else:
         print(text)
-
-
-def _emit_report(args, report: Report):
-    text = report.to_json() if args.format == "json" else report.to_text()
-    _emit(args, text)
 
 
 # -- wiring ------------------------------------------------------------------------
@@ -431,19 +411,65 @@ def _prime(text):
     return value
 
 
-def _existing_file(text):
-    if not os.path.isfile(text):
-        raise argparse.ArgumentTypeError(f"no such file: {text}")
-    return text
+def _json(text):
+    try:
+        return json.loads(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not JSON: {exc}") from None
 
 
-def _add_common(parser):
+def _point_list(text):
+    value = _json(text)
+    if not isinstance(value, list):
+        raise argparse.ArgumentTypeError("expected a JSON list of points")
+    return value
+
+
+def _surface(text):
+    """A surface spec the chart search supports, as its normalized JSON."""
+    from .toric import Surface, SurfaceSpec, find_chart
+
+    obj = _json(text)
+    if not (isinstance(obj, dict) and re.fullmatch(r"P2|F[0-9]+", str(obj.get("base")))):
+        raise argparse.ArgumentTypeError('expected {"base": "P2" or "F<k>", "blowups": [...]}')
+    try:
+        spec = SurfaceSpec.from_json_obj(obj)
+        find_chart(Surface(spec), [])
+    except (TypeError, ValueError, IndexError) as exc:
+        raise argparse.ArgumentTypeError(f"unsupported surface: {exc}") from None
+    return spec.to_json_obj()
+
+
+def _corpus(path):
+    """The points of a corpus file: all of one rank, each a commuting triple."""
+    from .points import load_corpus
+
+    if not os.path.isfile(path):
+        raise argparse.ArgumentTypeError(f"no such file: {path}")
+    try:
+        points = load_corpus(path)
+    except (TypeError, ValueError, KeyError) as exc:
+        raise argparse.ArgumentTypeError(f"malformed corpus {path}: {exc!r}") from None
+    for idx, pt in enumerate(points):
+        if pt.n != points[0].n:
+            raise argparse.ArgumentTypeError(
+                f"point {idx} of {path} has n={pt.n}, point 0 has n={points[0].n}"
+            )
+        if not pt.is_commuting():
+            raise argparse.ArgumentTypeError(f"point {idx} of {path} is not a commuting triple")
+    return points
+
+
+def _add_common(parser, battery=None, reported=()):
+    """The flags every subcommand takes; ``battery`` names the registry entry
+    the subcommand runs and ``reported`` the flags its configuration adds."""
     parser.add_argument("--n", type=_positive_int, default=2, help="matrix rank")
     parser.add_argument("--prime", type=_prime, default=DEFAULT_PRIME)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--samples", type=int, default=20)
+    parser.add_argument("--samples", type=_positive_int, default=20)
     parser.add_argument("--format", choices=("json", "text"), default="json")
     parser.add_argument("--out", default=None)
+    parser.set_defaults(battery=battery, reported=reported)
 
 
 def build_parser():
@@ -456,123 +482,61 @@ def build_parser():
     verify = sub.add_parser("verify", help="run one verification battery")
     vsub = verify.add_subparsers(dest="what", required=True)
     for what in ("cdga", "superpotential", "family", "resolution", "chainmap"):
-        p = vsub.add_parser(what)
-        _add_common(p)
+        _add_common(vsub.add_parser(what), what, ("battery",))
 
     ext = sub.add_parser("ext", help="Ext dimensions against the independent oracle")
-    _add_common(ext)
+    _add_common(ext, "ext", ("corpus",))
     ext.add_argument(
         "--corpus", choices=("partitions", "random", "both", "none"), default="both"
     )
     ext.add_argument(
-        "--corpus-file", type=_existing_file, default=None, help="read extra points from a corpus file"
+        "--corpus-file",
+        dest="corpus_points",
+        metavar="FILE",
+        type=_corpus,
+        default=None,
+        help="read extra points from a corpus file",
     )
     ext.add_argument("--save-corpus", default=None, help="write the evaluated corpus to a file")
 
     parts = sub.add_parser("partitions", help="plane partition counts, two strategies")
-    _add_common(parts)
+    _add_common(parts, "partitions")
 
     toric = sub.add_parser("toric", help="toric surface chart operations")
     tsub = toric.add_subparsers(dest="what", required=True)
     chart = tsub.add_parser("chart")
     _add_common(chart)
-    chart.add_argument("--surface", required=True, help="surface spec as JSON")
-    chart.add_argument("--points", required=True, help="point list as JSON")
+    chart.add_argument("--surface", type=_surface, required=True, help="surface spec as JSON")
+    chart.add_argument("--points", type=_point_list, required=True, help="point list as JSON")
     cover = tsub.add_parser("cover-stats")
-    _add_common(cover)
-    cover.add_argument("--surface", required=True)
-    cover.add_argument("--trials", type=int, default=100)
-    cover.add_argument("--points-per-trial", type=int, default=4)
+    _add_common(cover, "cover-stats", ("surface", "trials"))
+    cover.add_argument("--surface", type=_surface, required=True)
+    cover.add_argument("--trials", type=_positive_int, default=100)
+    cover.add_argument("--points-per-trial", type=_positive_int, default=4)
 
-    allcmd = sub.add_parser("all", help="the full battery at one rank")
-    _add_common(allcmd)
+    _add_common(sub.add_parser("all", help="the full battery at one rank"), "all", ("battery",))
     return parser
 
 
 def main(argv=None) -> int:
+    parser = build_parser()
     try:
-        args = build_parser().parse_args(argv)
+        args = parser.parse_args(argv)
+        if args.battery is None:  # toric chart
+            return cmd_toric_chart(parser, args)
     except SystemExit as exc:  # argparse has printed the usage error
         return exc.code
-    rng = random.Random(args.seed) if hasattr(args, "seed") else random.Random(0)
-
-    if args.command == "verify":
-        report = Report(_configuration(args, battery=args.what))
-        if args.what == "cdga":
-            checks_cdga(report, args.n)
-        elif args.what == "superpotential":
-            checks_superpotential(report, args.n)
-        elif args.what == "family":
-            checks_family(report, args.n)
-        elif args.what == "resolution":
-            checks_resolution(report)
-        elif args.what == "chainmap":
-            checks_chainmap(report, args.n, args.samples, rng)
-        _emit_report(args, report)
-        return 0 if report.ok else 1
-
-    if args.command == "ext":
-        report = Report(_configuration(args, corpus=args.corpus))
-        checks_ext(
-            report,
-            args.n,
-            args.corpus,
-            args.samples,
-            args.prime,
-            rng,
-            corpus_file=args.corpus_file,
-            save_corpus_to=args.save_corpus,
-        )
-        _emit_report(args, report)
-        return 0 if report.ok else 1
-
-    if args.command == "partitions":
-        report = Report(_configuration(args))
-        checks_partitions(report, args.n)
-        _emit_report(args, report)
-        return 0 if report.ok else 1
-
-    if args.command == "toric":
-        if args.what == "chart":
-            return cmd_toric_chart(args)
-        return cmd_toric_cover_stats(args)
-
-    if args.command == "all":
-        report = Report(_configuration(args, battery="all"))
-        checks_cdga(report, args.n)
-        checks_superpotential(report, args.n)
-        checks_family(report, args.n)
-        checks_resolution(report)
-        checks_chainmap(report, args.n, args.samples, rng)
-        checks_ext(report, args.n, "both", args.samples, args.prime, rng)
-        checks_partitions(report, max(args.n, 4))
-        from .toric import Surface, SurfaceSpec, verify_cover_property
-
-        for base in ("P2", "F0", "F2"):
-            rep = verify_cover_property(
-                Surface(SurfaceSpec(base)), 25, 4, rng
-            )
-            report.record(
-                f"toric.cover.{base}",
-                "verify_cover_property",
-                f"chart search round-trips on {base}",
-                "pass" if rep["ok"] else "fail",
-                0.0,
-                details={"successes": rep["successes"]},
-            )
-        rep = verify_cover_property(Surface(SurfaceSpec("P2", [0, 2])), 25, 3, rng)
-        report.record(
-            "toric.cover.tower",
-            "verify_cover_property",
-            "chart search round-trips on a two-blowup tower",
-            "pass" if rep["ok"] else "fail",
-            0.0,
-            details={"successes": rep["successes"]},
-        )
-        _emit_report(args, report)
-        return 0 if report.ok else 1
-
-    return 2
+    rng = random.Random(args.seed)
+    configuration = {"n": args.n, "prime": args.prime, "seed": args.seed, "samples": args.samples}
+    configuration.update((key, getattr(args, key)) for key in args.reported)
+    report = Report(configuration)
+    if args.battery == "all":
+        for battery, settings in BATTERIES.values():
+            battery(report, _with_settings(args, settings), rng)
+    else:
+        BATTERIES[args.battery][0](report, args, rng)
+    _emit(args, report.to_json() if args.format == "json" else report.to_text())
+    return 0 if report.ok else 1
 
 
 if __name__ == "__main__":

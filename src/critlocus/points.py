@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
+from .complexes import FreeComplex, homology_representatives
 from .linalg import DenseMatrix, mat_mul, row_space_basis, rref
 from .scalars import QQ
 
@@ -389,9 +390,13 @@ def koszul_ext_oracle(pt: MatrixPoint, field=QQ) -> dict:
         ]
     )
     d2 = stack([[ax, ay, az]])
-    cx = FreeComplexOracle(field, nn, d0, d1, d2)
+    cx = FreeComplex(field, {0: nn, 1: 3 * nn, 2: 3 * nn, 3: nn}, {0: d0, 1: d1, 2: d2})
     dims = cx.homology_dims()
-    pair01 = cx.pairing_rank()
+    reps = {k: homology_representatives(cx, k) for k in range(4)}
+    pair01 = tuple(
+        _trace_pairing_rank(reps[k], reps[3 - k], slots, n, field)
+        for k, slots in ((0, 1), (1, 3))
+    )
     perfect = (
         dims[0] == dims[3]
         and dims[1] == dims[2]
@@ -406,49 +411,22 @@ def koszul_ext_oracle(pt: MatrixPoint, field=QQ) -> dict:
     }
 
 
-class FreeComplexOracle:
-    """Minimal four-term numeric complex used only by the oracle."""
+def _trace_pairing_rank(ra, rb, slots, n, field):
+    """Rank of the composition-trace pairing between two lists of
+    representatives: slot s of one degree pairs with slot s of the
+    complementary degree by tr(a b)."""
+    if not (ra and rb):
+        return 0
+    nn = n * n
 
-    def __init__(self, field, nn, d0, d1, d2):
-        from .complexes import FreeComplex
+    def tr_pair(va, vb):
+        acc = field.zero
+        for s in range(slots):
+            base = s * nn
+            for p in range(n):
+                for q in range(n):
+                    acc = field.add(acc, field.mul(va[base + p * n + q], vb[base + q * n + p]))
+        return acc
 
-        self.field = field
-        self.nn = nn
-        self.cx = FreeComplex(
-            field, {0: nn, 1: 3 * nn, 2: 3 * nn, 3: nn}, {0: d0, 1: d1, 2: d2}
-        )
-
-    def homology_dims(self):
-        return self.cx.homology_dims()
-
-    def pairing_rank(self):
-        from .complexes import homology_representatives
-
-        field = self.field
-        nn = self.nn
-        n = int(round(nn ** 0.5))
-        reps = {k: homology_representatives(self.cx, k) for k in range(4)}
-
-        def tr_pair(va, vb, slots):
-            # slot s of degree k pairs with slot s of degree 3 - k by the
-            # trace of the composition
-            acc = field.zero
-            for s in range(slots):
-                base = s * nn
-                for p in range(n):
-                    for q in range(n):
-                        xa = va[base + p * n + q]
-                        xb = vb[base + q * n + p]
-                        acc = field.add(acc, field.mul(xa, xb))
-            return acc
-
-        ranks = []
-        for k, slots in ((0, 1), (1, 3)):
-            ra = reps[k]
-            rb = reps[3 - k]
-            m = DenseMatrix.zero(len(ra), len(rb), field)
-            for a, va in enumerate(ra):
-                for b, vb in enumerate(rb):
-                    m.data[a][b] = tr_pair(va, vb, slots)
-            ranks.append(m.rank() if ra and rb else 0)
-        return tuple(ranks)
+    m = DenseMatrix(field, len(ra), len(rb), [[tr_pair(va, vb) for vb in rb] for va in ra])
+    return m.rank()

@@ -17,6 +17,16 @@ import time
 TOOL_VERSION = "0.1.0"
 
 
+class CheckWarning(Exception):
+    """Raised by a check run through ``Report.run`` to record a warning
+    verdict (a finding that is not a failure) under its own claim."""
+
+    def __init__(self, claim, details=None):
+        super().__init__(claim)
+        self.claim = claim
+        self.details = details
+
+
 class Report:
     def __init__(self, configuration: dict):
         self.configuration = dict(configuration)
@@ -37,10 +47,15 @@ class Report:
         self.checks.append(entry)
 
     def run(self, name, operation, claim, fn):
-        """Run fn() -> (ok, details, counterexample) and record it."""
+        """Run fn() -> (ok, details, counterexample) and record it, timed.
+        A raised ``CheckWarning`` records a warning, any other exception a
+        failure with the exception as counterexample."""
         start = time.monotonic()
         try:
             outcome = fn()
+        except CheckWarning as warning:
+            self.record(name, operation, warning.claim, "warning", time.monotonic() - start, warning.details)
+            return True
         except Exception as exc:  # surface as a failing check, not a crash
             self.record(
                 name,

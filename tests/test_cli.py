@@ -25,12 +25,40 @@ def test_usage_error_exit_code():
         ["ext", "--prime", "7"],
         ["ext", "--prime", "1048577"],  # >= 2^20 but not prime
         ["ext", "--corpus", "none", "--corpus-file", "{tmp}/missing.json"],
+        ["toric", "chart", "--surface", "notjson", "--points", "[]"],
+        ["toric", "chart", "--surface", '{{"base": "Q3"}}', "--points", "[]"],
+        ["toric", "cover-stats", "--surface", '{{"base": "Q3"}}'],
+        ["toric", "chart", "--surface", '{{"base": "P2"}}', "--points", "notjson"],
+        ["toric", "chart", "--surface", '{{"base": "P2"}}', "--points", '[["1", "2"]]'],
+        ["ext", "--corpus", "none", "--corpus-file", "{tmp}/mixed_ranks.json"],
+        ["ext", "--corpus", "none", "--corpus-file", "{tmp}/not_commuting.json"],
+        ["verify", "chainmap", "--samples", "-2"],
+        ["toric", "cover-stats", "--surface", '{{"base": "P2"}}', "--trials", "-3"],
+        ["toric", "cover-stats", "--surface", '{{"base": "P2"}}', "--points-per-trial", "0"],
     ],
 )
 def test_bad_values_exit_2_without_traceback(args, tmp_path, capsys):
+    _write_bad_corpora(tmp_path)
     assert main([a.format(tmp=tmp_path) for a in args]) == 2
     err = capsys.readouterr().err
     assert "error:" in err and "Traceback" not in err
+
+
+def _write_bad_corpora(tmp_path):
+    from critlocus.points import MatrixPoint, enumerate_partitions, point_from_partition, save_corpus
+
+    mixed = [point_from_partition(enumerate_partitions(n)[0]) for n in (2, 3)]
+    save_corpus(mixed, tmp_path / "mixed_ranks.json")
+    # X and Y do not commute
+    loose = MatrixPoint([[0, 1], [0, 0]], [[0, 0], [1, 0]], [[0, 0], [0, 0]], [1, 0])
+    save_corpus([mixed[0], loose], tmp_path / "not_commuting.json")
+
+
+@pytest.mark.parametrize("name", ["mixed_ranks", "not_commuting"])
+def test_bad_corpus_names_first_offending_point(name, tmp_path, capsys):
+    _write_bad_corpora(tmp_path)
+    assert main(["ext", "--corpus-file", str(tmp_path / f"{name}.json")]) == 2
+    assert "point 1 of" in capsys.readouterr().err
 
 
 def test_verify_cdga_passes(tmp_path):
@@ -208,3 +236,70 @@ def test_ext_report_has_per_point_details(tmp_path):
         assert len(rec["dims"]) == 4
         # perfect pairing: rank equals the paired dimensions
         assert rec["pairing_ranks"] == [rec["dims"][0], rec["dims"][1]]
+
+
+# the record names of `all`, in order; the first record of each battery
+# carries that battery's shared computations
+ALL_RECORDS = [
+    "cdga.d_squared", "cdga.koszul_display", "cdga.gradient_is_commutators",
+    "cotangent.flatness", "cotangent.self_duality", "cotangent.ranks",
+    "superpotential.ddr_phi_equals_omega", "superpotential.ddr_bigphi_plus_d_phi_zero",
+    "superpotential.omega_closed", "superpotential.calculus_consistent",
+    "family.resolution", *(f"family.leibniz.{g}" for g in "xyzuvwt"),
+    "resolution.alpha0.alpha_m1_on_x*", "resolution.alpha0.alpha_m1_on_y*",
+    "resolution.alpha0.alpha_m1_on_z*", "resolution.alpha_m1.alpha_m2",
+    "resolution.augmentation.alpha0_on_x", "resolution.augmentation.alpha0_on_y",
+    "resolution.augmentation.alpha0_on_z",
+    "chainmap.symbolic", "chainmap.points", "chainmap.invertible",
+    "ext.oracle_agreement", "ext.euler", "ext.serre_pairing", "ext.prime_comparison",
+    "partitions.two_strategies",
+    "toric.cover.P2", "toric.cover.F0", "toric.cover.F2", "toric.cover.tower",
+]
+FIRST_OF_BATTERY = [
+    "cdga.d_squared", "superpotential.ddr_phi_equals_omega", "family.resolution",
+    "resolution.alpha0.alpha_m1_on_x*", "chainmap.symbolic", "ext.oracle_agreement",
+    "partitions.two_strategies", "toric.cover.P2",
+]
+
+
+def test_all_runs_the_registry_in_order_with_measured_seconds(tmp_path):
+    code, text = run(["all", "--n", "1"], tmp_path)
+    assert code == 0
+    checks = json.loads(text)["checks"]
+    assert [c["name"] for c in checks] == ALL_RECORDS
+    seconds = {c["name"]: c["seconds"] for c in checks}
+    assert all(seconds[name] > 0 for name in FIRST_OF_BATTERY)
+
+
+def test_all_records_an_exception_as_a_failure(tmp_path, monkeypatch):
+    import critlocus.toric
+
+    def broken(*args):
+        raise RuntimeError("cover search broke")
+
+    monkeypatch.setattr(critlocus.toric, "verify_cover_property", broken)
+    code, text = run(["all", "--n", "1"], tmp_path)
+    assert code == 1
+    checks = json.loads(text)["checks"]
+    assert [c["name"] for c in checks] == ALL_RECORDS
+    for c in checks:
+        if c["name"].startswith("toric.cover."):
+            assert c["verdict"] == "fail"
+            assert c["counterexample"].startswith("exception:")
+        else:
+            assert c["verdict"] == "pass"
+
+
+def test_check_warning_is_a_timed_warning():
+    from critlocus.report import CheckWarning, Report
+
+    def check():
+        raise CheckWarning("found something", {"points": [3]})
+
+    rep = Report({"n": 1})
+    assert rep.run("demo", "homology_dims", "nothing to find", check)
+    (record,) = rep.to_dict()["checks"]
+    assert record["verdict"] == "warning" and rep.ok
+    assert record["claim"] == "found something"
+    assert record["details"] == {"points": [3]}
+    assert record["seconds"] >= 0

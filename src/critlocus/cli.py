@@ -460,6 +460,16 @@ def _corpus(path):
     return points
 
 
+def _writable_file(path):
+    """A file path whose directory exists and can be written to."""
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory):
+        raise argparse.ArgumentTypeError(f"no such directory: {directory}")
+    if os.path.isdir(path) or not os.access(directory, os.W_OK):
+        raise argparse.ArgumentTypeError(f"cannot write to {path}")
+    return path
+
+
 def _add_common(parser, battery=None, reported=()):
     """The flags every subcommand takes; ``battery`` names the registry entry
     the subcommand runs and ``reported`` the flags its configuration adds."""
@@ -497,7 +507,9 @@ def build_parser():
         default=None,
         help="read extra points from a corpus file",
     )
-    ext.add_argument("--save-corpus", default=None, help="write the evaluated corpus to a file")
+    ext.add_argument(
+        "--save-corpus", type=_writable_file, default=None, help="write the evaluated corpus to a file"
+    )
 
     parts = sub.add_parser("partitions", help="plane partition counts, two strategies")
     _add_common(parts, "partitions")

@@ -154,6 +154,10 @@ class FreeComplex:
     ``twist``: dict (k, l) with l >= k+2 -> matrix of the extra dg-module
                components (empty for honest complexes).
     ``base``:  a GeneratorTable for symbolic complexes, or a scalar field.
+
+    A numeric complex keeps the ``rref`` of each differential it has
+    reduced, so its homology dimensions and representatives eliminate each
+    differential once.
     """
 
     def __init__(self, base, ranks: dict, diff: dict, twist: Optional[dict] = None):
@@ -162,6 +166,7 @@ class FreeComplex:
         self.diff = dict(diff)
         self.twist = dict(twist) if twist else {}
         self.symbolic = isinstance(base, GeneratorTable)
+        self._reduced = {}
         self._check_shapes()
 
     def _check_shapes(self):
@@ -283,6 +288,13 @@ class FreeComplex:
 
     # -- homology ----------------------------------------------------------------
 
+    def reduction(self, k: int):
+        """``rref`` of the numeric differential d^k, computed once per complex."""
+        red = self._reduced.get(k)
+        if red is None:
+            red = self._reduced[k] = rref(self.differential(k))
+        return red
+
     def homology_dims(self) -> dict:
         """dim H^k = rank_k - rank d^k - rank d^(k-1) for a numeric complex."""
         if self.symbolic:
@@ -291,7 +303,7 @@ class FreeComplex:
         if not ok:
             raise ValueError(f"d^2 != 0 at {failures[0][:2]}")
         dims = {}
-        rk = {k: self.differential(k).rank() if self.rank(k) and self.rank(k + 1) else 0 for k in self.ranks}
+        rk = {k: len(self.reduction(k)[1]) if self.rank(k) and self.rank(k + 1) else 0 for k in self.ranks}
         for k in self.degrees():
             dims[k] = self.rank(k) - rk.get(k, 0) - rk.get(k - 1, 0)
         return dims
@@ -352,7 +364,7 @@ def homology_representatives(cx: FreeComplex, k: int):
     if rk == 0:
         return []
     if cx.rank(k + 1):
-        cycles = kernel_basis(cx.differential(k))
+        cycles = kernel_basis(cx.differential(k), cx.reduction(k))
     else:
         cycles = [
             [field.one if i == j else field.zero for i in range(rk)]
@@ -443,8 +455,7 @@ class ChainMap:
                 continue
             lhs = blocks[k + 1].matmul(src.differential(k))
             rhs = tgt.differential(k).matmul(blocks[k])
-            delta = lhs.add(rhs.scale(-1))
-            if not delta.is_zero():
+            if lhs != rhs:
                 report["ok"] = False
                 report["failures"].append(k)
         report["all_invertible"] = all(report["invertible"].values()) if report["invertible"] else False

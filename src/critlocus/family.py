@@ -571,20 +571,19 @@ def endo_complex_at_point(X, Y, Z, field=QQ) -> FreeComplex:
 
 def trace_pairing_matrix(model_n: int, reps_k, reps_comp, field=QQ) -> DenseMatrix:
     """Pairing <a, b> = sum over complementary slots of the matrix trace
-    weighted by the orientation of e_S ^ e_S'."""
+    weighted by the orientation of e_S ^ e_S'.
+
+    Slot (i, j, S) pairs with exactly one slot, (j, i, S'), S' the
+    complement of S, with sign the orientation of e_S ^ e_S'; so the pairing
+    is reps_k times the matrix of reps_comp reindexed by that partner and
+    signed.
+    """
     n = model_n
     nn = n * n
-
-    def decode(idx, q):
-        block, rem = divmod(idx, nn)
-        i, j = divmod(rem, n)
-        return i, j, MASKS_BY_DEGREE[q][block]
-
     rows = len(reps_k)
     cols = len(reps_comp)
-    out = DenseMatrix.zero(rows, cols, field)
     if not rows or not cols:
-        return out
+        return DenseMatrix.zero(rows, cols, field)
     # recover the degrees from the representative lengths
     for (qa, qb) in ((0, 3), (1, 2), (2, 1), (3, 0)):
         if len(reps_k[0]) == nn * len(MASKS_BY_DEGREE[qa]) and len(
@@ -595,25 +594,20 @@ def trace_pairing_matrix(model_n: int, reps_k, reps_comp, field=QQ) -> DenseMatr
     else:
         raise ValueError("representative lengths do not match any degree pair")
 
-    for a, va in enumerate(reps_k):
-        for b, vb in enumerate(reps_comp):
-            acc = field.zero
-            for ia, xa in enumerate(va):
-                if field.is_zero(xa):
-                    continue
-                i, j, mask_a = decode(ia, qk)
-                for ib, xb in enumerate(vb):
-                    if field.is_zero(xb):
-                        continue
-                    p, q2, mask_b = decode(ib, qc)
-                    if (mask_a | mask_b) != FULL_MASK or (mask_a & mask_b):
-                        continue
-                    if j != p or q2 != i:
-                        continue
-                    sgn = eps_merge_sign(mask_a, mask_b)
-                    acc = field.add(acc, field.mul(field.of(sgn), field.mul(xa, xb)))
-            out.data[a][b] = acc
-    return out
+    partners = []
+    for mask in MASKS_BY_DEGREE[qk]:
+        comp = FULL_MASK ^ mask
+        block = MASKS_BY_DEGREE[qc].index(comp) * nn
+        sign = eps_merge_sign(mask, comp)
+        for i in range(n):
+            for j in range(n):
+                partners.append((block + j * n + i, sign))
+    partnered = [
+        [vb[idx] if sign > 0 else field.neg(vb[idx]) for vb in reps_comp]
+        for idx, sign in partners
+    ]
+    a = DenseMatrix(field, rows, len(partners), reps_k)
+    return a.matmul(DenseMatrix(field, len(partners), cols, partnered))
 
 
 def ext_dims_at(point, n: int = None, field=QQ, model: EndomorphismModel = None) -> dict:
@@ -791,7 +785,7 @@ def build_comparison_map(n: int, cdga: MatrixCdga = None, search: bool = None):
         for q in range(3):
             lhs = blocks_num[q + 1].matmul(src_num.differential(q))
             rhs = tgt_num.differential(q).matmul(blocks_num[q])
-            if not lhs.add(rhs.scale(-1)).is_zero():
+            if lhs != rhs:
                 ok = False
                 break
         if ok:

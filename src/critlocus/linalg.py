@@ -8,6 +8,14 @@ until the pivot rows are normalized at the end; over GF(p) it runs on ints
 reduced mod p.  Rank, kernel bases, solving, row spaces and homology
 representatives are all read off that one result.
 
+:meth:`DenseMatrix.matmul` is the one product kernel beside it.  Over QQ it
+clears each row of the left factor and each column of the right factor to
+integers by the lcm of their denominators (the same clearing ``rref``
+starts from), takes each entry as an integer dot product, and builds one
+Fraction per nonzero entry; over GF(p) it reduces each dot product of ints
+once.  Both are exact, so every ``d . d = 0`` check and chain-map square is
+decided without rational arithmetic inside the sums.
+
 The list-matrix helpers at the end (``mat_mul`` and friends) act on plain
 nested lists with any ring entries, such as the SuperPoly matrices of the
 symbolic models or the Fraction matrices of classical points.
@@ -16,7 +24,8 @@ symbolic models or the Fraction matrices of classical points.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 from typing import Optional
 
 from .scalars import QQ, RationalField
@@ -82,21 +91,34 @@ class DenseMatrix:
         )
 
     def matmul(self, other: "DenseMatrix") -> "DenseMatrix":
+        """The exact product, one integer dot product per entry.
+
+        Over QQ each row of ``self`` and each column of ``other`` is cleared
+        to integers by the lcm of its denominators, and an entry is one
+        Fraction of the integer dot product over the two scales.  Over GF(p)
+        the dot product of the ints is reduced once.
+        """
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matmul")
         f = self.field
-        out = DenseMatrix.zero(self.rows, other.cols, f)
-        for i in range(self.rows):
-            arow = self.data[i]
-            orow = out.data[i]
-            for k in range(self.cols):
-                a = arow[k]
-                if f.is_zero(a):
-                    continue
-                brow = other.data[k]
-                for j in range(other.cols):
-                    orow[j] = f.add(orow[j], f.mul(a, brow[j]))
-        return out
+        if not self.cols:
+            return DenseMatrix.zero(self.rows, other.cols, f)
+        columns = list(zip(*other.data))
+        z = f.zero
+        if isinstance(f, RationalField):
+            left = [_integer_row(row) for row in self.data]
+            right = [_integer_row(col) for col in columns]
+            data = []
+            for arow, ascale in left:
+                out = []
+                for bcol, bscale in right:
+                    s = sum(map(mul, arow, bcol))
+                    out.append(Fraction(s, ascale * bscale) if s else z)
+                data.append(out)
+        else:
+            p = f.p
+            data = [[sum(map(mul, arow, bcol)) % p for bcol in columns] for arow in self.data]
+        return DenseMatrix(f, self.rows, other.cols, data)
 
     def add(self, other: "DenseMatrix") -> "DenseMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -155,7 +177,7 @@ def rref(m: DenseMatrix):
     rows, cols = m.rows, m.cols
     p = None if isinstance(f, RationalField) else f.p
     if p is None:
-        a = [_primitive(_integer_row(row)) for row in m.data]
+        a = [_primitive(_integer_row(row)[0]) for row in m.data]
     else:
         a = [[x % p for x in row] for row in m.data]
     pivots = []
@@ -192,11 +214,13 @@ def rref(m: DenseMatrix):
 
 
 def _integer_row(row):
-    """The row times the lcm of its denominators; row spaces are unchanged."""
-    den = 1
-    for x in row:
-        den = den // gcd(den, x.denominator) * x.denominator
-    return [x.numerator * (den // x.denominator) for x in row]
+    """The row times the lcm of its denominators, and that lcm; row spaces
+    are unchanged."""
+    dens = [x.denominator for x in row]
+    den = lcm(*dens)
+    if den == 1:
+        return [x.numerator for x in row], 1
+    return [x.numerator * (den // d) for x, d in zip(row, dens)], den
 
 
 def _primitive(row):
@@ -204,14 +228,15 @@ def _primitive(row):
     return row if g <= 1 else [x // g for x in row]
 
 
-def kernel_basis(m: DenseMatrix):
+def kernel_basis(m: DenseMatrix, reduction=None):
     """Basis of the right kernel, as a list of column vectors.
 
     The returned vectors are linearly independent, each is annihilated by m,
-    and there are exactly cols - rank(m) of them.
+    and there are exactly cols - rank(m) of them.  ``reduction`` is
+    ``rref(m)`` when the caller already has it.
     """
     f = m.field
-    red, pivots = rref(m)
+    red, pivots = reduction if reduction is not None else rref(m)
     pivot_set = set(pivots)
     free_cols = [j for j in range(m.cols) if j not in pivot_set]
     basis = []

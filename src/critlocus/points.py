@@ -414,19 +414,16 @@ def koszul_ext_oracle(pt: MatrixPoint, field=QQ) -> dict:
 def _trace_pairing_rank(ra, rb, slots, n, field):
     """Rank of the composition-trace pairing between two lists of
     representatives: slot s of one degree pairs with slot s of the
-    complementary degree by tr(a b)."""
+    complementary degree by tr(a b).
+
+    tr(a b) pairs label (p, q) of a slot with label (q, p) of the same slot,
+    so the pairing matrix is ra times rb with each slot's labels transposed.
+    """
     if not (ra and rb):
         return 0
     nn = n * n
-
-    def tr_pair(va, vb):
-        acc = field.zero
-        for s in range(slots):
-            base = s * nn
-            for p in range(n):
-                for q in range(n):
-                    acc = field.add(acc, field.mul(va[base + p * n + q], vb[base + q * n + p]))
-        return acc
-
-    m = DenseMatrix(field, len(ra), len(rb), [[tr_pair(va, vb) for vb in rb] for va in ra])
+    transposed = [s * nn + q * n + p for s in range(slots) for p in range(n) for q in range(n)]
+    m = DenseMatrix(field, len(ra), len(transposed), ra).matmul(
+        DenseMatrix(field, len(transposed), len(rb), [[vb[idx] for vb in rb] for idx in transposed])
+    )
     return m.rank()

@@ -383,66 +383,76 @@ def poly_to_text(p: SuperPoly) -> str:
 
 
 _TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<name>d\([A-Za-z]+[0-9a-z]*\(\d+,\d+\)\)|[A-Za-z]+[0-9a-z]*\(\d+,\d+\))|(?P<op>[\^*+-]))"
+    r"(?P<num>\d+(?:/\d+)?)|(?P<name>d\([A-Za-z]+[0-9a-z]*\(\d+,\d+\)\)|[A-Za-z]+[0-9a-z]*\(\d+,\d+\))|(?P<op>[\^*+-])"
 )
+_SPACE = re.compile(r"\s*")
 
 
-def poly_from_text(table: GeneratorTable, text: str) -> SuperPoly:
-    """Parse the textual polynomial format back into a SuperPoly."""
-    tokens = []
-    pos = 0
-    text = text.strip()
-    if text == "0":
-        return SuperPoly.zero(table)
+def _tokens(text):
+    """(kind, text, position) per token, closed by an ("end", "", len) token."""
+    out = []
+    pos = _SPACE.match(text).end()
     while pos < len(text):
         m = _TOKEN.match(text, pos)
         if m is None:
-            raise ValueError(f"bad token at: {text[pos:pos + 20]!r}")
-        pos = m.end()
-        if m.group("num"):
-            tokens.append(("num", Fraction(m.group("num"))))
-        elif m.group("name"):
-            tokens.append(("name", m.group("name")))
-        else:
-            tokens.append(("op", m.group("op")))
+            raise ValueError(f"bad token at position {pos} of {text!r}")
+        out.append((m.lastgroup, m.group(), pos))
+        pos = _SPACE.match(text, m.end()).end()
+    out.append(("end", "", len(text)))
+    return out
+
+
+def poly_from_text(table: GeneratorTable, text: str) -> SuperPoly:
+    """Parse the textual polynomial format back into a SuperPoly.
+
+    A term is factors (coefficients, or generators with an optional integer
+    exponent) joined by '*'; it must end in a factor and be followed by
+    '+', '-' or the end of the text.  Anything else raises ValueError
+    naming the position of the offending token.
+    """
+    tokens = _tokens(text)
+
+    def fail(i, what):
+        raise ValueError(f"expected {what} at position {tokens[i][2]} of {text!r}")
+
     result = SuperPoly.zero(table)
     i = 0
-    n = len(tokens)
-    while i < n:
-        sign = 1
-        while i < n and tokens[i][0] == "op" and tokens[i][1] in "+-":
-            if tokens[i][1] == "-":
-                sign = -sign
-            i += 1
+    sign = 1
+    if tokens[0][:2] == ("op", "-"):
+        sign, i = -1, 1
+    while True:
         term = SuperPoly.scalar(table, sign)
-        expect_factor = True
-        while i < n:
-            kind, val = tokens[i]
-            if kind == "op" and val == "*":
-                i += 1
-                expect_factor = True
-                continue
-            if not expect_factor:
-                break
+        while True:
+            kind, val, _ = tokens[i]
             if kind == "num":
-                term = term.scale(val)
-                i += 1
+                term = term.scale(Fraction(val))
             elif kind == "name":
+                if val not in table.by_name:
+                    fail(i, "a known generator")
                 f = SuperPoly.gen(table, val)
-                i += 1
-                if i + 1 < n and tokens[i] == ("op", "^") and tokens[i + 1][0] == "num":
-                    exp = int(tokens[i + 1][1])
+                if tokens[i + 1][:2] == ("op", "^"):
                     i += 2
+                    if tokens[i][0] != "num" or "/" in tokens[i][1]:
+                        fail(i, "an integer exponent")
                     g = SuperPoly.one(table)
-                    for _ in range(exp):
+                    for _ in range(int(tokens[i][1])):
                         g = g * f
                     f = g
                 term = term * f
             else:
+                fail(i, "a coefficient or a generator")
+            i += 1
+            if tokens[i][:2] != ("op", "*"):
                 break
-            expect_factor = False
+            i += 1
         result = result + term
-    return result
+        kind, val, _ = tokens[i]
+        if kind == "end":
+            return result
+        if kind != "op" or val not in ("+", "-"):
+            fail(i, "'+', '-' or the end")
+        sign = 1 if val == "+" else -1
+        i += 1
 
 
 class Derivation:

@@ -35,6 +35,7 @@ def test_usage_error_exit_code():
         ["verify", "chainmap", "--samples", "-2"],
         ["toric", "cover-stats", "--surface", '{{"base": "P2"}}', "--trials", "-3"],
         ["toric", "cover-stats", "--surface", '{{"base": "P2"}}', "--points-per-trial", "0"],
+        ["ext", "--n", "1", "--corpus", "partitions", "--save-corpus", "{tmp}/nodir/x.json"],
     ],
 )
 def test_bad_values_exit_2_without_traceback(args, tmp_path, capsys):

@@ -1,8 +1,11 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from critlocus.family import (
+    FULL_MASK,
+    MASKS_BY_DEGREE,
     BimodElement,
     CANONICAL_COMPARISON,
     EndomorphismModel,
@@ -11,20 +14,24 @@ from critlocus.family import (
     build_ginzburg_resolution,
     build_universal_family,
     endo_complex_at_point,
+    eps_merge_sign,
     endomorphism_model,
     ext_dims_at,
     trace_pairing_matrix,
 )
 from critlocus.freenc import NCElement
+from critlocus.linalg import DenseMatrix
 from critlocus.potential import CotangentModel, MatrixCdga
 from critlocus.points import (
     MatrixPoint,
+    PlanePartition,
     enumerate_partitions,
     koszul_ext_oracle,
     nilpotent_regular_point,
     point_from_partition,
     random_conjugate_points,
 )
+from critlocus.scalars import GF, QQ
 
 
 # -- the module structure ------------------------------------------------------
@@ -188,6 +195,69 @@ def test_trace_pairing_descends():
     ]
     pm = trace_pairing_matrix(2, boundaries1, cycles2)
     assert pm.is_zero()
+
+
+def reference_trace_pairing(model_n, reps_k, reps_comp, field):
+    """The pairing as an O(L^2) loop over every pair of slot indices."""
+    n = model_n
+    nn = n * n
+
+    def decode(idx, q):
+        block, rem = divmod(idx, nn)
+        i, j = divmod(rem, n)
+        return i, j, MASKS_BY_DEGREE[q][block]
+
+    qk = [q for q in range(4) if len(reps_k[0]) == nn * len(MASKS_BY_DEGREE[q])][0]
+    qc = 3 - qk
+    out = DenseMatrix.zero(len(reps_k), len(reps_comp), field)
+    for a, va in enumerate(reps_k):
+        for b, vb in enumerate(reps_comp):
+            acc = field.zero
+            for ia, xa in enumerate(va):
+                if field.is_zero(xa):
+                    continue
+                i, j, mask_a = decode(ia, qk)
+                for ib, xb in enumerate(vb):
+                    if field.is_zero(xb):
+                        continue
+                    p, q2, mask_b = decode(ib, qc)
+                    if (mask_a | mask_b) != FULL_MASK or (mask_a & mask_b):
+                        continue
+                    if j != p or q2 != i:
+                        continue
+                    sgn = eps_merge_sign(mask_a, mask_b)
+                    acc = field.add(acc, field.mul(field.of(sgn), field.mul(xa, xb)))
+            out.data[a][b] = acc
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, GF(1048583)], ids=["QQ", "GF(p)"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_trace_pairing_matches_pair_loop(n, field):
+    rng = random.Random(n)
+    nn = n * n
+
+    def vectors(q):
+        length = nn * len(MASKS_BY_DEGREE[q])
+        entry = lambda: field.of(Fraction(rng.choice([0, 0, 1, -1, 2, -5]), rng.randint(1, 4)))
+        return [[entry() for _ in range(length)] for _ in range(rng.randint(1, 4))]
+
+    for _ in range(5):
+        for qk in range(4):
+            reps_k, reps_comp = vectors(qk), vectors(3 - qk)
+            pm = trace_pairing_matrix(n, reps_k, reps_comp, field)
+            ref = reference_trace_pairing(n, reps_k, reps_comp, field)
+            assert pm == ref
+            assert pm.rank() == ref.rank()
+
+
+def test_ext_dims_at_eliminates_each_differential_once(rref_calls):
+    # three reductions of the differentials, four for the representatives,
+    # two pairing ranks
+    model = endomorphism_model(3)
+    pt = point_from_partition(PlanePartition({(0, 0, 0), (1, 0, 0), (0, 1, 0)}))
+    ext_dims_at(pt, model=model)
+    assert len(rref_calls) == 9
 
 
 # -- tangent model and comparison -----------------------------------------------

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from critlocus.linalg import DenseMatrix, kernel_basis, row_space_basis, solve
 from critlocus.scalars import DEFAULT_PRIME, GF, QQ
@@ -121,3 +123,67 @@ def test_bad_prime_rejected():
         GF(1048576)  # not prime
     with pytest.raises(ValueError):
         GF(97)  # too small
+
+
+# -- the product kernel ------------------------------------------------------------
+
+P = 1048583  # the smallest prime a PrimeField accepts
+
+
+def naive_matmul(a, b, rows, inner, cols, p=None):
+    """Textbook triple loop on Fractions (or on ints, reduced mod p at the end)."""
+    out = []
+    for i in range(rows):
+        row = []
+        for j in range(cols):
+            acc = Fraction(0) if p is None else 0
+            for k in range(inner):
+                acc += a[i][k] * b[k][j]
+            row.append(acc if p is None else acc % p)
+        out.append(row)
+    return out
+
+
+def factor_pairs(entries):
+    """(shape, left rows, right rows) for a rows x inner times inner x cols product."""
+
+    def grid(r, c):
+        return st.lists(st.lists(entries, min_size=c, max_size=c), min_size=r, max_size=r)
+
+    shapes = st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5))
+    return shapes.flatmap(lambda d: st.tuples(st.just(d), grid(d[0], d[1]), grid(d[1], d[2])))
+
+
+# mixed denominators, so rows and columns clear to integers by different scales
+mixed_rationals = st.one_of(st.just(Fraction(0)), st.fractions(-9, 9, max_denominator=12))
+# unreduced and negative representatives of small residues
+unreduced_ints = st.tuples(st.integers(-4, 4), st.integers(-2, 2)).map(lambda t: t[0] + t[1] * P)
+
+
+@settings(max_examples=150, deadline=None)
+@given(factor_pairs(mixed_rationals))
+def test_matmul_matches_triple_loop_over_qq(pair):
+    (r, k, c), a, b = pair
+    prod = DenseMatrix(QQ, r, k, a).matmul(DenseMatrix(QQ, k, c, b))
+    assert (prod.rows, prod.cols) == (r, c)
+    assert prod.data == naive_matmul(a, b, r, k, c)
+    assert all(isinstance(x, Fraction) for row in prod.data for x in row)
+
+
+@settings(max_examples=150, deadline=None)
+@given(factor_pairs(unreduced_ints))
+def test_matmul_matches_triple_loop_over_gf_p(pair):
+    (r, k, c), a, b = pair
+    field = GF(P)
+    prod = DenseMatrix(field, r, k, a).matmul(DenseMatrix(field, k, c, b))
+    assert (prod.rows, prod.cols) == (r, c)
+    assert prod.data == naive_matmul(a, b, r, k, c, P)
+    assert all(0 <= x < P for row in prod.data for x in row)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(P)], ids=["QQ", "GF(p)"])
+@pytest.mark.parametrize("r,k,c", [(0, 3, 2), (3, 0, 2), (2, 3, 0), (0, 0, 0), (3, 0, 0)])
+def test_matmul_empty_shapes(field, r, k, c):
+    a = DenseMatrix(field, r, k, [[field.one] * k for _ in range(r)])
+    b = DenseMatrix(field, k, c, [[field.one] * c for _ in range(k)])
+    assert a.matmul(b) == DenseMatrix.zero(r, c, field)

@@ -1,7 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
 
+from critlocus.linalg import DenseMatrix
 from critlocus.points import (
     MatrixPoint,
     PlanePartition,
@@ -16,6 +18,8 @@ from critlocus.points import (
     random_conjugate_points,
     random_invertible,
 )
+from critlocus.points import _trace_pairing_rank
+from critlocus.scalars import GF, QQ
 
 
 E12 = [[0, 1], [0, 0]]
@@ -165,6 +169,53 @@ def test_oracle_euler_zero_on_corpus():
         assert rep["euler"] == 0
         assert rep["pairing_perfect"]
         assert rep["dims"][0] >= 1
+
+
+def reference_trace_pairing_rank(ra, rb, slots, n, field):
+    """Rank of the pairing built entry by entry from tr(a b), slot by slot."""
+    nn = n * n
+
+    def tr_pair(va, vb):
+        acc = field.zero
+        for s in range(slots):
+            base = s * nn
+            for p in range(n):
+                for q in range(n):
+                    acc = field.add(acc, field.mul(va[base + p * n + q], vb[base + q * n + p]))
+        return acc
+
+    return DenseMatrix(field, len(ra), len(rb), [[tr_pair(va, vb) for vb in rb] for va in ra]).rank()
+
+
+@pytest.mark.parametrize("field", [QQ, GF(1048583)], ids=["QQ", "GF(p)"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_oracle_pairing_rank_matches_tr_pair(n, field):
+    # sparse vectors, so the rank depends on which labels pair up
+    rng = random.Random(n)
+
+    def vectors(length):
+        out = []
+        for _ in range(rng.randint(1, 5)):
+            v = [field.zero] * length
+            for idx in rng.sample(range(length), rng.randint(1, 2)):
+                v[idx] = field.of(Fraction(rng.choice([1, -1, 3]), rng.randint(1, 3)))
+            out.append(v)
+        return out
+
+    for _ in range(20):
+        for slots in (1, 3):
+            ra, rb = vectors(slots * n * n), vectors(slots * n * n)
+            assert _trace_pairing_rank(ra, rb, slots, n, field) == reference_trace_pairing_rank(
+                ra, rb, slots, n, field
+            )
+
+
+def test_oracle_eliminates_each_differential_once(rref_calls):
+    # three reductions of the differentials, four for the representatives,
+    # two pairing ranks
+    pt = point_from_partition(PlanePartition({(0, 0, 0), (1, 0, 0), (0, 1, 0)}))
+    koszul_ext_oracle(pt)
+    assert len(rref_calls) == 9
 
 
 def test_nilpotent_regular_point():

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from critlocus.superpoly import (
     Derivation,
@@ -181,6 +183,44 @@ def test_text_round_trip():
     for _ in range(50):
         p = _random_element(t, rng)
         assert poly_from_text(t, poly_to_text(p)) == p
+
+
+TEXT_TABLES = (GeneratorTable.canonical(2), GeneratorTable.canonical(2).extend_with_forms())
+
+
+@st.composite
+def superpolys(draw):
+    """Sums of coefficient times generator words, over a table with or
+    without form symbols; words may repeat generators or cancel."""
+    t = draw(st.sampled_from(TEXT_TABLES))
+    p = SuperPoly.zero(t)
+    for _ in range(draw(st.integers(0, 4))):
+        term = SuperPoly.scalar(t, draw(st.fractions(-9, 9, max_denominator=7)))
+        for k in draw(st.lists(st.integers(0, len(t) - 1), max_size=4)):
+            term = term * SuperPoly.gen(t, k)
+        p = p + term
+    return p
+
+
+@settings(max_examples=200, deadline=None)
+@given(superpolys())
+def test_text_round_trip_property(p):
+    assert poly_from_text(p.table, poly_to_text(p)) == p
+
+
+@pytest.mark.parametrize(
+    "text,position",
+    [
+        ("X0(1,2)^", 8),  # exponent missing at the end (looped forever)
+        ("2*-X0(1,1)", 2),  # sign after '*' (read as 2 - X0(1,1))
+        ("X0(1,2) X0(1,1)", 8),  # two terms with no operator (read as a sum)
+        ("X0(1,1) +", 9),  # trailing '+' (added 1)
+        ("3 4", 2),  # two coefficients with no operator (read as 7)
+    ],
+)
+def test_malformed_text_rejected_with_position(text, position):
+    with pytest.raises(ValueError, match=f"at position {position} "):
+        poly_from_text(table2(), text)
 
 
 def test_text_format_example():

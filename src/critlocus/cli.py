@@ -478,7 +478,7 @@ def _add_common(parser, battery=None, reported=()):
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--samples", type=_positive_int, default=20)
     parser.add_argument("--format", choices=("json", "text"), default="json")
-    parser.add_argument("--out", default=None)
+    parser.add_argument("--out", type=_writable_file, default=None)
     parser.set_defaults(battery=battery, reported=reported)
 
 

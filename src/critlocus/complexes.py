@@ -26,7 +26,6 @@ locus always produces an honest numeric complex.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from typing import Optional
 
 from .linalg import DenseMatrix, kernel_basis, rref
@@ -54,9 +53,6 @@ class SymMatrix:
     @classmethod
     def zero(cls, table, rows, cols):
         return cls(table, rows, cols)
-
-    def copy(self):
-        return SymMatrix(self.table, self.rows, self.cols, self.data)
 
     def __eq__(self, other):
         return (
@@ -186,26 +182,14 @@ class FreeComplex:
         return self.ranks.get(k, 0)
 
     def differential(self, k: int):
-        d = self.diff.get(k)
-        if d is not None:
-            return d
-        rows = self.ranks.get(k + 1, 0)
-        cols = self.ranks.get(k, 0)
-        if self.symbolic:
-            return SymMatrix.zero(self.base, rows, cols)
-        return DenseMatrix.zero(rows, cols, self.base)
+        return self.component(k, k + 1)
 
     def component(self, k: int, l: int):
         """Full differential component from degree k to degree l."""
-        if l == k + 1:
-            return self.differential(k)
-        m = self.twist.get((k, l))
+        m = self.diff.get(k) if l == k + 1 else self.twist.get((k, l))
         if m is not None:
             return m
-        rows, cols = self.ranks.get(l, 0), self.ranks.get(k, 0)
-        if self.symbolic:
-            return SymMatrix.zero(self.base, rows, cols)
-        return DenseMatrix.zero(rows, cols, self.base)
+        return _zero_matrix(self.base, self.rank(l), self.rank(k))
 
     # -- structural checks ---------------------------------------------------
 
@@ -272,9 +256,7 @@ class FreeComplex:
         if not self.symbolic:
             raise ValueError("complex is already numeric")
         table = self.base
-        idx_assignment = {}
-        for k, v in assignment.items():
-            idx_assignment[k if isinstance(k, int) else table.idx(k)] = Fraction(v)
+        idx_assignment = _indexed_values(table, assignment)
         for k in range(len(table)):
             g = table.gen(k)
             if g.cdeg == 0 and g.fdeg == 0 and k not in idx_assignment:
@@ -377,6 +359,18 @@ def homology_representatives(cx: FreeComplex, k: int):
     return [cycles[j - offset] for j in pivots if j >= offset]
 
 
+def _zero_matrix(base, rows: int, cols: int):
+    """The zero matrix over a generator table (symbolic) or a scalar field."""
+    if isinstance(base, GeneratorTable):
+        return SymMatrix.zero(base, rows, cols)
+    return DenseMatrix.zero(rows, cols, base)
+
+
+def _indexed_values(table: GeneratorTable, assignment: dict) -> dict:
+    """``assignment`` keyed by generator index, its values as rationals."""
+    return {k if isinstance(k, int) else table.idx(k): QQ.of(v) for k, v in assignment.items()}
+
+
 def _matrix_entries(m: SymMatrix) -> dict:
     out = {}
     for i in range(m.rows):
@@ -413,10 +407,7 @@ class ChainMap:
         b = self.blocks.get(k)
         if b is not None:
             return b
-        rows, cols = self.target.rank(k), self.source.rank(k)
-        if self.source.symbolic:
-            return SymMatrix.zero(self.source.base, rows, cols)
-        return DenseMatrix.zero(rows, cols, self.source.base)
+        return _zero_matrix(self.source.base, self.target.rank(k), self.source.rank(k))
 
     def check_symbolic(self) -> dict:
         """All squares commute, including twist components."""
@@ -438,6 +429,8 @@ class ChainMap:
 
     def check_at_point(self, assignment: dict, field=QQ) -> dict:
         """Evaluate both complexes and the blocks, check squares and invertibility."""
+        if self.source.symbolic:
+            assignment = _indexed_values(self.source.base, assignment)
         src = self.source.evaluate_at(assignment, field)
         tgt = self.target.evaluate_at(assignment, field)
         report = {"ok": True, "failures": [], "invertible": {}}
@@ -445,8 +438,7 @@ class ChainMap:
         for k in set(src.degrees()) | set(tgt.degrees()):
             b = self.block(k)
             if isinstance(b, SymMatrix):
-                idx = {kk if isinstance(kk, int) else self.source.base.idx(kk): Fraction(v) for kk, v in assignment.items()}
-                b = b.evaluate(idx, field)
+                b = b.evaluate(assignment, field)
             blocks[k] = b
             if src.rank(k) == tgt.rank(k) and src.rank(k):
                 report["invertible"][k] = b.rank() == src.rank(k)

@@ -717,8 +717,11 @@ def build_comparison_map(n: int, cdga: MatrixCdga = None, search: bool = None):
     Per degree, the candidates are: transpose the (i,j) labels inside each
     slot or not, and one of four slot sign patterns (uniform signs, or
     signs following the wedge orientation of the complementary slots).
-    Candidates are prefiltered at a commuting point, survivors verified
-    symbolically, twist components included.  Returns (chain map, record).
+    Candidates are prefiltered at a commuting point square by square:
+    square q involves only the blocks of degrees q and q+1, so each pair of
+    adjacent candidates is tested once, and a combination survives when all
+    three of its squares commute.  Survivors are verified symbolically,
+    twist components included.  Returns (chain map, record).
 
     ``search`` defaults to n <= 3; above that the canonical solution is
     constructed directly.  Either way the returned map is verified
@@ -730,6 +733,20 @@ def build_comparison_map(n: int, cdga: MatrixCdga = None, search: bool = None):
     endo = EndomorphismModel(build_universal_family(n, cdga))
     t = cdga.table
 
+    def chain_map(blocks):
+        return ChainMap(tangent.complex, endo.complex, dict(enumerate(blocks)))
+
+    if search is None:
+        search = n <= 3
+
+    if not search:
+        combo = CANONICAL_COMPARISON
+        cm = chain_map(_signed_permutation(t, n, signs, flavor) for flavor, signs in combo)
+        rep = cm.check_symbolic()
+        if not rep["ok"]:
+            raise ValueError(f"canonical comparison map fails: {rep['failures'][:3]}")
+        return cm, {"chosen": combo, "search": False, "symbolic": True}
+
     # numeric prefilter at a simple cyclic commuting point
     from .points import nilpotent_regular_point
 
@@ -738,68 +755,39 @@ def build_comparison_map(n: int, cdga: MatrixCdga = None, search: bool = None):
     src_num = tangent.complex.evaluate_at(assignment)
     tgt_num = endo.complex.evaluate_at(assignment)
 
-    def numeric_block(flavor, slot_signs):
-        nn = n * n
-        size = len(slot_signs) * nn
-        m = DenseMatrix.zero(size, size, QQ)
-        for b, sign in enumerate(slot_signs):
-            for i in range(n):
-                for j in range(n):
-                    src = b * nn + i * n + j
-                    tgt = b * nn + (j * n + i if flavor else i * n + j)
-                    m.data[tgt][src] = QQ.of(sign)
-        return m
-
-    if search is None:
-        search = n <= 3
-
-    if not search:
-        combo = CANONICAL_COMPARISON
-        blocks = {
-            q: _signed_permutation(t, n, combo[q][1], combo[q][0]) for q in range(4)
-        }
-        cm = ChainMap(tangent.complex, endo.complex, blocks)
-        rep = cm.check_symbolic()
-        if not rep["ok"]:
-            raise ValueError(f"canonical comparison map fails: {rep['failures'][:3]}")
-        return cm, {"chosen": combo, "search": False, "symbolic": True}
-
     sign_patterns = {
         1: [(1,), (-1,)],
         3: [(1, 1, 1), (-1, -1, -1), (1, -1, 1), (-1, 1, -1)],
     }
-    block_sizes = {0: 1, 1: 3, 2: 3, 3: 1}
-    candidates_per_degree = {
-        q: [
-            (flavor, signs)
-            for flavor in (0, 1)
-            for signs in sign_patterns[block_sizes[q]]
-        ]
+    candidates = [
+        [(flavor, signs) for flavor in (0, 1) for signs in sign_patterns[len(MASKS_BY_DEGREE[q])]]
         for q in range(4)
-    }
+    ]
+    blocks = [[_signed_permutation(t, n, signs, flavor) for flavor, signs in row] for row in candidates]
+    numeric = [[block.evaluate(assignment) for block in row] for row in blocks]
 
-    survivors = []
-    for combo in iproduct(*(candidates_per_degree[q] for q in range(4))):
-        ok = True
-        blocks_num = {q: numeric_block(*combo[q]) for q in range(4)}
-        for q in range(3):
-            lhs = blocks_num[q + 1].matmul(src_num.differential(q))
-            rhs = tgt_num.differential(q).matmul(blocks_num[q])
-            if lhs != rhs:
-                ok = False
-                break
-        if ok:
-            survivors.append(combo)
+    # commuting[q]: the index pairs (a, b) of candidates at degrees q and
+    # q + 1 whose square commutes at the point
+    commuting = []
+    for q in range(3):
+        d_src, d_tgt = src_num.differential(q), tgt_num.differential(q)
+        commuting.append({
+            (a, b)
+            for a, lo in enumerate(numeric[q])
+            for b, hi in enumerate(numeric[q + 1])
+            if hi.matmul(d_src) == d_tgt.matmul(lo)
+        })
+    survivors = [
+        idx
+        for idx in iproduct(*(range(len(row)) for row in candidates))
+        if all(idx[q:q + 2] in commuting[q] for q in range(3))
+    ]
 
     verified = []
-    for combo in survivors:
-        blocks = {
-            q: _signed_permutation(t, n, combo[q][1], combo[q][0]) for q in range(4)
-        }
-        cm = ChainMap(tangent.complex, endo.complex, blocks)
-        rep = cm.check_symbolic()
-        if rep["ok"]:
-            verified.append((combo, cm))
+    for idx in survivors:
+        cm = chain_map(blocks[q][i] for q, i in enumerate(idx))
+        if cm.check_symbolic()["ok"]:
+            verified.append((tuple(candidates[q][i] for q, i in enumerate(idx)), cm))
 
     record = {
         "numeric_survivors": len(survivors),

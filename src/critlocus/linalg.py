@@ -66,9 +66,6 @@ class DenseMatrix:
             m.data[i][i] = field.one
         return m
 
-    def copy(self) -> "DenseMatrix":
-        return DenseMatrix(self.field, self.rows, self.cols, self.data)
-
     def __eq__(self, other):
         return (
             isinstance(other, DenseMatrix)

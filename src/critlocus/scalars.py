@@ -56,7 +56,8 @@ class RationalField:
     one = Fraction(1)
 
     def of(self, x) -> Fraction:
-        return Fraction(x)
+        # a Fraction is immutable, so it is shared rather than rebuilt
+        return x if isinstance(x, Fraction) else Fraction(x)
 
     def add(self, a, b):
         return a + b

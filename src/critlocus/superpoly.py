@@ -304,7 +304,7 @@ class SuperPoly:
                     if v == 0:
                         dead = True
                         break
-                    val *= Fraction(v) ** exp
+                    val *= v ** exp
                 else:
                     dead = True
                     break

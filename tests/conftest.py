@@ -19,3 +19,19 @@ def rref_calls(monkeypatch):
         if name.startswith("critlocus") and getattr(module, "rref", None) is original:
             monkeypatch.setattr(module, "rref", counting)
     return calls
+
+
+@pytest.fixture
+def matmul_calls(monkeypatch):
+    """Shapes (rows, inner, cols) of the dense products made from here on."""
+    from critlocus.linalg import DenseMatrix
+
+    original = DenseMatrix.matmul
+    calls = []
+
+    def counting(a, b):
+        calls.append((a.rows, a.cols, b.cols))
+        return original(a, b)
+
+    monkeypatch.setattr(DenseMatrix, "matmul", counting)
+    return calls

@@ -36,6 +36,7 @@ def test_usage_error_exit_code():
         ["toric", "cover-stats", "--surface", '{{"base": "P2"}}', "--trials", "-3"],
         ["toric", "cover-stats", "--surface", '{{"base": "P2"}}', "--points-per-trial", "0"],
         ["ext", "--n", "1", "--corpus", "partitions", "--save-corpus", "{tmp}/nodir/x.json"],
+        ["partitions", "--n", "1", "--out", "{tmp}/nodir/x.json"],
     ],
 )
 def test_bad_values_exit_2_without_traceback(args, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -312,6 +313,80 @@ def test_ext_dims_fat_point_not_cyclic():
     assert mine["dims"] == {0: 4, 1: 12, 2: 12, 3: 4}
     assert mine["dims"] == oracle["dims"]
     assert mine["pairing_perfect"] and oracle["pairing_perfect"]
+
+
+def reference_comparison_search(n):
+    """The comparison search as one loop over all 1024 combinations, each
+    with its own numeric blocks and all three squares, then the symbolic
+    check of every survivor."""
+    from critlocus.complexes import ChainMap
+    from critlocus.family import _signed_permutation
+
+    cdga = MatrixCdga(n)
+    tangent = TangentModel(CotangentModel(cdga))
+    endo = EndomorphismModel(build_universal_family(n, cdga))
+    pt = nilpotent_regular_point(n)
+    assignment = cdga.point_assignment(pt.X, pt.Y, pt.Z)
+    src_num = tangent.complex.evaluate_at(assignment)
+    tgt_num = endo.complex.evaluate_at(assignment)
+
+    def numeric_block(flavor, slot_signs):
+        nn = n * n
+        size = len(slot_signs) * nn
+        m = DenseMatrix.zero(size, size, QQ)
+        for b, sign in enumerate(slot_signs):
+            for i in range(n):
+                for j in range(n):
+                    src = b * nn + i * n + j
+                    tgt = b * nn + (j * n + i if flavor else i * n + j)
+                    m.data[tgt][src] = QQ.of(sign)
+        return m
+
+    sign_patterns = {
+        1: [(1,), (-1,)],
+        3: [(1, 1, 1), (-1, -1, -1), (1, -1, 1), (-1, 1, -1)],
+    }
+    block_sizes = {0: 1, 1: 3, 2: 3, 3: 1}
+    candidates_per_degree = {
+        q: [(flavor, signs) for flavor in (0, 1) for signs in sign_patterns[block_sizes[q]]]
+        for q in range(4)
+    }
+    survivors = []
+    for combo in itertools.product(*(candidates_per_degree[q] for q in range(4))):
+        blocks_num = {q: numeric_block(*combo[q]) for q in range(4)}
+        if all(
+            blocks_num[q + 1].matmul(src_num.differential(q))
+            == tgt_num.differential(q).matmul(blocks_num[q])
+            for q in range(3)
+        ):
+            survivors.append(combo)
+    solutions = []
+    for combo in survivors:
+        blocks = {q: _signed_permutation(cdga.table, n, combo[q][1], combo[q][0]) for q in range(4)}
+        if ChainMap(tangent.complex, endo.complex, blocks).check_symbolic()["ok"]:
+            solutions.append(combo)
+    chosen = CANONICAL_COMPARISON if CANONICAL_COMPARISON in solutions else solutions[0]
+    return {
+        "numeric_survivors": len(survivors),
+        "symbolic_solutions": len(solutions),
+        "solutions": solutions,
+        "chosen": chosen,
+    }
+
+
+@pytest.mark.parametrize("n, survivors, solutions", [(1, 1024, 1024), (2, 4, 2), (3, 4, 2)])
+def test_comparison_search_matches_combination_loop(n, survivors, solutions):
+    expected = reference_comparison_search(n)
+    assert (expected["numeric_survivors"], expected["symbolic_solutions"]) == (survivors, solutions)
+    assert expected["chosen"] == CANONICAL_COMPARISON
+    _, record = build_comparison_map(n)
+    assert {key: record[key] for key in expected} == expected
+
+
+def test_comparison_search_tests_each_square_pair_once(matmul_calls):
+    # 4*8 + 8*8 + 8*4 = 128 candidate pairs, two products each
+    build_comparison_map(2)
+    assert len(matmul_calls) == 256
 
 
 @pytest.mark.parametrize("n", [3, 4])

@@ -30,7 +30,7 @@ from typing import Optional
 
 from .linalg import DenseMatrix, kernel_basis, rref
 from .scalars import QQ
-from .superpoly import Derivation, GeneratorTable, SuperPoly, poly_from_text, poly_to_text
+from .superpoly import Derivation, GeneratorTable, SuperPoly, add_product, poly_from_text, poly_to_text
 
 
 class SymMatrix:
@@ -89,16 +89,18 @@ class SymMatrix:
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matmul")
         out = SymMatrix(self.table, self.rows, other.cols)
-        for i in range(self.rows):
-            for k in range(self.cols):
-                a = self.data[i][k]
-                if a.is_zero():
-                    continue
-                for j in range(other.cols):
-                    b = other.data[k][j]
-                    if b.is_zero():
-                        continue
-                    out.data[i][j] = out.data[i][j] + a * b
+        for i, row in enumerate(self.data):
+            left = [(k, a.terms) for k, a in enumerate(row) if a.terms]
+            if not left:
+                continue
+            for j in range(other.cols):
+                terms = {}
+                for k, a in left:
+                    b = other.data[k][j].terms
+                    if b:
+                        add_product(terms, a, b)
+                if terms:
+                    out.data[i][j] = SuperPoly._of_terms(self.table, terms)
         return out
 
     def add(self, other: "SymMatrix") -> "SymMatrix":
@@ -134,12 +136,58 @@ class SymMatrix:
         )
 
     def evaluate(self, assignment, field=QQ) -> DenseMatrix:
-        return DenseMatrix(
-            field,
-            self.rows,
-            self.cols,
-            [[field.of(p.evaluate(assignment)) for p in row] for row in self.data],
-        )
+        """The numeric matrix at a point, as ``FreeComplex.evaluate_at`` sets it."""
+        return CompiledMatrix(self).evaluate(_point_values(self.table, assignment), field)
+
+
+class CompiledMatrix:
+    """The part of a SymMatrix that can be nonzero at a point.
+
+    A point sets the degree-0 generators to rationals and every other
+    generator to zero.  Compiling keeps exactly the monomials that
+    ``SuperPoly.evaluate`` does not kill: those with no odd part whose
+    generators all have cdeg and fdeg 0.  ``entries`` lists
+    (row, col, terms) for the entries with such a monomial; a term is
+    (coefficient, generators), each generator repeated by its exponent.
+    """
+
+    __slots__ = ("rows", "cols", "entries")
+
+    def __init__(self, m: SymMatrix):
+        t = m.table
+        live = [g.cdeg == 0 and g.fdeg == 0 for g in t.gens]
+        self.rows = m.rows
+        self.cols = m.cols
+        self.entries = []
+        for i, row in enumerate(m.data):
+            for j, p in enumerate(row):
+                terms = tuple(
+                    (_exact(c), tuple(k for k, exp in e for _ in range(exp)))
+                    for (e, o), c in p.terms.items()
+                    if not o and all(live[k] for k, _ in e)
+                )
+                if terms:
+                    self.entries.append((i, j, terms))
+
+    def values(self, point: dict):
+        """(row, col, exact value) of each entry that is nonzero at ``point``,
+        a dict from generator index to an exact value (see ``_point_values``)."""
+        for i, j, terms in self.entries:
+            v = 0
+            for c, gens in terms:
+                for k in gens:
+                    c *= point[k]
+                v += c
+            if v:
+                yield i, j, v
+
+    def evaluate(self, point: dict, field) -> DenseMatrix:
+        """Zero rows over ``field`` with each nonzero value scattered in."""
+        out = DenseMatrix.zero(self.rows, self.cols, field)
+        data, of = out.data, field.of
+        for i, j, v in self.values(point):
+            data[i][j] = of(v)
+        return out
 
 
 class FreeComplex:
@@ -163,6 +211,7 @@ class FreeComplex:
         self.twist = dict(twist) if twist else {}
         self.symbolic = isinstance(base, GeneratorTable)
         self._reduced = {}
+        self._compiled = None
         self._check_shapes()
 
     def _check_shapes(self):
@@ -251,20 +300,22 @@ class FreeComplex:
 
         ``assignment`` maps generator index (or name) to a rational.  Twist
         components have strictly negative entry degrees, so they evaluate to
-        zero and are dropped; this is asserted.
+        zero and are dropped; this is asserted.  The differentials and twist
+        components are compiled on the first call and the compiled forms are
+        kept for every later point.
         """
         if not self.symbolic:
             raise ValueError("complex is already numeric")
-        table = self.base
-        idx_assignment = _indexed_values(table, assignment)
-        for k in range(len(table)):
-            g = table.gen(k)
-            if g.cdeg == 0 and g.fdeg == 0 and k not in idx_assignment:
-                raise KeyError(f"missing assignment for degree-0 generator {g.name}")
-        diff = {k: m.evaluate(idx_assignment, field) for k, m in self.diff.items()}
-        for (k, l), m in self.twist.items():
-            ev = m.evaluate(idx_assignment, field)
-            if not ev.is_zero():
+        point = _point_values(self.base, assignment)
+        if self._compiled is None:
+            self._compiled = (
+                {k: CompiledMatrix(m) for k, m in self.diff.items()},
+                [CompiledMatrix(m) for m in self.twist.values()],
+            )
+        diffs, twists = self._compiled
+        diff = {k: m.evaluate(point, field) for k, m in diffs.items()}
+        for m in twists:
+            if next(m.values(point), None) is not None:
                 raise AssertionError("twist component survived evaluation")
         return FreeComplex(field, dict(self.ranks), diff)
 
@@ -366,9 +417,21 @@ def _zero_matrix(base, rows: int, cols: int):
     return DenseMatrix.zero(rows, cols, base)
 
 
-def _indexed_values(table: GeneratorTable, assignment: dict) -> dict:
-    """``assignment`` keyed by generator index, its values as rationals."""
-    return {k if isinstance(k, int) else table.idx(k): QQ.of(v) for k, v in assignment.items()}
+def _exact(x):
+    """A rational as an int when it is integral, else as a Fraction: the
+    same number, and ints multiply far faster."""
+    x = QQ.of(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def _point_values(table: GeneratorTable, assignment: dict) -> dict:
+    """``assignment`` keyed by generator index, its values exact (see
+    ``_exact``).  Every degree-0 generator of ``table`` must have a value."""
+    point = {k if isinstance(k, int) else table.idx(k): _exact(v) for k, v in assignment.items()}
+    for k, g in enumerate(table.gens):
+        if g.cdeg == 0 and g.fdeg == 0 and k not in point:
+            raise KeyError(f"missing assignment for degree-0 generator {g.name}")
+    return point
 
 
 def _matrix_entries(m: SymMatrix) -> dict:
@@ -402,6 +465,7 @@ class ChainMap:
         for k, m in self.blocks.items():
             if m.cols != source.rank(k) or m.rows != target.rank(k):
                 raise ValueError(f"block at degree {k} has wrong shape")
+        self._compiled = {}
 
     def block(self, k: int):
         b = self.blocks.get(k)
@@ -428,9 +492,12 @@ class ChainMap:
         return report
 
     def check_at_point(self, assignment: dict, field=QQ) -> dict:
-        """Evaluate both complexes and the blocks, check squares and invertibility."""
+        """Evaluate both complexes and the blocks, check squares and invertibility.
+
+        Symbolic blocks are compiled on the first call, like the complexes.
+        """
         if self.source.symbolic:
-            assignment = _indexed_values(self.source.base, assignment)
+            assignment = _point_values(self.source.base, assignment)
         src = self.source.evaluate_at(assignment, field)
         tgt = self.target.evaluate_at(assignment, field)
         report = {"ok": True, "failures": [], "invertible": {}}
@@ -438,7 +505,10 @@ class ChainMap:
         for k in set(src.degrees()) | set(tgt.degrees()):
             b = self.block(k)
             if isinstance(b, SymMatrix):
-                b = b.evaluate(assignment, field)
+                compiled = self._compiled.get(k)
+                if compiled is None:
+                    compiled = self._compiled[k] = CompiledMatrix(b)
+                b = compiled.evaluate(assignment, field)
             blocks[k] = b
             if src.rank(k) == tgt.rank(k) and src.rank(k):
                 report["invertible"][k] = b.rank() == src.rank(k)

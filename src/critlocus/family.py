@@ -515,57 +515,6 @@ def endomorphism_model(n: int) -> EndomorphismModel:
     return _ENDO_CACHE[n]
 
 
-def endo_complex_at_point(X, Y, Z, field=QQ) -> FreeComplex:
-    """Numeric twisted-End complex assembled directly from a point.
-
-    Independent assembly path used to confirm that evaluation commutes
-    with construction: only the adjacent blocks survive at a point, and
-    they are the graded commutators with the evaluated matrices.
-    """
-    n = len(X)
-    nn = n * n
-    ranks = {0: nn, 1: 3 * nn, 2: 3 * nn, 3: nn}
-    mats = {
-        EPS_BITS["x"]: X,
-        EPS_BITS["y"]: Y,
-        EPS_BITS["z"]: Z,
-    }
-
-    def slot(i, j, mask):
-        q = popcount(mask)
-        return MASKS_BY_DEGREE[q].index(mask) * nn + i * n + j
-
-    diff = {}
-    for q in range(3):
-        m = DenseMatrix.zero(ranks[q + 1], ranks[q], field)
-        for mask in MASKS_BY_DEGREE[q]:
-            for k in range(n):
-                for l in range(n):
-                    col = slot(k, l, mask)
-                    for amask, mat in mats.items():
-                        ls = eps_merge_sign(amask, mask)
-                        rs = eps_merge_sign(mask, amask)
-                        if ls:
-                            for r in range(n):
-                                val = field.of(Fraction(mat[r][k]))
-                                if not field.is_zero(val):
-                                    row = slot(r, l, amask | mask)
-                                    m.data[row][col] = field.add(
-                                        m.data[row][col], field.mul(field.of(ls), val)
-                                    )
-                        if rs:
-                            tot = rs * (1 if (q & 1) else -1)
-                            for c2 in range(n):
-                                val = field.of(Fraction(mat[l][c2]))
-                                if not field.is_zero(val):
-                                    row = slot(k, c2, mask | amask)
-                                    m.data[row][col] = field.add(
-                                        m.data[row][col], field.mul(field.of(tot), val)
-                                    )
-        diff[q] = m
-    return FreeComplex(field, ranks, diff)
-
-
 # -- the trace pairing --------------------------------------------------------------
 
 
@@ -614,13 +563,16 @@ def ext_dims_at(point, n: int = None, field=QQ, model: EndomorphismModel = None)
     """Homology dimensions of the endomorphism complex at a commuting point,
     plus the trace pairing between complementary degrees.
 
-    ``point`` carries X, Y, Z as n x n arrays of rationals.
+    ``point`` carries X, Y, Z as n x n arrays of rationals; ``model``, if
+    given, must have the same n.
     """
     X, Y, Z = point.X, point.Y, point.Z
     if not point.is_commuting():
         raise ValueError("ext dimensions require a commuting triple")
     n = n or point.n
     model = model or endomorphism_model(n)
+    if model.n != point.n:
+        raise ValueError(f"a rank-{model.n} model cannot evaluate a rank-{point.n} point")
     cx = model.evaluate_at(X, Y, Z, field)
     dims = cx.homology_dims()
     reps = {k: homology_representatives(cx, k) for k in range(4)}

@@ -222,10 +222,16 @@ class MatrixCdga:
         return self._ext
 
     def point_assignment(self, X, Y, Z) -> dict:
-        """Map degree-0 generators to the entries of three n x n matrices."""
+        """Map degree-0 generators to the entries of three n x n matrices.
+
+        A matrix of any other shape raises ValueError naming both shapes.
+        """
         n, t = self.n, self.table
         out = {}
         for name, m in (("X0", X), ("Y0", Y), ("Z0", Z)):
+            if len(m) != n or any(len(row) != n for row in m):
+                cols = "/".join(str(c) for c in sorted({len(row) for row in m})) or "0"
+                raise ValueError(f"{name[0]} is {len(m)}x{cols}, expected {n}x{n}")
             for i in range(n):
                 for j in range(n):
                     out[t.idx(f"{name}({i + 1},{j + 1})")] = Fraction(m[i][j])

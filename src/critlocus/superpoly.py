@@ -138,6 +138,22 @@ def _merge_odd(o1, o2):
     return sign, tuple(merged)
 
 
+def add_product(terms: dict, left: dict, right: dict):
+    """Add the product of the term dicts ``left`` and ``right`` into ``terms``
+    in place, dropping zeros."""
+    for (e1, o1), c1 in left.items():
+        for (e2, o2), c2 in right.items():
+            sign, odd = _merge_odd(o1, o2)
+            if sign == 0:
+                continue
+            m = (_merge_even(e1, e2), odd)
+            nc = terms.get(m, 0) + sign * c1 * c2
+            if nc:
+                terms[m] = nc
+            elif m in terms:
+                del terms[m]
+
+
 def _merge_even(e1, e2):
     if not e1:
         return e2
@@ -200,6 +216,13 @@ class SuperPoly:
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
+    @classmethod
+    def _of_terms(cls, table, terms: dict) -> "SuperPoly":
+        """Wrap a term dict that is already in normal form, without copying."""
+        out = cls(table)
+        out.terms = terms
+        return out
+
     def __add__(self, other):
         self._same_table(other)
         terms = dict(self.terms)
@@ -209,9 +232,7 @@ class SuperPoly:
                 terms[m] = nc
             elif m in terms:
                 del terms[m]
-        out = SuperPoly(self.table)
-        out.terms = terms
-        return out
+        return SuperPoly._of_terms(self.table, terms)
 
     def __neg__(self):
         out = SuperPoly(self.table)
@@ -226,21 +247,8 @@ class SuperPoly:
             return self.scale(other)
         self._same_table(other)
         terms = {}
-        for (e1, o1), c1 in self.terms.items():
-            for (e2, o2), c2 in other.terms.items():
-                sign, odd = _merge_odd(o1, o2)
-                if sign == 0:
-                    continue
-                m = (_merge_even(e1, e2), odd)
-                c = sign * c1 * c2
-                nc = terms.get(m, Fraction(0)) + c
-                if nc:
-                    terms[m] = nc
-                elif m in terms:
-                    del terms[m]
-        out = SuperPoly(self.table)
-        out.terms = terms
-        return out
+        add_product(terms, self.terms, other.terms)
+        return SuperPoly._of_terms(self.table, terms)
 
     __rmul__ = __mul__
 
@@ -494,7 +502,7 @@ class Derivation:
 
     def apply(self, p: SuperPoly) -> SuperPoly:
         t = self.table
-        out = SuperPoly.zero(t)
+        out = {}
         pd = self.parity
         for (e, o), c in p.terms.items():
             # even factors first (their parity is 0, no Leibniz sign)
@@ -508,8 +516,7 @@ class Derivation:
                 else:
                     rest_e[pos] = (k, exp - 1)
                 prefix = SuperPoly(t, {(tuple(rest_e), ()): c * exp})
-                odd_tail = SuperPoly(t, {((), o): Fraction(1)})
-                out += prefix * img * odd_tail
+                add_product(out, (prefix * img).terms, {((), o): Fraction(1)})
             # odd factors, walking left to right
             for j, k in enumerate(o):
                 img = self.images.get(k)
@@ -517,6 +524,5 @@ class Derivation:
                     continue
                 sign = -1 if (pd and (j & 1)) else 1
                 left = SuperPoly(t, {(e, o[:j]): c * sign})
-                right = SuperPoly(t, {((), o[j + 1 :]): Fraction(1)})
-                out += left * img * right
-        return out
+                add_product(out, (left * img).terms, {((), o[j + 1 :]): Fraction(1)})
+        return SuperPoly._of_terms(t, out)

@@ -1,11 +1,22 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from critlocus import complexes
 from critlocus.complexes import ChainMap, FreeComplex, SymMatrix
+from critlocus.family import (
+    EndomorphismModel,
+    build_comparison_map,
+    build_universal_family,
+    endomorphism_model,
+)
 from critlocus.linalg import DenseMatrix
+from critlocus.points import enumerate_partitions, point_from_partition, random_conjugate_points
 from critlocus.potential import MatrixCdga
-from critlocus.scalars import GF, QQ
+from critlocus.scalars import DEFAULT_PRIME, GF, QQ
 from critlocus.superpoly import GeneratorTable, SuperPoly
 
 
@@ -155,3 +166,149 @@ def test_evaluation_is_a_chain_functor():
         ev = disp.evaluate_at(cdga.point_assignment(*mats))
         ok, failures = ev.check_d_squared()
         assert ok, failures
+
+
+# -- the compiled evaluator ------------------------------------------------------
+
+# rank 1 with form symbols: odd, negative-degree and form generators beside
+# the three degree-0 ones, which few values make likely to coincide
+EVAL_TABLE = GeneratorTable.canonical(1).extend_with_forms()
+DEGREE_ZERO = [k for k, g in enumerate(EVAL_TABLE.gens) if g.cdeg == 0 and g.fdeg == 0]
+POINT_VALUES = [Fraction(v) for v in (0, 1, -1, 2, "1/2", "-2/3")]
+
+
+@st.composite
+def entries(draw):
+    """Sums of rational coefficients times generator words.  Words lean to
+    the degree-0 generators and may repeat them; a term may come with a
+    partner that differs in one degree-0 generator and has the opposite
+    coefficient, so the two cancel wherever those generators agree."""
+    t = EVAL_TABLE
+    gens = st.one_of(st.sampled_from(DEGREE_ZERO), st.integers(0, len(t) - 1))
+    p = SuperPoly.zero(t)
+    for _ in range(draw(st.integers(0, 3))):
+        c = draw(st.fractions(-9, 9, max_denominator=7))
+        word = draw(st.lists(gens, max_size=4))
+        p = p + _word(t, c, word)
+        if word and draw(st.booleans()):
+            swapped = list(word)
+            swapped[draw(st.integers(0, len(word) - 1))] = draw(st.sampled_from(DEGREE_ZERO))
+            p = p - _word(t, c, swapped)
+    return p
+
+
+def _word(t, c, word):
+    term = SuperPoly.scalar(t, c)
+    for k in word:
+        term = term * SuperPoly.gen(t, k)
+    return term
+
+
+@st.composite
+def sym_matrices(draw, rows=None, cols=None):
+    rows = draw(st.integers(0, 3)) if rows is None else rows
+    cols = draw(st.integers(0, 3)) if cols is None else cols
+    return SymMatrix(EVAL_TABLE, rows, cols, [[draw(entries()) for _ in range(cols)] for _ in range(rows)])
+
+
+points = st.fixed_dictionaries({k: st.sampled_from(POINT_VALUES) for k in DEGREE_ZERO})
+
+
+@settings(max_examples=100, deadline=None)
+@given(sym_matrices(), points)
+def test_compiled_evaluation_matches_entrywise(m, point):
+    for field in (QQ, GF(DEFAULT_PRIME)):
+        got = m.evaluate(point, field)
+        assert (got.rows, got.cols) == (m.rows, m.cols)
+        assert got.data == [[field.of(p.evaluate(point)) for p in row] for row in m.data]
+        if field is QQ:
+            assert all(isinstance(x, Fraction) for row in got.data for x in row)
+
+
+def test_surviving_twist_component_raises():
+    cdga = MatrixCdga(1)
+    t = cdga.table
+    twist = SymMatrix(t, 1, 1)
+    twist.set(0, 0, SuperPoly.gen(t, "X0(1,1)"))
+    c = FreeComplex(t, {0: 1, 1: 1, 2: 1}, {}, {(0, 2): twist})
+    # the entry vanishes where X does, and survives elsewhere
+    assert c.evaluate_at(cdga.point_assignment([[0]], [[1]], [[1]])).ranks == c.ranks
+    with pytest.raises(AssertionError, match="twist component survived"):
+        c.evaluate_at(cdga.point_assignment([[1]], [[1]], [[1]]))
+
+
+def test_bad_prime_is_met_entry_by_entry():
+    p = DEFAULT_PRIME
+    gf = GF(p)
+    model = endomorphism_model(2)
+    zero = [[0, 0], [0, 0]]
+    # a scalar shift of X enters only through differences of diagonal
+    # entries, so 1/p on the diagonal never reaches the field
+    shifted = model.evaluate_at([[Fraction(1, p), 0], [0, Fraction(1, p)]], zero, zero, gf)
+    origin = model.evaluate_at(zero, zero, zero, gf)
+    for q in range(3):
+        assert shifted.differential(q) == origin.differential(q)
+    with pytest.raises(ZeroDivisionError):
+        model.evaluate_at([[0, Fraction(1, p)], [0, 0]], zero, zero, gf)
+
+
+def test_each_complex_and_block_compiles_once(monkeypatch):
+    compiled = []
+    original = complexes.CompiledMatrix.__init__
+
+    def counting(self, m):
+        compiled.append(m)
+        original(self, m)
+
+    monkeypatch.setattr(complexes.CompiledMatrix, "__init__", counting)
+    cm, _ = build_comparison_map(2, search=False)
+    model = EndomorphismModel(build_universal_family(2))
+    pts = [point_from_partition(pp) for pp in enumerate_partitions(2)]
+    pts += random_conjugate_points(2, 3, random.Random(11))
+    assert not compiled  # nothing is compiled before the first point
+    for pt in pts:
+        for field in (QQ, GF(DEFAULT_PRIME)):
+            model.evaluate_at(pt.X, pt.Y, pt.Z, field)
+            assert cm.check_at_point(model.cdga.point_assignment(pt.X, pt.Y, pt.Z), field)["ok"]
+    parts = [model.complex, cm.source, cm.target]
+    want = sum(len(cx.diff) + len(cx.twist) for cx in parts) + len(cm.source.ranks)
+    assert len(compiled) == want
+
+
+@st.composite
+def symbolic_complexes(draw):
+    """Up to four degrees of rank 0-2 (at least one nonzero), random
+    differentials and random twist components."""
+    lo = draw(st.integers(-2, 1))
+    ranks = {lo + i: r for i, r in enumerate(draw(st.lists(st.integers(0, 2), min_size=1, max_size=4)))}
+    ranks[lo] = ranks[lo] or 1
+    degs = sorted(ranks)
+    diff = {k: draw(sym_matrices(ranks.get(k + 1, 0), ranks[k])) for k in degs if draw(st.booleans())}
+    twist = {
+        (k, l): draw(sym_matrices(ranks[l], ranks[k]))
+        for k in degs
+        for l in degs
+        if l >= k + 2 and draw(st.booleans())
+    }
+    return FreeComplex(EVAL_TABLE, ranks, diff, twist)
+
+
+def _evaluated(cx, point):
+    try:
+        ev = cx.evaluate_at(point)
+    except AssertionError as exc:
+        return str(exc)
+    return {k: ev.differential(k).data for k in cx.diff}
+
+
+@settings(max_examples=100, deadline=None)
+@given(symbolic_complexes(), points)
+def test_json_round_trip_property(cx, point):
+    text = cx.to_json()
+    back = FreeComplex.from_json(EVAL_TABLE, text)
+    assert back.ranks == cx.ranks
+    assert back.diff.keys() == cx.diff.keys() and back.twist.keys() == cx.twist.keys()
+    assert all(back.diff[k] == m for k, m in cx.diff.items())
+    assert all(back.twist[k] == m for k, m in cx.twist.items())
+    assert back.to_json() == text
+    assert _evaluated(back, point) == _evaluated(cx, point)

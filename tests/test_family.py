@@ -4,20 +4,22 @@ from fractions import Fraction
 
 import pytest
 
+from critlocus.complexes import FreeComplex
 from critlocus.family import (
     FULL_MASK,
     MASKS_BY_DEGREE,
     BimodElement,
     CANONICAL_COMPARISON,
+    EPS_BITS,
     EndomorphismModel,
     TangentModel,
     build_comparison_map,
     build_ginzburg_resolution,
     build_universal_family,
-    endo_complex_at_point,
     eps_merge_sign,
     endomorphism_model,
     ext_dims_at,
+    popcount,
     trace_pairing_matrix,
 )
 from critlocus.freenc import NCElement
@@ -32,7 +34,7 @@ from critlocus.points import (
     point_from_partition,
     random_conjugate_points,
 )
-from critlocus.scalars import GF, QQ
+from critlocus.scalars import DEFAULT_PRIME, GF, QQ
 
 
 # -- the module structure ------------------------------------------------------
@@ -137,14 +139,89 @@ def test_endo_ranks_and_euler():
     assert model.complex.euler_characteristic() == 0
 
 
+def endo_complex_at_point(X, Y, Z, field=QQ) -> FreeComplex:
+    """Numeric twisted-End complex assembled directly from a point.
+
+    The reference for the model's evaluation: it never touches SuperPoly.
+    Only the adjacent blocks survive at a point, and they are the graded
+    commutators with the evaluated matrices.
+    """
+    n = len(X)
+    nn = n * n
+    ranks = {0: nn, 1: 3 * nn, 2: 3 * nn, 3: nn}
+    mats = {
+        EPS_BITS["x"]: X,
+        EPS_BITS["y"]: Y,
+        EPS_BITS["z"]: Z,
+    }
+
+    def slot(i, j, mask):
+        q = popcount(mask)
+        return MASKS_BY_DEGREE[q].index(mask) * nn + i * n + j
+
+    diff = {}
+    for q in range(3):
+        m = DenseMatrix.zero(ranks[q + 1], ranks[q], field)
+        for mask in MASKS_BY_DEGREE[q]:
+            for k in range(n):
+                for l in range(n):
+                    col = slot(k, l, mask)
+                    for amask, mat in mats.items():
+                        ls = eps_merge_sign(amask, mask)
+                        rs = eps_merge_sign(mask, amask)
+                        if ls:
+                            for r in range(n):
+                                val = field.of(Fraction(mat[r][k]))
+                                if not field.is_zero(val):
+                                    row = slot(r, l, amask | mask)
+                                    m.data[row][col] = field.add(
+                                        m.data[row][col], field.mul(field.of(ls), val)
+                                    )
+                        if rs:
+                            tot = rs * (1 if (q & 1) else -1)
+                            for c2 in range(n):
+                                val = field.of(Fraction(mat[l][c2]))
+                                if not field.is_zero(val):
+                                    row = slot(k, c2, mask | amask)
+                                    m.data[row][col] = field.add(
+                                        m.data[row][col], field.mul(field.of(tot), val)
+                                    )
+        diff[q] = m
+    return FreeComplex(field, ranks, diff)
+
+
 def test_evaluation_commutes_with_direct_assembly():
-    model = endomorphism_model(2)
     rng = random.Random(3)
-    for pt in random_conjugate_points(2, 5, rng):
-        via_symbolic = model.evaluate_at(pt.X, pt.Y, pt.Z)
-        direct = endo_complex_at_point(pt.X, pt.Y, pt.Z)
-        for q in range(3):
-            assert via_symbolic.differential(q) == direct.differential(q)
+    for n in (2, 3):
+        model = endomorphism_model(n)
+        pts = [point_from_partition(pp) for pp in enumerate_partitions(n)]
+        pts += random_conjugate_points(n, 5, rng)
+        for field in (QQ, GF(DEFAULT_PRIME)):
+            for pt in pts:
+                via_symbolic = model.evaluate_at(pt.X, pt.Y, pt.Z, field)
+                direct = endo_complex_at_point(pt.X, pt.Y, pt.Z, field)
+                for q in range(3):
+                    assert via_symbolic.differential(q) == direct.differential(q)
+
+
+def _first_partition_point(n):
+    return point_from_partition(next(iter(enumerate_partitions(n))))
+
+
+def test_evaluation_rejects_matrices_of_another_size():
+    pt3 = _first_partition_point(3)
+    with pytest.raises(ValueError, match=r"X is 3x3, expected 2x2"):
+        endomorphism_model(2).evaluate_at(pt3.X, pt3.Y, pt3.Z)
+
+
+def test_ext_dims_rejects_a_smaller_model():
+    with pytest.raises(ValueError, match="rank-2 model cannot evaluate a rank-3 point"):
+        ext_dims_at(_first_partition_point(3), model=endomorphism_model(2))
+
+
+def test_ext_dims_rejects_a_larger_model():
+    with pytest.raises(ValueError, match="rank-3 model cannot evaluate a rank-2 point"):
+        ext_dims_at(_first_partition_point(2), model=endomorphism_model(3))
 
 
 def test_ext_dims_origin_rank_one():

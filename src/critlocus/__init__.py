@@ -29,6 +29,7 @@ from .family import (
     build_comparison_map,
     build_ginzburg_resolution,
     build_universal_family,
+    check_ext_point,
     endomorphism_model,
     ext_dims_at,
 )
@@ -71,6 +72,7 @@ __all__ = [
     "build_comparison_map",
     "build_ginzburg_resolution",
     "build_universal_family",
+    "check_ext_point",
     "endomorphism_model",
     "ext_dims_at",
     "MatrixPoint",

@@ -191,14 +191,8 @@ def checks_chainmap(report: Report, args, rng):
 
 
 def checks_ext(report: Report, args, rng):
-    from .family import endomorphism_model, ext_dims_at
-    from .points import (
-        enumerate_partitions,
-        koszul_ext_oracle,
-        point_from_partition,
-        random_conjugate_points,
-        save_corpus,
-    )
+    from .family import check_ext_point, endomorphism_model
+    from .points import enumerate_partitions, point_from_partition, random_conjugate_points, save_corpus
 
     prime = args.prime
 
@@ -214,38 +208,28 @@ def checks_ext(report: Report, args, rng):
             save_corpus(points, args.save_corpus)
         model = endomorphism_model(n)
         field_p = GF(prime)
-        out = {"per_point": [], "mismatches": [], "euler": [], "pairing": [], "prime": []}
-        for idx, pt in enumerate(points):
-            mine = ext_dims_at(pt, model=model)
-            oracle = koszul_ext_oracle(pt)
-            out["per_point"].append(
-                {
-                    "point": idx,
-                    "provenance": pt.provenance,
-                    "dims": [mine["dims"][k] for k in range(4)],
-                    "pairing_ranks": [mine["pairing_ranks"][(0, 3)], mine["pairing_ranks"][(1, 2)]],
-                }
-            )
-            if mine["dims"] != oracle["dims"]:
-                out["mismatches"].append((idx, mine["dims"], oracle["dims"]))
-            if mine["euler"] != 0:
-                out["euler"].append(idx)
-            if not (mine["pairing_perfect"] and oracle["pairing_perfect"]):
-                out["pairing"].append(idx)
-            try:
-                if model.evaluate_at(pt.X, pt.Y, pt.Z, field_p).homology_dims() != mine["dims"]:
-                    out["prime"].append(idx)
-            except ZeroDivisionError:
-                out["prime"].append(idx)
-        return out
+        return points, [check_ext_point(pt, model, field_p) for pt in points]
 
     def oracle_agreement():
-        bad = ext()["mismatches"]
-        details = {"points": len(ext()["per_point"]), "per_point": ext()["per_point"]}
-        return not bad, details, str(bad[:3]) if bad else None
+        points, records = ext()
+        per_point, bad = [], []
+        for idx, (pt, rec) in enumerate(zip(points, records)):
+            shown = ("exception",) if "exception" in rec else ("dims", "pairing_ranks")
+            per_point.append({"point": idx, "provenance": pt.provenance, **{k: rec[k] for k in shown}})
+            if "exception" in rec:
+                bad.append((idx, rec["exception"]))
+            elif rec["dims"] != rec["oracle_dims"]:
+                bad.append((idx, rec["dims"], rec["oracle_dims"]))
+        return not bad, {"points": len(points), "per_point": per_point}, str(bad[:3]) if bad else None
+
+    def everywhere(verdict):
+        """A raising point has no verdicts, so it fails every one."""
+        bad = [idx for idx, rec in enumerate(ext()[1]) if not rec.get(verdict)]
+        return not bad, None, f"points {bad[:3]}" if bad else None
 
     def prime_comparison():
-        bad = ext()["prime"]
+        # a raising point is a failure of the other three records
+        bad = [idx for idx, rec in enumerate(ext()[1]) if "exception" not in rec and not rec["prime"]]
         if bad:
             raise CheckWarning(
                 f"dimensions over GF({prime}) disagree with the rational ones "
@@ -259,9 +243,9 @@ def checks_ext(report: Report, args, rng):
          "endomorphism-model Ext dimensions match the Koszul oracle at every corpus point",
          oracle_agreement),
         ("ext.euler", "ext_dims_at",
-         "the Euler characteristic vanishes at every corpus point", lambda: not ext()["euler"]),
+         "the Euler characteristic vanishes at every corpus point", lambda: everywhere("euler")),
         ("ext.serre_pairing", "ext_dims_at",
-         "the composition-trace pairing is perfect at every corpus point", lambda: not ext()["pairing"]),
+         "the composition-trace pairing is perfect at every corpus point", lambda: everywhere("pairing")),
         ("ext.prime_comparison", "homology_dims",
          f"dimensions over GF({prime}) agree with the rational ones", prime_comparison),
     ))
@@ -441,7 +425,7 @@ def _surface(text):
 
 
 def _corpus(path):
-    """The points of a corpus file: all of one rank, each a commuting triple."""
+    """The points of a corpus file: at least one, all of one rank, each commuting."""
     from .points import load_corpus
 
     if not os.path.isfile(path):
@@ -450,6 +434,8 @@ def _corpus(path):
         points = load_corpus(path)
     except (TypeError, ValueError, KeyError) as exc:
         raise argparse.ArgumentTypeError(f"malformed corpus {path}: {exc!r}") from None
+    if not points:
+        raise argparse.ArgumentTypeError(f"{path} holds no points")
     for idx, pt in enumerate(points):
         if pt.n != points[0].n:
             raise argparse.ArgumentTypeError(
@@ -536,6 +522,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.battery is None:  # toric chart
             return cmd_toric_chart(parser, args)
+        if getattr(args, "corpus", None) == "none" and args.corpus_points is None:
+            parser.error("--corpus none checks no points without --corpus-file")
     except SystemExit as exc:  # argparse has printed the usage error
         return exc.code
     rng = random.Random(args.seed)

@@ -33,6 +33,7 @@ from itertools import product as iproduct
 from .complexes import ChainMap, FreeComplex, SymMatrix, homology_representatives
 from .freenc import DIFFERENTIAL_ON_LETTERS, NCElement
 from .linalg import DenseMatrix, mat_mul, mat_sub, mat_transpose
+from .points import koszul_ext_oracle
 from .potential import CotangentModel, MatrixCdga
 from .scalars import QQ
 from .superpoly import SuperPoly
@@ -518,9 +519,10 @@ def endomorphism_model(n: int) -> EndomorphismModel:
 # -- the trace pairing --------------------------------------------------------------
 
 
-def trace_pairing_matrix(model_n: int, reps_k, reps_comp, field=QQ) -> DenseMatrix:
+def trace_pairing_matrix(model_n: int, qk: int, reps_k, reps_comp, field=QQ) -> DenseMatrix:
     """Pairing <a, b> = sum over complementary slots of the matrix trace
-    weighted by the orientation of e_S ^ e_S'.
+    weighted by the orientation of e_S ^ e_S', between representatives
+    ``reps_k`` of degree ``qk`` and ``reps_comp`` of degree 3 - qk.
 
     Slot (i, j, S) pairs with exactly one slot, (j, i, S'), S' the
     complement of S, with sign the orientation of e_S ^ e_S'; so the pairing
@@ -533,20 +535,10 @@ def trace_pairing_matrix(model_n: int, reps_k, reps_comp, field=QQ) -> DenseMatr
     cols = len(reps_comp)
     if not rows or not cols:
         return DenseMatrix.zero(rows, cols, field)
-    # recover the degrees from the representative lengths
-    for (qa, qb) in ((0, 3), (1, 2), (2, 1), (3, 0)):
-        if len(reps_k[0]) == nn * len(MASKS_BY_DEGREE[qa]) and len(
-            reps_comp[0]
-        ) == nn * len(MASKS_BY_DEGREE[qb]):
-            qk, qc = qa, qb
-            break
-    else:
-        raise ValueError("representative lengths do not match any degree pair")
-
     partners = []
     for mask in MASKS_BY_DEGREE[qk]:
         comp = FULL_MASK ^ mask
-        block = MASKS_BY_DEGREE[qc].index(comp) * nn
+        block = MASKS_BY_DEGREE[3 - qk].index(comp) * nn
         sign = eps_merge_sign(mask, comp)
         for i in range(n):
             for j in range(n):
@@ -559,38 +551,55 @@ def trace_pairing_matrix(model_n: int, reps_k, reps_comp, field=QQ) -> DenseMatr
     return a.matmul(DenseMatrix(field, len(partners), cols, partnered))
 
 
-def ext_dims_at(point, n: int = None, field=QQ, model: EndomorphismModel = None) -> dict:
+def ext_dims_at(point, field=QQ, model: EndomorphismModel = None) -> dict:
     """Homology dimensions of the endomorphism complex at a commuting point,
-    plus the trace pairing between complementary degrees.
+    plus the ranks of the trace pairing between complementary degrees.
 
     ``point`` carries X, Y, Z as n x n arrays of rationals; ``model``, if
     given, must have the same n.
     """
-    X, Y, Z = point.X, point.Y, point.Z
     if not point.is_commuting():
         raise ValueError("ext dimensions require a commuting triple")
-    n = n or point.n
-    model = model or endomorphism_model(n)
+    model = model or endomorphism_model(point.n)
     if model.n != point.n:
         raise ValueError(f"a rank-{model.n} model cannot evaluate a rank-{point.n} point")
-    cx = model.evaluate_at(X, Y, Z, field)
+    cx = model.evaluate_at(point.X, point.Y, point.Z, field)
     dims = cx.homology_dims()
     reps = {k: homology_representatives(cx, k) for k in range(4)}
-    pairings = {}
-    ranks = {}
-    perfect = True
-    for k in (0, 1):
-        pk = trace_pairing_matrix(n, reps[k], reps[3 - k], field)
-        pairings[(k, 3 - k)] = pk
-        ranks[(k, 3 - k)] = pk.rank()
-        if dims[k] != dims[3 - k] or ranks[(k, 3 - k)] != dims[k]:
-            perfect = False
+    ranks = {
+        (k, 3 - k): trace_pairing_matrix(point.n, k, reps[k], reps[3 - k], field).rank()
+        for k in (0, 1)
+    }
     return {
         "dims": dims,
         "euler": sum((-1) ** k * v for k, v in dims.items()),
-        "pairings": pairings,
         "pairing_ranks": ranks,
-        "pairing_perfect": perfect,
+        "pairing_perfect": all(dims[k] == dims[3 - k] == ranks[(k, 3 - k)] for k in (0, 1)),
+    }
+
+
+def check_ext_point(point, model: EndomorphismModel, field_p) -> dict:
+    """One corpus point's Ext check: the model's and the Koszul oracle's
+    dims over QQ and the model's pairing ranks, with the verdicts ``euler``,
+    ``pairing`` (both pairings perfect) and ``prime`` (the model's dims over
+    ``field_p`` are the rational ones).  A point that raises gives only
+    ``{"exception": ...}``."""
+    try:
+        mine = ext_dims_at(point, model=model)
+        oracle = koszul_ext_oracle(point)
+        try:
+            prime = model.evaluate_at(point.X, point.Y, point.Z, field_p).homology_dims() == mine["dims"]
+        except ZeroDivisionError:
+            prime = False
+    except Exception as exc:
+        return {"exception": f"exception: {exc}"}
+    return {
+        "dims": [mine["dims"][k] for k in range(4)],
+        "oracle_dims": [oracle["dims"][k] for k in range(4)],
+        "pairing_ranks": [mine["pairing_ranks"][(0, 3)], mine["pairing_ranks"][(1, 2)]],
+        "euler": mine["euler"] == 0,
+        "pairing": mine["pairing_perfect"] and oracle["pairing_perfect"],
+        "prime": prime,
     }
 
 

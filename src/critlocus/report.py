@@ -75,9 +75,6 @@ class Report:
         self.record(name, operation, claim, verdict, seconds, details, counterexample)
         return bool(ok)
 
-    def warn(self, name, operation, claim, details=None):
-        self.record(name, operation, claim, "warning", 0.0, details)
-
     @property
     def ok(self) -> bool:
         return all(c["verdict"] != "fail" for c in self.checks)

@@ -37,6 +37,8 @@ def test_usage_error_exit_code():
         ["toric", "cover-stats", "--surface", '{{"base": "P2"}}', "--points-per-trial", "0"],
         ["ext", "--n", "1", "--corpus", "partitions", "--save-corpus", "{tmp}/nodir/x.json"],
         ["partitions", "--n", "1", "--out", "{tmp}/nodir/x.json"],
+        ["ext", "--corpus", "none", "--n", "2"],
+        ["ext", "--corpus", "none", "--corpus-file", "{tmp}/empty.json"],
     ],
 )
 def test_bad_values_exit_2_without_traceback(args, tmp_path, capsys):
@@ -54,6 +56,7 @@ def _write_bad_corpora(tmp_path):
     # X and Y do not commute
     loose = MatrixPoint([[0, 1], [0, 0]], [[0, 0], [1, 0]], [[0, 0], [0, 0]], [1, 0])
     save_corpus([mixed[0], loose], tmp_path / "not_commuting.json")
+    save_corpus([], tmp_path / "empty.json")
 
 
 @pytest.mark.parametrize("name", ["mixed_ranks", "not_commuting"])
@@ -193,15 +196,6 @@ def test_corpus_file_round_trip(tmp_path):
         assert b.provenance == "partition"
 
 
-def test_warning_verdict_supported():
-    from critlocus.report import Report
-
-    rep = Report({"n": 1})
-    rep.warn("demo", "homology_dims", "prime disagreement is a warning")
-    assert rep.ok  # warnings do not fail the run
-    assert rep.to_dict()["checks"][0]["verdict"] == "warning"
-
-
 def test_ext_corpus_file_round_trip(tmp_path):
     corpus = tmp_path / "corpus.json"
     code, _ = run(
@@ -305,3 +299,31 @@ def test_check_warning_is_a_timed_warning():
     assert record["claim"] == "found something"
     assert record["details"] == {"points": [3]}
     assert record["seconds"] >= 0
+
+
+def test_ext_point_that_raises_fails_alone(tmp_path, monkeypatch):
+    import critlocus.family
+
+    original = critlocus.family.koszul_ext_oracle
+    calls = []
+
+    def second_point_raises(pt, field=None):
+        calls.append(pt)
+        if len(calls) == 2:
+            raise RuntimeError("oracle broke")
+        return original(pt)
+
+    monkeypatch.setattr(critlocus.family, "koszul_ext_oracle", second_point_raises)
+    code, text = run(["ext", "--n", "2", "--corpus", "partitions"], tmp_path)
+    assert code == 1
+    checks = {c["name"]: c for c in json.loads(text)["checks"]}
+    agreement = checks["ext.oracle_agreement"]
+    per_point = agreement["details"]["per_point"]
+    assert len(per_point) == len(calls) > 2
+    for entry in per_point:
+        assert ("dims" in entry) == (entry["point"] != 1)
+    assert per_point[1]["exception"] == "exception: oracle broke"
+    assert agreement["counterexample"] == "[(1, 'exception: oracle broke')]"
+    for name in ("ext.euler", "ext.serre_pairing"):
+        assert checks[name]["verdict"] == "fail" and checks[name]["counterexample"] == "points [1]"
+    assert checks["ext.prime_comparison"]["verdict"] == "pass"

@@ -16,6 +16,7 @@ from critlocus.family import (
     build_comparison_map,
     build_ginzburg_resolution,
     build_universal_family,
+    check_ext_point,
     eps_merge_sign,
     endomorphism_model,
     ext_dims_at,
@@ -259,6 +260,46 @@ def test_ext_dims_match_oracle_on_partition_points(n):
         assert mine["pairing_perfect"] and oracle["pairing_perfect"]
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_check_ext_point_is_its_three_parts(n):
+    model = endomorphism_model(n)
+    gf = GF(DEFAULT_PRIME)
+    pts = [point_from_partition(pp) for pp in enumerate_partitions(n)]
+    pts += random_conjugate_points(n, 3, random.Random(n))
+    for pt in pts:
+        mine = ext_dims_at(pt, model=model)
+        oracle = koszul_ext_oracle(pt)
+        mod_p = model.evaluate_at(pt.X, pt.Y, pt.Z, gf).homology_dims()
+        assert check_ext_point(pt, model, gf) == {
+            "dims": [mine["dims"][k] for k in range(4)],
+            "oracle_dims": [oracle["dims"][k] for k in range(4)],
+            "pairing_ranks": [mine["pairing_ranks"][(0, 3)], mine["pairing_ranks"][(1, 2)]],
+            "euler": mine["euler"] == 0,
+            "pairing": mine["pairing_perfect"] and oracle["pairing_perfect"],
+            "prime": mod_p == mine["dims"],
+        }
+
+
+def test_check_ext_point_off_diagonal_inverse_prime_is_a_bad_prime():
+    p = DEFAULT_PRIME
+    zero = [[0, 0], [0, 0]]
+    pt = MatrixPoint([[0, Fraction(1, p)], [0, 0]], zero, zero)
+    record = check_ext_point(pt, endomorphism_model(2), GF(p))
+    assert record["prime"] is False and "exception" not in record
+    assert record["dims"] == record["oracle_dims"] and record["euler"] and record["pairing"]
+
+
+def test_check_ext_point_records_an_exception(monkeypatch):
+    import critlocus.family
+
+    def broken(pt, field=QQ):
+        raise RuntimeError("oracle broke")
+
+    monkeypatch.setattr(critlocus.family, "koszul_ext_oracle", broken)
+    record = check_ext_point(_first_partition_point(2), endomorphism_model(2), GF(DEFAULT_PRIME))
+    assert record == {"exception": "exception: oracle broke"}
+
+
 def test_trace_pairing_descends():
     # the pairing of a boundary against a cycle vanishes
     model = endomorphism_model(2)
@@ -271,7 +312,7 @@ def test_trace_pairing_descends():
     boundaries1 = [
         [d0.data[i][j] for i in range(d0.rows)] for j in range(d0.cols)
     ]
-    pm = trace_pairing_matrix(2, boundaries1, cycles2)
+    pm = trace_pairing_matrix(2, 1, boundaries1, cycles2)
     assert pm.is_zero()
 
 
@@ -323,7 +364,7 @@ def test_trace_pairing_matches_pair_loop(n, field):
     for _ in range(5):
         for qk in range(4):
             reps_k, reps_comp = vectors(qk), vectors(3 - qk)
-            pm = trace_pairing_matrix(n, reps_k, reps_comp, field)
+            pm = trace_pairing_matrix(n, qk, reps_k, reps_comp, field)
             ref = reference_trace_pairing(n, reps_k, reps_comp, field)
             assert pm == ref
             assert pm.rank() == ref.rank()

@@ -433,7 +433,7 @@ def _corpus(path):
     try:
         points = load_corpus(path)
     except (TypeError, ValueError, KeyError) as exc:
-        raise argparse.ArgumentTypeError(f"malformed corpus {path}: {exc!r}") from None
+        raise argparse.ArgumentTypeError(f"malformed corpus {path}: {exc}") from None
     if not points:
         raise argparse.ArgumentTypeError(f"{path} holds no points")
     for idx, pt in enumerate(points):

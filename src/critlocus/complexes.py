@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 from typing import Optional
 
-from .linalg import DenseMatrix, kernel_basis, rref
+from .linalg import DenseMatrix, kernel_basis, pivot_columns, rref
 from .scalars import QQ
 from .superpoly import Derivation, GeneratorTable, SuperPoly, add_product, poly_from_text, poly_to_text
 
@@ -200,8 +200,9 @@ class FreeComplex:
     ``base``:  a GeneratorTable for symbolic complexes, or a scalar field.
 
     A numeric complex keeps the ``rref`` of each differential it has
-    reduced, so its homology dimensions and representatives eliminate each
-    differential once.
+    reduced, and the outcome of its d^2 check, so its homology dimensions
+    and representatives eliminate each differential once and multiply
+    differentials only for that one check.
     """
 
     def __init__(self, base, ranks: dict, diff: dict, twist: Optional[dict] = None):
@@ -211,6 +212,7 @@ class FreeComplex:
         self.twist = dict(twist) if twist else {}
         self.symbolic = isinstance(base, GeneratorTable)
         self._reduced = {}
+        self._d_squared_failures = None
         self._compiled = None
         self._check_shapes()
 
@@ -328,13 +330,19 @@ class FreeComplex:
             red = self._reduced[k] = rref(self.differential(k))
         return red
 
-    def homology_dims(self) -> dict:
-        """dim H^k = rank_k - rank d^k - rank d^(k-1) for a numeric complex."""
+    def _require_numeric_complex(self):
+        """Raise ValueError unless this is a numeric complex with d^2 = 0;
+        ``check_d_squared`` runs on the first call only."""
         if self.symbolic:
             raise ValueError("homology over a polynomial base is out of scope")
-        ok, failures = self.check_d_squared()
-        if not ok:
-            raise ValueError(f"d^2 != 0 at {failures[0][:2]}")
+        if self._d_squared_failures is None:
+            self._d_squared_failures = self.check_d_squared()[1]
+        if self._d_squared_failures:
+            raise ValueError(f"d^2 != 0 at {self._d_squared_failures[0][:2]}")
+
+    def homology_dims(self) -> dict:
+        """dim H^k = rank_k - rank d^k - rank d^(k-1) for a numeric complex."""
+        self._require_numeric_complex()
         dims = {}
         rk = {k: len(self.reduction(k)[1]) if self.rank(k) and self.rank(k + 1) else 0 for k in self.ranks}
         for k in self.degrees():
@@ -388,26 +396,36 @@ class FreeComplex:
 def homology_representatives(cx: FreeComplex, k: int):
     """Vectors spanning H^k of a numeric complex, as cycle representatives.
 
-    The kept cycles are the pivot columns in the cycle block of
-    rref([image of d^(k-1) | cycles]): a column is a pivot exactly when it
-    is not in the span of the columns before it.
+    The kept cycles are those of ``kernel_basis(d^k)`` that are not in the
+    span of the image of d^(k-1) and the cycles before them.  That basis
+    puts cycle t at 1 on the t-th free coordinate of d^k (a non-pivot column
+    of its rref) and at 0 on the others, so a cycle is fixed by its free
+    coordinates, and the image of d^(k-1) lies among the cycles.  Let B be
+    d^(k-1) on the free rows and on the pivot columns of its own rref, which
+    span its image.  Cycle t is then dropped exactly when some vector in the
+    column span of B has its last nonzero coordinate at t, so the dropped
+    cycles are the pivot columns of B transposed, read with its columns
+    reversed.  Raises ValueError unless d^2 = 0.
     """
     field = cx.base
     rk = cx.rank(k)
     if rk == 0:
         return []
+    cx._require_numeric_complex()
     if cx.rank(k + 1):
-        cycles = kernel_basis(cx.differential(k), cx.reduction(k))
+        red = cx.reduction(k)
+        cycles = kernel_basis(cx.differential(k), red)
+        bound = set(red[1])
+        free = [i for i in range(rk) if i not in bound]
     else:
-        cycles = [
-            [field.one if i == j else field.zero for i in range(rk)]
-            for j in range(rk)
-        ]
-    image = cx.differential(k - 1).data if cx.rank(k - 1) else [[] for _ in range(rk)]
-    offset = len(image[0])
-    data = [image[i] + [v[i] for v in cycles] for i in range(rk)]
-    _, pivots = rref(DenseMatrix(field, rk, offset + len(cycles), data))
-    return [cycles[j - offset] for j in pivots if j >= offset]
+        cycles = [[field.one if i == j else field.zero for i in range(rk)] for j in range(rk)]
+        free = range(rk)
+    d = cx.differential(k - 1).data
+    image = cx.reduction(k - 1)[1] if cx.rank(k - 1) else []
+    f = len(cycles)
+    data = [[d[i][j] for i in reversed(free)] for j in image]
+    dropped = {f - 1 - q for q in pivot_columns(DenseMatrix(field, len(image), f, data))}
+    return [v for t, v in enumerate(cycles) if t not in dropped]
 
 
 def _zero_matrix(base, rows: int, cols: int):

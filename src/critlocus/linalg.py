@@ -1,12 +1,20 @@
 """Exact linear algebra: one elimination routine and the helpers built on it.
 
 Matrices are stored row-major over a field from :mod:`critlocus.scalars`.
-:func:`rref` is the only elimination loop in the package: a single
-Gauss-Jordan pass returning the reduced rows and the pivot columns.  Over QQ
-it runs on integer rows kept primitive, so no rational gcd work happens
-until the pivot rows are normalized at the end; over GF(p) it runs on ints
-reduced mod p.  Rank, kernel bases, solving, row spaces and homology
-representatives are all read off that one result.
+``_eliminate`` is the only elimination loop in the package.  Over QQ it runs
+on integer rows kept primitive, so no rational gcd work happens inside it;
+over GF(p) it runs on ints reduced mod p.  It has two readers:
+
+* :func:`rref` clears every other row at each pivot (one Gauss-Jordan pass)
+  and normalizes the pivot rows at the end, building the Fractions of the
+  reduced rows.  Kernel bases, solving and row spaces are read off it.
+* :func:`pivot_columns` clears only the rows below each pivot and returns
+  the pivot list of ``rref`` without building any Fraction.  Ranks are read
+  off it, and so are homology representatives: a numeric complex keeps the
+  ``rref`` of each differential, a cycle of ``kernel_basis`` is fixed by its
+  free coordinates (the non-pivot columns of that rref), and
+  ``complexes.homology_representatives`` eliminates only the image of the
+  previous differential on those coordinates.
 
 :meth:`DenseMatrix.matmul` is the one product kernel beside it.  Over QQ it
 clears each row of the left factor and each column of the right factor to
@@ -159,16 +167,46 @@ class DenseMatrix:
         return all(f.is_zero(x) for row in self.data for x in row)
 
     def rank(self) -> int:
-        return len(rref(self)[1])
+        return len(pivot_columns(self))
 
 
 def rref(m: DenseMatrix):
     """Reduced row echelon form.  Returns (new matrix, pivot column list).
 
-    One Gauss-Jordan pass.  Over QQ each row is cleared to integers once and
-    every updated row is kept primitive (divided by the gcd of its entries);
-    Fractions are built only when the pivot rows are normalized at the end.
-    Over GF(p) the same pass runs on ints reduced mod p.
+    One Gauss-Jordan pass of :func:`_eliminate`, clearing every other row at
+    each pivot.  Fractions are built only when the pivot rows are normalized
+    at the end.
+    """
+    f = m.field
+    a, pivots = _eliminate(m, full=True)
+    if isinstance(f, RationalField):
+        zero = Fraction(0)
+        a = [
+            [Fraction(x, a[i][pc]) if x else zero for x in a[i]]
+            for i, pc in enumerate(pivots)
+        ] + [[zero] * m.cols for _ in range(m.rows - len(pivots))]
+    return DenseMatrix(f, m.rows, m.cols, a), pivots
+
+
+def pivot_columns(m: DenseMatrix):
+    """The pivot columns of ``rref(m)``, by forward elimination alone.
+
+    A column is a pivot exactly when it is not in the span of the columns
+    before it, and clearing the rows below each pivot already decides that,
+    so this pass touches no row above a pivot and builds no Fraction.
+    """
+    return _eliminate(m, full=False)[1]
+
+
+def _eliminate(m: DenseMatrix, full: bool):
+    """The one elimination loop.  Returns (rows, pivot columns).
+
+    Over QQ each row is cleared to integers once and every updated row is
+    kept primitive (divided by the gcd of its entries); over GF(p) the same
+    pass runs on ints reduced mod p, with each pivot row scaled to 1.  At
+    each pivot the rows below it are cleared, and with ``full`` the rows
+    above it too, which leaves the reduced echelon form up to the scale of
+    each row.
     """
     f = m.field
     rows, cols = m.rows, m.cols
@@ -189,7 +227,7 @@ def rref(m: DenseMatrix):
             inv = pow(prow[col], -1, p)
             prow = a[r] = [x * inv % p for x in prow]
         pv = prow[col]
-        for i in range(rows):
+        for i in range(0 if full else r + 1, rows):
             c = a[i][col]
             if i == r or not c:
                 continue
@@ -201,13 +239,7 @@ def rref(m: DenseMatrix):
         r += 1
         if r == rows:
             break
-    if p is None:
-        zero = Fraction(0)
-        a = [
-            [Fraction(x, a[i][pc]) if x else zero for x in a[i]]
-            for i, pc in enumerate(pivots)
-        ] + [[zero] * cols for _ in range(rows - r)]
-    return DenseMatrix(f, rows, cols, a), pivots
+    return a, pivots
 
 
 def _integer_row(row):

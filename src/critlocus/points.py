@@ -75,14 +75,28 @@ class MatrixPoint:
 
     @classmethod
     def from_record(cls, rec: dict) -> "MatrixPoint":
-        dec = lambda m: [[Fraction(x) for x in row] for row in m]
-        return cls(
+        """The point of a corpus record.  Entries must be exact: rational
+        strings or integers, never JSON floats or booleans.  ``n``, when
+        present, must be the size of the matrices."""
+        dec = lambda m: [[_exact_entry(x) for x in row] for row in m]
+        pt = cls(
             dec(rec["X"]),
             dec(rec["Y"]),
             dec(rec["Z"]),
-            [Fraction(x) for x in rec["v"]] if "v" in rec else None,
+            [_exact_entry(x) for x in rec["v"]] if "v" in rec else None,
             rec.get("provenance", "manual"),
         )
+        n = rec.get("n", pt.n)
+        if type(n) is not int or n != pt.n:
+            raise ValueError(f"n is {n!r} but the matrices are {pt.n} x {pt.n}")
+        return pt
+
+
+def _exact_entry(x) -> Fraction:
+    """A corpus entry as a Fraction: a rational string or an integer."""
+    if type(x) is not int and not isinstance(x, str):
+        raise TypeError(f"entry {x!r} is not a rational string or an integer")
+    return Fraction(x)
 
 
 def _commutes(a, b):
@@ -110,8 +124,17 @@ def save_corpus(points, path):
 
 
 def load_corpus(path):
+    """The points of a corpus file; a malformed record raises ValueError
+    naming its index."""
     with open(path) as fh:
-        return [MatrixPoint.from_record(rec) for rec in json.load(fh)]
+        records = json.load(fh)
+    points = []
+    for idx, rec in enumerate(records):
+        try:
+            points.append(MatrixPoint.from_record(rec))
+        except (TypeError, ValueError, KeyError, ZeroDivisionError) as exc:
+            raise ValueError(f"point {idx}: {exc!r}") from None
+    return points
 
 
 # -- cyclicity and criticality -------------------------------------------------

@@ -5,19 +5,25 @@ import pytest
 
 @pytest.fixture
 def rref_calls(monkeypatch):
-    """Shapes of the rref calls made from here on, through any critlocus module."""
+    """(name, rows, cols) of the eliminations made from here on, through any
+    critlocus module: full ``rref`` passes and ``pivot_columns`` passes."""
     import critlocus.linalg
 
-    original = critlocus.linalg.rref
     calls = []
 
-    def counting(m):
-        calls.append((m.rows, m.cols))
-        return original(m)
+    def counting(name, original):
+        def wrapper(m):
+            calls.append((name, m.rows, m.cols))
+            return original(m)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("critlocus") and getattr(module, "rref", None) is original:
-            monkeypatch.setattr(module, "rref", counting)
+        return wrapper
+
+    for name in ("rref", "pivot_columns"):
+        original = getattr(critlocus.linalg, name)
+        wrapper = counting(name, original)
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("critlocus") and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, wrapper)
     return calls
 
 

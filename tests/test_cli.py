@@ -66,6 +66,29 @@ def test_bad_corpus_names_first_offending_point(name, tmp_path, capsys):
     assert "point 1 of" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"X": [[0.1, 0], [0, 0.1]]},  # a float would be read as 3602879701896397/2^55
+        {"Y": [[True, 0], [0, 1]]},  # a boolean would be read as 1
+        {"n": 3},
+        {"n": 2.0},
+        {"v": [1.0, 0]},
+        {"Z": [["1/0", "0"], ["0", "0"]]},
+    ],
+)
+def test_malformed_corpus_record_exits_2_naming_the_point(bad, tmp_path, capsys):
+    from critlocus.points import enumerate_partitions, point_from_partition
+
+    good = point_from_partition(enumerate_partitions(2)[0]).to_record()
+    zero = [["0", "0"], ["0", "0"]]
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps([good, dict({"n": 2, "X": zero, "Y": zero, "Z": zero}, **bad)]))
+    assert main(["ext", "--corpus", "none", "--corpus-file", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "point 1:" in err and "Traceback" not in err
+
+
 def test_verify_cdga_passes(tmp_path):
     code, text = run(["verify", "cdga", "--n", "1"], tmp_path)
     assert code == 0

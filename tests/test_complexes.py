@@ -84,6 +84,26 @@ def test_homology_rejects_non_complex():
         c.homology_dims()
 
 
+def test_homology_representatives_reject_non_complex_checking_d_squared_once(matmul_calls):
+    # representatives are read off free coordinates, which needs the image
+    # of d^(k-1) inside ker d^k; the d^2 check behind that runs once per
+    # complex and is shared with homology_dims
+    d = DenseMatrix.identity(1)
+    c = FreeComplex(QQ, {0: 1, 1: 1, 2: 1}, {0: d, 1: d})
+    for k in (0, 1, 2):
+        with pytest.raises(ValueError, match=r"d\^2 != 0"):
+            complexes.homology_representatives(c, k)
+    with pytest.raises(ValueError, match=r"d\^2 != 0"):
+        c.homology_dims()
+    assert len(matmul_calls) == 1
+    ok = FreeComplex(
+        QQ, {0: 1, 1: 2, 2: 1}, {0: DenseMatrix.from_rows([[1], [0]]), 1: DenseMatrix.from_rows([[0, 1]])}
+    )
+    assert ok.homology_dims() == {0: 0, 1: 0, 2: 0}
+    assert [complexes.homology_representatives(ok, k) for k in (0, 1, 2)] == [[], [], []]
+    assert len(matmul_calls) == 2
+
+
 def test_euler_characteristic_matches_homology():
     import random
 

@@ -1,19 +1,29 @@
 """The shared elimination kernel, checked against independent references.
 
 The endomorphism model and the Koszul oracle both reduce to ``rref``, so
-their agreement cannot expose a fault in it.  These tests compare it with a
-textbook Gauss-Jordan on Fractions (or on ints mod p), and compare
-``homology_representatives`` with the incremental greedy span it replaced.
+their agreement cannot expose a fault in it.  These tests compare ``rref``
+and ``pivot_columns`` with a textbook Gauss-Jordan on Fractions (or on ints
+mod p), and compare ``homology_representatives`` with an incremental greedy
+span, on small random complexes and on the Ext complexes of both sides.
 """
 
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from critlocus import points
 from critlocus.complexes import FreeComplex, homology_representatives
-from critlocus.linalg import DenseMatrix, kernel_basis, rref
+from critlocus.family import endomorphism_model
+from critlocus.linalg import DenseMatrix, kernel_basis, pivot_columns, rref
+from critlocus.points import (
+    enumerate_partitions,
+    koszul_ext_oracle,
+    point_from_partition,
+    random_conjugate_points,
+)
 from critlocus.scalars import DEFAULT_PRIME, GF, QQ
 
 P = 1048583  # the smallest prime a PrimeField accepts
@@ -122,6 +132,21 @@ def test_rref_matches_naive_over_gf_p_unreduced_entries(mat):
     assert DenseMatrix(field, len(rows), ncols, rows).rank() == len(ref_pivots)
 
 
+@SETTINGS
+@given(matrices(rationals))
+def test_pivot_columns_match_naive_over_qq(mat):
+    rows, ncols = mat
+    assert pivot_columns(DenseMatrix(QQ, len(rows), ncols, rows)) == naive_rref(rows, ncols)[1]
+
+
+@SETTINGS
+@given(matrices(unreduced))
+def test_pivot_columns_match_naive_over_gf_p_unreduced_entries(mat):
+    rows, ncols = mat
+    pivots = pivot_columns(DenseMatrix(GF(P), len(rows), ncols, rows))
+    assert pivots == naive_rref(rows, ncols, P)[1]
+
+
 def test_multiples_of_p_are_zero():
     field = GF(P)
     m = DenseMatrix(field, 1, 2, [[P, 2 * P]])
@@ -175,3 +200,30 @@ def test_homology_representatives_match_greedy_span(seed, over_gf):
         reps = homology_representatives(cx, k)
         assert reps == greedy_representatives(cx, k)
         assert len(reps) == dims[k]
+
+
+@pytest.mark.parametrize("over_gf", [False, True])
+def test_homology_representatives_match_greedy_span_on_ext_complexes(over_gf, monkeypatch):
+    # the model's and the Koszul oracle's complexes at n=3 (ranks 9, 27, 27,
+    # 9), at every partition point and two seeded conjugated points
+    field = GF(DEFAULT_PRIME) if over_gf else QQ
+    model = endomorphism_model(3)
+    pts = [point_from_partition(p) for p in enumerate_partitions(3)]
+    pts += random_conjugate_points(3, 2, random.Random(11))
+    oracle = []
+
+    def capturing(cx, k):
+        if not oracle or oracle[-1] is not cx:
+            oracle.append(cx)
+        return homology_representatives(cx, k)
+
+    monkeypatch.setattr(points, "homology_representatives", capturing)
+    for pt in pts:
+        koszul_ext_oracle(pt, field)
+    assert len(oracle) == len(pts)
+    for cx in [model.evaluate_at(pt.X, pt.Y, pt.Z, field) for pt in pts] + oracle:
+        dims = cx.homology_dims()
+        for k in range(4):
+            reps = homology_representatives(cx, k)
+            assert reps == greedy_representatives(cx, k)
+            assert len(reps) == dims[k]

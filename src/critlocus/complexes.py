@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 from typing import Optional
 
-from .linalg import DenseMatrix, kernel_basis, pivot_columns, rref
+from .linalg import DenseMatrix, kernel_basis, pivot_columns, product_first_nonzero, rref
 from .scalars import QQ
 from .superpoly import Derivation, GeneratorTable, SuperPoly, add_product, poly_from_text, poly_to_text
 
@@ -248,14 +248,19 @@ class FreeComplex:
         """Bare matrix check: each composite of consecutive differentials is 0.
 
         Returns (ok, failures) where failures lists (degree, row, col, entry)
-        for the first offending entry of each nonzero composite.
+        for the first offending entry of each nonzero composite.  A numeric
+        composite is searched by ``product_first_nonzero`` without being
+        built.
         """
         failures = []
         degs = self.degrees()
         for k in degs:
             if self.rank(k) and self.rank(k + 1) and self.rank(k + 2):
-                comp = self.differential(k + 1).matmul(self.differential(k))
-                bad = _first_nonzero(comp)
+                a, b = self.differential(k + 1), self.differential(k)
+                if self.symbolic:
+                    bad = _first_nonzero(a.matmul(b))
+                else:
+                    bad = product_first_nonzero(a, b)
                 if bad is not None:
                     failures.append((k, *bad))
         return (not failures), failures

@@ -16,12 +16,22 @@ over GF(p) it runs on ints reduced mod p.  It has two readers:
   ``complexes.homology_representatives`` eliminates only the image of the
   previous differential on those coordinates.
 
-:meth:`DenseMatrix.matmul` is the one product kernel beside it.  Over QQ it
-clears each row of the left factor and each column of the right factor to
+:func:`_product_entries` is the one product kernel beside it, and it also
+has two readers.  It lists each column of the right factor once by its
+nonzero rows, their values and a scale: over QQ the values are cleared to
 integers by the lcm of their denominators (the same clearing ``rref``
-starts from), takes each entry as an integer dot product, and builds one
-Fraction per nonzero entry; over GF(p) it reduces each dot product of ints
-once.  Both are exact, so every ``d . d = 0`` check and chain-map square is
+starts from), over GF(p) the scale is 1.  It skips zero rows of the left
+factor and all-zero columns of the right one, takes each entry as one
+integer dot product over the column's nonzero rows, and yields the nonzero
+entries in row-major order, building one Fraction per nonzero QQ entry and
+reducing each GF(p) dot product once.
+
+* :meth:`DenseMatrix.matmul` scatters those entries into a zero matrix.
+* :func:`product_first_nonzero` returns the first of them, or None, without
+  building the product.  A numeric ``d . d = 0`` check reads it; a zero
+  product still has every entry computed.
+
+Both are exact, so every ``d . d = 0`` check and chain-map square is
 decided without rational arithmetic inside the sums.
 
 The list-matrix helpers at the end (``mat_mul`` and friends) act on plain
@@ -32,6 +42,7 @@ symbolic models or the Fraction matrices of classical points.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm
 from operator import mul
 from typing import Optional
@@ -78,6 +89,7 @@ class DenseMatrix:
         return (
             isinstance(other, DenseMatrix)
             and self.field == other.field
+            and (self.rows, self.cols) == (other.rows, other.cols)
             and self.data == other.data
         )
 
@@ -96,34 +108,12 @@ class DenseMatrix:
         )
 
     def matmul(self, other: "DenseMatrix") -> "DenseMatrix":
-        """The exact product, one integer dot product per entry.
-
-        Over QQ each row of ``self`` and each column of ``other`` is cleared
-        to integers by the lcm of its denominators, and an entry is one
-        Fraction of the integer dot product over the two scales.  Over GF(p)
-        the dot product of the ints is reduced once.
-        """
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch in matmul")
-        f = self.field
-        if not self.cols:
-            return DenseMatrix.zero(self.rows, other.cols, f)
-        columns = list(zip(*other.data))
-        z = f.zero
-        if isinstance(f, RationalField):
-            left = [_integer_row(row) for row in self.data]
-            right = [_integer_row(col) for col in columns]
-            data = []
-            for arow, ascale in left:
-                out = []
-                for bcol, bscale in right:
-                    s = sum(map(mul, arow, bcol))
-                    out.append(Fraction(s, ascale * bscale) if s else z)
-                data.append(out)
-        else:
-            p = f.p
-            data = [[sum(map(mul, arow, bcol)) % p for bcol in columns] for arow in self.data]
-        return DenseMatrix(f, self.rows, other.cols, data)
+        """The exact product: the entries of :func:`_product_entries`
+        scattered into a zero matrix."""
+        data = [[self.field.zero] * other.cols for _ in range(self.rows)]
+        for i, j, x in _product_entries(self, other):
+            data[i][j] = x
+        return DenseMatrix(self.field, self.rows, other.cols, data)
 
     def add(self, other: "DenseMatrix") -> "DenseMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -257,6 +247,46 @@ def _primitive(row):
     return row if g <= 1 else [x // g for x in row]
 
 
+def product_first_nonzero(a: DenseMatrix, b: DenseMatrix):
+    """The first nonzero entry of ``a . b`` in row-major order, as
+    (row, col, value), or None when the product is zero.  The product is
+    not built; a zero product still has every entry computed."""
+    return next(_product_entries(a, b), None)
+
+
+def _product_entries(a: DenseMatrix, b: DenseMatrix):
+    """Yield (i, j, value) for each nonzero entry of ``a . b``, row by row.
+
+    A column of ``b`` is (j, nonzero rows, their values cleared to integers,
+    scale), and an entry is one dot product over those rows (see the module
+    docstring).
+    """
+    if a.cols != b.rows:
+        raise ValueError("shape mismatch in matmul")
+    rational = isinstance(a.field, RationalField)
+    columns = []
+    for j, col in enumerate(zip(*b.data)):
+        ks = list(compress(range(b.rows), col))
+        if ks:
+            vs = [col[k] for k in ks]
+            columns.append((j, ks, *(_integer_row(vs) if rational else (vs, 1))))
+    if not columns:
+        return
+    p = None if rational else a.field.p
+    for i, row in enumerate(a.data):
+        if not any(row):
+            continue
+        if rational:
+            row, ascale = _integer_row(row)
+        get = row.__getitem__
+        for j, ks, vs, bscale in columns:
+            s = sum(map(mul, map(get, ks), vs))
+            if p is not None:
+                s %= p
+            if s:
+                yield i, j, Fraction(s, ascale * bscale) if rational else s
+
+
 def kernel_basis(m: DenseMatrix, reduction=None):
     """Basis of the right kernel, as a list of column vectors.
 
@@ -273,7 +303,9 @@ def kernel_basis(m: DenseMatrix, reduction=None):
         v = [f.zero] * m.cols
         v[j] = f.one
         for r, pc in enumerate(pivots):
-            v[pc] = f.neg(red.data[r][j])
+            x = red.data[r][j]
+            if x:
+                v[pc] = f.neg(x)
         basis.append(v)
     return basis
 

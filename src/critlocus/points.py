@@ -100,7 +100,9 @@ def _exact_entry(x) -> Fraction:
 
 
 def _commutes(a, b):
-    return mat_mul(a, b) == mat_mul(b, a)
+    n = len(a)
+    a, b = DenseMatrix(QQ, n, n, a), DenseMatrix(QQ, n, n, b)
+    return a.matmul(b) == b.matmul(a)
 
 
 def _apply(m, v):

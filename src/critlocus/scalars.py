@@ -46,6 +46,15 @@ def _is_probable_prime(n: int) -> bool:
     return True
 
 
+def _exact_input(x):
+    """``x`` itself, unless it is a float or a bool: a float is a binary
+    approximation and a bool is not a number, so neither names a field
+    element and both are refused rather than reinterpreted."""
+    if isinstance(x, (float, bool)):
+        raise TypeError(f"{x!r} is not an exact field element")
+    return x
+
+
 class RationalField:
     """The field of rational numbers."""
 
@@ -57,7 +66,7 @@ class RationalField:
 
     def of(self, x) -> Fraction:
         # a Fraction is immutable, so it is shared rather than rebuilt
-        return x if isinstance(x, Fraction) else Fraction(x)
+        return x if isinstance(x, Fraction) else Fraction(_exact_input(x))
 
     def add(self, a, b):
         return a + b
@@ -116,7 +125,7 @@ class PrimeField:
             if den == 0:
                 raise ZeroDivisionError(f"denominator divisible by {self.p}")
             return x.numerator * pow(den, -1, self.p) % self.p
-        return int(x) % self.p
+        return int(_exact_input(x)) % self.p
 
     def add(self, a, b):
         return (a + b) % self.p

@@ -29,15 +29,25 @@ def rref_calls(monkeypatch):
 
 @pytest.fixture
 def matmul_calls(monkeypatch):
-    """Shapes (rows, inner, cols) of the dense products made from here on."""
+    """Shapes (rows, inner, cols) of the dense products made from here on:
+    ``DenseMatrix.matmul`` calls and ``product_first_nonzero`` searches,
+    which read the same product kernel without building the product."""
+    import critlocus.linalg
     from critlocus.linalg import DenseMatrix
 
-    original = DenseMatrix.matmul
     calls = []
 
-    def counting(a, b):
-        calls.append((a.rows, a.cols, b.cols))
-        return original(a, b)
+    def counting(original):
+        def wrapper(a, b):
+            calls.append((a.rows, a.cols, b.cols))
+            return original(a, b)
 
-    monkeypatch.setattr(DenseMatrix, "matmul", counting)
+        return wrapper
+
+    monkeypatch.setattr(DenseMatrix, "matmul", counting(DenseMatrix.matmul))
+    original = critlocus.linalg.product_first_nonzero
+    wrapper = counting(original)
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("critlocus") and getattr(module, "product_first_nonzero", None) is original:
+            monkeypatch.setattr(module, "product_first_nonzero", wrapper)
     return calls

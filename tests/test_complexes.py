@@ -46,6 +46,27 @@ def test_three_term_identity_fails_at_first_entry():
     assert entry == SuperPoly.one(t)
 
 
+@pytest.mark.parametrize("field", [QQ, GF(DEFAULT_PRIME)], ids=["QQ", "GF(p)"])
+def test_numeric_d_squared_failures_are_first_entries_of_the_dense_products(field):
+    # sparse random differentials: some composites vanish, most do not,
+    # and a failure must name the first nonzero entry of d^(k+1) . d^k
+    rng = random.Random(5)
+    entry = lambda: field.of(Fraction(rng.choice([0, 0, 0, 0, 1, -1, 3]), rng.randint(1, 3)))
+    for _ in range(40):
+        ranks = {k: rng.randint(0, 4) for k in range(5)}
+        diff = {
+            k: DenseMatrix(field, ranks[k + 1], ranks[k], [[entry() for _ in range(ranks[k])] for _ in range(ranks[k + 1])])
+            for k in range(4)
+        }
+        expected = []
+        for k in range(3):
+            if ranks[k] and ranks[k + 1] and ranks[k + 2]:
+                bad = complexes._first_nonzero(diff[k + 1].matmul(diff[k]))
+                if bad is not None:
+                    expected.append((k, *bad))
+        assert FreeComplex(field, ranks, diff).check_d_squared() == (not expected, expected)
+
+
 def test_evaluate_zero_differential():
     cdga = MatrixCdga(1)
     t = cdga.table

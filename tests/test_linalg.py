@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from critlocus.linalg import DenseMatrix, kernel_basis, row_space_basis, solve
+from critlocus.linalg import DenseMatrix, kernel_basis, product_first_nonzero, rref, row_space_basis, solve
 from critlocus.scalars import DEFAULT_PRIME, GF, QQ
 
 
@@ -187,3 +187,99 @@ def test_matmul_empty_shapes(field, r, k, c):
     a = DenseMatrix(field, r, k, [[field.one] * k for _ in range(r)])
     b = DenseMatrix(field, k, c, [[field.one] * c for _ in range(k)])
     assert a.matmul(b) == DenseMatrix.zero(r, c, field)
+
+
+def first_nonzero(rows):
+    return next(((i, j, x) for i, row in enumerate(rows) for j, x in enumerate(row) if x), None)
+
+
+def sparse_pairs(entries, zero):
+    """Mostly-zero factor pairs, with whole zero rows of the left factor and
+    whole zero columns of the right one; dimensions may be 0."""
+
+    def grid(r, c):
+        cells = st.one_of(st.just(zero), st.just(zero), st.just(zero), entries)
+        return st.lists(st.lists(cells, min_size=c, max_size=c), min_size=r, max_size=r)
+
+    def blank(d):
+        (r, k, c), a, b = d
+        return st.tuples(st.sets(st.integers(0, max(r - 1, 0))), st.sets(st.integers(0, max(c - 1, 0)))).map(
+            lambda z: (
+                (r, k, c),
+                [[zero] * k if i in z[0] else row for i, row in enumerate(a)],
+                [[zero if j in z[1] else x for j, x in enumerate(row)] for row in b],
+            )
+        )
+
+    shapes = st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6))
+    return shapes.flatmap(lambda d: st.tuples(st.just(d), grid(d[0], d[1]), grid(d[1], d[2]))).flatmap(blank)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_pairs(mixed_rationals, Fraction(0)))
+def test_product_first_nonzero_matches_triple_loop_over_qq(pair):
+    (r, k, c), a, b = pair
+    expected = naive_matmul(a, b, r, k, c)
+    got = product_first_nonzero(DenseMatrix(QQ, r, k, a), DenseMatrix(QQ, k, c, b))
+    assert got == first_nonzero(expected)
+    assert got is None or isinstance(got[2], Fraction)
+    assert DenseMatrix(QQ, r, k, a).matmul(DenseMatrix(QQ, k, c, b)).data == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_pairs(unreduced_ints, 0))
+def test_product_first_nonzero_matches_triple_loop_over_gf_p(pair):
+    (r, k, c), a, b = pair
+    field = GF(P)
+    expected = naive_matmul(a, b, r, k, c, P)
+    got = product_first_nonzero(DenseMatrix(field, r, k, a), DenseMatrix(field, k, c, b))
+    assert got == first_nonzero(expected)
+    assert got is None or 0 < got[2] < P
+    assert DenseMatrix(field, r, k, a).matmul(DenseMatrix(field, k, c, b)).data == expected
+
+
+@pytest.mark.parametrize("field", [QQ, GF(P)], ids=["QQ", "GF(p)"])
+def test_product_first_nonzero_rejects_shape_mismatch(field):
+    with pytest.raises(ValueError, match="shape mismatch"):
+        product_first_nonzero(DenseMatrix.zero(2, 3, field), DenseMatrix.zero(2, 3, field))
+
+
+def test_matrix_equality_compares_shape():
+    assert DenseMatrix.zero(0, 3) != DenseMatrix.zero(0, 5)
+    assert DenseMatrix.zero(3, 0) != DenseMatrix.zero(5, 0)
+    assert DenseMatrix.zero(0, 3) == DenseMatrix.zero(0, 3)
+    assert DenseMatrix.zero(2, 2) != DenseMatrix.zero(2, 2, GF(P))
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_pairs(mixed_rationals, Fraction(0)))
+def test_kernel_basis_reads_the_negated_rref_columns(pair):
+    (r, k, _), a, _ = pair
+    m = DenseMatrix(QQ, r, k, a)
+    red, pivots = rref(m)
+    free = [j for j in range(k) if j not in pivots]
+    basis = kernel_basis(m)
+    assert len(basis) == len(free)
+    for j, v in zip(free, basis):
+        expected = [Fraction(int(t == j)) for t in range(k)]
+        for row, pc in enumerate(pivots):
+            expected[pc] = -red.data[row][j]
+        assert v == expected
+        assert all(isinstance(x, Fraction) for x in v)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(P)], ids=["QQ", "GF(p)"])
+@pytest.mark.parametrize("x", [2.7, 0.1, 1.0, -0.0, True, False])
+def test_fields_refuse_floats_and_bools(field, x):
+    with pytest.raises(TypeError, match=repr(x)):
+        field.of(x)
+    with pytest.raises(TypeError, match=repr(x)):
+        DenseMatrix.from_rows([[x, 1]], field)
+
+
+def test_fields_take_exact_inputs_as_before():
+    assert QQ.of(3) == Fraction(3) and QQ.of("-2/6") == Fraction(-1, 3)
+    half = Fraction(1, 2)
+    assert QQ.of(half) is half
+    f = GF(P)
+    assert (f.of(-1), f.of(P + 5), f.of("7"), f.of(Fraction(1, 2))) == (P - 1, 5, 7, (P + 1) // 2)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from critlocus.linalg import DenseMatrix
+from critlocus.linalg import DenseMatrix, mat_mul
 from critlocus.points import (
     MatrixPoint,
     PlanePartition,
@@ -26,6 +26,21 @@ E12 = [[0, 1], [0, 0]]
 E21 = [[0, 0], [1, 0]]
 Z2 = [[0, 0], [0, 0]]
 I2 = [[1, 0], [0, 1]]
+
+
+def test_is_commuting_matches_list_products():
+    rng = random.Random(11)
+    entry = lambda: Fraction(rng.choice([0, 0, 0, 1, -1, 2]), rng.randint(1, 3))
+    seen = set()
+    for pt in [point_from_partition(pp) for pp in enumerate_partitions(3)] + random_conjugate_points(3, 6, rng):
+        for perturb in (False, True):
+            X, Y, Z = [[row[:] for row in m] for m in pt.matrices()]
+            if perturb:
+                X[rng.randrange(3)][rng.randrange(3)] += entry()
+            expected = all(mat_mul(a, b) == mat_mul(b, a) for a, b in ((X, Y), (Y, Z), (Z, X)))
+            assert MatrixPoint(X, Y, Z).is_commuting() == expected
+            seen.add(expected)
+    assert seen == {True, False}
 
 
 def test_cyclic_shift_vector():

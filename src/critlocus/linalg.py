@@ -1,13 +1,26 @@
 """Exact linear algebra: one elimination routine and the helpers built on it.
 
-Matrices are stored row-major over a field from :mod:`critlocus.scalars`.
-``_eliminate`` is the only elimination loop in the package.  Over QQ it runs
-on integer rows kept primitive, so no rational gcd work happens inside it;
-over GF(p) it runs on ints reduced mod p.  It has two readers:
+Matrices are stored dense and row-major over a field from
+:mod:`critlocus.scalars`, but the kernels below cost per nonzero entry, not
+per entry.  Every scan of a stored row goes through :func:`_support`, which
+skips the field's shared zero (``field.zero``) by identity at C speed and
+truth-tests every other entry.  Producers that write ``field.zero`` into
+empty entries (``DenseMatrix.zero``, compiled evaluation, the Koszul
+oracle, ``rref`` itself) get the fast path; any other zero object is still
+found by the truth test, so no result depends on it.
+
+``_eliminate`` is the only elimination loop in the package.  It turns each
+nonzero row into a sparse row ``{col: int}``: over QQ cleared to integers
+and kept primitive, so no rational gcd work happens inside it, over GF(p)
+reduced mod p.  Columns are taken in increasing order with the sparsest row
+holding the column as pivot, and each update touches only the nonzeros of
+the two rows involved.  The reduced echelon form is unique, so the pivot
+choice never shows in the output.  It has two readers:
 
 * :func:`rref` clears every other row at each pivot (one Gauss-Jordan pass)
-  and normalizes the pivot rows at the end, building the Fractions of the
-  reduced rows.  Kernel bases, solving and row spaces are read off it.
+  and normalizes the pivot rows at the end, densifying only them and
+  building a Fraction only for their nonzero entries.  Kernel bases,
+  solving and row spaces are read off it.
 * :func:`pivot_columns` clears only the rows below each pivot and returns
   the pivot list of ``rref`` without building any Fraction.  Ranks are read
   off it, and so are homology representatives: a numeric complex keeps the
@@ -21,8 +34,9 @@ has two readers.  It lists each column of the right factor once by its
 nonzero rows, their values and a scale: over QQ the values are cleared to
 integers by the lcm of their denominators (the same clearing ``rref``
 starts from), over GF(p) the scale is 1.  It skips zero rows of the left
-factor and all-zero columns of the right one, takes each entry as one
-integer dot product over the column's nonzero rows, and yields the nonzero
+factor and all-zero columns of the right one, clears only the nonzero
+entries of each left row, takes each entry as one integer dot product over
+the column's nonzero rows, and yields the nonzero
 entries in row-major order, building one Fraction per nonzero QQ entry and
 reducing each GF(p) dot product once.
 
@@ -42,9 +56,9 @@ symbolic models or the Fraction matrices of classical points.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, repeat
 from math import gcd, lcm
-from operator import mul
+from operator import is_not, mul
 from typing import Optional
 
 from .scalars import QQ, RationalField
@@ -164,17 +178,22 @@ def rref(m: DenseMatrix):
     """Reduced row echelon form.  Returns (new matrix, pivot column list).
 
     One Gauss-Jordan pass of :func:`_eliminate`, clearing every other row at
-    each pivot.  Fractions are built only when the pivot rows are normalized
-    at the end.
+    each pivot.  Only the pivot rows are densified; every other entry is the
+    field's shared zero.  Fractions are built only for the nonzero entries
+    of the pivot rows.
     """
     f = m.field
-    a, pivots = _eliminate(m, full=True)
-    if isinstance(f, RationalField):
-        zero = Fraction(0)
-        a = [
-            [Fraction(x, a[i][pc]) if x else zero for x in a[i]]
-            for i, pc in enumerate(pivots)
-        ] + [[zero] * m.cols for _ in range(m.rows - len(pivots))]
+    zero = f.zero
+    rows, pivots = _eliminate(m, full=True)
+    rational = isinstance(f, RationalField)
+    a = []
+    for row, pc in zip(rows, pivots):
+        dense = [zero] * m.cols
+        pv = row[pc]
+        for j, x in row.items():
+            dense[j] = Fraction(x, pv) if rational else x
+        a.append(dense)
+    a += [[zero] * m.cols for _ in range(m.rows - len(pivots))]
     return DenseMatrix(f, m.rows, m.cols, a), pivots
 
 
@@ -188,63 +207,119 @@ def pivot_columns(m: DenseMatrix):
     return _eliminate(m, full=False)[1]
 
 
-def _eliminate(m: DenseMatrix, full: bool):
-    """The one elimination loop.  Returns (rows, pivot columns).
+def _support(row, zero):
+    """The indices of the nonzero entries of ``row``.
 
-    Over QQ each row is cleared to integers once and every updated row is
-    kept primitive (divided by the gcd of its entries); over GF(p) the same
-    pass runs on ints reduced mod p, with each pivot row scaled to 1.  At
-    each pivot the rows below it are cleared, and with ``full`` the rows
-    above it too, which leaves the reduced echelon form up to the scale of
-    each row.
+    Entries that are the field's shared ``zero`` object are skipped by
+    identity at C speed; every other entry is truth-tested, so a zero that
+    is another object (``Fraction(0, 7)``) is still dropped.  The result is
+    exact for any input; only its cost depends on producers using
+    ``field.zero``.  Over GF(p) an unreduced multiple of p is kept, and the
+    callers reduce it.
+    """
+    if zero.__class__ is int:  # GF(p): truth-testing an int runs at C speed
+        return list(compress(range(len(row)), row))
+    return [j for j in compress(range(len(row)), map(is_not, row, repeat(zero))) if row[j]]
+
+
+def _eliminate(m: DenseMatrix, full: bool):
+    """The one elimination loop.  Returns (pivot rows, pivot columns).
+
+    Each nonzero input row becomes a sparse row ``{col: int}``: over QQ its
+    nonzero entries are cleared to integers and made primitive (divided by
+    the gcd of its entries), over GF(p) they are reduced mod p; all-zero rows
+    are dropped.  Columns are taken in increasing order.  Every row not yet
+    chosen as a pivot has its first entry at or after the current column,
+    so the rows holding the column are those that start there, and the
+    sparsest of them is the pivot (over GF(p) scaled to 1).  The others, and
+    with ``full`` the earlier pivot rows, are cleared at the column, each
+    update touching only the nonzeros of the two rows.  This leaves the
+    reduced echelon form up to the scale of each row, and since that form is
+    unique the pivot choice does not change the result.  The pivot rows are
+    returned in pivot order.
     """
     f = m.field
-    rows, cols = m.rows, m.cols
+    zero = f.zero
     p = None if isinstance(f, RationalField) else f.p
-    if p is None:
-        a = [_primitive(_integer_row(row)[0]) for row in m.data]
-    else:
-        a = [[x % p for x in row] for row in m.data]
-    pivots = []
-    r = 0
-    for col in range(cols):
-        piv = next((i for i in range(r, rows) if a[i][col]), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        prow = a[r]
-        if p is not None:
-            inv = pow(prow[col], -1, p)
-            prow = a[r] = [x * inv % p for x in prow]
-        pv = prow[col]
-        for i in range(0 if full else r + 1, rows):
-            c = a[i][col]
-            if i == r or not c:
+    starts = {}  # first column -> the unchosen rows that start there
+    for row in m.data:
+        js = _support(row, zero)
+        if p is None:
+            if not js:
                 continue
-            if p is None:
-                a[i] = _primitive([pv * x - c * y for x, y in zip(a[i], prow)])
-            else:
-                a[i] = [(x - c * y) % p for x, y in zip(a[i], prow)]
-        pivots.append(col)
-        r += 1
-        if r == rows:
+            ints, _ = _integer_row([row[j] for j in js])
+            g = gcd(*ints)
+            srow = dict(zip(js, ints if g == 1 else [x // g for x in ints]))
+        else:
+            srow = {j: v for j in js if (v := row[j] % p)}
+            if not srow:
+                continue
+        starts.setdefault(min(srow), []).append(srow)
+    prows, pivots = [], []
+    for col in range(m.cols):
+        if not starts:
             break
-    return a, pivots
+        group = starts.pop(col, None)
+        if group is None:
+            continue
+        prow = min(group, key=len)
+        below = [r for r in group if r is not prow]
+        if p is not None and prow[col] != 1:
+            inv = pow(prow[col], -1, p)
+            prow = {j: x * inv % p for j, x in prow.items()}
+        for r in below:
+            _clear(r, prow, col, p)
+            if r:
+                starts.setdefault(min(r), []).append(r)
+        if full:
+            for r in prows:
+                if col in r:
+                    _clear(r, prow, col, p)
+        prows.append(prow)
+        pivots.append(col)
+    return prows, pivots
 
 
-def _integer_row(row):
-    """The row times the lcm of its denominators, and that lcm; row spaces
-    are unchanged."""
-    dens = [x.denominator for x in row]
+def _clear(row, prow, col, p):
+    """Clear ``row`` at ``col`` in place with the pivot row ``prow``:
+    ``row <- pv * row - c * prow`` made primitive over QQ (p is None),
+    ``row <- row - c * prow`` mod p over GF(p), where the pivot entry is 1."""
+    c = row[col]
+    if p is None:
+        pv = prow[col]
+        g = gcd(pv, c)
+        pv, c = pv // g, c // g
+        if pv != 1:
+            for j in row:
+                row[j] *= pv
+        for j, y in prow.items():
+            v = row.get(j, 0) - c * y
+            if v:
+                row[j] = v
+            else:
+                del row[j]
+        if row:
+            g = gcd(*row.values())
+            if g > 1:
+                for j in row:
+                    row[j] //= g
+    else:
+        for j, y in prow.items():
+            v = (row.get(j, 0) - c * y) % p
+            if v:
+                row[j] = v
+            else:
+                del row[j]
+
+
+def _integer_row(values):
+    """Nonzero rationals times the lcm of their denominators, and that lcm;
+    row spaces are unchanged."""
+    dens = [x.denominator for x in values]
     den = lcm(*dens)
     if den == 1:
-        return [x.numerator for x in row], 1
-    return [x.numerator * (den // d) for x, d in zip(row, dens)], den
-
-
-def _primitive(row):
-    g = gcd(*row)
-    return row if g <= 1 else [x // g for x in row]
+        return [x.numerator for x in values], 1
+    return [x.numerator * (den // d) for x, d in zip(values, dens)], den
 
 
 def product_first_nonzero(a: DenseMatrix, b: DenseMatrix):
@@ -259,14 +334,16 @@ def _product_entries(a: DenseMatrix, b: DenseMatrix):
 
     A column of ``b`` is (j, nonzero rows, their values cleared to integers,
     scale), and an entry is one dot product over those rows (see the module
-    docstring).
+    docstring).  A left row is read through its support: only its nonzero
+    entries are cleared, into an integer row that is 0 elsewhere.
     """
     if a.cols != b.rows:
         raise ValueError("shape mismatch in matmul")
     rational = isinstance(a.field, RationalField)
+    zero = a.field.zero
     columns = []
     for j, col in enumerate(zip(*b.data)):
-        ks = list(compress(range(b.rows), col))
+        ks = _support(col, zero)
         if ks:
             vs = [col[k] for k in ks]
             columns.append((j, ks, *(_integer_row(vs) if rational else (vs, 1))))
@@ -274,11 +351,16 @@ def _product_entries(a: DenseMatrix, b: DenseMatrix):
         return
     p = None if rational else a.field.p
     for i, row in enumerate(a.data):
-        if not any(row):
+        js = _support(row, zero)
+        if not js:
             continue
+        vals = [row[j] for j in js]
         if rational:
-            row, ascale = _integer_row(row)
-        get = row.__getitem__
+            vals, ascale = _integer_row(vals)
+        irow = [0] * a.cols
+        for j, v in zip(js, vals):
+            irow[j] = v
+        get = irow.__getitem__
         for j, ks, vs, bscale in columns:
             s = sum(map(mul, map(get, ks), vs))
             if p is not None:
@@ -298,16 +380,15 @@ def kernel_basis(m: DenseMatrix, reduction=None):
     red, pivots = reduction if reduction is not None else rref(m)
     pivot_set = set(pivots)
     free_cols = [j for j in range(m.cols) if j not in pivot_set]
-    basis = []
+    basis = {}
     for j in free_cols:
-        v = [f.zero] * m.cols
+        v = basis[j] = [f.zero] * m.cols
         v[j] = f.one
-        for r, pc in enumerate(pivots):
-            x = red.data[r][j]
-            if x:
-                v[pc] = f.neg(x)
-        basis.append(v)
-    return basis
+    for pc, row in zip(pivots, red.data):
+        for j in _support(row, f.zero):
+            if j != pc:
+                basis[j][pc] = f.neg(row[j])
+    return list(basis.values())
 
 
 def solve(m: DenseMatrix, b) -> Optional[list]:

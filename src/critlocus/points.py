@@ -361,23 +361,24 @@ def random_conjugate_points(n, count, rng):
 # -- the independent Koszul oracle -----------------------------------------------------
 
 
-def _adjoint_matrix(m, field=QQ):
-    """Matrix of [m, -] on End(V) in the basis E_(p,q), index p*n + q."""
+def _adjoint_matrix(m, field, sign):
+    """Matrix of ``sign * [m, -]`` on End(V) in the basis E_(p,q), index
+    p*n + q.  Only its nonzero entries are written into a zero matrix."""
     n = len(m)
-    nn = n * n
-    out = DenseMatrix.zero(nn, nn, field)
+    out = DenseMatrix.zero(n * n, n * n, field)
+    data = out.data
+    # [m, E_pq] = m E_pq - E_pq m = sum_a m(a,p) E_aq - sum_b m(q,b) E_pb
+    col_support = [[(a, x) for a in range(n) if (x := m[a][p])] for p in range(n)]
+    row_support = [[(b, x) for b, x in enumerate(row) if x] for row in m]
     for p in range(n):
         for q in range(n):
-            col = p * n + q
-            for a in range(n):
-                # [m, E_pq] = sum_a m(a,p) E_aq - E_p? m: (E_pq m)(p,b) = m(q,b)
-                out.data[a * n + q][col] = field.add(
-                    out.data[a * n + q][col], field.of(m[a][p])
-                )
-            for b in range(n):
-                out.data[p * n + b][col] = field.sub(
-                    out.data[p * n + b][col], field.of(m[q][b])
-                )
+            column = {a * n + q: x for a, x in col_support[p]}
+            for b, x in row_support[q]:
+                r = p * n + b
+                column[r] = column.get(r, 0) - x
+            for r, x in column.items():
+                if x:
+                    data[r][p * n + q] = field.of(x if sign > 0 else -x)
     return out
 
 
@@ -390,9 +391,8 @@ def koszul_ext_oracle(pt: MatrixPoint, field=QQ) -> dict:
         raise ValueError("oracle needs a commuting triple")
     n = pt.n
     nn = n * n
-    ax = _adjoint_matrix(pt.X, field)
-    ay = _adjoint_matrix(pt.Y, field)
-    az = _adjoint_matrix(pt.Z, field)
+    ax, ay, az = (_adjoint_matrix(m, field, 1) for m in pt.matrices())
+    nx, ny, nz = (_adjoint_matrix(m, field, -1) for m in pt.matrices())
     zero = DenseMatrix.zero(nn, nn, field)
 
     def stack(rows_of_blocks):
@@ -409,9 +409,9 @@ def koszul_ext_oracle(pt: MatrixPoint, field=QQ) -> dict:
     d0 = stack([[ax], [ay], [az]])
     d1 = stack(
         [
-            [zero, az.scale(-1), ay],
-            [az, zero, ax.scale(-1)],
-            [ay.scale(-1), ax, zero],
+            [zero, nz, ay],
+            [az, zero, nx],
+            [ny, ax, zero],
         ]
     )
     d2 = stack([[ax, ay, az]])

@@ -120,6 +120,9 @@ class PrimeField:
         self.one = 1
 
     def of(self, x) -> int:
+        if isinstance(x, str):
+            # read as QQ.of reads it, so "1/2" names the same element
+            x = Fraction(x)
         if isinstance(x, Fraction):
             den = x.denominator % self.p
             if den == 0:

@@ -283,3 +283,27 @@ def test_fields_take_exact_inputs_as_before():
     assert QQ.of(half) is half
     f = GF(P)
     assert (f.of(-1), f.of(P + 5), f.of("7"), f.of(Fraction(1, 2))) == (P - 1, 5, 7, (P + 1) // 2)
+
+
+def test_prime_field_reads_rational_strings_as_qq_does():
+    f = GF(P)
+    half = (P + 1) // 2
+    assert f.of("1/2") == half == f.of(Fraction(1, 2))
+    assert f.of("-2/6") == f.of(QQ.of("-2/6")) == f.neg(f.div(1, 3))
+    assert f.of(" 7 ") == 7 and f.of("3/1") == 3
+    with pytest.raises(ZeroDivisionError, match=str(P)):
+        f.of(f"1/{P}")
+    with pytest.raises(ZeroDivisionError, match=str(P)):
+        f.of(f"5/{3 * P}")
+    with pytest.raises(ValueError):
+        f.of("1/x")
+
+
+def test_from_rows_reads_rational_strings_over_gf_p():
+    f = GF(P)
+    rows = [["1/2", "-3/4", "0"], ["1", "-3/2", "0"], ["0", "5/3", "7"]]
+    m = DenseMatrix.from_rows(rows, f)
+    assert m.data == [[f.of(Fraction(x)) for x in row] for row in rows]
+    assert m.rank() == DenseMatrix.from_rows(rows).rank() == 2
+    with pytest.raises(ZeroDivisionError):
+        DenseMatrix.from_rows([["1", f"2/{P}"]], f)

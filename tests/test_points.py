@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from critlocus.linalg import DenseMatrix, mat_mul
+from critlocus.linalg import DenseMatrix, mat_mul, mat_sub
 from critlocus.points import (
     MatrixPoint,
     PlanePartition,
@@ -18,7 +18,7 @@ from critlocus.points import (
     random_conjugate_points,
     random_invertible,
 )
-from critlocus.points import _trace_pairing_rank
+from critlocus.points import _adjoint_matrix, _trace_pairing_rank
 from critlocus.scalars import GF, QQ
 
 
@@ -238,3 +238,25 @@ def test_nilpotent_regular_point():
     pt = nilpotent_regular_point(3)
     assert pt.n == 3
     assert is_cyclic(pt) and is_critical(pt)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(1048583)], ids=["QQ", "GF(p)"])
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_adjoint_matrix_is_the_signed_commutator(n, sign, field):
+    # column p*n + q holds sign * (m E_pq - E_pq m), entry (a, b) at row a*n + b;
+    # sparse m with repeated diagonal entries, so some commutators cancel
+    rng = random.Random(100 * n + sign)
+    for _ in range(5):
+        m = [[Fraction(rng.choice([0, 0, 0, 1, -2, 3]), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)]
+        for i in range(n):
+            m[i][i] = Fraction(rng.choice([0, 1]))
+        got = _adjoint_matrix(m, field, sign)
+        for p in range(n):
+            for q in range(n):
+                e = [[Fraction(int((a, b) == (p, q))) for b in range(n)] for a in range(n)]
+                c = mat_sub(mat_mul(m, e), mat_mul(e, m))
+                for a in range(n):
+                    for b in range(n):
+                        assert got.data[a * n + b][p * n + q] == field.of(sign * c[a][b])
+        assert all(x or x is field.zero for row in got.data for x in row)

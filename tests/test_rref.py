@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from critlocus import points
 from critlocus.complexes import FreeComplex, homology_representatives
 from critlocus.family import endomorphism_model
-from critlocus.linalg import DenseMatrix, kernel_basis, pivot_columns, rref
+from critlocus.linalg import DenseMatrix, kernel_basis, pivot_columns, product_first_nonzero, rref
 from critlocus.points import (
     enumerate_partitions,
     koszul_ext_oracle,
@@ -25,6 +25,7 @@ from critlocus.points import (
     random_conjugate_points,
 )
 from critlocus.scalars import DEFAULT_PRIME, GF, QQ
+from test_linalg import first_nonzero, naive_matmul
 
 P = 1048583  # the smallest prime a PrimeField accepts
 
@@ -227,3 +228,98 @@ def test_homology_representatives_match_greedy_span_on_ext_complexes(over_gf, mo
             reps = homology_representatives(cx, k)
             assert reps == greedy_representatives(cx, k)
             assert len(reps) == dims[k]
+
+
+# -- the shared-zero fast path and the pivot choice -------------------------------------
+
+# Zeros of three kinds: the field's shared zero, which the support scan
+# skips by identity, and fresh zero objects, which it must truth-test.
+mixed_zeros = st.sampled_from(["shared", "fresh", "negated"]).map(
+    lambda kind: {"shared": QQ.zero, "fresh": Fraction(0, 7), "negated": -Fraction(0)}[kind]
+)
+qq_cells = st.one_of(mixed_zeros, mixed_zeros, st.fractions(-9, 9, max_denominator=6))
+# 0, unreduced multiples of p and unreduced small residues
+gf_cells = st.one_of(
+    st.just(0), st.integers(-2, 2).map(lambda t: t * P), unreduced
+)
+
+
+def naive_kernel(rows, ncols, p=None):
+    ref, pivots = naive_rref(rows, ncols, p)
+    basis = []
+    for j in (j for j in range(ncols) if j not in pivots):
+        v = [Fraction(int(t == j)) if p is None else int(t == j) for t in range(ncols)]
+        for r, pc in enumerate(pivots):
+            v[pc] = -ref[r][j] if p is None else -ref[r][j] % p
+        basis.append(v)
+    return basis
+
+
+def fast_path_pairs(cells):
+    return st.tuples(matrices(cells), st.integers(0, 6)).flatmap(
+        lambda t: st.tuples(
+            st.just(t[0]),
+            st.lists(st.lists(cells, min_size=t[1], max_size=t[1]), min_size=t[0][1], max_size=t[0][1]),
+        )
+    )
+
+
+@SETTINGS
+@given(fast_path_pairs(qq_cells))
+def test_shared_zero_fast_path_never_decides_a_result_over_qq(pair):
+    (rows, ncols), right = pair
+    m = DenseMatrix(QQ, len(rows), ncols, rows)
+    red, pivots = rref(m)
+    ref, ref_pivots = naive_rref(rows, ncols)
+    assert (red.data, pivots) == (ref, ref_pivots)
+    assert pivot_columns(m) == ref_pivots
+    assert kernel_basis(m) == naive_kernel(rows, ncols)
+    cols = len(right[0]) if right else 0
+    b = DenseMatrix(QQ, ncols, cols, right) if right else DenseMatrix.zero(ncols, cols)
+    expected = naive_matmul(rows, b.data, len(rows), ncols, cols)
+    assert m.matmul(b).data == expected
+    assert product_first_nonzero(m, b) == first_nonzero(expected)
+
+
+@SETTINGS
+@given(fast_path_pairs(gf_cells))
+def test_shared_zero_fast_path_never_decides_a_result_over_gf_p(pair):
+    (rows, ncols), right = pair
+    field = GF(P)
+    m = DenseMatrix(field, len(rows), ncols, rows)
+    red, pivots = rref(m)
+    ref, ref_pivots = naive_rref(rows, ncols, P)
+    assert (red.data, pivots) == (ref, ref_pivots)
+    assert pivot_columns(m) == ref_pivots
+    assert kernel_basis(m) == naive_kernel(rows, ncols, P)
+    cols = len(right[0]) if right else 0
+    b = DenseMatrix(field, ncols, cols, right) if right else DenseMatrix.zero(ncols, cols, field)
+    expected = naive_matmul(rows, b.data, len(rows), ncols, cols, P)
+    assert m.matmul(b).data == expected
+    assert product_first_nonzero(m, b) == first_nonzero(expected)
+
+
+@SETTINGS
+@given(matrices(rationals, max_rows=7), st.randoms(use_true_random=False), st.booleans())
+def test_row_order_does_not_change_rref(mat, rng, over_gf):
+    # the pivot at each column is the sparsest row holding it, so a row
+    # permutation changes which rows pivot but not the unique reduced form
+    rows, ncols = mat
+    field = GF(P) if over_gf else QQ
+    rows = [[field.of(x) for x in row] for row in rows]
+    shuffled = rows[:]
+    rng.shuffle(shuffled)
+    a = DenseMatrix(field, len(rows), ncols, rows)
+    b = DenseMatrix(field, len(rows), ncols, shuffled)
+    assert rref(a) == rref(b)
+    assert pivot_columns(a) == pivot_columns(b) == rref(a)[1]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(P)], ids=["QQ", "GF(p)"])
+def test_sparsest_pivot_row_gives_the_first_rows_rref(field):
+    # the second row is the sparser one holding column 0, so it pivots there
+    rows = [[1, 1, 1], [2, 0, 0], [0, 3, 3]]
+    red, pivots = rref(DenseMatrix.from_rows(rows, field))
+    assert pivots == [0, 1]
+    assert red == DenseMatrix.from_rows([[1, 0, 0], [0, 1, 1], [0, 0, 0]], field)
+    assert red.data[2][0] is field.zero

@@ -182,12 +182,15 @@ class CompiledMatrix:
                 yield i, j, v
 
     def evaluate(self, point: dict, field) -> DenseMatrix:
-        """Zero rows over ``field`` with each nonzero value scattered in."""
-        out = DenseMatrix.zero(self.rows, self.cols, field)
-        data, of = out.data, field.of
+        """Sparse rows over ``field`` with each value that is nonzero there
+        scattered in (a nonzero rational can vanish mod p)."""
+        rows = [{} for _ in range(self.rows)]
+        of = field.of
         for i, j, v in self.values(point):
-            data[i][j] = of(v)
-        return out
+            x = of(v)
+            if x:
+                rows[i][j] = x
+        return DenseMatrix.from_sparse(field, self.rows, self.cols, rows)
 
 
 class FreeComplex:
@@ -200,8 +203,9 @@ class FreeComplex:
     ``base``:  a GeneratorTable for symbolic complexes, or a scalar field.
 
     A numeric complex keeps the ``rref`` of each differential it has
-    reduced, and the outcome of its d^2 check, so its homology dimensions
-    and representatives eliminate each differential once and multiply
+    reduced, the pivot columns of each one it has only ranked, and the
+    outcome of its d^2 check, so its homology dimensions and
+    representatives eliminate each differential once and multiply
     differentials only for that one check.
     """
 
@@ -212,6 +216,7 @@ class FreeComplex:
         self.twist = dict(twist) if twist else {}
         self.symbolic = isinstance(base, GeneratorTable)
         self._reduced = {}
+        self._pivots = {}
         self._d_squared_failures = None
         self._compiled = None
         self._check_shapes()
@@ -335,6 +340,17 @@ class FreeComplex:
             red = self._reduced[k] = rref(self.differential(k))
         return red
 
+    def _differential_rank(self, k: int) -> int:
+        """rank d^k, read off a cached ``rref`` when there is one, else off
+        ``pivot_columns``, whose pivots are then kept."""
+        red = self._reduced.get(k)
+        if red is not None:
+            return len(red[1])
+        pivots = self._pivots.get(k)
+        if pivots is None:
+            pivots = self._pivots[k] = pivot_columns(self.differential(k))
+        return len(pivots)
+
     def _require_numeric_complex(self):
         """Raise ValueError unless this is a numeric complex with d^2 = 0;
         ``check_d_squared`` runs on the first call only."""
@@ -346,10 +362,14 @@ class FreeComplex:
             raise ValueError(f"d^2 != 0 at {self._d_squared_failures[0][:2]}")
 
     def homology_dims(self) -> dict:
-        """dim H^k = rank_k - rank d^k - rank d^(k-1) for a numeric complex."""
+        """dim H^k = rank_k - rank d^k - rank d^(k-1) for a numeric complex.
+
+        A caller that also wants representatives takes them first, so the
+        ranks are read off the reductions they leave.
+        """
         self._require_numeric_complex()
         dims = {}
-        rk = {k: len(self.reduction(k)[1]) if self.rank(k) and self.rank(k + 1) else 0 for k in self.ranks}
+        rk = {k: self._differential_rank(k) if self.rank(k) and self.rank(k + 1) else 0 for k in self.ranks}
         for k in self.degrees():
             dims[k] = self.rank(k) - rk.get(k, 0) - rk.get(k - 1, 0)
         return dims
@@ -425,11 +445,18 @@ def homology_representatives(cx: FreeComplex, k: int):
     else:
         cycles = [[field.one if i == j else field.zero for i in range(rk)] for j in range(rk)]
         free = range(rk)
-    d = cx.differential(k - 1).data
     image = cx.reduction(k - 1)[1] if cx.rank(k - 1) else []
     f = len(cycles)
-    data = [[d[i][j] for i in reversed(free)] for j in image]
-    dropped = {f - 1 - q for q in pivot_columns(DenseMatrix(field, len(image), f, data))}
+    # B transposed with its columns reversed: row j of it is image column j
+    # of d^(k-1), and free row free[t] of d^(k-1) lands in column f - 1 - t
+    d = cx.differential(k - 1).sparse_rows
+    rows = {j: {} for j in image}
+    for t, i in enumerate(free):
+        for j, x in d[i].items():
+            if j in rows:
+                rows[j][f - 1 - t] = x
+    bt = DenseMatrix.from_sparse(field, len(image), f, list(rows.values()))
+    dropped = {f - 1 - q for q in pivot_columns(bt)}
     return [v for t, v in enumerate(cycles) if t not in dropped]
 
 
@@ -471,10 +498,11 @@ def _first_nonzero(m):
     if isinstance(m, SymMatrix):
         return m.first_nonzero()
     f = m.field
-    for i in range(m.rows):
-        for j in range(m.cols):
-            if not f.is_zero(m.data[i][j]):
-                return (i, j, m.data[i][j])
+    for i, row in enumerate(m.sparse_rows):
+        js = [j for j, x in row.items() if not f.is_zero(x)]
+        if js:
+            j = min(js)
+            return (i, j, row[j])
     return None
 
 

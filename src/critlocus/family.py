@@ -543,12 +543,13 @@ def trace_pairing_matrix(model_n: int, qk: int, reps_k, reps_comp, field=QQ) -> 
         for i in range(n):
             for j in range(n):
                 partners.append((block + j * n + i, sign))
+    by_slot = DenseMatrix(field, cols, len(partners), reps_comp).transpose().sparse_rows
     partnered = [
-        [vb[idx] if sign > 0 else field.neg(vb[idx]) for vb in reps_comp]
+        by_slot[idx] if sign > 0 else {c: field.neg(x) for c, x in by_slot[idx].items()}
         for idx, sign in partners
     ]
     a = DenseMatrix(field, rows, len(partners), reps_k)
-    return a.matmul(DenseMatrix(field, len(partners), cols, partnered))
+    return a.matmul(DenseMatrix.from_sparse(field, len(partners), cols, partnered))
 
 
 def ext_dims_at(point, field=QQ, model: EndomorphismModel = None) -> dict:
@@ -564,8 +565,9 @@ def ext_dims_at(point, field=QQ, model: EndomorphismModel = None) -> dict:
     if model.n != point.n:
         raise ValueError(f"a rank-{model.n} model cannot evaluate a rank-{point.n} point")
     cx = model.evaluate_at(point.X, point.Y, point.Z, field)
-    dims = cx.homology_dims()
+    # representatives first: the dims then read the reductions they leave
     reps = {k: homology_representatives(cx, k) for k in range(4)}
+    dims = cx.homology_dims()
     ranks = {
         (k, 3 - k): trace_pairing_matrix(point.n, k, reps[k], reps[3 - k], field).rank()
         for k in (0, 1)

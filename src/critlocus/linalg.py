@@ -1,13 +1,13 @@
-"""Exact linear algebra: one elimination routine and the helpers built on it.
+"""Exact linear algebra: one elimination routine and one product kernel.
 
-Matrices are stored dense and row-major over a field from
-:mod:`critlocus.scalars`, but the kernels below cost per nonzero entry, not
-per entry.  Every scan of a stored row goes through :func:`_support`, which
-skips the field's shared zero (``field.zero``) by identity at C speed and
-truth-tests every other entry.  Producers that write ``field.zero`` into
-empty entries (``DenseMatrix.zero``, compiled evaluation, the Koszul
-oracle, ``rref`` itself) get the fast path; any other zero object is still
-found by the truth test, so no result depends on it.
+A :class:`DenseMatrix` is a rows x cols matrix over a field from
+:mod:`critlocus.scalars`, stored as sparse rows: one ``{col: value}`` dict
+per row holding only its nonzero entries.  Every constructor drops zeros,
+and every producer below writes only nonzero entries, so the kernels cost
+per nonzero entry and never scan a dense row.  ``DenseMatrix.data`` is a
+dense row-major copy, filled with the field's ``zero``, for readers that
+want one.  Over GF(p) an entry given unreduced is stored as given (a
+multiple of p included), and the kernels reduce it.
 
 ``_eliminate`` is the only elimination loop in the package.  It turns each
 nonzero row into a sparse row ``{col: int}``: over QQ cleared to integers
@@ -18,9 +18,9 @@ the two rows involved.  The reduced echelon form is unique, so the pivot
 choice never shows in the output.  It has two readers:
 
 * :func:`rref` clears every other row at each pivot (one Gauss-Jordan pass)
-  and normalizes the pivot rows at the end, densifying only them and
-  building a Fraction only for their nonzero entries.  Kernel bases,
-  solving and row spaces are read off it.
+  and normalizes the pivot rows at the end, building a Fraction only for
+  their nonzero entries.  Kernel bases, solving and row spaces are read off
+  it.
 * :func:`pivot_columns` clears only the rows below each pivot and returns
   the pivot list of ``rref`` without building any Fraction.  Ranks are read
   off it, and so are homology representatives: a numeric complex keeps the
@@ -29,21 +29,22 @@ choice never shows in the output.  It has two readers:
   ``complexes.homology_representatives`` eliminates only the image of the
   previous differential on those coordinates.
 
-:func:`_product_entries` is the one product kernel beside it, and it also
-has two readers.  It lists each column of the right factor once by its
-nonzero rows, their values and a scale: over QQ the values are cleared to
-integers by the lcm of their denominators (the same clearing ``rref``
-starts from), over GF(p) the scale is 1.  It skips zero rows of the left
-factor and all-zero columns of the right one, clears only the nonzero
-entries of each left row, takes each entry as one integer dot product over
-the column's nonzero rows, and yields the nonzero
-entries in row-major order, building one Fraction per nonzero QQ entry and
-reducing each GF(p) dot product once.
+:func:`_product_rows` is the one product kernel beside it, and it also has
+two readers.  It computes row i of ``a . b`` row-wise (Gustavson, ACM TOMS
+1978): the sum, over the nonzero a_ik, of a_ik times row k of b.  Each
+nonzero row of b is cleared once, over QQ to integers times a scale (the
+lcm of its denominators, the same clearing ``rref`` starts from), over
+GF(p) with scale 1.  Each left row becomes integer multipliers: over QQ the
+numerator of a_ik times L // (den a_ik * scale_k), where L is the lcm of
+those products over the row, so the sum is an integer row over L.  It
+yields the nonzero rows in order, with their columns ascending, building
+one Fraction per nonzero QQ entry and reducing each GF(p) entry once.
 
-* :meth:`DenseMatrix.matmul` scatters those entries into a zero matrix.
-* :func:`product_first_nonzero` returns the first of them, or None, without
-  building the product.  A numeric ``d . d = 0`` check reads it; a zero
-  product still has every entry computed.
+* :meth:`DenseMatrix.matmul` keeps the rows it yields.
+* :func:`product_first_nonzero` returns the first entry of the first row,
+  or None, without building the rest of the product.  A numeric
+  ``d . d = 0`` check reads it; a zero product still has every row
+  computed.
 
 Both are exact, so every ``d . d = 0`` check and chain-map square is
 decided without rational arithmetic inside the sums.
@@ -56,20 +57,20 @@ symbolic models or the Fraction matrices of classical points.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress, repeat
+from itertools import compress
 from math import gcd, lcm
-from operator import is_not, mul
 from typing import Optional
 
 from .scalars import QQ, RationalField
 
 
 class DenseMatrix:
-    """A rows x cols matrix over an exact field."""
+    """A rows x cols matrix over an exact field, stored as sparse rows."""
 
-    __slots__ = ("field", "rows", "cols", "data")
+    __slots__ = ("field", "rows", "cols", "sparse_rows")
 
     def __init__(self, field, rows: int, cols: int, data):
+        """From dense row-major ``data``; its zero entries are dropped."""
         if len(data) != rows:
             raise ValueError("row count mismatch")
         for row in data:
@@ -78,7 +79,20 @@ class DenseMatrix:
         self.field = field
         self.rows = rows
         self.cols = cols
-        self.data = [list(row) for row in data]
+        self.sparse_rows = [dict(compress(enumerate(row), row)) for row in data]
+
+    @classmethod
+    def from_sparse(cls, field, rows: int, cols: int, sparse_rows) -> "DenseMatrix":
+        """From one ``{col: value}`` dict per row, taken over (not copied)
+        unless it holds a zero, which is dropped."""
+        if len(sparse_rows) != rows:
+            raise ValueError("row count mismatch")
+        return _matrix(
+            field,
+            rows,
+            cols,
+            [row if all(row.values()) else {j: x for j, x in row.items() if x} for row in sparse_rows],
+        )
 
     @classmethod
     def from_rows(cls, rows, field=QQ) -> "DenseMatrix":
@@ -89,112 +103,127 @@ class DenseMatrix:
 
     @classmethod
     def zero(cls, rows: int, cols: int, field=QQ) -> "DenseMatrix":
-        z = field.zero
-        return cls(field, rows, cols, [[z] * cols for _ in range(rows)])
+        return _matrix(field, rows, cols, [{} for _ in range(rows)])
 
     @classmethod
     def identity(cls, n: int, field=QQ) -> "DenseMatrix":
-        m = cls.zero(n, n, field)
-        for i in range(n):
-            m.data[i][i] = field.one
-        return m
+        return _matrix(field, n, n, [{i: field.one} for i in range(n)])
+
+    @property
+    def data(self):
+        """A dense row-major copy, with the field's zero in empty entries.
+        Writing to it does not change the matrix; ``set`` does."""
+        zero = self.field.zero
+        out = []
+        for row in self.sparse_rows:
+            dense = [zero] * self.cols
+            for j, x in row.items():
+                dense[j] = x
+            out.append(dense)
+        return out
 
     def __eq__(self, other):
         return (
             isinstance(other, DenseMatrix)
             and self.field == other.field
             and (self.rows, self.cols) == (other.rows, other.cols)
-            and self.data == other.data
+            and self.sparse_rows == other.sparse_rows
         )
 
     def __repr__(self):
         return f"DenseMatrix({self.rows}x{self.cols} over {self.field})"
 
     def entry(self, i: int, j: int):
-        return self.data[i][j]
+        return self.sparse_rows[i].get(j, self.field.zero)
+
+    def set(self, i: int, j: int, x):
+        """Set entry (i, j) to ``x``; a zero ``x`` clears it."""
+        if not (0 <= i < self.rows and 0 <= j < self.cols):
+            raise IndexError(f"entry ({i}, {j}) outside a {self.rows}x{self.cols} matrix")
+        row = self.sparse_rows[i]
+        if x:
+            row[j] = x
+        else:
+            row.pop(j, None)
 
     def transpose(self) -> "DenseMatrix":
-        return DenseMatrix(
-            self.field,
-            self.cols,
-            self.rows,
-            [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],
-        )
+        out = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self.sparse_rows):
+            for j, x in row.items():
+                out[j][i] = x
+        return _matrix(self.field, self.cols, self.rows, out)
 
     def matmul(self, other: "DenseMatrix") -> "DenseMatrix":
-        """The exact product: the entries of :func:`_product_entries`
-        scattered into a zero matrix."""
-        data = [[self.field.zero] * other.cols for _ in range(self.rows)]
-        for i, j, x in _product_entries(self, other):
-            data[i][j] = x
-        return DenseMatrix(self.field, self.rows, other.cols, data)
+        """The exact product: the rows of :func:`_product_rows`."""
+        out = [{} for _ in range(self.rows)]
+        for i, row in _product_rows(self, other):
+            out[i] = row
+        return _matrix(self.field, self.rows, other.cols, out)
 
     def add(self, other: "DenseMatrix") -> "DenseMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in add")
         f = self.field
-        return DenseMatrix(
-            self.field,
-            self.rows,
-            self.cols,
-            [
-                [f.add(self.data[i][j], other.data[i][j]) for j in range(self.cols)]
-                for i in range(self.rows)
-            ],
-        )
+        zero = f.zero
+        out = []
+        for r, s in zip(self.sparse_rows, other.sparse_rows):
+            out.append({j: v for j in r | s if (v := f.add(r.get(j, zero), s.get(j, zero)))})
+        return _matrix(f, self.rows, self.cols, out)
 
     def scale(self, c) -> "DenseMatrix":
         f = self.field
         c = f.of(c)
-        return DenseMatrix(
-            self.field,
-            self.rows,
-            self.cols,
-            [[f.mul(c, x) for x in row] for row in self.data],
-        )
+        out = [{j: v for j, x in row.items() if (v := f.mul(c, x))} for row in self.sparse_rows]
+        return _matrix(f, self.rows, self.cols, out)
 
     def apply_vector(self, v):
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
         f = self.field
         out = []
-        for i in range(self.rows):
+        for row in self.sparse_rows:
             acc = f.zero
-            row = self.data[i]
-            for j in range(self.cols):
-                acc = f.add(acc, f.mul(row[j], v[j]))
+            for j, x in row.items():
+                acc = f.add(acc, f.mul(x, v[j]))
             out.append(acc)
         return out
 
     def is_zero(self) -> bool:
         f = self.field
-        return all(f.is_zero(x) for row in self.data for x in row)
+        return all(f.is_zero(x) for row in self.sparse_rows for x in row.values())
 
     def rank(self) -> int:
         return len(pivot_columns(self))
+
+
+def _matrix(field, rows: int, cols: int, sparse_rows) -> DenseMatrix:
+    """A matrix on ``sparse_rows`` as they are: for producers whose rows
+    hold no zero entry by construction."""
+    m = DenseMatrix.__new__(DenseMatrix)
+    m.field = field
+    m.rows = rows
+    m.cols = cols
+    m.sparse_rows = sparse_rows
+    return m
 
 
 def rref(m: DenseMatrix):
     """Reduced row echelon form.  Returns (new matrix, pivot column list).
 
     One Gauss-Jordan pass of :func:`_eliminate`, clearing every other row at
-    each pivot.  Only the pivot rows are densified; every other entry is the
-    field's shared zero.  Fractions are built only for the nonzero entries
-    of the pivot rows.
+    each pivot.  The pivot rows come first and the zero rows after them;
+    Fractions are built only for the nonzero entries of the pivot rows.
     """
     f = m.field
-    zero = f.zero
     rows, pivots = _eliminate(m, full=True)
-    rational = isinstance(f, RationalField)
-    a = []
-    for row, pc in zip(rows, pivots):
-        dense = [zero] * m.cols
-        pv = row[pc]
-        for j, x in row.items():
-            dense[j] = Fraction(x, pv) if rational else x
-        a.append(dense)
-    a += [[zero] * m.cols for _ in range(m.rows - len(pivots))]
-    return DenseMatrix(f, m.rows, m.cols, a), pivots
+    if isinstance(f, RationalField):
+        normalized = []
+        for row, pc in zip(rows, pivots):
+            pv = row[pc]
+            normalized.append({j: Fraction(x, pv) for j, x in row.items()})
+        rows = normalized
+    rows += [{} for _ in range(m.rows - len(pivots))]
+    return _matrix(f, m.rows, m.cols, rows), pivots
 
 
 def pivot_columns(m: DenseMatrix):
@@ -207,51 +236,34 @@ def pivot_columns(m: DenseMatrix):
     return _eliminate(m, full=False)[1]
 
 
-def _support(row, zero):
-    """The indices of the nonzero entries of ``row``.
-
-    Entries that are the field's shared ``zero`` object are skipped by
-    identity at C speed; every other entry is truth-tested, so a zero that
-    is another object (``Fraction(0, 7)``) is still dropped.  The result is
-    exact for any input; only its cost depends on producers using
-    ``field.zero``.  Over GF(p) an unreduced multiple of p is kept, and the
-    callers reduce it.
-    """
-    if zero.__class__ is int:  # GF(p): truth-testing an int runs at C speed
-        return list(compress(range(len(row)), row))
-    return [j for j in compress(range(len(row)), map(is_not, row, repeat(zero))) if row[j]]
-
-
 def _eliminate(m: DenseMatrix, full: bool):
     """The one elimination loop.  Returns (pivot rows, pivot columns).
 
-    Each nonzero input row becomes a sparse row ``{col: int}``: over QQ its
-    nonzero entries are cleared to integers and made primitive (divided by
-    the gcd of its entries), over GF(p) they are reduced mod p; all-zero rows
-    are dropped.  Columns are taken in increasing order.  Every row not yet
-    chosen as a pivot has its first entry at or after the current column,
-    so the rows holding the column are those that start there, and the
-    sparsest of them is the pivot (over GF(p) scaled to 1).  The others, and
-    with ``full`` the earlier pivot rows, are cleared at the column, each
-    update touching only the nonzeros of the two rows.  This leaves the
-    reduced echelon form up to the scale of each row, and since that form is
-    unique the pivot choice does not change the result.  The pivot rows are
-    returned in pivot order.
+    Each nonzero stored row becomes a sparse row ``{col: int}``: over QQ its
+    entries are cleared to integers and made primitive (divided by the gcd
+    of its entries), over GF(p) they are reduced mod p and rows that reduce
+    to zero are dropped.  Columns are taken in increasing order.  Every row
+    not yet chosen as a pivot has its first entry at or after the current
+    column, so the rows holding the column are those that start there, and
+    the sparsest of them is the pivot (over GF(p) scaled to 1).  The
+    others, and with ``full`` the earlier pivot rows, are cleared at the
+    column, each update touching only the nonzeros of the two rows.  This
+    leaves the reduced echelon form up to the scale of each row, and since
+    that form is unique the pivot choice does not change the result.  The
+    pivot rows are returned in pivot order.
     """
-    f = m.field
-    zero = f.zero
-    p = None if isinstance(f, RationalField) else f.p
+    p = None if isinstance(m.field, RationalField) else m.field.p
     starts = {}  # first column -> the unchosen rows that start there
-    for row in m.data:
-        js = _support(row, zero)
+    for row in m.sparse_rows:
         if p is None:
-            if not js:
+            if not row:
                 continue
-            ints, _ = _integer_row([row[j] for j in js])
-            g = gcd(*ints)
-            srow = dict(zip(js, ints if g == 1 else [x // g for x in ints]))
+            srow, _ = _integer_row(row)
+            g = gcd(*srow.values())
+            if g != 1:
+                srow = {j: x // g for j, x in srow.items()}
         else:
-            srow = {j: v for j in js if (v := row[j] % p)}
+            srow = {j: v for j, x in row.items() if (v := x % p)}
             if not srow:
                 continue
         starts.setdefault(min(srow), []).append(srow)
@@ -312,61 +324,75 @@ def _clear(row, prow, col, p):
                 del row[j]
 
 
-def _integer_row(values):
-    """Nonzero rationals times the lcm of their denominators, and that lcm;
-    row spaces are unchanged."""
-    dens = [x.denominator for x in values]
-    den = lcm(*dens)
+def _integer_row(row):
+    """A sparse row of rationals times the lcm of their denominators, as
+    ``{col: int}``, and that lcm; row spaces are unchanged."""
+    ratios = [x.as_integer_ratio() for x in row.values()]
+    den = lcm(*[d for _, d in ratios])
     if den == 1:
-        return [x.numerator for x in values], 1
-    return [x.numerator * (den // d) for x, d in zip(values, dens)], den
+        return dict(zip(row, [n for n, _ in ratios])), 1
+    return dict(zip(row, [n * (den // d) for n, d in ratios])), den
 
 
 def product_first_nonzero(a: DenseMatrix, b: DenseMatrix):
     """The first nonzero entry of ``a . b`` in row-major order, as
-    (row, col, value), or None when the product is zero.  The product is
-    not built; a zero product still has every entry computed."""
-    return next(_product_entries(a, b), None)
+    (row, col, value), or None when the product is zero.  Rows after the
+    first nonzero one are not computed; a zero product still has every row
+    computed."""
+    for i, row in _product_rows(a, b):
+        j = next(iter(row))
+        return i, j, row[j]
+    return None
 
 
-def _product_entries(a: DenseMatrix, b: DenseMatrix):
-    """Yield (i, j, value) for each nonzero entry of ``a . b``, row by row.
-
-    A column of ``b`` is (j, nonzero rows, their values cleared to integers,
-    scale), and an entry is one dot product over those rows (see the module
-    docstring).  A left row is read through its support: only its nonzero
-    entries are cleared, into an integer row that is 0 elsewhere.
-    """
+def _product_rows(a: DenseMatrix, b: DenseMatrix):
+    """Yield (i, row) for each nonzero row of ``a . b``, in row order, each
+    row a ``{col: value}`` dict of its nonzero entries with the columns
+    ascending (see the module docstring)."""
     if a.cols != b.rows:
         raise ValueError("shape mismatch in matmul")
     rational = isinstance(a.field, RationalField)
-    zero = a.field.zero
-    columns = []
-    for j, col in enumerate(zip(*b.data)):
-        ks = _support(col, zero)
-        if ks:
-            vs = [col[k] for k in ks]
-            columns.append((j, ks, *(_integer_row(vs) if rational else (vs, 1))))
-    if not columns:
-        return
-    p = None if rational else a.field.p
-    for i, row in enumerate(a.data):
-        js = _support(row, zero)
-        if not js:
+    if rational:
+        # the rows of b that some a_ik meets, cleared once each
+        brows, scales = {}, {}
+        for k in set().union(*a.sparse_rows):
+            if b.sparse_rows[k]:
+                brows[k], scales[k] = _integer_row(b.sparse_rows[k])
+    else:
+        brows = {k: row for k, row in enumerate(b.sparse_rows) if row}
+        p = a.field.p
+    for i, arow in enumerate(a.sparse_rows):
+        ks = [k for k in arow if k in brows]
+        if not ks:
             continue
-        vals = [row[j] for j in js]
         if rational:
-            vals, ascale = _integer_row(vals)
-        irow = [0] * a.cols
-        for j, v in zip(js, vals):
-            irow[j] = v
-        get = irow.__getitem__
-        for j, ks, vs, bscale in columns:
-            s = sum(map(mul, map(get, ks), vs))
-            if p is not None:
-                s %= p
-            if s:
-                yield i, j, Fraction(s, ascale * bscale) if rational else s
+            ratios = [arow[k].as_integer_ratio() for k in ks]
+            dens = [d * scales[k] for k, (_, d) in zip(ks, ratios)]
+            den = lcm(*dens)
+            if den == 1:
+                mults = [n for n, _ in ratios]
+            else:
+                mults = [n * (den // d) for (n, _), d in zip(ratios, dens)]
+        else:
+            mults = [arow[k] for k in ks]
+        terms = zip(ks, mults)
+        k, c = next(terms)
+        acc = {j: c * y for j, y in brows[k].items()}
+        get = acc.get
+        for k, c in terms:
+            for j, y in brows[k].items():
+                acc[j] = get(j, 0) + c * y
+        if rational:
+            js = sorted(j for j, v in acc.items() if v)
+            if js:
+                if den == 1:
+                    yield i, {j: Fraction(acc[j]) for j in js}
+                else:
+                    yield i, {j: Fraction(acc[j], den) for j in js}
+        else:
+            reduced = {j: r for j, v in acc.items() if (r := v % p)}
+            if reduced:
+                yield i, dict(sorted(reduced.items()))
 
 
 def kernel_basis(m: DenseMatrix, reduction=None):
@@ -379,15 +405,15 @@ def kernel_basis(m: DenseMatrix, reduction=None):
     f = m.field
     red, pivots = reduction if reduction is not None else rref(m)
     pivot_set = set(pivots)
-    free_cols = [j for j in range(m.cols) if j not in pivot_set]
     basis = {}
-    for j in free_cols:
-        v = basis[j] = [f.zero] * m.cols
-        v[j] = f.one
-    for pc, row in zip(pivots, red.data):
-        for j in _support(row, f.zero):
+    for j in range(m.cols):
+        if j not in pivot_set:
+            v = basis[j] = [f.zero] * m.cols
+            v[j] = f.one
+    for pc, row in zip(pivots, red.sparse_rows):
+        for j, x in row.items():
             if j != pc:
-                basis[j][pc] = f.neg(row[j])
+                basis[j][pc] = f.neg(x)
     return list(basis.values())
 
 
@@ -396,21 +422,19 @@ def solve(m: DenseMatrix, b) -> Optional[list]:
     if len(b) != m.rows:
         raise ValueError("right-hand side length mismatch")
     f = m.field
-    aug = DenseMatrix(
-        f, m.rows, m.cols + 1, [m.data[i] + [f.of(b[i])] for i in range(m.rows)]
-    )
-    red, pivots = rref(aug)
+    aug = [{**row, m.cols: f.of(x)} for row, x in zip(m.sparse_rows, b)]
+    red, pivots = rref(DenseMatrix.from_sparse(f, m.rows, m.cols + 1, aug))
     if m.cols in pivots:
         return None
     x = [f.zero] * m.cols
-    for r, pc in enumerate(pivots):
-        x[pc] = red.data[r][m.cols]
+    for row, pc in zip(red.sparse_rows, pivots):
+        x[pc] = row.get(m.cols, f.zero)
     return x
 
 
 def row_space_basis(m: DenseMatrix):
     red, pivots = rref(m)
-    return [red.data[r][:] for r in range(len(pivots))]
+    return _matrix(m.field, len(pivots), m.cols, red.sparse_rows[: len(pivots)]).data
 
 
 # -- list-matrix helpers ---------------------------------------------------------

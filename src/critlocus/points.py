@@ -117,7 +117,7 @@ def _invert(g):
     red, pivots = rref(aug)
     if pivots[:n] != list(range(n)):
         return None
-    return [row[n:] for row in red.data]
+    return [[row.get(n + j, QQ.zero) for j in range(n)] for row in red.sparse_rows]
 
 
 def save_corpus(points, path):
@@ -363,10 +363,9 @@ def random_conjugate_points(n, count, rng):
 
 def _adjoint_matrix(m, field, sign):
     """Matrix of ``sign * [m, -]`` on End(V) in the basis E_(p,q), index
-    p*n + q.  Only its nonzero entries are written into a zero matrix."""
+    p*n + q, as sparse rows holding only its nonzero entries."""
     n = len(m)
-    out = DenseMatrix.zero(n * n, n * n, field)
-    data = out.data
+    rows = [{} for _ in range(n * n)]
     # [m, E_pq] = m E_pq - E_pq m = sum_a m(a,p) E_aq - sum_b m(q,b) E_pb
     col_support = [[(a, x) for a in range(n) if (x := m[a][p])] for p in range(n)]
     row_support = [[(b, x) for b, x in enumerate(row) if x] for row in m]
@@ -377,9 +376,9 @@ def _adjoint_matrix(m, field, sign):
                 r = p * n + b
                 column[r] = column.get(r, 0) - x
             for r, x in column.items():
-                if x:
-                    data[r][p * n + q] = field.of(x if sign > 0 else -x)
-    return out
+                if x and (v := field.of(x if sign > 0 else -x)):
+                    rows[r][p * n + q] = v
+    return DenseMatrix.from_sparse(field, n * n, n * n, rows)
 
 
 def koszul_ext_oracle(pt: MatrixPoint, field=QQ) -> dict:
@@ -397,14 +396,16 @@ def koszul_ext_oracle(pt: MatrixPoint, field=QQ) -> dict:
 
     def stack(rows_of_blocks):
         blocks_per_row = len(rows_of_blocks[0])
-        data = []
+        rows = []
         for row_blocks in rows_of_blocks:
             for i in range(nn):
-                row = []
-                for blk in row_blocks:
-                    row.extend(blk.data[i])
-                data.append(row)
-        return DenseMatrix(field, nn * len(rows_of_blocks), nn * blocks_per_row, data)
+                row = {}
+                for b, blk in enumerate(row_blocks):
+                    offset = b * nn
+                    for j, x in blk.sparse_rows[i].items():
+                        row[offset + j] = x
+                rows.append(row)
+        return DenseMatrix.from_sparse(field, nn * len(rows_of_blocks), nn * blocks_per_row, rows)
 
     d0 = stack([[ax], [ay], [az]])
     d1 = stack(
@@ -416,8 +417,9 @@ def koszul_ext_oracle(pt: MatrixPoint, field=QQ) -> dict:
     )
     d2 = stack([[ax, ay, az]])
     cx = FreeComplex(field, {0: nn, 1: 3 * nn, 2: 3 * nn, 3: nn}, {0: d0, 1: d1, 2: d2})
-    dims = cx.homology_dims()
+    # representatives first: the dims then read the reductions they leave
     reps = {k: homology_representatives(cx, k) for k in range(4)}
+    dims = cx.homology_dims()
     pair01 = tuple(
         _trace_pairing_rank(reps[k], reps[3 - k], slots, n, field)
         for k, slots in ((0, 1), (1, 3))
@@ -448,7 +450,8 @@ def _trace_pairing_rank(ra, rb, slots, n, field):
         return 0
     nn = n * n
     transposed = [s * nn + q * n + p for s in range(slots) for p in range(n) for q in range(n)]
+    by_slot = DenseMatrix(field, len(rb), len(transposed), rb).transpose().sparse_rows
     m = DenseMatrix(field, len(ra), len(transposed), ra).matmul(
-        DenseMatrix(field, len(transposed), len(rb), [[vb[idx] for vb in rb] for idx in transposed])
+        DenseMatrix.from_sparse(field, len(transposed), len(rb), [by_slot[idx] for idx in transposed])
     )
     return m.rank()

@@ -175,18 +175,18 @@ def endo_complex_at_point(X, Y, Z, field=QQ) -> FreeComplex:
                                 val = field.of(Fraction(mat[r][k]))
                                 if not field.is_zero(val):
                                     row = slot(r, l, amask | mask)
-                                    m.data[row][col] = field.add(
-                                        m.data[row][col], field.mul(field.of(ls), val)
-                                    )
+                                    m.set(row, col, field.add(
+                                        m.entry(row, col), field.mul(field.of(ls), val)
+                                    ))
                         if rs:
                             tot = rs * (1 if (q & 1) else -1)
                             for c2 in range(n):
                                 val = field.of(Fraction(mat[l][c2]))
                                 if not field.is_zero(val):
                                     row = slot(k, c2, mask | amask)
-                                    m.data[row][col] = field.add(
-                                        m.data[row][col], field.mul(field.of(tot), val)
-                                    )
+                                    m.set(row, col, field.add(
+                                        m.entry(row, col), field.mul(field.of(tot), val)
+                                    ))
         diff[q] = m
     return FreeComplex(field, ranks, diff)
 
@@ -346,7 +346,7 @@ def reference_trace_pairing(model_n, reps_k, reps_comp, field):
                         continue
                     sgn = eps_merge_sign(mask_a, mask_b)
                     acc = field.add(acc, field.mul(field.of(sgn), field.mul(xa, xb)))
-            out.data[a][b] = acc
+            out.set(a, b, acc)
     return out
 
 
@@ -378,6 +378,18 @@ def test_ext_dims_at_eliminates_each_differential_once(rref_calls):
     ext_dims_at(pt, model=model)
     names = [name for name, _, _ in rref_calls]
     assert names.count("rref") == 3 and names.count("pivot_columns") == 6
+
+
+def test_gf_p_homology_dims_rank_by_forward_elimination(rref_calls):
+    # with no reduction cached, the ranks of the three differentials come
+    # from pivot-only eliminations and no row is back-substituted
+    model = endomorphism_model(3)
+    pt = point_from_partition(PlanePartition({(0, 0, 0), (1, 0, 0), (0, 1, 0)}))
+    cx = model.evaluate_at(pt.X, pt.Y, pt.Z, GF(DEFAULT_PRIME))
+    dims = cx.homology_dims()
+    names = [name for name, _, _ in rref_calls]
+    assert names.count("pivot_columns") == 3 and names.count("rref") == 0
+    assert dims == ext_dims_at(pt, model=model)["dims"]
 
 
 # -- tangent model and comparison -----------------------------------------------
@@ -458,7 +470,7 @@ def reference_comparison_search(n):
                 for j in range(n):
                     src = b * nn + i * n + j
                     tgt = b * nn + (j * n + i if flavor else i * n + j)
-                    m.data[tgt][src] = QQ.of(sign)
+                    m.set(tgt, src, QQ.of(sign))
         return m
 
     sign_patterns = {

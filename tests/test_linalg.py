@@ -307,3 +307,82 @@ def test_from_rows_reads_rational_strings_over_gf_p():
     assert m.rank() == DenseMatrix.from_rows(rows).rank() == 2
     with pytest.raises(ZeroDivisionError):
         DenseMatrix.from_rows([["1", f"2/{P}"]], f)
+
+
+# -- sparse-row storage ---------------------------------------------------------------
+
+# the zeros a caller may pass: the shared zero, other Fraction zeros, an int
+any_zero = st.sampled_from([QQ.zero, Fraction(0, 7), -Fraction(0), 0])
+
+
+def grids(cells):
+    shapes = st.tuples(st.integers(0, 5), st.integers(0, 5))
+    return shapes.flatmap(
+        lambda d: st.tuples(
+            st.just(d), st.lists(st.lists(cells, min_size=d[1], max_size=d[1]), min_size=d[0], max_size=d[0])
+        )
+    )
+
+
+def stores_no_zero(m):
+    return all(not m.field.is_zero(x) for row in m.sparse_rows for x in row.values())
+
+
+@settings(max_examples=150, deadline=None)
+@given(grids(st.one_of(any_zero, st.fractions(-9, 9, max_denominator=6))))
+def test_dense_input_round_trips_without_its_zeros_over_qq(grid):
+    (r, c), rows = grid
+    m = DenseMatrix(QQ, r, c, rows)
+    assert m.data == rows
+    assert stores_no_zero(m)
+    assert sum(map(len, m.sparse_rows)) == sum(1 for row in rows for x in row if x != 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(grids(st.one_of(any_zero, st.integers(1, P - 1))))
+def test_dense_input_round_trips_without_its_zeros_over_gf_p(grid):
+    (r, c), rows = grid
+    m = DenseMatrix(GF(P), r, c, rows)
+    assert m.data == rows
+    assert stores_no_zero(m)
+    assert sum(map(len, m.sparse_rows)) == sum(1 for row in rows for x in row if x != 0)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(P)], ids=["QQ", "GF(p)"])
+def test_setter_stores_nonzero_entries_only(field):
+    m = DenseMatrix.zero(2, 3, field)
+    m.set(1, 2, field.of(5))
+    m.set(0, 0, field.of(3))
+    m.set(0, 0, Fraction(0, 7))
+    assert m.sparse_rows == [{}, {2: field.of(5)}]
+    assert m.entry(1, 2) == 5 and m.entry(0, 0) is field.zero
+    for i, j in ((0, 3), (2, 0), (-1, 0), (0, -1)):
+        with pytest.raises(IndexError):
+            m.set(i, j, field.one)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(P)], ids=["QQ", "GF(p)"])
+def test_no_producer_stores_a_zero(field):
+    from critlocus.family import endomorphism_model
+    from critlocus.points import _adjoint_matrix
+
+    # evaluation: the entries [X, -] takes from X = diag(P, 0) are +-P, which
+    # vanish mod P, while those from Y do not
+    cx = endomorphism_model(2).evaluate_at([[P, 0], [0, 0]], [[0, 0], [0, 1]], [[0, 0], [0, 0]], field)
+    assert all(stores_no_zero(d) for d in cx.diff.values())
+    stored = [sum(map(len, d.sparse_rows)) for _, d in sorted(cx.diff.items())]
+    assert stored == ([4, 8, 4] if field == QQ else [2, 4, 2])
+    # the commutator with a scalar matrix cancels everywhere
+    for m in ([[2, 0], [0, 2]], [[Fraction(P), 1], [0, Fraction(1, 3)]]):
+        for sign in (1, -1):
+            assert stores_no_zero(_adjoint_matrix(m, field, sign))
+    assert _adjoint_matrix([[2, 0], [0, 2]], field, 1) == DenseMatrix.zero(4, 4, field)
+    # dependent rows leave zero rows in rref; cancelling terms in a product
+    a = DenseMatrix.from_rows([[1, 2, 0], [2, 4, 0], [1, 1, 0]], field)
+    red, pivots = rref(a)
+    assert pivots == [0, 1] and stores_no_zero(red) and red.sparse_rows[2] == {}
+    b = DenseMatrix.from_rows([[2], [-1], [7]], field)
+    prod = a.matmul(b)
+    assert stores_no_zero(prod) and prod.sparse_rows == [{}, {}, {0: field.one}]
+    t = a.transpose()
+    assert stores_no_zero(t) and t.data == [list(col) for col in zip(*a.data)]

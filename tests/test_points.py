@@ -1,7 +1,11 @@
 import random
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from critlocus.linalg import DenseMatrix, mat_mul, mat_sub
 from critlocus.points import (
@@ -13,10 +17,12 @@ from critlocus.points import (
     is_critical_via_symbolic_gradient,
     is_cyclic,
     koszul_ext_oracle,
+    load_corpus,
     nilpotent_regular_point,
     point_from_partition,
     random_conjugate_points,
     random_invertible,
+    save_corpus,
 )
 from critlocus.points import _adjoint_matrix, _trace_pairing_rank
 from critlocus.scalars import GF, QQ
@@ -260,3 +266,19 @@ def test_adjoint_matrix_is_the_signed_commutator(n, sign, field):
                     for b in range(n):
                         assert got.data[a * n + b][p * n + q] == field.of(sign * c[a][b])
         assert all(x or x is field.zero for row in got.data for x in row)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 2**32), st.integers(0, 3), st.integers(0, 3))
+def test_corpus_round_trip(n, seed, partitions, conjugated):
+    rng = random.Random(seed)
+    pps = enumerate_partitions(n)
+    pts = [point_from_partition(rng.choice(pps)) for _ in range(partitions)]
+    pts += random_conjugate_points(n, conjugated, rng)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "corpus.json"
+        save_corpus(pts, path)
+        back = load_corpus(path)
+    assert [(p.n, p.X, p.Y, p.Z, p.v, p.provenance) for p in back] == [
+        (p.n, p.X, p.Y, p.Z, p.v, p.provenance) for p in pts
+    ]

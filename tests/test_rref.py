@@ -230,10 +230,10 @@ def test_homology_representatives_match_greedy_span_on_ext_complexes(over_gf, mo
             assert len(reps) == dims[k]
 
 
-# -- the shared-zero fast path and the pivot choice -------------------------------------
+# -- zeros of every kind and the pivot choice -------------------------------------------
 
-# Zeros of three kinds: the field's shared zero, which the support scan
-# skips by identity, and fresh zero objects, which it must truth-test.
+# Zeros of three kinds: the field's shared zero and fresh zero objects, all
+# of which the sparse-row constructor must drop.
 mixed_zeros = st.sampled_from(["shared", "fresh", "negated"]).map(
     lambda kind: {"shared": QQ.zero, "fresh": Fraction(0, 7), "negated": -Fraction(0)}[kind]
 )

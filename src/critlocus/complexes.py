@@ -182,14 +182,12 @@ class CompiledMatrix:
                 yield i, j, v
 
     def evaluate(self, point: dict, field) -> DenseMatrix:
-        """Sparse rows over ``field`` with each value that is nonzero there
-        scattered in (a nonzero rational can vanish mod p)."""
+        """Sparse rows over ``field`` of the values that are nonzero there;
+        ``from_sparse`` drops those that vanish mod p."""
         rows = [{} for _ in range(self.rows)]
         of = field.of
         for i, j, v in self.values(point):
-            x = of(v)
-            if x:
-                rows[i][j] = x
+            rows[i][j] = of(v)
         return DenseMatrix.from_sparse(field, self.rows, self.cols, rows)
 
 
@@ -419,7 +417,8 @@ class FreeComplex:
 
 
 def homology_representatives(cx: FreeComplex, k: int):
-    """Vectors spanning H^k of a numeric complex, as cycle representatives.
+    """Cycle representatives of a basis of H^k of a numeric complex, each a
+    sparse row ``{col: value}`` of its nonzero coordinates in C^k.
 
     The kept cycles are those of ``kernel_basis(d^k)`` that are not in the
     span of the image of d^(k-1) and the cycles before them.  That basis
@@ -443,7 +442,7 @@ def homology_representatives(cx: FreeComplex, k: int):
         bound = set(red[1])
         free = [i for i in range(rk) if i not in bound]
     else:
-        cycles = [[field.one if i == j else field.zero for i in range(rk)] for j in range(rk)]
+        cycles = [{i: field.one} for i in range(rk)]
         free = range(rk)
     image = cx.reduction(k - 1)[1] if cx.rank(k - 1) else []
     f = len(cycles)
@@ -497,11 +496,9 @@ def _matrix_entries(m: SymMatrix) -> dict:
 def _first_nonzero(m):
     if isinstance(m, SymMatrix):
         return m.first_nonzero()
-    f = m.field
     for i, row in enumerate(m.sparse_rows):
-        js = [j for j, x in row.items() if not f.is_zero(x)]
-        if js:
-            j = min(js)
+        if row:
+            j = min(row)
             return (i, j, row[j])
     return None
 

@@ -522,19 +522,16 @@ def endomorphism_model(n: int) -> EndomorphismModel:
 def trace_pairing_matrix(model_n: int, qk: int, reps_k, reps_comp, field=QQ) -> DenseMatrix:
     """Pairing <a, b> = sum over complementary slots of the matrix trace
     weighted by the orientation of e_S ^ e_S', between representatives
-    ``reps_k`` of degree ``qk`` and ``reps_comp`` of degree 3 - qk.
+    ``reps_k`` of degree ``qk`` and ``reps_comp`` of degree 3 - qk, each a
+    sparse row ``{slot: value}`` as ``homology_representatives`` returns.
 
     Slot (i, j, S) pairs with exactly one slot, (j, i, S'), S' the
     complement of S, with sign the orientation of e_S ^ e_S'; so the pairing
-    is reps_k times the matrix of reps_comp reindexed by that partner and
+    is reps_k times the transpose of reps_comp reindexed by that partner and
     signed.
     """
     n = model_n
     nn = n * n
-    rows = len(reps_k)
-    cols = len(reps_comp)
-    if not rows or not cols:
-        return DenseMatrix.zero(rows, cols, field)
     partners = []
     for mask in MASKS_BY_DEGREE[qk]:
         comp = FULL_MASK ^ mask
@@ -543,13 +540,13 @@ def trace_pairing_matrix(model_n: int, qk: int, reps_k, reps_comp, field=QQ) -> 
         for i in range(n):
             for j in range(n):
                 partners.append((block + j * n + i, sign))
-    by_slot = DenseMatrix(field, cols, len(partners), reps_comp).transpose().sparse_rows
+    by_slot = DenseMatrix.from_sparse(field, len(reps_comp), len(partners), reps_comp).transpose().sparse_rows
     partnered = [
         by_slot[idx] if sign > 0 else {c: field.neg(x) for c, x in by_slot[idx].items()}
         for idx, sign in partners
     ]
-    a = DenseMatrix(field, rows, len(partners), reps_k)
-    return a.matmul(DenseMatrix.from_sparse(field, len(partners), cols, partnered))
+    a = DenseMatrix.from_sparse(field, len(reps_k), len(partners), reps_k)
+    return a.matmul(DenseMatrix.from_sparse(field, len(partners), len(reps_comp), partnered))
 
 
 def ext_dims_at(point, field=QQ, model: EndomorphismModel = None) -> dict:

@@ -6,16 +6,18 @@ per row holding only its nonzero entries.  Every constructor drops zeros,
 and every producer below writes only nonzero entries, so the kernels cost
 per nonzero entry and never scan a dense row.  ``DenseMatrix.data`` is a
 dense row-major copy, filled with the field's ``zero``, for readers that
-want one.  Over GF(p) an entry given unreduced is stored as given (a
-multiple of p included), and the kernels reduce it.
+want one.  Over GF(p) the public constructors and ``set`` reduce each entry
+into ``range(p)``, so a multiple of p is dropped as a zero.  A kernel basis
+vector or a homology representative is a ``{col: value}`` sparse row too,
+ready for ``from_sparse``, which refuses a column outside the matrix.
 
 ``_eliminate`` is the only elimination loop in the package.  It turns each
 nonzero row into a sparse row ``{col: int}``: over QQ cleared to integers
 and kept primitive, so no rational gcd work happens inside it, over GF(p)
-reduced mod p.  Columns are taken in increasing order with the sparsest row
-holding the column as pivot, and each update touches only the nonzeros of
-the two rows involved.  The reduced echelon form is unique, so the pivot
-choice never shows in the output.  It has two readers:
+a copy of the stored residues.  Columns are taken in increasing order with
+the sparsest row holding the column as pivot, and each update touches only
+the nonzeros of the two rows involved.  The reduced echelon form is unique,
+so the pivot choice never shows in the output.  It has two readers:
 
 * :func:`rref` clears every other row at each pivot (one Gauss-Jordan pass)
   and normalizes the pivot rows at the end, building a Fraction only for
@@ -57,7 +59,6 @@ symbolic models or the Fraction matrices of classical points.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress
 from math import gcd, lcm
 from typing import Optional
 
@@ -79,20 +80,22 @@ class DenseMatrix:
         self.field = field
         self.rows = rows
         self.cols = cols
-        self.sparse_rows = [dict(compress(enumerate(row), row)) for row in data]
+        self.sparse_rows = [_nonzero(field, enumerate(row)) for row in data]
 
     @classmethod
     def from_sparse(cls, field, rows: int, cols: int, sparse_rows) -> "DenseMatrix":
-        """From one ``{col: value}`` dict per row, taken over (not copied)
-        unless it holds a zero, which is dropped."""
+        """From one ``{col: value}`` dict per row.  Over QQ a row is taken
+        over (not copied) unless it holds a zero, which is dropped; over
+        GF(p) it is reduced.  A column outside the matrix raises ValueError."""
         if len(sparse_rows) != rows:
             raise ValueError("row count mismatch")
-        return _matrix(
-            field,
-            rows,
-            cols,
-            [row if all(row.values()) else {j: x for j, x in row.items() if x} for row in sparse_rows],
-        )
+        used = set().union(*sparse_rows)
+        if used and (min(used) < 0 or max(used) >= cols):
+            i = next(i for i, row in enumerate(sparse_rows) if row and (min(row) < 0 or max(row) >= cols))
+            raise ValueError(f"row {i} has a column outside range({cols})")
+        rational = isinstance(field, RationalField)
+        out = [row if rational and all(row.values()) else _nonzero(field, row.items()) for row in sparse_rows]
+        return _matrix(field, rows, cols, out)
 
     @classmethod
     def from_rows(cls, rows, field=QQ) -> "DenseMatrix":
@@ -141,10 +144,8 @@ class DenseMatrix:
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(f"entry ({i}, {j}) outside a {self.rows}x{self.cols} matrix")
         row = self.sparse_rows[i]
-        if x:
-            row[j] = x
-        else:
-            row.pop(j, None)
+        row.pop(j, None)
+        row.update(_nonzero(self.field, [(j, x)]))
 
     def transpose(self) -> "DenseMatrix":
         out = [{} for _ in range(self.cols)]
@@ -189,16 +190,25 @@ class DenseMatrix:
         return out
 
     def is_zero(self) -> bool:
-        f = self.field
-        return all(f.is_zero(x) for row in self.sparse_rows for x in row.values())
+        return not any(self.sparse_rows)
 
     def rank(self) -> int:
         return len(pivot_columns(self))
 
 
+def _nonzero(field, items) -> dict:
+    """The (col, value) pairs ``items`` as a sparse row of the nonzero
+    values, over GF(p) reduced into ``range(p)`` first."""
+    if isinstance(field, RationalField):
+        return {j: x for j, x in items if x}
+    p, of = field.p, field.of
+    return {j: v for j, x in items if (v := x % p if type(x) is int else of(x))}
+
+
 def _matrix(field, rows: int, cols: int, sparse_rows) -> DenseMatrix:
     """A matrix on ``sparse_rows`` as they are: for producers whose rows
-    hold no zero entry by construction."""
+    hold only nonzero entries (residues over GF(p)) inside the matrix by
+    construction."""
     m = DenseMatrix.__new__(DenseMatrix)
     m.field = field
     m.rows = rows
@@ -241,31 +251,29 @@ def _eliminate(m: DenseMatrix, full: bool):
 
     Each nonzero stored row becomes a sparse row ``{col: int}``: over QQ its
     entries are cleared to integers and made primitive (divided by the gcd
-    of its entries), over GF(p) they are reduced mod p and rows that reduce
-    to zero are dropped.  Columns are taken in increasing order.  Every row
-    not yet chosen as a pivot has its first entry at or after the current
-    column, so the rows holding the column are those that start there, and
-    the sparsest of them is the pivot (over GF(p) scaled to 1).  The
-    others, and with ``full`` the earlier pivot rows, are cleared at the
-    column, each update touching only the nonzeros of the two rows.  This
-    leaves the reduced echelon form up to the scale of each row, and since
-    that form is unique the pivot choice does not change the result.  The
-    pivot rows are returned in pivot order.
+    of its entries), over GF(p) they are copied, being residues already.
+    Columns are taken in increasing order.  Every row not yet chosen as a
+    pivot has its first entry at or after the current column, so the rows
+    holding the column are those that start there, and the sparsest of them
+    is the pivot (over GF(p) scaled to 1).  The others, and with ``full``
+    the earlier pivot rows, are cleared at the column, each update touching
+    only the nonzeros of the two rows.  This leaves the reduced echelon
+    form up to the scale of each row, and since that form is unique the
+    pivot choice does not change the result.  The pivot rows are returned
+    in pivot order.
     """
     p = None if isinstance(m.field, RationalField) else m.field.p
     starts = {}  # first column -> the unchosen rows that start there
     for row in m.sparse_rows:
+        if not row:
+            continue
         if p is None:
-            if not row:
-                continue
             srow, _ = _integer_row(row)
             g = gcd(*srow.values())
             if g != 1:
                 srow = {j: x // g for j, x in srow.items()}
         else:
-            srow = {j: v for j, x in row.items() if (v := x % p)}
-            if not srow:
-                continue
+            srow = dict(row)  # a copy, since the rows are cleared in place
         starts.setdefault(min(srow), []).append(srow)
     prows, pivots = [], []
     for col in range(m.cols):
@@ -396,20 +404,15 @@ def _product_rows(a: DenseMatrix, b: DenseMatrix):
 
 
 def kernel_basis(m: DenseMatrix, reduction=None):
-    """Basis of the right kernel, as a list of column vectors.
-
-    The returned vectors are linearly independent, each is annihilated by m,
-    and there are exactly cols - rank(m) of them.  ``reduction`` is
-    ``rref(m)`` when the caller already has it.
+    """Basis of the right kernel, as sparse rows ``{col: value}``: for each
+    non-pivot column j of ``rref(m)``, one at j and minus column j of the
+    rref at the pivot columns.  ``reduction`` is ``rref(m)`` when the
+    caller already has it.
     """
     f = m.field
     red, pivots = reduction if reduction is not None else rref(m)
     pivot_set = set(pivots)
-    basis = {}
-    for j in range(m.cols):
-        if j not in pivot_set:
-            v = basis[j] = [f.zero] * m.cols
-            v[j] = f.one
+    basis = {j: {j: f.one} for j in range(m.cols) if j not in pivot_set}
     for pc, row in zip(pivots, red.sparse_rows):
         for j, x in row.items():
             if j != pc:

@@ -440,18 +440,17 @@ def koszul_ext_oracle(pt: MatrixPoint, field=QQ) -> dict:
 
 def _trace_pairing_rank(ra, rb, slots, n, field):
     """Rank of the composition-trace pairing between two lists of
-    representatives: slot s of one degree pairs with slot s of the
-    complementary degree by tr(a b).
+    representatives, sparse rows ``{label: value}`` as
+    ``homology_representatives`` returns: slot s of one degree pairs with
+    slot s of the complementary degree by tr(a b).
 
     tr(a b) pairs label (p, q) of a slot with label (q, p) of the same slot,
     so the pairing matrix is ra times rb with each slot's labels transposed.
     """
-    if not (ra and rb):
-        return 0
     nn = n * n
     transposed = [s * nn + q * n + p for s in range(slots) for p in range(n) for q in range(n)]
-    by_slot = DenseMatrix(field, len(rb), len(transposed), rb).transpose().sparse_rows
-    m = DenseMatrix(field, len(ra), len(transposed), ra).matmul(
+    by_slot = DenseMatrix.from_sparse(field, len(rb), len(transposed), rb).transpose().sparse_rows
+    m = DenseMatrix.from_sparse(field, len(ra), len(transposed), ra).matmul(
         DenseMatrix.from_sparse(field, len(transposed), len(rb), [by_slot[idx] for idx in transposed])
     )
     return m.rank()

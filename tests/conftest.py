@@ -2,6 +2,25 @@ import sys
 
 import pytest
 
+from critlocus.scalars import QQ
+
+
+# Kernel bases and homology representatives are sparse rows {col: value};
+# these two convert between them and the dense vectors of the references.
+
+
+def densify(v, length, field=QQ):
+    """The sparse row ``v`` as a list of ``length`` entries."""
+    out = [field.zero] * length
+    for j, x in v.items():
+        out[j] = x
+    return out
+
+
+def sparsify(v):
+    """The dense vector ``v`` as a sparse row of its nonzero entries."""
+    return {j: x for j, x in enumerate(v) if x}
+
 
 @pytest.fixture
 def rref_calls(monkeypatch):

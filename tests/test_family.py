@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import sparsify
 from critlocus.complexes import FreeComplex
 from critlocus.family import (
     FULL_MASK,
@@ -310,7 +311,7 @@ def test_trace_pairing_descends():
     cycles2 = kernel_basis(cx.differential(2))
     d0 = cx.differential(0)
     boundaries1 = [
-        [d0.data[i][j] for i in range(d0.rows)] for j in range(d0.cols)
+        sparsify([d0.data[i][j] for i in range(d0.rows)]) for j in range(d0.cols)
     ]
     pm = trace_pairing_matrix(2, 1, boundaries1, cycles2)
     assert pm.is_zero()
@@ -364,7 +365,8 @@ def test_trace_pairing_matches_pair_loop(n, field):
     for _ in range(5):
         for qk in range(4):
             reps_k, reps_comp = vectors(qk), vectors(3 - qk)
-            pm = trace_pairing_matrix(n, qk, reps_k, reps_comp, field)
+            sparse_k, sparse_comp = list(map(sparsify, reps_k)), list(map(sparsify, reps_comp))
+            pm = trace_pairing_matrix(n, qk, sparse_k, sparse_comp, field)
             ref = reference_trace_pairing(n, reps_k, reps_comp, field)
             assert pm == ref
             assert pm.rank() == ref.rank()

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import densify
 from critlocus.linalg import DenseMatrix, kernel_basis, product_first_nonzero, rref, row_space_basis, solve
 from critlocus.scalars import DEFAULT_PRIME, GF, QQ
 
@@ -51,7 +52,7 @@ def test_kernel_members_annihilated():
             [[rng.randint(-3, 3) for _ in range(5)] for _ in range(3)]
         )
         for v in kernel_basis(m):
-            assert all(x == 0 for x in m.apply_vector(v))
+            assert all(x == 0 for x in m.apply_vector(densify(v, 5)))
         assert len(kernel_basis(m)) == 5 - m.rank()
 
 
@@ -103,7 +104,7 @@ def test_kernel_plus_row_space_spans():
         m = DenseMatrix.from_rows(
             [[rng.randint(-3, 3) for _ in range(5)] for _ in range(4)]
         )
-        ker = kernel_basis(m)
+        ker = [densify(v, 5) for v in kernel_basis(m)]
         rows = row_space_basis(m)
         stacked = DenseMatrix.from_rows(ker + rows) if ker or rows else None
         assert stacked is not None
@@ -264,8 +265,8 @@ def test_kernel_basis_reads_the_negated_rref_columns(pair):
         expected = [Fraction(int(t == j)) for t in range(k)]
         for row, pc in enumerate(pivots):
             expected[pc] = -red.data[row][j]
-        assert v == expected
-        assert all(isinstance(x, Fraction) for x in v)
+        assert densify(v, k) == expected
+        assert all(isinstance(x, Fraction) for x in densify(v, k))
 
 
 @pytest.mark.parametrize("field", [QQ, GF(P)], ids=["QQ", "GF(p)"])
@@ -386,3 +387,43 @@ def test_no_producer_stores_a_zero(field):
     assert stores_no_zero(prod) and prod.sparse_rows == [{}, {}, {0: field.one}]
     t = a.transpose()
     assert stores_no_zero(t) and t.data == [list(col) for col in zip(*a.data)]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(P)], ids=["QQ", "GF(p)"])
+def test_from_sparse_refuses_a_column_outside_the_matrix(field):
+    for row in ({5: 1}, {2: 1}, {-1: 1}, {0: 1, 7: 2}):
+        with pytest.raises(ValueError, match="row 1"):
+            DenseMatrix.from_sparse(field, 2, 2, [{0: 1}, row])
+    m = DenseMatrix.from_sparse(field, 2, 2, [{}, {1: 1}])
+    assert m.rank() == 1 and m.data == [[0, 0], [0, 1]]
+
+
+# -- GF(p) entries are stored reduced --------------------------------------------------
+
+
+def test_gf_p_multiple_of_p_is_the_zero_matrix():
+    f = GF(P)
+    m = DenseMatrix(f, 1, 1, [[P]])
+    assert m == DenseMatrix.zero(1, 1, f)
+    assert m.is_zero() and m.rank() == 0
+    assert DenseMatrix.from_sparse(f, 1, 2, [{0: -P, 1: 3 * P}]) == DenseMatrix.zero(1, 2, f)
+
+
+def test_gf_p_unreduced_one_is_the_identity():
+    f = GF(P)
+    one = DenseMatrix(f, 1, 1, [[P + 1]])
+    ident = DenseMatrix.identity(1, f)
+    assert one == ident and one.matmul(ident) == ident
+    m = DenseMatrix.zero(2, 2, f)
+    m.set(0, 0, P + 1)
+    m.set(1, 1, Fraction(2 * P + 2, 2))
+    assert m == DenseMatrix.identity(2, f)
+    m.set(1, 1, 5 * P)
+    assert m.sparse_rows == [{0: 1}, {}]
+
+
+def test_gf_p_fraction_entry_is_stored_as_its_residue():
+    f = GF(P)
+    half = DenseMatrix(f, 1, 1, [[Fraction(1, 2)]])
+    assert half.rank() == 1 and half.sparse_rows == [{0: f.of(Fraction(1, 2))}]
+    assert half.matmul(DenseMatrix(f, 1, 1, [[2]])) == DenseMatrix.identity(1, f)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import sparsify
 from critlocus.linalg import DenseMatrix, mat_mul, mat_sub
 from critlocus.points import (
     MatrixPoint,
@@ -226,7 +227,9 @@ def test_oracle_pairing_rank_matches_tr_pair(n, field):
     for _ in range(20):
         for slots in (1, 3):
             ra, rb = vectors(slots * n * n), vectors(slots * n * n)
-            assert _trace_pairing_rank(ra, rb, slots, n, field) == reference_trace_pairing_rank(
+            assert _trace_pairing_rank(
+                list(map(sparsify, ra)), list(map(sparsify, rb)), slots, n, field
+            ) == reference_trace_pairing_rank(
                 ra, rb, slots, n, field
             )
 

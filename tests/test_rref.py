@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import densify
 from critlocus import points
 from critlocus.complexes import FreeComplex, homology_representatives
 from critlocus.family import endomorphism_model
@@ -90,7 +91,7 @@ def greedy_representatives(cx, k):
         d = cx.differential(k - 1)
         for j in range(d.cols):
             span.add([d.data[i][j] for i in range(d.rows)])
-    return [v for v in kernel_basis(cx.differential(k)) if span.add(v)]
+    return [v for v in kernel_basis(cx.differential(k)) if span.add(densify(v, cx.rank(k), cx.base))]
 
 
 def matrices(entries, max_rows=6, max_cols=7):
@@ -182,7 +183,7 @@ def random_complex(rng, field):
     B = [[entry() for _ in range(s)] for _ in range(c1)]
     R = [[entry() for _ in range(c0)] for _ in range(s)]
     d0 = DenseMatrix.from_rows(B, field).matmul(DenseMatrix.from_rows(R, field))
-    left = kernel_basis(DenseMatrix.from_rows(B, field).transpose())
+    left = [densify(v, c1, field) for v in kernel_basis(DenseMatrix.from_rows(B, field).transpose())]
     if left:
         M = [[entry() for _ in range(len(left))] for _ in range(c2)]
         d1 = DenseMatrix.from_rows(M, field).matmul(DenseMatrix.from_rows(left, field))
@@ -230,6 +231,29 @@ def test_homology_representatives_match_greedy_span_on_ext_complexes(over_gf, mo
             assert len(reps) == dims[k]
 
 
+@pytest.mark.parametrize("over_gf", [False, True])
+def test_representatives_are_sparse_rows_without_zeros(over_gf):
+    # every degree of the model at the partition points of n=2 (the top
+    # degree, with no differential out of it, included) and of random complexes
+    field = GF(P) if over_gf else QQ
+    model = endomorphism_model(2)
+    pts = [point_from_partition(p) for p in enumerate_partitions(2)]
+    cxs = [model.evaluate_at(pt.X, pt.Y, pt.Z, field) for pt in pts]
+    cxs += [random_complex(random.Random(seed), field) for seed in range(10)]
+    kept = 0
+    for cx in cxs:
+        for k in cx.degrees():
+            for v in homology_representatives(cx, k):
+                assert type(v) is dict and v
+                assert all(0 <= j < cx.rank(k) for j in v)
+                if over_gf:
+                    assert all(type(x) is int and 0 < x < P for x in v.values())
+                else:
+                    assert all(isinstance(x, Fraction) and x != 0 for x in v.values())
+                kept += 1
+    assert kept
+
+
 # -- zeros of every kind and the pivot choice -------------------------------------------
 
 # Zeros of three kinds: the field's shared zero and fresh zero objects, all
@@ -273,7 +297,7 @@ def test_shared_zero_fast_path_never_decides_a_result_over_qq(pair):
     ref, ref_pivots = naive_rref(rows, ncols)
     assert (red.data, pivots) == (ref, ref_pivots)
     assert pivot_columns(m) == ref_pivots
-    assert kernel_basis(m) == naive_kernel(rows, ncols)
+    assert [densify(v, ncols) for v in kernel_basis(m)] == naive_kernel(rows, ncols)
     cols = len(right[0]) if right else 0
     b = DenseMatrix(QQ, ncols, cols, right) if right else DenseMatrix.zero(ncols, cols)
     expected = naive_matmul(rows, b.data, len(rows), ncols, cols)
@@ -291,7 +315,7 @@ def test_shared_zero_fast_path_never_decides_a_result_over_gf_p(pair):
     ref, ref_pivots = naive_rref(rows, ncols, P)
     assert (red.data, pivots) == (ref, ref_pivots)
     assert pivot_columns(m) == ref_pivots
-    assert kernel_basis(m) == naive_kernel(rows, ncols, P)
+    assert [densify(v, ncols, field) for v in kernel_basis(m)] == naive_kernel(rows, ncols, P)
     cols = len(right[0]) if right else 0
     b = DenseMatrix(field, ncols, cols, right) if right else DenseMatrix.zero(ncols, cols, field)
     expected = naive_matmul(rows, b.data, len(rows), ncols, cols, P)

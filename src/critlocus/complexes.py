@@ -7,6 +7,13 @@ complex).  Matrices act on column vectors: the entry at (row, col) is the
 coefficient of target basis vector ``row`` in the image of source basis
 vector ``col``.
 
+Both matrix types are stored as sparse rows.  A :class:`SymMatrix` keeps
+one ``{col: SuperPoly}`` dict of nonzero polynomials per row, as
+:class:`~critlocus.linalg.DenseMatrix` keeps nonzero scalars; its producers
+write only nonzero entries, its readers visit only those, and its product
+is row-wise, row i being the sum of a_ik times row k of the right factor.
+Its ``data`` is a dense copy for readers outside the package.
+
 Complexes arising as generator-degree presentations of dg modules also
 carry *twist* components: matrices from degree k to degree l >= k+2 whose
 entries have negative cohomological degree.  For those, the structural
@@ -34,106 +41,116 @@ from .superpoly import Derivation, GeneratorTable, SuperPoly, add_product, poly_
 
 
 class SymMatrix:
-    """Dense matrix with SuperPoly entries."""
+    """A rows x cols matrix with SuperPoly entries over one generator table,
+    stored as sparse rows: one ``{col: SuperPoly}`` dict per row holding
+    only its nonzero entries, as ``DenseMatrix`` stores scalars."""
 
-    __slots__ = ("table", "rows", "cols", "data")
+    __slots__ = ("table", "rows", "cols", "sparse_rows")
 
     def __init__(self, table: GeneratorTable, rows: int, cols: int, data=None):
+        """The zero matrix, or the matrix of dense row-major ``data`` with its
+        zero polynomials dropped."""
         self.table = table
         self.rows = rows
         self.cols = cols
         if data is None:
-            z = SuperPoly.zero(table)
-            self.data = [[z for _ in range(cols)] for _ in range(rows)]
+            self.sparse_rows = [{} for _ in range(rows)]
         else:
             if len(data) != rows or any(len(r) != cols for r in data):
                 raise ValueError("shape mismatch")
-            self.data = [list(r) for r in data]
+            self.sparse_rows = [{j: p for j, p in enumerate(r) if p.terms} for r in data]
 
     @classmethod
     def zero(cls, table, rows, cols):
         return cls(table, rows, cols)
 
+    @property
+    def data(self):
+        """A dense row-major copy, with a zero polynomial in empty entries.
+        Writing to it does not change the matrix; ``set`` does."""
+        zero = SuperPoly.zero(self.table)
+        out = []
+        for row in self.sparse_rows:
+            dense = [zero] * self.cols
+            for j, p in row.items():
+                dense[j] = p
+            out.append(dense)
+        return out
+
     def __eq__(self, other):
         return (
             isinstance(other, SymMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and all(
-                self.data[i][j] == other.data[i][j]
-                for i in range(self.rows)
-                for j in range(self.cols)
-            )
+            and self.table is other.table
+            and (self.rows, self.cols) == (other.rows, other.cols)
+            and self.sparse_rows == other.sparse_rows
         )
 
     def set(self, i, j, p: SuperPoly):
-        self.data[i][j] = p
+        """Set entry (i, j) to ``p``; a zero ``p`` clears it."""
+        if not (0 <= i < self.rows and 0 <= j < self.cols):
+            raise IndexError(f"entry ({i}, {j}) outside a {self.rows}x{self.cols} matrix")
+        if p.terms:
+            self.sparse_rows[i][j] = p
+        else:
+            self.sparse_rows[i].pop(j, None)
 
     def add_to(self, i, j, p: SuperPoly):
-        self.data[i][j] = self.data[i][j] + p
+        """Add ``p`` to entry (i, j); a sum that cancels clears it."""
+        self.set(i, j, self.entry(i, j) + p)
 
     def entry(self, i, j) -> SuperPoly:
-        return self.data[i][j]
+        return self.sparse_rows[i].get(j) or SuperPoly.zero(self.table)
 
     def is_zero(self) -> bool:
-        return all(p.is_zero() for row in self.data for p in row)
-
-    def first_nonzero(self):
-        for i in range(self.rows):
-            for j in range(self.cols):
-                if not self.data[i][j].is_zero():
-                    return (i, j, self.data[i][j])
-        return None
+        return not any(self.sparse_rows)
 
     def matmul(self, other: "SymMatrix") -> "SymMatrix":
+        """Row-wise: row i is the sum, over the nonzero a_ik, of a_ik times
+        row k of ``other``."""
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matmul")
         out = SymMatrix(self.table, self.rows, other.cols)
-        for i, row in enumerate(self.data):
-            left = [(k, a.terms) for k, a in enumerate(row) if a.terms]
-            if not left:
-                continue
-            for j in range(other.cols):
-                terms = {}
-                for k, a in left:
-                    b = other.data[k][j].terms
-                    if b:
-                        add_product(terms, a, b)
+        for row, acc in zip(self.sparse_rows, out.sparse_rows):
+            sums = {}
+            for k, a in row.items():
+                for j, b in other.sparse_rows[k].items():
+                    add_product(sums.setdefault(j, {}), a.terms, b.terms)
+            for j, terms in sums.items():
                 if terms:
-                    out.data[i][j] = SuperPoly._of_terms(self.table, terms)
+                    acc[j] = SuperPoly._of_terms(self.table, terms)
         return out
 
     def add(self, other: "SymMatrix") -> "SymMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in add")
         out = SymMatrix(self.table, self.rows, self.cols)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                out.data[i][j] = self.data[i][j] + other.data[i][j]
+        out.sparse_rows = [dict(row) for row in self.sparse_rows]
+        for i, row in enumerate(other.sparse_rows):
+            for j, p in row.items():
+                out.add_to(i, j, p)
         return out
 
     def scale(self, c) -> "SymMatrix":
-        out = SymMatrix(self.table, self.rows, self.cols)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                out.data[i][j] = self.data[i][j].scale(c)
-        return out
+        return self.map_entries(lambda p: p.scale(c))
 
     def transpose(self) -> "SymMatrix":
-        return SymMatrix(
-            self.table,
-            self.cols,
-            self.rows,
-            [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],
-        )
+        out = SymMatrix(self.table, self.cols, self.rows)
+        for i, row in enumerate(self.sparse_rows):
+            for j, p in row.items():
+                out.sparse_rows[j][i] = p
+        return out
 
     def map_entries(self, fn) -> "SymMatrix":
-        return SymMatrix(
-            self.table,
-            self.rows,
-            self.cols,
-            [[fn(p) for p in row] for row in self.data],
-        )
+        """``fn`` applied to each nonzero entry, zero results dropped.  ``fn``
+        must send zero to zero, as a linear map such as
+        ``Derivation.apply`` does, since empty entries are not visited."""
+        out = SymMatrix(self.table, self.rows, self.cols)
+        for row, acc in zip(self.sparse_rows, out.sparse_rows):
+            for j, p in row.items():
+                q = fn(p)
+                if q.terms:
+                    acc[j] = q
+        return out
 
     def evaluate(self, assignment, field=QQ) -> DenseMatrix:
         """The numeric matrix at a point, as ``FreeComplex.evaluate_at`` sets it."""
@@ -159,11 +176,11 @@ class CompiledMatrix:
         self.rows = m.rows
         self.cols = m.cols
         self.entries = []
-        for i, row in enumerate(m.data):
-            for j, p in enumerate(row):
+        for i, row in enumerate(m.sparse_rows):
+            for j in sorted(row):
                 terms = tuple(
                     (_exact(c), tuple(k for k, exp in e for _ in range(exp)))
-                    for (e, o), c in p.terms.items()
+                    for (e, o), c in row[j].terms.items()
                     if not o and all(live[k] for k, _ in e)
                 )
                 if terms:
@@ -220,6 +237,9 @@ class FreeComplex:
         self._check_shapes()
 
     def _check_shapes(self):
+        for k, r in self.ranks.items():
+            if r < 0:
+                raise ValueError(f"negative rank {r} at degree {k}")
         for k, m in self.diff.items():
             if m.cols != self.ranks.get(k, 0) or m.rows != self.ranks.get(k + 1, 0):
                 raise ValueError(f"differential at degree {k} has wrong shape")
@@ -402,6 +422,8 @@ class FreeComplex:
             m = SymMatrix.zero(table, rows, cols)
             for key, s in entries.items():
                 i, j = (int(x) for x in key.split(","))
+                if not (0 <= i < rows and 0 <= j < cols):
+                    raise ValueError(f"entry key {key!r} outside a {rows}x{cols} matrix")
                 m.set(i, j, poly_from_text(table, s))
             return m
 
@@ -484,18 +506,12 @@ def _point_values(table: GeneratorTable, assignment: dict) -> dict:
 
 
 def _matrix_entries(m: SymMatrix) -> dict:
-    out = {}
-    for i in range(m.rows):
-        for j in range(m.cols):
-            p = m.data[i][j]
-            if not p.is_zero():
-                out[f"{i},{j}"] = poly_to_text(p)
-    return out
+    return {f"{i},{j}": poly_to_text(p) for i, row in enumerate(m.sparse_rows) for j, p in row.items()}
 
 
 def _first_nonzero(m):
-    if isinstance(m, SymMatrix):
-        return m.first_nonzero()
+    """(row, col, entry) of the first nonzero entry of a symbolic or numeric
+    matrix in row-major order, or None."""
     for i, row in enumerate(m.sparse_rows):
         if row:
             j = min(row)

@@ -267,6 +267,91 @@ def test_compiled_evaluation_matches_entrywise(m, point):
             assert all(isinstance(x, Fraction) for row in got.data for x in row)
 
 
+# -- sparse storage ----------------------------------------------------------------
+
+# multiplying by an odd generator is linear and kills every term that
+# already holds it, so some nonzero entries map to zero
+ODD = SuperPoly.gen(EVAL_TABLE, "Xm1(1,1)")
+
+
+def _stores_only_nonzeros(m):
+    return len(m.sparse_rows) == m.rows and all(
+        0 <= j < m.cols and p.terms for row in m.sparse_rows for j, p in row.items()
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_sparse_producers_match_entrywise_references(data):
+    t = EVAL_TABLE
+    zero = SuperPoly.zero(t)
+    a = data.draw(sym_matrices())
+    b = data.draw(sym_matrices(rows=a.cols))
+    c = data.draw(sym_matrices(a.rows, a.cols))
+    k = data.draw(st.sampled_from([0, 1, -1, Fraction(2, 3)]))
+    A, B, C = a.data, b.data, c.data
+    r, n, m = a.rows, a.cols, b.cols
+    results = {
+        "matmul": (a.matmul(b), [[sum((A[i][l] * B[l][j] for l in range(n)), zero) for j in range(m)] for i in range(r)]),
+        "add": (a.add(c), [[A[i][j] + C[i][j] for j in range(n)] for i in range(r)]),
+        "cancel": (a.add(a.scale(-1)), [[zero] * n for _ in range(r)]),
+        "scale": (a.scale(k), [[p.scale(k) for p in row] for row in A]),
+        "transpose": (a.transpose(), [list(col) for col in zip(*A)] if r else [[] for _ in range(n)]),
+        "map_entries": (a.map_entries(lambda p: p * ODD), [[p * ODD for p in row] for row in A]),
+    }
+    for name, (got, want) in results.items():
+        assert got.data == want, name
+        assert _stores_only_nonzeros(got), name
+    assert not any(a.add(a.scale(-1)).sparse_rows) and not any(a.scale(0).sparse_rows)
+
+    # set and add_to clear an entry they cancel
+    cleared = SymMatrix(t, r, n, A)
+    for i, row in enumerate(a.sparse_rows):
+        for j, p in row.items():
+            if data.draw(st.booleans()):
+                cleared.add_to(i, j, -p)
+            else:
+                cleared.set(i, j, zero)
+            assert _stores_only_nonzeros(cleared)
+    assert cleared == SymMatrix.zero(t, r, n) and not any(cleared.sparse_rows)
+
+    # .data is a copy
+    dense = a.data
+    for row in dense:
+        row[:] = [SuperPoly.one(t)] * n
+    assert a.data == A and a == SymMatrix(t, r, n, A)
+
+
+def test_zero_matrices_over_distinct_tables_differ():
+    t1, t2 = GeneratorTable.canonical(1), GeneratorTable.canonical(1)
+    assert SymMatrix(t1, 1, 1) == SymMatrix(t1, 1, 1)
+    assert SymMatrix(t1, 1, 1) != SymMatrix(t2, 1, 1)
+
+
+def test_entries_outside_the_matrix_raise():
+    t = GeneratorTable.canonical(1)
+    m = SymMatrix(t, 2, 2)
+    one = SuperPoly.one(t)
+    for i, j in [(-1, 0), (0, -1), (-1, -2), (2, 0), (0, 2)]:
+        with pytest.raises(IndexError):
+            m.set(i, j, one)
+        with pytest.raises(IndexError):
+            m.add_to(i, j, one)
+    assert m.is_zero()
+    text = '{"ranks": {"0": 2, "1": 2}, "differentials": {"0": {"-1,-2": "1"}}}'
+    with pytest.raises(ValueError, match="'-1,-2'"):
+        FreeComplex.from_json(t, text)
+
+
+def test_negative_ranks_raise_and_zero_ranks_are_dropped():
+    t = GeneratorTable.canonical(1)
+    with pytest.raises(ValueError, match="degree 0"):
+        FreeComplex.from_json(t, '{"ranks": {"0": -2, "1": 1}, "differentials": {}}')
+    with pytest.raises(ValueError, match="degree 1"):
+        FreeComplex(QQ, {0: 1, 1: -1}, {})
+    assert FreeComplex(QQ, {0: 0, 1: 2, 2: 0}, {}).ranks == {1: 2}
+
+
 def test_surviving_twist_component_raises():
     cdga = MatrixCdga(1)
     t = cdga.table

@@ -33,10 +33,13 @@ locus always produces an honest numeric complex.
 from __future__ import annotations
 
 import json
+import re
+from fractions import Fraction
+from math import lcm
 from typing import Optional
 
-from .linalg import DenseMatrix, kernel_basis, pivot_columns, product_first_nonzero, rref
-from .scalars import QQ
+from .linalg import DenseMatrix, _matrix, kernel_basis, pivot_columns, product_first_nonzero, rref
+from .scalars import QQ, RationalField
 from .superpoly import Derivation, GeneratorTable, SuperPoly, add_product, poly_from_text, poly_to_text
 
 
@@ -158,54 +161,117 @@ class SymMatrix:
 
 
 class CompiledMatrix:
-    """The part of a SymMatrix that can be nonzero at a point.
+    """The part of a SymMatrix that can be nonzero at a point, in integers.
 
     A point sets the degree-0 generators to rationals and every other
     generator to zero.  Compiling keeps exactly the monomials that
     ``SuperPoly.evaluate`` does not kill: those with no odd part whose
     generators all have cdeg and fdeg 0.  ``entries`` lists
-    (row, col, terms) for the entries with such a monomial; a term is
-    (coefficient, generators), each generator repeated by its exponent.
+    (row, col, terms) for the entries with such a monomial, in row-major
+    order.  The coefficients are scaled to ints by the lcm ``scale`` of
+    their denominators, and ``degree`` is the largest term degree E; a
+    term is (coefficient, generators, E - e) for a term of degree e, each
+    generator repeated by its exponent.
+
+    At a point cleared to numerators N over one denominator D (see
+    ``_Point``), a term contributes c * prod N * D^(E - e), so an entry's
+    value is V / (scale * D^E) with V an int, whatever the degrees of its
+    terms.  A term vanishes unless its first generator is nonzero, so
+    ``by_gen`` lists, per generator, the entries with a term led by it, and
+    ``constant`` those with a constant term: a point visits only those
+    lists for its nonzero generators, and the constant entries.
     """
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "entries", "scale", "degree", "by_gen", "constant")
 
     def __init__(self, m: SymMatrix):
-        t = m.table
-        live = [g.cdeg == 0 and g.fdeg == 0 for g in t.gens]
+        live = [g.cdeg == 0 and g.fdeg == 0 for g in m.table.gens]
+
+        def live_terms(p):
+            for (e, o), c in p.terms.items():
+                if not o and all(live[k] for k, _ in e):
+                    yield QQ.of(c), tuple(k for k, exp in e for _ in range(exp))
+
         self.rows = m.rows
         self.cols = m.cols
+        self.scale = 1
+        self.degree = 0
+        for row in m.sparse_rows:
+            for p in row.values():
+                for c, gens in live_terms(p):
+                    self.scale = lcm(self.scale, c.denominator)
+                    self.degree = max(self.degree, len(gens))
         self.entries = []
+        self.by_gen = {}
+        self.constant = []
         for i, row in enumerate(m.sparse_rows):
             for j in sorted(row):
                 terms = tuple(
-                    (_exact(c), tuple(k for k, exp in e for _ in range(exp)))
-                    for (e, o), c in row[j].terms.items()
-                    if not o and all(live[k] for k, _ in e)
+                    (c.numerator * (self.scale // c.denominator), gens, self.degree - len(gens))
+                    for c, gens in live_terms(row[j])
                 )
-                if terms:
-                    self.entries.append((i, j, terms))
+                if not terms:
+                    continue
+                n = len(self.entries)
+                if not all(gens for _, gens, _ in terms):
+                    self.constant.append(n)
+                for k in {gens[0] for _, gens, _ in terms if gens}:
+                    self.by_gen.setdefault(k, []).append(n)
+                self.entries.append((i, j, terms))
 
-    def values(self, point: dict):
-        """(row, col, exact value) of each entry that is nonzero at ``point``,
-        a dict from generator index to an exact value (see ``_point_values``)."""
-        for i, j, terms in self.entries:
+    def values(self, point: "_Point"):
+        """(row, col, V) of each entry that is nonzero at ``point``, in
+        entry order, its value being V / (scale * D^E)."""
+        visit = set(self.constant)
+        by_gen = self.by_gen
+        for k in point.nonzero:
+            hit = by_gen.get(k)
+            if hit:
+                visit.update(hit)
+        nums = point.nums
+        dpow = [1]
+        for _ in range(self.degree):
+            dpow.append(dpow[-1] * point.den)
+        entries = self.entries
+        for n in sorted(visit):
+            i, j, terms = entries[n]
             v = 0
-            for c, gens in terms:
+            for c, gens, s in terms:
                 for k in gens:
-                    c *= point[k]
-                v += c
+                    c *= nums[k]
+                if c:
+                    v += c * dpow[s]
             if v:
                 yield i, j, v
 
-    def evaluate(self, point: dict, field) -> DenseMatrix:
-        """Sparse rows over ``field`` of the values that are nonzero there;
-        ``from_sparse`` drops those that vanish mod p."""
+    def evaluate(self, point: "_Point", field) -> DenseMatrix:
+        """Sparse rows over ``field`` of the values that are nonzero there.
+
+        Over QQ each value is one Fraction.  Over GF(p) the common
+        denominator is written p^a * m once, and a value V is
+        (V / p^a) * m^-1 mod p; a V that p^a does not divide has a reduced
+        denominator divisible by p and raises ZeroDivisionError, as
+        ``PrimeField.of`` does.  Values that vanish mod p are dropped.
+        """
         rows = [{} for _ in range(self.rows)]
-        of = field.of
-        for i, j, v in self.values(point):
-            rows[i][j] = of(v)
-        return DenseMatrix.from_sparse(field, self.rows, self.cols, rows)
+        den = self.scale * point.den**self.degree
+        if isinstance(field, RationalField):
+            for i, j, v in self.values(point):
+                rows[i][j] = Fraction(v, den)
+        else:
+            p = field.p
+            pa = 1
+            while den % p == 0:
+                den //= p
+                pa *= p
+            inv = pow(den, -1, p)
+            for i, j, v in self.values(point):
+                if v % pa:
+                    raise ZeroDivisionError(f"denominator divisible by {p}")
+                x = v // pa * inv % p
+                if x:
+                    rows[i][j] = x
+        return _matrix(field, self.rows, self.cols, rows)
 
 
 class FreeComplex:
@@ -226,7 +292,7 @@ class FreeComplex:
 
     def __init__(self, base, ranks: dict, diff: dict, twist: Optional[dict] = None):
         self.base = base
-        self.ranks = {int(k): int(r) for k, r in ranks.items() if r}
+        self.ranks = {int(k): r for k, r in ranks.items() if _rank(k, r)}
         self.diff = dict(diff)
         self.twist = dict(twist) if twist else {}
         self.symbolic = isinstance(base, GeneratorTable)
@@ -328,9 +394,12 @@ class FreeComplex:
     def evaluate_at(self, assignment: dict, field=QQ) -> "FreeComplex":
         """Set degree-0 generators to scalars, all others to zero.
 
-        ``assignment`` maps generator index (or name) to a rational.  Twist
-        components have strictly negative entry degrees, so they evaluate to
-        zero and are dropped; this is asserted.  The differentials and twist
+        ``assignment`` maps generator index (or name) to a rational, or is a
+        point already cleared by ``_point_values``.  The point's
+        denominators are cleared once, and every compiled matrix reads the
+        same integer numerators (see ``CompiledMatrix``).  Twist components
+        have strictly negative entry degrees, so they evaluate to zero and
+        are dropped; this is asserted.  The differentials and twist
         components are compiled on the first call and the compiled forms are
         kept for every later point.
         """
@@ -416,12 +485,12 @@ class FreeComplex:
     @classmethod
     def from_json(cls, table: GeneratorTable, text: str) -> "FreeComplex":
         obj = json.loads(text)
-        ranks = {int(k): r for k, r in obj["ranks"].items()}
+        ranks = {int(k): _rank(k, r) for k, r in obj["ranks"].items()}
 
         def load(entries, rows, cols):
             m = SymMatrix.zero(table, rows, cols)
             for key, s in entries.items():
-                i, j = (int(x) for x in key.split(","))
+                i, j = _index_pair(key)
                 if not (0 <= i < rows and 0 <= j < cols):
                     raise ValueError(f"entry key {key!r} outside a {rows}x{cols} matrix")
                 m.set(i, j, poly_from_text(table, s))
@@ -433,7 +502,7 @@ class FreeComplex:
         }
         twist = {}
         for key, v in obj.get("twists", {}).items():
-            k, l = (int(x) for x in key.split(","))
+            k, l = _index_pair(key)
             twist[(k, l)] = load(v, ranks.get(l, 0), ranks.get(k, 0))
         return cls(table, ranks, diff, twist)
 
@@ -488,21 +557,66 @@ def _zero_matrix(base, rows: int, cols: int):
     return DenseMatrix.zero(rows, cols, base)
 
 
-def _exact(x):
-    """A rational as an int when it is integral, else as a Fraction: the
-    same number, and ints multiply far faster."""
-    x = QQ.of(x)
-    return x.numerator if x.denominator == 1 else x
+class _Point:
+    """A point with its denominators cleared: the degree-0 generators take
+    the values ``nums[k] / den``, where ``den`` is the lcm of their
+    denominators, and every other generator is 0.  ``nums`` holds one int
+    per generator of ``table`` and ``nonzero`` the indices where it is not
+    0."""
+
+    __slots__ = ("table", "den", "nums", "nonzero")
+
+    def __init__(self, table: GeneratorTable, values: dict):
+        """``values`` maps the index of every degree-0 generator to a Fraction."""
+        self.table = table
+        self.den = lcm(*(x.denominator for x in values.values()))
+        self.nums = [0] * len(table)
+        for k, x in values.items():
+            self.nums[k] = x.numerator * (self.den // x.denominator)
+        self.nonzero = [k for k, n in enumerate(self.nums) if n]
 
 
-def _point_values(table: GeneratorTable, assignment: dict) -> dict:
-    """``assignment`` keyed by generator index, its values exact (see
-    ``_exact``).  Every degree-0 generator of ``table`` must have a value."""
-    point = {k if isinstance(k, int) else table.idx(k): _exact(v) for k, v in assignment.items()}
+def _point_values(table: GeneratorTable, assignment) -> _Point:
+    """``assignment``, keyed by generator name or index, cleared to a
+    ``_Point`` over ``table``; a ``_Point`` over ``table`` is returned as it
+    is.  Every degree-0 generator must have an exact value.  A name not in
+    the table, or an index outside ``range(len(table))``, raises KeyError
+    naming it, as does a bool key; values for the other generators are
+    checked to be exact but never enter the point."""
+    if isinstance(assignment, _Point):
+        if assignment.table is not table:
+            raise ValueError("point was cleared over another generator table")
+        return assignment
+    given = {}
+    size = len(table)
+    for k, v in assignment.items():
+        if isinstance(k, bool) or (isinstance(k, int) and not 0 <= k < size):
+            raise KeyError(k)
+        given[k if isinstance(k, int) else table.idx(k)] = QQ.of(v)
+    values = {}
     for k, g in enumerate(table.gens):
-        if g.cdeg == 0 and g.fdeg == 0 and k not in point:
-            raise KeyError(f"missing assignment for degree-0 generator {g.name}")
-    return point
+        if g.cdeg == 0 and g.fdeg == 0:
+            if k not in given:
+                raise KeyError(f"missing assignment for degree-0 generator {g.name}")
+            values[k] = given[k]
+    return _Point(table, values)
+
+
+def _rank(degree, r) -> int:
+    """``r`` if it is an int; anything else, a bool included, raises
+    ValueError naming the degree rather than being read as an int."""
+    if isinstance(r, bool) or not isinstance(r, int):
+        raise ValueError(f"rank {r!r} at degree {degree} is not an integer")
+    return r
+
+
+def _index_pair(key: str):
+    """The two ints of a JSON key ``"i,j"``; any other key raises ValueError
+    naming it."""
+    m = re.fullmatch(r"(-?\d+),(-?\d+)", key)
+    if m is None:
+        raise ValueError(f"malformed entry key {key!r}, expected 'i,j'")
+    return int(m[1]), int(m[2])
 
 
 def _matrix_entries(m: SymMatrix) -> dict:
@@ -558,7 +672,9 @@ class ChainMap:
     def check_at_point(self, assignment: dict, field=QQ) -> dict:
         """Evaluate both complexes and the blocks, check squares and invertibility.
 
-        Symbolic blocks are compiled on the first call, like the complexes.
+        The point's denominators are cleared once, and both complexes and
+        every block are evaluated at that one cleared point.  Symbolic
+        blocks are compiled on the first call, like the complexes.
         """
         if self.source.symbolic:
             assignment = _point_values(self.source.base, assignment)

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -255,16 +256,57 @@ def sym_matrices(draw, rows=None, cols=None):
 
 points = st.fixed_dictionaries({k: st.sampled_from(POINT_VALUES) for k in DEGREE_ZERO})
 
+# values over the default prime, and multiples of it that can cancel them,
+# so some entries have a reduced denominator divisible by p and some do not
+P = DEFAULT_PRIME
+PRIME_VALUES = POINT_VALUES + [Fraction(1, P), Fraction(-2, P), Fraction(P), Fraction(-3 * P)]
+OTHER_GENS = [k for k in range(len(EVAL_TABLE)) if k not in DEGREE_ZERO]
 
-@settings(max_examples=100, deadline=None)
-@given(sym_matrices(), points)
-def test_compiled_evaluation_matches_entrywise(m, point):
+
+@settings(max_examples=200, deadline=None)
+@given(
+    sym_matrices(),
+    st.one_of(
+        points,
+        st.fixed_dictionaries({k: st.sampled_from(PRIME_VALUES) for k in DEGREE_ZERO}),
+        st.just({k: Fraction(0) for k in DEGREE_ZERO}),
+    ),
+    st.dictionaries(st.sampled_from(OTHER_GENS), st.sampled_from(PRIME_VALUES[1:]), max_size=2),
+)
+def test_compiled_evaluation_matches_entrywise(m, point, others):
+    # values for the other generators are ignored, and never enter the
+    # cleared denominator
+    cleared = complexes._point_values(EVAL_TABLE, point)
+    with_others = complexes._point_values(EVAL_TABLE, {**point, **others})
+    assert (with_others.den, with_others.nums) == (cleared.den, cleared.nums)
     for field in (QQ, GF(DEFAULT_PRIME)):
-        got = m.evaluate(point, field)
+        try:
+            want = [[field.of(p.evaluate(point)) for p in row] for row in m.data]
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError, match=f"denominator divisible by {P}"):
+                m.evaluate({**point, **others}, field)
+            continue
+        got = m.evaluate({**point, **others}, field)
         assert (got.rows, got.cols) == (m.rows, m.cols)
-        assert got.data == [[field.of(p.evaluate(point)) for p in row] for row in m.data]
+        assert got.data == want
+        assert all(x for row in got.sparse_rows for x in row.values())
         if field is QQ:
             assert all(isinstance(x, Fraction) for row in got.data for x in row)
+
+
+def test_generator_keys_outside_the_table_raise():
+    cdga = MatrixCdga(1)
+    t = cdga.table
+    c = FreeComplex(t, {0: 1}, {})
+    point = cdga.point_assignment([[1]], [[2]], [[3]])
+    for key in (len(t), 999, -1, True, False, "nosuch"):
+        # the key comes first, so a bool keeps its place beside index 0 or 1
+        with pytest.raises(KeyError, match=repr(key) if isinstance(key, str) else str(key)):
+            c.evaluate_at({key: 5, **point})
+    # a cleared point is indexed by its own table
+    other = FreeComplex(MatrixCdga(1).table, {0: 1}, {})
+    with pytest.raises(ValueError, match="another generator table"):
+        other.evaluate_at(complexes._point_values(t, point))
 
 
 # -- sparse storage ----------------------------------------------------------------
@@ -341,6 +383,25 @@ def test_entries_outside_the_matrix_raise():
     text = '{"ranks": {"0": 2, "1": 2}, "differentials": {"0": {"-1,-2": "1"}}}'
     with pytest.raises(ValueError, match="'-1,-2'"):
         FreeComplex.from_json(t, text)
+
+
+@pytest.mark.parametrize("rank", ["1.5", "true", '"2"'])
+def test_non_integer_ranks_raise_naming_the_degree(rank):
+    t = GeneratorTable.canonical(1)
+    text = '{"ranks": {"0": 1, "3": %s}, "differentials": {}}' % rank
+    with pytest.raises(ValueError, match="rank .* at degree 3 is not an integer"):
+        FreeComplex.from_json(t, text)
+
+
+@pytest.mark.parametrize("key", ["a,b", "1", "0,0,0", "", "1,"])
+def test_malformed_entry_keys_raise_naming_the_key(key):
+    t = GeneratorTable.canonical(1)
+    for field in ("differentials", "twists"):
+        text = '{"ranks": {"0": 1, "1": 1, "2": 1}, "differentials": {}, "%s": {}}' % field
+        obj = json.loads(text)
+        obj[field] = {"0": {key: "1"}} if field == "differentials" else {key: {}}
+        with pytest.raises(ValueError, match=f"malformed entry key {key!r}"):
+            FreeComplex.from_json(t, json.dumps(obj))
 
 
 def test_negative_ranks_raise_and_zero_ranks_are_dropped():

@@ -67,6 +67,14 @@ class SymMatrix:
     def zero(cls, table, rows, cols):
         return cls(table, rows, cols)
 
+    @classmethod
+    def identity(cls, table, n):
+        out = cls(table, n, n)
+        one = SuperPoly.one(table)
+        for i, row in enumerate(out.sparse_rows):
+            row[i] = one
+        return out
+
     @property
     def data(self):
         """A dense row-major copy, with a zero polynomial in empty entries.
@@ -99,7 +107,8 @@ class SymMatrix:
 
     def add_to(self, i, j, p: SuperPoly):
         """Add ``p`` to entry (i, j); a sum that cancels clears it."""
-        self.set(i, j, self.entry(i, j) + p)
+        q = self.sparse_rows[i].get(j)
+        self.set(i, j, p if q is None else q + p)
 
     def entry(self, i, j) -> SuperPoly:
         return self.sparse_rows[i].get(j) or SuperPoly.zero(self.table)
@@ -365,17 +374,10 @@ class FreeComplex:
         """
         failures = []
         degs = self.degrees()
-        lo, hi = degs[0], degs[-1]
-        for a in range(lo, hi + 1):
-            if not self.rank(a):
-                continue
-            for c in range(a + 1, hi + 1):
-                if not self.rank(c):
-                    continue
+        for a in degs:
+            for c in (c for c in degs if c > a):
                 total = None
-                for b in range(a + 1, c):
-                    if not self.rank(b):
-                        continue
+                for b in (b for b in degs if a < b < c):
                     prod = self.component(b, c).matmul(self.component(a, b))
                     if ((a + 1 - b) * (b + 2 - c)) & 1:
                         prod = prod.scale(-1)
@@ -470,7 +472,7 @@ class FreeComplex:
         if not self.symbolic:
             raise ValueError("serialization is for symbolic complexes")
         obj = {
-            "degrees": [self.degrees()[0], self.degrees()[-1]],
+            "degrees": self.degrees()[:1] + self.degrees()[-1:],
             "ranks": {str(k): r for k, r in sorted(self.ranks.items())},
             "differentials": {
                 str(k): _matrix_entries(m) for k, m in sorted(self.diff.items())
@@ -654,12 +656,8 @@ class ChainMap:
     def check_symbolic(self) -> dict:
         """All squares commute, including twist components."""
         report = {"ok": True, "failures": []}
-        degs = sorted(set(self.source.degrees()) | set(self.target.degrees()))
-        lo, hi = degs[0], degs[-1]
-        for a in range(lo, hi + 1):
-            for c in range(a + 1, hi + 1):
-                if not (self.source.rank(a) and self.target.rank(c)):
-                    continue
+        for a in self.source.degrees():
+            for c in (c for c in self.target.degrees() if c > a):
                 lhs = self.block(c).matmul(self.source.component(a, c))
                 rhs = self.target.component(a, c).matmul(self.block(a))
                 diff = lhs.add(rhs.scale(-1))

@@ -32,9 +32,9 @@ from itertools import product as iproduct
 
 from .complexes import ChainMap, FreeComplex, SymMatrix, homology_representatives
 from .freenc import DIFFERENTIAL_ON_LETTERS, NCElement
-from .linalg import DenseMatrix, mat_mul, mat_sub, mat_transpose
+from .linalg import DenseMatrix
 from .points import koszul_ext_oracle
-from .potential import CotangentModel, MatrixCdga
+from .potential import CotangentModel, MatrixCdga, cdga_of_rank
 from .scalars import QQ
 from .superpoly import SuperPoly
 
@@ -69,7 +69,7 @@ def eps_merge_sign(m1: int, m2: int) -> int:
 class DModuleAction:
     """Action matrices of the dga letters on the rank-n family.
 
-    ``matrices[g]`` is the n x n matrix over the cdga with
+    ``matrices[g]`` is the n x n ``SymMatrix`` over the cdga with
     g . (1 (x) e_i) = sum_j M(j, i) (x) e_j.
     """
 
@@ -79,43 +79,29 @@ class DModuleAction:
         self.matrices = matrices
         self.provenance = provenance
 
-    def act_word(self, word):
+    def act_word(self, word) -> SymMatrix:
         """Matrix of a word of letters (product in word order)."""
-        n = self.n
-        t = self.cdga.table
         out = None
         for letter in word:
             m = self.matrices[letter]
-            out = m if out is None else mat_mul(out, m)
-        if out is None:
-            one = SuperPoly.one(t)
-            zero = SuperPoly.zero(t)
-            out = [[one if i == j else zero for j in range(n)] for i in range(n)]
-        return out
+            out = m if out is None else out.matmul(m)
+        return SymMatrix.identity(self.cdga.table, self.n) if out is None else out
 
-    def act(self, element: NCElement):
-        n = self.n
-        t = self.cdga.table
-        zero = SuperPoly.zero(t)
-        acc = [[zero for _ in range(n)] for _ in range(n)]
+    def act(self, element: NCElement) -> SymMatrix:
+        acc = SymMatrix(self.cdga.table, self.n, self.n)
         for word, c in element.terms.items():
-            m = self.act_word(word)
-            for i in range(n):
-                for j in range(n):
-                    acc[i][j] += m[i][j].scale(c)
+            acc = acc.add(self.act_word(word).scale(c))
         return acc
 
-    def leibniz_defect(self, letter: str):
+    def leibniz_defect(self, letter: str) -> SymMatrix:
         """d(M_g) - M_(dg), zero iff the Leibniz rule holds for g."""
-        d = self.cdga.differential
-        lhs = [[d.apply(p) for p in row] for row in self.matrices[letter]]
-        rhs = self.act(DIFFERENTIAL_ON_LETTERS[letter])
-        return mat_sub(lhs, rhs)
+        lhs = self.matrices[letter].map_entries(self.cdga.differential.apply)
+        return lhs.add(self.act(DIFFERENTIAL_ON_LETTERS[letter]).scale(-1))
 
     def leibniz_report(self) -> dict:
         out = {}
         for g in LETTER_NAMES:
-            out[g] = all(p.is_zero() for row in self.leibniz_defect(g) for p in row)
+            out[g] = self.leibniz_defect(g).is_zero()
         out["ok"] = all(out[g] for g in LETTER_NAMES)
         return out
 
@@ -127,10 +113,10 @@ def build_universal_family(n: int, cdga: MatrixCdga = None) -> DModuleAction:
     u, v, w the candidates are the odd symbol matrix and its transpose; for
     t they are the T symbol matrix, its transpose, and the two diagonal
     readings of the summed formula.  Exactly one candidate (up to equal
-    matrices) may survive; anything else raises.
+    matrices) may survive; anything else raises.  A ``cdga`` of another
+    rank than n raises ValueError.
     """
-    cdga = cdga or MatrixCdga(n)
-    t = cdga.table
+    cdga = cdga_of_rank(n, cdga)
     d = cdga.differential
     matrices = {
         "x": cdga.x0,
@@ -139,16 +125,13 @@ def build_universal_family(n: int, cdga: MatrixCdga = None) -> DModuleAction:
     }
     provenance = {"x": "symbol", "y": "symbol", "z": "symbol"}
 
-    def d_matrix(m):
-        return [[d.apply(p) for p in row] for row in m]
-
     partial = DModuleAction(cdga, dict(matrices), {})
 
     def resolve(letter, candidates):
         target = partial.act(DIFFERENTIAL_ON_LETTERS[letter])
         winners = []
         for tag, cand in candidates:
-            if d_matrix(cand) == target:
+            if cand.map_entries(d.apply) == target:
                 if not any(cand == w[1] for w in winners):
                     winners.append((tag, cand))
         if len(winners) != 1:
@@ -160,33 +143,32 @@ def build_universal_family(n: int, cdga: MatrixCdga = None) -> DModuleAction:
 
     for letter, sym in (("u", cdga.xm1), ("v", cdga.ym1), ("w", cdga.zm1)):
         tag, m = resolve(
-            letter, [("symbol", sym), ("transposed symbol", mat_transpose(sym))]
+            letter, [("symbol", sym), ("transposed symbol", sym.transpose())]
         )
         matrices[letter] = m
         provenance[letter] = tag
         partial = DModuleAction(cdga, dict(matrices), {})
 
-    zero = SuperPoly.zero(t)
-    diag_rows = [
-        [sum((cdga.tgen[i][j] for j in range(n)), zero) if i == k else zero for k in range(n)]
-        for i in range(n)
-    ]
-    diag_cols = [
-        [sum((cdga.tgen[j][i] for j in range(n)), zero) if i == k else zero for k in range(n)]
-        for i in range(n)
-    ]
     tag, m = resolve(
         "t",
         [
             ("symbol", cdga.tgen),
-            ("transposed symbol", mat_transpose(cdga.tgen)),
-            ("row-summed diagonal", diag_rows),
-            ("column-summed diagonal", diag_cols),
+            ("transposed symbol", cdga.tgen.transpose()),
+            ("row-summed diagonal", _row_sum_diagonal(cdga.tgen)),
+            ("column-summed diagonal", _row_sum_diagonal(cdga.tgen.transpose())),
         ],
     )
     matrices["t"] = m
     provenance["t"] = tag
     return DModuleAction(cdga, matrices, provenance)
+
+
+def _row_sum_diagonal(m: SymMatrix) -> SymMatrix:
+    """The diagonal matrix whose (i,i) entry is the sum of row i of ``m``."""
+    out = SymMatrix(m.table, m.rows, m.rows)
+    for i, row in enumerate(m.sparse_rows):
+        out.set(i, i, sum(row.values(), SuperPoly.zero(m.table)))
+    return out
 
 
 # -- the bimodule resolution of k[x,y,z] ----------------------------------------------
@@ -385,16 +367,14 @@ class EndomorphismModel:
         block = MASKS_BY_DEGREE[q].index(mask)
         return block * self.n * self.n + i * self.n + j
 
-    def _parity_of_term(self, term_matrix) -> int:
-        for row in term_matrix:
-            for p in row:
-                if not p.is_zero():
-                    return p.cdeg() & 1
+    def _parity_of_term(self, term_matrix: SymMatrix) -> int:
+        for row in term_matrix.sparse_rows:
+            for p in row.values():
+                return p.cdeg() & 1
         return 0
 
     def commutator_with_connection(self, k: int, l: int, mask: int):
         """[A, E_kl (x) e_mask] as {(i, j, mask'): SuperPoly}."""
-        n = self.n
         out = {}
         s_par = popcount(mask) & 1
 
@@ -411,9 +391,9 @@ class EndomorphismModel:
             p_m = self._parity_of_term(matrix)
             left_sign = eps_merge_sign(amask, mask)
             if left_sign:
-                for m_row in range(n):
-                    poly = matrix[m_row][k]
-                    add(m_row, l, amask | mask, poly.scale(sgn * left_sign))
+                for m_row, row in enumerate(matrix.sparse_rows):
+                    if k in row:
+                        add(m_row, l, amask | mask, row[k].scale(sgn * left_sign))
             right_sign = eps_merge_sign(mask, amask)
             if right_sign:
                 # right term of [A, b] = A b - (-1)^{|b|} b A with |b| = s_par,
@@ -421,8 +401,7 @@ class EndomorphismModel:
                 total = right_sign * (1 if s_par else -1)
                 if s_par and p_m:
                     total = -total
-                for m_col in range(n):
-                    poly = matrix[l][m_col]
+                for m_col, poly in matrix.sparse_rows[l].items():
                     add(k, m_col, mask | amask, poly.scale(sgn * total))
         return out
 
@@ -454,25 +433,17 @@ class EndomorphismModel:
 
     # -- flatness of the superconnection ------------------------------------------
 
-    def connection_flatness_defect(self):
-        """dA + A^2 in the algebra End(V) (x) cdga (x) Lambda."""
-        n = self.n
-        t = self.cdga.table
+    def connection_flatness_defect(self) -> dict:
+        """dA + A^2 in the algebra End(V) (x) cdga (x) Lambda, as
+        {mask: matrix} over the masks where it is nonzero."""
         d = self.cdga.differential
         acc = {}
 
-        def add(key, poly):
-            if poly.is_zero():
-                return
-            cur = acc.get(key)
-            acc[key] = poly if cur is None else cur + poly
-            if acc[key].is_zero():
-                del acc[key]
+        def add(mask, m):
+            acc[mask] = m if mask not in acc else acc[mask].add(m)
 
         for matrix, amask, sgn in self.terms:
-            for i in range(n):
-                for j in range(n):
-                    add((i, j, amask), d.apply(matrix[i][j]).scale(sgn))
+            add(amask, matrix.map_entries(d.apply).scale(sgn))
         parities = [self._parity_of_term(m) for m, _, _ in self.terms]
         for m1, a1, s1 in self.terms:
             for (m2, a2, s2), p2 in zip(self.terms, parities):
@@ -482,13 +453,8 @@ class EndomorphismModel:
                 sign = s1 * s2 * merge
                 if (popcount(a1) & 1) and p2:
                     sign = -sign
-                for i in range(n):
-                    for k in range(n):
-                        if m1[i][k].is_zero():
-                            continue
-                        for j in range(n):
-                            add((i, j, a1 | a2), (m1[i][k] * m2[k][j]).scale(sign))
-        return acc
+                add(a1 | a2, m1.matmul(m2).scale(sign))
+        return {mask: m for mask, m in acc.items() if not m.is_zero()}
 
     def flatness_report(self):
         defect = self.connection_flatness_defect()
@@ -687,7 +653,7 @@ def build_comparison_map(n: int, cdga: MatrixCdga = None, search: bool = None):
     constructed directly.  Either way the returned map is verified
     symbolically, twist components included.
     """
-    cdga = cdga or MatrixCdga(n)
+    cdga = cdga_of_rank(n, cdga)
     cot = CotangentModel(cdga)
     tangent = TangentModel(cot)
     endo = EndomorphismModel(build_universal_family(n, cdga))

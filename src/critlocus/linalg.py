@@ -50,10 +50,6 @@ one Fraction per nonzero QQ entry and reducing each GF(p) entry once.
 
 Both are exact, so every ``d . d = 0`` check and chain-map square is
 decided without rational arithmetic inside the sums.
-
-The list-matrix helpers at the end (``mat_mul`` and friends) act on plain
-nested lists with any ring entries, such as the SuperPoly matrices of the
-symbolic models or the Fraction matrices of classical points.
 """
 
 from __future__ import annotations
@@ -439,32 +435,3 @@ def row_space_basis(m: DenseMatrix):
     red, pivots = rref(m)
     return _matrix(m.field, len(pivots), m.cols, red.sparse_rows[: len(pivots)]).data
 
-
-# -- list-matrix helpers ---------------------------------------------------------
-
-
-def mat_mul(a, b):
-    n, m, p = len(a), len(b), len(b[0])
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(p):
-            acc = None
-            for k in range(m):
-                term = a[i][k] * b[k][j]
-                acc = term if acc is None else acc + term
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_transpose(a):
-    return [[a[i][j] for i in range(len(a))] for j in range(len(a[0]))]

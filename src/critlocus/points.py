@@ -20,7 +20,7 @@ import json
 from fractions import Fraction
 
 from .complexes import FreeComplex, homology_representatives
-from .linalg import DenseMatrix, mat_mul, row_space_basis, rref
+from .linalg import DenseMatrix, row_space_basis, rref
 from .scalars import QQ
 
 
@@ -50,11 +50,18 @@ class MatrixPoint:
         return True
 
     def conjugate(self, g, g_inv=None) -> "MatrixPoint":
+        """The point g X g^-1, g Y g^-1, g Z g^-1 with vector g v.  A ``g``
+        or ``g_inv`` that is not n x n raises ValueError naming both shapes."""
+        n = self.n
+        check_square("g", g, n)
         if g_inv is None:
             g_inv = _invert(g)
             if g_inv is None:
                 raise ValueError("conjugating matrix is singular")
-        conj = lambda m: mat_mul(mat_mul(g, m), g_inv)
+        else:
+            check_square("g_inv", g_inv, n)
+        left, right = DenseMatrix.from_rows(g), DenseMatrix.from_rows(g_inv)
+        conj = lambda m: left.matmul(DenseMatrix(QQ, n, n, m)).matmul(right).data
         v = _apply(g, self.v) if self.v is not None else None
         return MatrixPoint(
             conj(self.X), conj(self.Y), conj(self.Z), v, provenance="random-conjugate"
@@ -90,6 +97,14 @@ class MatrixPoint:
         if type(n) is not int or n != pt.n:
             raise ValueError(f"n is {n!r} but the matrices are {pt.n} x {pt.n}")
         return pt
+
+
+def check_square(name: str, m, n: int):
+    """Raise ValueError naming both shapes unless the list of rows ``m``
+    is n x n."""
+    if len(m) != n or any(len(row) != n for row in m):
+        cols = "/".join(str(c) for c in sorted({len(row) for row in m})) or "0"
+        raise ValueError(f"{name} is {len(m)}x{cols}, expected {n}x{n}")
 
 
 def _exact_entry(x) -> Fraction:

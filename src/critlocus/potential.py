@@ -30,7 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .complexes import FreeComplex, SymMatrix
-from .linalg import mat_add, mat_mul, mat_sub, mat_transpose
+from .points import check_square
 from .superpoly import Derivation, GeneratorTable, SuperPoly
 
 BLOCKS = ("X", "Y", "Z")
@@ -40,20 +40,28 @@ def _gen(table, name):
     return SuperPoly.gen(table, name)
 
 
-def symbol_matrix(table, name: str, n: int):
+def symbol_matrix(table, name: str, n: int) -> SymMatrix:
     """The n x n matrix whose (i,j) entry is the generator name(i+1,j+1)."""
-    return [[_gen(table, f"{name}({i},{j})") for j in range(1, n + 1)] for i in range(1, n + 1)]
+    rows = [[_gen(table, f"{name}({i},{j})") for j in range(1, n + 1)] for i in range(1, n + 1)]
+    return SymMatrix(table, n, n, rows)
 
 
-def commutator(a, b):
-    return mat_sub(mat_mul(a, b), mat_mul(b, a))
+def commutator(a: SymMatrix, b: SymMatrix) -> SymMatrix:
+    return a.matmul(b).add(b.matmul(a).scale(-1))
 
 
-def trace(a):
-    acc = a[0][0]
-    for i in range(1, len(a)):
-        acc = acc + a[i][i]
-    return acc
+def trace(a: SymMatrix) -> SuperPoly:
+    return sum((row[i] for i, row in enumerate(a.sparse_rows) if i in row), SuperPoly.zero(a.table))
+
+
+def cdga_of_rank(n: int, cdga: "MatrixCdga" = None) -> "MatrixCdga":
+    """``cdga``, or a new rank-n cdga when it is None; a cdga of another
+    rank raises ValueError naming both ranks."""
+    if cdga is None:
+        return MatrixCdga(n)
+    if cdga.n != n:
+        raise ValueError(f"a rank-{cdga.n} cdga cannot build a rank-{n} model")
+    return cdga
 
 
 def build_potential(n: int, table=None) -> SuperPoly:
@@ -63,7 +71,7 @@ def build_potential(n: int, table=None) -> SuperPoly:
     x = symbol_matrix(table, "X0", n)
     y = symbol_matrix(table, "Y0", n)
     z = symbol_matrix(table, "Z0", n)
-    return trace(mat_mul(x, commutator(y, z)))
+    return trace(x.matmul(commutator(y, z)))
 
 
 class MatrixCdga:
@@ -88,7 +96,7 @@ class MatrixCdga:
 
     def _odd_images(self):
         """dXm1 = [Y0,Z0]^T entrywise, cyclically for Ym1, Zm1."""
-        n, t = self.n, self.table
+        t = self.table
         trips = (
             ("Xm1", self.y0, self.z0),
             ("Ym1", self.z0, self.x0),
@@ -96,22 +104,14 @@ class MatrixCdga:
         )
         images = {}
         for name, a, b in trips:
-            comm_t = mat_transpose(commutator(a, b))
-            for i in range(n):
-                for j in range(n):
-                    images[t.idx(f"{name}({i + 1},{j + 1})")] = comm_t[i][j]
+            images.update(_entry_images(t, name, commutator(a, b).transpose()))
         return images
 
     def _t_images(self):
-        n, t = self.n, self.table
-        mu = commutator(self.x0, mat_transpose(self.xm1))
-        mu = mat_add(mu, commutator(self.y0, mat_transpose(self.ym1)))
-        mu = mat_add(mu, commutator(self.z0, mat_transpose(self.zm1)))
-        return {
-            t.idx(f"T({i + 1},{j + 1})"): mu[i][j]
-            for i in range(n)
-            for j in range(n)
-        }
+        mu = commutator(self.x0, self.xm1.transpose())
+        mu = mu.add(commutator(self.y0, self.ym1.transpose()))
+        mu = mu.add(commutator(self.z0, self.zm1.transpose()))
+        return _entry_images(self.table, "T", mu)
 
     def _build_differential(self) -> Derivation:
         images = self._odd_images()
@@ -161,9 +161,8 @@ class MatrixCdga:
         """[Y0,Z0]^T, [Z0,X0]^T, [X0,Y0]^T entries in the same order."""
         out = []
         for a, b in ((self.y0, self.z0), (self.z0, self.x0), (self.x0, self.y0)):
-            ct = mat_transpose(commutator(a, b))
-            for i in range(self.n):
-                out.extend(ct[i])
+            for row in commutator(a, b).transpose().data:
+                out.extend(row)
         return out
 
     def koszul_display(self) -> FreeComplex:
@@ -229,9 +228,7 @@ class MatrixCdga:
         n, t = self.n, self.table
         out = {}
         for name, m in (("X0", X), ("Y0", Y), ("Z0", Z)):
-            if len(m) != n or any(len(row) != n for row in m):
-                cols = "/".join(str(c) for c in sorted({len(row) for row in m})) or "0"
-                raise ValueError(f"{name[0]} is {len(m)}x{cols}, expected {n}x{n}")
+            check_square(name[0], m, n)
             for i in range(n):
                 for j in range(n):
                     out[t.idx(f"{name}({i + 1},{j + 1})")] = Fraction(m[i][j])
@@ -240,6 +237,16 @@ class MatrixCdga:
 
 def build_koszul_cdga(n: int) -> MatrixCdga:
     return MatrixCdga(n)
+
+
+def _entry_images(table, name: str, m: SymMatrix) -> dict:
+    """The nonzero entries of ``m`` keyed by the index of the generator
+    name(i+1,j+1) at their position; a missing image is zero."""
+    return {
+        table.idx(f"{name}({i + 1},{j + 1})"): p
+        for i, row in enumerate(m.sparse_rows)
+        for j, p in row.items()
+    }
 
 
 # -- the action of gl_n -----------------------------------------------------------
@@ -482,7 +489,7 @@ class CotangentModel:
 
 
 def build_cotangent_complex(n: int, cdga: MatrixCdga = None) -> CotangentModel:
-    return CotangentModel(cdga or MatrixCdga(n))
+    return CotangentModel(cdga_of_rank(n, cdga))
 
 
 # -- the shifted 2-form and its primitive -------------------------------------------

@@ -88,32 +88,32 @@ def test_criterion_05_leibniz_and_unique_t_variant():
         assert rep["ok"], (n, rep)
     # the t search is sharp: at n = 2 exactly one of the four index
     # variants satisfies Leibniz
+    from critlocus.complexes import SymMatrix
     from critlocus.family import DModuleAction
-    from critlocus.potential import mat_transpose
     from critlocus.superpoly import SuperPoly
 
     cdga = MatrixCdga(2)
     fam = build_universal_family(2, cdga)
     zero = SuperPoly.zero(cdga.table)
-    diag_rows = [
-        [sum((cdga.tgen[i][j] for j in range(2)), zero) if i == k else zero for k in range(2)]
+    diag_rows = SymMatrix(cdga.table, 2, 2, [
+        [sum((cdga.tgen.entry(i, j) for j in range(2)), zero) if i == k else zero for k in range(2)]
         for i in range(2)
-    ]
-    diag_cols = [
-        [sum((cdga.tgen[j][i] for j in range(2)), zero) if i == k else zero for k in range(2)]
+    ])
+    diag_cols = SymMatrix(cdga.table, 2, 2, [
+        [sum((cdga.tgen.entry(j, i) for j in range(2)), zero) if i == k else zero for k in range(2)]
         for i in range(2)
-    ]
+    ])
     winners = []
     for tag, cand in (
         ("symbol", cdga.tgen),
-        ("transposed symbol", mat_transpose(cdga.tgen)),
+        ("transposed symbol", cdga.tgen.transpose()),
         ("row-summed diagonal", diag_rows),
         ("column-summed diagonal", diag_cols),
     ):
         trial = dict(fam.matrices)
         trial["t"] = cand
         probe = DModuleAction(cdga, trial, {})
-        if all(p.is_zero() for row in probe.leibniz_defect("t") for p in row):
+        if probe.leibniz_defect("t").is_zero():
             winners.append(tag)
     assert winners == ["symbol"], winners
     _line(

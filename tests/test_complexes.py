@@ -413,6 +413,16 @@ def test_negative_ranks_raise_and_zero_ranks_are_dropped():
     assert FreeComplex(QQ, {0: 0, 1: 2, 2: 0}, {}).ranks == {1: 2}
 
 
+def test_zero_complex_is_flat_round_trips_and_maps_to_itself():
+    t = GeneratorTable.canonical(1)
+    cx = FreeComplex.from_json(t, '{"ranks": {}, "differentials": {}}')
+    assert cx.check_d_squared() == (True, [])
+    assert cx.check_flatness() == (True, [])
+    text = cx.to_json()
+    assert FreeComplex.from_json(t, text).to_json() == text
+    assert ChainMap(cx, cx, {}).check_symbolic() == {"ok": True, "failures": []}
+
+
 def test_surviving_twist_component_raises():
     cdga = MatrixCdga(1)
     t = cdga.table

@@ -26,7 +26,7 @@ from critlocus.family import (
 )
 from critlocus.freenc import NCElement
 from critlocus.linalg import DenseMatrix
-from critlocus.potential import CotangentModel, MatrixCdga
+from critlocus.potential import CotangentModel, MatrixCdga, build_cotangent_complex
 from critlocus.points import (
     MatrixPoint,
     PlanePartition,
@@ -63,18 +63,16 @@ def test_rank_one_actions_are_single_generators():
     # all commutators vanish, each letter acts by its lone symbol
     for letter, name in (("u", "Xm1(1,1)"), ("v", "Ym1(1,1)"), ("w", "Zm1(1,1)"), ("t", "T(1,1)")):
         m = fam.matrices[letter]
-        assert len(m) == 1
+        assert (m.rows, m.cols) == (1, 1)
         from critlocus.superpoly import SuperPoly
 
-        assert m[0][0] == SuperPoly.gen(t, name)
+        assert m.entry(0, 0) == SuperPoly.gen(t, name)
 
 
 def test_word_action_is_matrix_product():
     fam = build_universal_family(2)
     xy = fam.act(NCElement.word("xy"))
-    from critlocus.potential import mat_mul
-
-    assert xy == mat_mul(fam.matrices["x"], fam.matrices["y"])
+    assert xy == fam.matrices["x"].matmul(fam.matrices["y"])
 
 
 def test_leibniz_fails_for_untransposed_u():
@@ -85,7 +83,7 @@ def test_leibniz_fails_for_untransposed_u():
 
     bad = DModuleAction(fam.cdga, broken, {})
     defect = bad.leibniz_defect("u")
-    assert any(not p.is_zero() for row in defect for p in row)
+    assert not defect.is_zero()
 
 
 # -- the bimodule resolution -----------------------------------------------------
@@ -224,6 +222,15 @@ def test_ext_dims_rejects_a_smaller_model():
 def test_ext_dims_rejects_a_larger_model():
     with pytest.raises(ValueError, match="rank-3 model cannot evaluate a rank-2 point"):
         ext_dims_at(_first_partition_point(2), model=endomorphism_model(3))
+
+
+@pytest.mark.parametrize(
+    "build, n",
+    [(build_universal_family, 1), (build_universal_family, 3), (build_comparison_map, 3), (build_cotangent_complex, 3)],
+)
+def test_builders_reject_a_cdga_of_another_rank(build, n):
+    with pytest.raises(ValueError, match=f"rank-2 cdga cannot build a rank-{n} model"):
+        build(n, MatrixCdga(2))
 
 
 def test_ext_dims_origin_rank_one():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import sparsify
-from critlocus.linalg import DenseMatrix, mat_mul, mat_sub
+from critlocus.linalg import DenseMatrix
 from critlocus.points import (
     MatrixPoint,
     PlanePartition,
@@ -27,6 +27,7 @@ from critlocus.points import (
 )
 from critlocus.points import _adjoint_matrix, _trace_pairing_rank
 from critlocus.scalars import GF, QQ
+from test_linalg import naive_matmul
 
 
 E12 = [[0, 1], [0, 0]]
@@ -44,10 +45,21 @@ def test_is_commuting_matches_list_products():
             X, Y, Z = [[row[:] for row in m] for m in pt.matrices()]
             if perturb:
                 X[rng.randrange(3)][rng.randrange(3)] += entry()
-            expected = all(mat_mul(a, b) == mat_mul(b, a) for a, b in ((X, Y), (Y, Z), (Z, X)))
+            products = lambda a, b: (naive_matmul(a, b, 3, 3, 3), naive_matmul(b, a, 3, 3, 3))
+            expected = all(ab == ba for ab, ba in (products(X, Y), products(Y, Z), products(Z, X)))
             assert MatrixPoint(X, Y, Z).is_commuting() == expected
             seen.add(expected)
     assert seen == {True, False}
+
+
+@pytest.mark.parametrize("g", [[[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1]], [[1, 0], [0, 1], [1, 1]]], ids=["3x3", "1x1", "3x2"])
+def test_conjugating_matrix_of_another_shape_raises(g):
+    pt = MatrixPoint(E12, Z2, Z2)
+    shape = f"{len(g)}x{len(g[0])}"
+    with pytest.raises(ValueError, match=f"g is {shape}, expected 2x2"):
+        pt.conjugate(g)
+    with pytest.raises(ValueError, match=f"g_inv is {shape}, expected 2x2"):
+        pt.conjugate(I2, g)
 
 
 def test_cyclic_shift_vector():
@@ -107,6 +119,18 @@ def test_conjugation_invariance():
     for _ in range(5):
         g = random_invertible(2, rng)
         assert is_critical(bad.conjugate(g)) == is_critical(bad)
+
+
+def test_conjugate_matches_list_products():
+    # g M = (g M g^-1) g, checked with plain-list products
+    rng = random.Random(23)
+    base = point_from_partition(enumerate_partitions(3)[2])
+    for _ in range(5):
+        g = random_invertible(3, rng)
+        conj = base.conjugate(g)
+        for m, c in zip(base.matrices(), conj.matrices()):
+            assert naive_matmul(g, m, 3, 3, 3) == naive_matmul(c, g, 3, 3, 3)
+        assert conj.v == [sum(g[i][j] * base.v[j] for j in range(3)) for i in range(3)]
 
 
 # -- plane partitions --------------------------------------------------------------
@@ -264,10 +288,10 @@ def test_adjoint_matrix_is_the_signed_commutator(n, sign, field):
         for p in range(n):
             for q in range(n):
                 e = [[Fraction(int((a, b) == (p, q))) for b in range(n)] for a in range(n)]
-                c = mat_sub(mat_mul(m, e), mat_mul(e, m))
+                me, em = naive_matmul(m, e, n, n, n), naive_matmul(e, m, n, n, n)
                 for a in range(n):
                     for b in range(n):
-                        assert got.data[a * n + b][p * n + q] == field.of(sign * c[a][b])
+                        assert got.data[a * n + b][p * n + q] == field.of(sign * (me[a][b] - em[a][b]))
         assert all(x or x is field.zero for row in got.data for x in row)
 
 

@@ -9,8 +9,6 @@ from critlocus.potential import (
     build_primitive_one_form,
     coaction_derivation,
     commutator,
-    mat_mul,
-    mat_transpose,
     symbol_matrix,
     trace,
     verify_superpotential_identities,
@@ -28,8 +26,8 @@ def test_potential_cyclic_trace_identity():
     x = symbol_matrix(t, "X0", 2)
     y = symbol_matrix(t, "Y0", 2)
     z = symbol_matrix(t, "Z0", 2)
-    w1 = trace(mat_mul(x, commutator(y, z)))
-    w2 = trace(mat_mul(commutator(x, y), z))
+    w1 = trace(x.matmul(commutator(y, z)))
+    w2 = trace(commutator(x, y).matmul(z))
     assert w1 == w2
     assert w1 == build_potential(2, t)
 
@@ -37,10 +35,10 @@ def test_potential_cyclic_trace_identity():
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_partial_w_is_transposed_commutator(n):
     cdga = MatrixCdga(n)
-    comm_t = mat_transpose(commutator(cdga.y0, cdga.z0))
+    comm_t = commutator(cdga.y0, cdga.z0).transpose()
     for i in range(n):
         for j in range(n):
-            assert cdga.partial_w("X", i + 1, j + 1) == comm_t[i][j]
+            assert cdga.partial_w("X", i + 1, j + 1) == comm_t.entry(i, j)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -53,8 +51,8 @@ def test_differential_on_quoted_generators():
     cdga = MatrixCdga(2)
     t = cdga.table
     d = cdga.differential
-    comm_t = mat_transpose(commutator(cdga.y0, cdga.z0))
-    assert d.image_of(t.idx("Xm1(1,2)")) == comm_t[0][1]
+    comm_t = commutator(cdga.y0, cdga.z0).transpose()
+    assert d.image_of(t.idx("Xm1(1,2)")) == comm_t.entry(0, 1)
     # dXm1 equals the X partial of W
     assert d.image_of(t.idx("Xm1(2,1)")) == cdga.partial_w("X", 2, 1)
 
@@ -62,13 +60,13 @@ def test_differential_on_quoted_generators():
 def test_differential_on_t_block():
     cdga = MatrixCdga(2)
     t = cdga.table
-    mu = commutator(cdga.x0, mat_transpose(cdga.xm1))
+    mu = commutator(cdga.x0, cdga.xm1.transpose())
     for m in (
-        commutator(cdga.y0, mat_transpose(cdga.ym1)),
-        commutator(cdga.z0, mat_transpose(cdga.zm1)),
+        commutator(cdga.y0, cdga.ym1.transpose()),
+        commutator(cdga.z0, cdga.zm1.transpose()),
     ):
-        mu = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(mu, m)]
-    assert cdga.differential.image_of(t.idx("T(1,1)")) == mu[0][0]
+        mu = mu.add(m)
+    assert cdga.differential.image_of(t.idx("T(1,1)")) == mu.entry(0, 0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -86,10 +84,10 @@ def test_untransposed_t_differential_fails_rank_three():
     images = cdga._odd_images()
     mu = commutator(cdga.x0, cdga.xm1)
     for m in (commutator(cdga.y0, cdga.ym1), commutator(cdga.z0, cdga.zm1)):
-        mu = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(mu, m)]
+        mu = mu.add(m)
     for i in range(3):
         for j in range(3):
-            images[t.idx(f"T({i + 1},{j + 1})")] = mu[i][j]
+            images[t.idx(f"T({i + 1},{j + 1})")] = mu.entry(i, j)
     naive = Derivation(t, images, parity=1, cdeg_shift=1)
     bad = [
         k

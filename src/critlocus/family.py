@@ -27,7 +27,6 @@ identifying it with the endomorphism model, block by block.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product as iproduct
 
 from .complexes import ChainMap, FreeComplex, SymMatrix, homology_representatives
@@ -35,7 +34,7 @@ from .freenc import DIFFERENTIAL_ON_LETTERS, NCElement
 from .linalg import DenseMatrix
 from .points import koszul_ext_oracle
 from .potential import CotangentModel, MatrixCdga, cdga_of_rank
-from .scalars import QQ
+from .scalars import QQ, coefficient
 from .superpoly import SuperPoly
 
 LETTER_NAMES = ("x", "y", "z", "u", "v", "w", "t")
@@ -180,17 +179,17 @@ class BimodElement:
     Terms are (left word, slot, right word) with words kept as written;
     ``normalize`` rewrites each word to sorted order (the commutation
     relations xy = yx, yz = zy, zx = xz) and merges, so cancellation after
-    rewriting is literal dictionary cancellation.
+    rewriting is literal dictionary cancellation.  Coefficients are kept by
+    ``scalars.coefficient``.
     """
 
     def __init__(self, terms=None):
         self.terms = {}
         if terms:
             for k, c in terms.items():
-                c = Fraction(c)
+                c = coefficient(c)
                 if c:
-                    self.terms[k] = self.terms.get(k, Fraction(0)) + c
-            self.terms = {k: c for k, c in self.terms.items() if c}
+                    self.terms[k] = c
 
     @classmethod
     def term(cls, left, slot, right, coeff=1):
@@ -199,9 +198,9 @@ class BimodElement:
     def __add__(self, other):
         out = dict(self.terms)
         for k, c in other.terms.items():
-            nc = out.get(k, Fraction(0)) + c
+            nc = out.get(k, 0) + c
             if nc:
-                out[k] = nc
+                out[k] = coefficient(nc)
             elif k in out:
                 del out[k]
         r = BimodElement()
@@ -213,9 +212,9 @@ class BimodElement:
 
     def scale(self, c):
         r = BimodElement()
-        c = Fraction(c)
+        c = coefficient(c)
         if c:
-            r.terms = {k: c * x for k, x in self.terms.items()}
+            r.terms = {k: coefficient(c * x) for k, x in self.terms.items()}
         return r
 
     def lmul(self, word):
@@ -232,9 +231,9 @@ class BimodElement:
         out = {}
         for (l, s, rt), c in self.terms.items():
             k = (tuple(sorted(l)), s, tuple(sorted(rt)))
-            nc = out.get(k, Fraction(0)) + c
+            nc = out.get(k, 0) + c
             if nc:
-                out[k] = nc
+                out[k] = coefficient(nc)
             elif k in out:
                 del out[k]
         r = BimodElement()

@@ -14,7 +14,9 @@ and d o d = 0 encodes the Jacobi identity of the three commutators.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from numbers import Number
+
+from .scalars import coefficient
 
 ALPHABET = ("x", "y", "z", "u", "v", "w", "t")
 DEGREE = {"x": 0, "y": 0, "z": 0, "u": -1, "v": -1, "w": -1, "t": -2}
@@ -25,7 +27,8 @@ def _word_degree(word) -> int:
 
 
 class NCElement:
-    """Linear combination of words in the free algebra k<x,y,z,u,v,w,t>."""
+    """Linear combination of words in the free algebra k<x,y,z,u,v,w,t>,
+    its coefficients kept by ``scalars.coefficient``."""
 
     __slots__ = ("terms",)
 
@@ -33,10 +36,13 @@ class NCElement:
         self.terms = {}
         if terms:
             for w, c in terms.items():
-                c = Fraction(c)
+                # two keys may name one word, as "xy" and ("x", "y") do
+                w = tuple(w)
+                c = self.terms.get(w, 0) + coefficient(c)
                 if c:
-                    self.terms[tuple(w)] = self.terms.get(tuple(w), Fraction(0)) + c
-            self.terms = {w: c for w, c in self.terms.items() if c}
+                    self.terms[w] = coefficient(c)
+                else:
+                    self.terms.pop(w, None)
 
     @classmethod
     def zero(cls):
@@ -71,9 +77,9 @@ class NCElement:
     def __add__(self, other):
         out = dict(self.terms)
         for w, c in other.terms.items():
-            nc = out.get(w, Fraction(0)) + c
+            nc = out.get(w, 0) + c
             if nc:
-                out[w] = nc
+                out[w] = coefficient(nc)
             elif w in out:
                 del out[w]
         r = NCElement()
@@ -89,15 +95,15 @@ class NCElement:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
+        if not isinstance(other, NCElement):
+            return self.scale(other) if isinstance(other, Number) else NotImplemented
         out = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
                 w = w1 + w2
-                nc = out.get(w, Fraction(0)) + c1 * c2
+                nc = out.get(w, 0) + c1 * c2
                 if nc:
-                    out[w] = nc
+                    out[w] = coefficient(nc)
                 elif w in out:
                     del out[w]
         r = NCElement()
@@ -107,10 +113,10 @@ class NCElement:
     __rmul__ = __mul__
 
     def scale(self, c):
-        c = Fraction(c)
+        c = coefficient(c)
         r = NCElement()
         if c:
-            r.terms = {w: c * x for w, x in self.terms.items()}
+            r.terms = {w: coefficient(c * x) for w, x in self.terms.items()}
         return r
 
     def degree(self):

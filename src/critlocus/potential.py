@@ -125,16 +125,15 @@ class MatrixCdga:
         marker = self.table.idx(f"{block}0({i},{j})")
         # W is multilinear in the three blocks, so coefficient extraction
         # in a degree-0 generator is the honest partial derivative.
-        out = SuperPoly.zero(self.table)
+        terms = {}
         for (e, o), c in self.potential.terms.items():
             d = dict(e)
             if marker not in d:
                 continue
             exp = d.pop(marker)
-            out += SuperPoly(
-                self.table, {(tuple(sorted(d.items())), o): c * exp}
-            )
-        return out
+            m = (tuple(sorted(d.items())), o)
+            terms[m] = terms.get(m, 0) + c * exp
+        return SuperPoly(self.table, terms)
 
     # -- checks ----------------------------------------------------------------
 

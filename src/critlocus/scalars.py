@@ -55,6 +55,22 @@ def _exact_input(x):
     return x
 
 
+def coefficient(c):
+    """``c`` as a symbolic coefficient: an ``int`` when integral, else a
+    ``Fraction``.
+
+    The term-dict algebras (``SuperPoly``, ``NCElement``, ``BimodElement``)
+    store every coefficient this way, so a value has one representation and
+    products of integer terms stay in machine ints.  An int is returned
+    unchanged; a float or a bool raises TypeError, as ``QQ.of`` does.
+    """
+    if type(c) is int:
+        return c
+    if not isinstance(c, Fraction):
+        c = Fraction(_exact_input(c))
+    return c.numerator if c.denominator == 1 else c
+
+
 class RationalField:
     """The field of rational numbers."""
 

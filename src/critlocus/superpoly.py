@@ -14,6 +14,12 @@ lexicographic inside each block.  ``extend_with_forms`` adjoins a symbol
 d(g) for every generator g, with the same cohomological degree and form
 degree 1, which is how 1- and 2-forms are represented.
 
+An element is a dict from monomials to coefficients.  Every producer keeps
+one coefficient rule (``scalars.coefficient``): a coefficient is an ``int``
+when integral, otherwise a ``Fraction``, and never zero.  So each value has
+one representation, and products of integer terms -- nearly all of them,
+since most coefficients are +-1 -- stay in machine ints.
+
 Elements print to and parse from a plain text format, e.g.::
 
     3/2*X0(1,2)*Xm1(2,1) - T(1,1)^2
@@ -25,7 +31,10 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from numbers import Number
 from typing import Iterable, Optional
+
+from .scalars import coefficient
 
 
 class Generator:
@@ -140,7 +149,7 @@ def _merge_odd(o1, o2):
 
 def add_product(terms: dict, left: dict, right: dict):
     """Add the product of the term dicts ``left`` and ``right`` into ``terms``
-    in place, dropping zeros."""
+    in place, dropping zeros and keeping the coefficient rule."""
     for (e1, o1), c1 in left.items():
         for (e2, o2), c2 in right.items():
             sign, odd = _merge_odd(o1, o2)
@@ -149,7 +158,7 @@ def add_product(terms: dict, left: dict, right: dict):
             m = (_merge_even(e1, e2), odd)
             nc = terms.get(m, 0) + sign * c1 * c2
             if nc:
-                terms[m] = nc
+                terms[m] = nc if type(nc) is int else coefficient(nc)
             elif m in terms:
                 del terms[m]
 
@@ -175,9 +184,9 @@ class SuperPoly:
         self.terms = {}
         if terms:
             for m, c in terms.items():
-                if c != 0:
-                    self.terms[m] = self.terms.get(m, Fraction(0)) + Fraction(c)
-            self.terms = {m: c for m, c in self.terms.items() if c != 0}
+                c = coefficient(c)
+                if c:
+                    self.terms[m] = c
 
     # -- constructors ------------------------------------------------------
 
@@ -187,8 +196,7 @@ class SuperPoly:
 
     @classmethod
     def scalar(cls, table, c) -> "SuperPoly":
-        c = Fraction(c)
-        return cls(table, {ONE_MONOMIAL: c} if c else {})
+        return cls(table, {ONE_MONOMIAL: c})
 
     @classmethod
     def one(cls, table) -> "SuperPoly":
@@ -201,7 +209,7 @@ class SuperPoly:
             m = ((), (k,))
         else:
             m = (((k, 1),), ())
-        return cls(table, {m: Fraction(1)})
+        return cls(table, {m: 1})
 
     # -- ring structure ----------------------------------------------------
 
@@ -227,9 +235,9 @@ class SuperPoly:
         self._same_table(other)
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            nc = terms.get(m, Fraction(0)) + c
+            nc = terms.get(m, 0) + c
             if nc:
-                terms[m] = nc
+                terms[m] = nc if type(nc) is int else coefficient(nc)
             elif m in terms:
                 del terms[m]
         return SuperPoly._of_terms(self.table, terms)
@@ -243,8 +251,8 @@ class SuperPoly:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
+        if not isinstance(other, SuperPoly):
+            return self.scale(other) if isinstance(other, Number) else NotImplemented
         self._same_table(other)
         terms = {}
         add_product(terms, self.terms, other.terms)
@@ -253,10 +261,10 @@ class SuperPoly:
     __rmul__ = __mul__
 
     def scale(self, c) -> "SuperPoly":
-        c = Fraction(c)
+        c = coefficient(c)
         out = SuperPoly(self.table)
         if c:
-            out.terms = {m: c * x for m, x in self.terms.items()}
+            out.terms = {m: coefficient(c * x) for m, x in self.terms.items()}
         return out
 
     def _same_table(self, other):
@@ -324,8 +332,9 @@ class SuperPoly:
         """For an element linear in generator k, the coefficient c with the
         k-terms equal to c * k (k moved to the right)."""
         t = self.table
-        out = SuperPoly(t)
+        terms = {}
         par = t.parity(k)
+        # removing one k is injective on monomials, so no two terms collide
         for (e, o), c in self.terms.items():
             if par:
                 if k not in o:
@@ -333,8 +342,7 @@ class SuperPoly:
                 pos = o.index(k)
                 rest = o[:pos] + o[pos + 1 :]
                 # move k to the rightmost position past the trailing letters
-                sign = -1 if (len(o) - 1 - pos) & 1 else 1
-                out += SuperPoly(t, {(e, rest): sign * c})
+                terms[(e, rest)] = -c if (len(o) - 1 - pos) & 1 else c
             else:
                 d = dict(e)
                 if k not in d:
@@ -342,8 +350,8 @@ class SuperPoly:
                 if d[k] > 1:
                     raise ValueError("not linear in generator")
                 del d[k]
-                out += SuperPoly(t, {(tuple(sorted(d.items())), o): c})
-        return out
+                terms[(tuple(sorted(d.items())), o)] = c
+        return SuperPoly._of_terms(t, terms)
 
     # -- printing / parsing -------------------------------------------------
 
@@ -516,7 +524,7 @@ class Derivation:
                 else:
                     rest_e[pos] = (k, exp - 1)
                 prefix = SuperPoly(t, {(tuple(rest_e), ()): c * exp})
-                add_product(out, (prefix * img).terms, {((), o): Fraction(1)})
+                add_product(out, (prefix * img).terms, {((), o): 1})
             # odd factors, walking left to right
             for j, k in enumerate(o):
                 img = self.images.get(k)
@@ -524,5 +532,5 @@ class Derivation:
                     continue
                 sign = -1 if (pd and (j & 1)) else 1
                 left = SuperPoly(t, {(e, o[:j]): c * sign})
-                add_product(out, (left * img).terms, {((), o[j + 1 :]): Fraction(1)})
+                add_product(out, (left * img).terms, {((), o[j + 1 :]): 1})
         return SuperPoly._of_terms(t, out)

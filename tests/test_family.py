@@ -122,6 +122,16 @@ def test_ginzburg_needs_rewriting_before_cancelling():
     assert img.normalize().is_zero()
 
 
+def test_bimodule_coefficients_are_ints_when_integral():
+    half = BimodElement.term(("y", "x"), "z", (), Fraction(1, 2))
+    other_half = BimodElement.term(("x", "y"), "z", (), Fraction(1, 2))
+    for whole in (half + half, (half + other_half).normalize(), half.scale(2)):
+        assert list(whole.terms.values()) == [1]
+        assert all(type(c) is int for c in whole.terms.values())
+    with pytest.raises(TypeError, match="0.5"):
+        half.scale(0.5)
+
+
 # -- the endomorphism model -------------------------------------------------------
 
 

@@ -1,4 +1,7 @@
 import random
+from fractions import Fraction
+
+import pytest
 
 from critlocus.freenc import ALPHABET, DEGREE, NCElement, nc_differential
 
@@ -63,3 +66,14 @@ def test_leibniz_random():
         lhs = nc_differential(a * b)
         rhs = nc_differential(a) * b + (a * nc_differential(b)).scale(sign)
         assert lhs == rhs
+
+
+def test_coefficients_are_ints_when_integral():
+    a = NCElement({"xy": Fraction(1, 2), ("x", "y"): Fraction(1, 2)})
+    assert a == NCElement.word("xy") and type(a.terms[("x", "y")]) is int
+    b = NCElement.word("xu").scale(Fraction(1, 2)) * 2 + NCElement.word("yv") * NCElement({(): Fraction(3, 3)})
+    assert all(type(c) is int for c in b.terms.values())
+    assert all(type(c) is int for c in nc_differential(NCElement.letter("t")).terms.values())
+    with pytest.raises(TypeError, match="0.5"):
+        NCElement.word("x").scale(0.5)
+    assert NCElement.word("x").__mul__(object()) is NotImplemented

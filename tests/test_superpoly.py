@@ -189,10 +189,11 @@ TEXT_TABLES = (GeneratorTable.canonical(2), GeneratorTable.canonical(2).extend_w
 
 
 @st.composite
-def superpolys(draw):
-    """Sums of coefficient times generator words, over a table with or
-    without form symbols; words may repeat generators or cancel."""
-    t = draw(st.sampled_from(TEXT_TABLES))
+def superpolys(draw, table=None):
+    """Sums of coefficient times generator words, over ``table`` or a drawn
+    table with or without form symbols; words may repeat generators or
+    cancel."""
+    t = table if table is not None else draw(st.sampled_from(TEXT_TABLES))
     p = SuperPoly.zero(t)
     for _ in range(draw(st.integers(0, 4))):
         term = SuperPoly.scalar(t, draw(st.fractions(-9, 9, max_denominator=7)))
@@ -251,3 +252,86 @@ def test_mismatched_tables_rejected():
     b = SuperPoly.gen(GeneratorTable.canonical(2), "X0(1,1)")
     with pytest.raises(ValueError):
         a * b  # distinct table objects, even if structurally equal
+
+
+def _in_normal_form(p):
+    """Every stored coefficient is nonzero, and an int exactly when integral."""
+    return all(
+        c != 0 and (type(c) is int or (type(c) is Fraction and c.denominator != 1))
+        for c in p.terms.values()
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_every_producer_keeps_the_coefficient_rule(data):
+    a = data.draw(superpolys())
+    t = a.table
+    b = data.draw(superpolys(t))
+    c = data.draw(st.fractions(-9, 9, max_denominator=7))
+    d = Derivation(t, {k: b for k in range(0, len(t), 3)}, parity=1)
+    made = {
+        "SuperPoly": SuperPoly(t, {m: Fraction(x) * 2 for m, x in a.terms.items()}),
+        "+": a + b,
+        "-": a - b,
+        "*": a * b,
+        "* scalar": a * c,
+        "scalar *": c * a,
+        "scale": a.scale(c),
+        "scalar": SuperPoly.scalar(t, c),
+        "Derivation.apply": d.apply(a),
+        "poly_from_text": poly_from_text(t, poly_to_text(a)),
+    }
+    for k in range(len(t)):
+        made[f"gen {k}"] = SuperPoly.gen(t, k)
+        if t.parity(k):
+            made[f"coefficient_of_gen {k}"] = a.coefficient_of_gen(k)
+    for name, p in made.items():
+        assert _in_normal_form(p), (name, p.terms)
+
+
+@settings(max_examples=100, deadline=None)
+@given(superpolys(), st.lists(st.integers(-9, 9), min_size=1, max_size=4))
+def test_fraction_and_int_inputs_build_one_element(p, ints):
+    monomials = list(p.terms)
+    from_ints = SuperPoly(p.table, dict(zip(monomials, ints)))
+    from_fractions = SuperPoly(p.table, {m: Fraction(2 * n, 2) for m, n in zip(monomials, ints)})
+    assert from_fractions == from_ints
+    assert hash(from_fractions) == hash(from_ints)
+    assert all(type(c) is int for c in from_fractions.terms.values())
+
+
+def test_integral_sum_of_fractions_is_stored_as_an_int():
+    t = table2()
+    for text in ("1/2*X0(1,1) + 1/2*X0(1,1)", "2*1/2*X0(1,1)", "3/2*X0(1,1) - 1/2*X0(1,1)"):
+        [c] = poly_from_text(t, text).terms.values()
+        assert type(c) is int and c == 1, text
+    half = SuperPoly.scalar(t, Fraction(1, 2)) * g(t, "Xm1(1,1)")
+    [c] = (half * SuperPoly.scalar(t, 2)).terms.values()
+    assert type(c) is int and c == 1
+
+
+@pytest.mark.parametrize(
+    "make,value",
+    [
+        (lambda t, x: x.scale(0.1), "0.1"),
+        (lambda t, x: SuperPoly.scalar(t, 0.1), "0.1"),
+        (lambda t, x: SuperPoly(t, {next(iter(x.terms)): 0.5}), "0.5"),
+        (lambda t, x: x.scale(True), "True"),
+        (lambda t, x: x * 0.1, "0.1"),
+        (lambda t, x: 0.1 * x, "0.1"),
+    ],
+)
+def test_float_and_bool_coefficients_refused(make, value):
+    t = table2()
+    with pytest.raises(TypeError, match=f"^{value} is not an exact field element"):
+        make(t, g(t, "X0(1,1)"))
+
+
+def test_product_with_a_non_number_is_not_implemented():
+    x = g(table2(), "X0(1,1)")
+    assert x.__mul__(object()) is NotImplemented
+    with pytest.raises(TypeError):
+        x * object()
+    with pytest.raises(TypeError):
+        x * "2"

@@ -199,7 +199,7 @@ class CompiledMatrix:
         def live_terms(p):
             for (e, o), c in p.terms.items():
                 if not o and all(live[k] for k, _ in e):
-                    yield QQ.of(c), tuple(k for k, exp in e for _ in range(exp))
+                    yield c, tuple(k for k, exp in e for _ in range(exp))
 
         self.rows = m.rows
         self.cols = m.cols

@@ -23,6 +23,10 @@ carry the homotopies and vanish at every classical point.
 ``TangentModel`` is the shifted dual of the cotangent model, placed in
 degrees 0..3, and ``build_comparison_map`` finds the signed permutation
 identifying it with the endomorphism model, block by block.
+
+``BimodElement`` is the element type of the Ginzburg resolution: a
+``scalars.Terms`` keyed by (left word, slot, right word), adding only the
+outer multiplications and the commutative normal form.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from .freenc import DIFFERENTIAL_ON_LETTERS, NCElement
 from .linalg import DenseMatrix
 from .points import koszul_ext_oracle
 from .potential import CotangentModel, MatrixCdga, cdga_of_rank
-from .scalars import QQ, coefficient
+from .scalars import QQ, Terms, accumulate
 from .superpoly import SuperPoly
 
 LETTER_NAMES = ("x", "y", "z", "u", "v", "w", "t")
@@ -173,78 +177,32 @@ def _row_sum_diagonal(m: SymMatrix) -> SymMatrix:
 # -- the bimodule resolution of k[x,y,z] ----------------------------------------------
 
 
-class BimodElement:
+class BimodElement(Terms):
     """Element of C (x) S (x) C for C = k[x,y,z] and a slot alphabet S.
 
     Terms are (left word, slot, right word) with words kept as written;
     ``normalize`` rewrites each word to sorted order (the commutation
     relations xy = yx, yz = zy, zx = xz) and merges, so cancellation after
-    rewriting is literal dictionary cancellation.  Coefficients are kept by
-    ``scalars.coefficient``.
+    rewriting is literal dictionary cancellation.  The linear structure,
+    hashing included, is inherited from :class:`Terms`.
     """
 
-    def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for k, c in terms.items():
-                c = coefficient(c)
-                if c:
-                    self.terms[k] = c
+    __slots__ = ()
 
     @classmethod
     def term(cls, left, slot, right, coeff=1):
         return cls({(tuple(left), slot, tuple(right)): coeff})
 
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            nc = out.get(k, 0) + c
-            if nc:
-                out[k] = coefficient(nc)
-            elif k in out:
-                del out[k]
-        r = BimodElement()
-        r.terms = out
-        return r
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        r = BimodElement()
-        c = coefficient(c)
-        if c:
-            r.terms = {k: coefficient(c * x) for k, x in self.terms.items()}
-        return r
-
     def lmul(self, word):
-        r = BimodElement()
-        r.terms = {(tuple(word) + l, s, rt): c for (l, s, rt), c in self.terms.items()}
-        return r
+        return self._like({(tuple(word) + l, s, rt): c for (l, s, rt), c in self.terms.items()})
 
     def rmul(self, word):
-        r = BimodElement()
-        r.terms = {(l, s, rt + tuple(word)): c for (l, s, rt), c in self.terms.items()}
-        return r
+        return self._like({(l, s, rt + tuple(word)): c for (l, s, rt), c in self.terms.items()})
 
     def normalize(self) -> "BimodElement":
-        out = {}
-        for (l, s, rt), c in self.terms.items():
-            k = (tuple(sorted(l)), s, tuple(sorted(rt)))
-            nc = out.get(k, 0) + c
-            if nc:
-                out[k] = coefficient(nc)
-            elif k in out:
-                del out[k]
-        r = BimodElement()
-        r.terms = out
-        return r
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return isinstance(other, BimodElement) and self.terms == other.terms
+        return self._like(accumulate({}, (
+            ((tuple(sorted(l)), s, tuple(sorted(rt))), c) for (l, s, rt), c in self.terms.items()
+        )))
 
 
 CYCLIC_NEXT = {"x": ("y", "z"), "y": ("z", "x"), "z": ("x", "y")}

@@ -10,13 +10,16 @@ derivation with
     dt = (xu - ux) + (yv - vy) + (zw - wz)
 
 and d o d = 0 encodes the Jacobi identity of the three commutators.
+
+An element is a ``scalars.Terms`` keyed by words; this module adds only
+concatenation, word keys given as strings, the degree and the differential.
 """
 
 from __future__ import annotations
 
 from numbers import Number
 
-from .scalars import coefficient
+from .scalars import Terms, accumulate, coefficient, signed_sum
 
 ALPHABET = ("x", "y", "z", "u", "v", "w", "t")
 DEGREE = {"x": 0, "y": 0, "z": 0, "u": -1, "v": -1, "w": -1, "t": -2}
@@ -26,23 +29,15 @@ def _word_degree(word) -> int:
     return sum(DEGREE[a] for a in word)
 
 
-class NCElement:
+class NCElement(Terms):
     """Linear combination of words in the free algebra k<x,y,z,u,v,w,t>,
-    its coefficients kept by ``scalars.coefficient``."""
+    its linear structure inherited from :class:`Terms`."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for w, c in terms.items():
-                # two keys may name one word, as "xy" and ("x", "y") do
-                w = tuple(w)
-                c = self.terms.get(w, 0) + coefficient(c)
-                if c:
-                    self.terms[w] = coefficient(c)
-                else:
-                    self.terms.pop(w, None)
+        # two keys may name one word, as "xy" and ("x", "y") do
+        self.terms = accumulate({}, ((tuple(w), coefficient(c)) for w, c in (terms or {}).items()))
 
     @classmethod
     def zero(cls):
@@ -65,59 +60,14 @@ class NCElement:
                 raise ValueError(f"unknown letter {a}")
         return cls({tuple(letters): 1})
 
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return isinstance(other, NCElement) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            nc = out.get(w, 0) + c
-            if nc:
-                out[w] = coefficient(nc)
-            elif w in out:
-                del out[w]
-        r = NCElement()
-        r.terms = out
-        return r
-
-    def __neg__(self):
-        r = NCElement()
-        r.terms = {w: -c for w, c in self.terms.items()}
-        return r
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         if not isinstance(other, NCElement):
             return self.scale(other) if isinstance(other, Number) else NotImplemented
-        out = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                nc = out.get(w, 0) + c1 * c2
-                if nc:
-                    out[w] = coefficient(nc)
-                elif w in out:
-                    del out[w]
-        r = NCElement()
-        r.terms = out
-        return r
+        return self._like(accumulate({}, (
+            (w1 + w2, c1 * c2) for w1, c1 in self.terms.items() for w2, c2 in other.terms.items()
+        )))
 
     __rmul__ = __mul__
-
-    def scale(self, c):
-        c = coefficient(c)
-        r = NCElement()
-        if c:
-            r.terms = {w: coefficient(c * x) for w, x in self.terms.items()}
-        return r
 
     def degree(self):
         degs = {_word_degree(w) for w in self.terms}
@@ -128,19 +78,7 @@ class NCElement:
         return degs.pop()
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for w in sorted(self.terms, key=lambda w: (len(w), w)):
-            c = self.terms[w]
-            body = "*".join(w) if w else "1"
-            if abs(c) != 1 or not w:
-                body = f"{abs(c)}*{body}" if w else str(abs(c))
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        return signed_sum((self.terms[w], w) for w in sorted(self.terms, key=lambda w: (len(w), w)))
 
     def __repr__(self):
         return f"NCElement({self})"
@@ -163,15 +101,13 @@ DIFFERENTIAL_ON_LETTERS = {
 
 def nc_differential(p: NCElement) -> NCElement:
     """The degree +1 graded derivation determined by the letter images."""
-    out = NCElement.zero()
+    out = {}
     for word, c in p.terms.items():
         prefix_parity = 0
         for j, a in enumerate(word):
-            img = DIFFERENTIAL_ON_LETTERS[a]
-            if not img.is_zero():
-                sign = -1 if prefix_parity else 1
-                left = NCElement({word[:j]: c * sign})
-                right = NCElement({word[j + 1 :]: 1})
-                out = out + left * img * right
+            c_j = -c if prefix_parity else c
+            left, right = word[:j], word[j + 1 :]
+            image = DIFFERENTIAL_ON_LETTERS[a].terms
+            accumulate(out, ((left + w + right, c_j * ci) for w, ci in image.items()))
             prefix_parity ^= DEGREE[a] & 1
-    return out
+    return p._like(out)

@@ -178,16 +178,14 @@ class MatrixCdga:
         for col, p in enumerate(self.jacobian_entries()):
             d_top.set(0, col, p)
         d_bot = SymMatrix(t, 3 * nn, nn)
+        # the odd generators, block by block, row-major: the rows of d_bot
+        first_odd = t.idx(f"{BLOCKS[0]}m1(1,1)")
+        odd = range(first_odd, first_odd + 3 * nn)
         for col in range(nn):
             i, j = divmod(col, n)
             image = self.differential.image_of(t.idx(f"T({i + 1},{j + 1})"))
-            for bi, block in enumerate(BLOCKS):
-                for p in range(n):
-                    for q in range(n):
-                        k = t.idx(f"{block}m1({p + 1},{q + 1})")
-                        coeff = image.coefficient_of_gen(k)
-                        if not coeff.is_zero():
-                            d_bot.set(bi * nn + p * n + q, col, coeff)
+            for k, coeff in image.linear_coefficients(odd).items():
+                d_bot.set(k - first_odd, col, coeff)
         return FreeComplex(
             t,
             {-2: nn, -1: 3 * nn, 0: 1},
@@ -352,25 +350,12 @@ class CotangentModel:
         ext, d_ext, ddr = cdga.extended()
         base = len(t)
 
-        def drop_to_base(p: SuperPoly) -> SuperPoly:
-            for (e, o) in p.terms:
-                for k, _ in e:
-                    if k >= base:
-                        raise ValueError("unextracted form symbol")
-                for k in o:
-                    if k >= base:
-                        raise ValueError("unextracted form symbol")
-            return SuperPoly(t, dict(p.terms))
-
         def internal_column(gen_idx):
-            """-ddr(d g) as {target gen idx: coefficient SuperPoly}."""
+            """-ddr(d g) as {target gen idx: coefficient SuperPoly}, split by
+            its one form symbol per term (so the coefficients live in the base)."""
             img = d_ext.image_of(base + gen_idx)  # already -ddr(d g)
-            out = {}
-            for k in range(base):
-                coeff = img.coefficient_of_gen(base + k)
-                if not coeff.is_zero():
-                    out[k] = drop_to_base(coeff)
-            return out
+            split = img.linear_coefficients(range(base, len(ext)))
+            return {k - base: SuperPoly._of_terms(t, coeff.terms) for k, coeff in split.items()}
 
         d_m2_m1 = SymMatrix(t, 3 * nn, nn)
         tw_m2_0 = SymMatrix(t, 3 * nn, nn)
@@ -496,29 +481,25 @@ def build_cotangent_complex(n: int, cdga: MatrixCdga = None) -> CotangentModel:
 
 def build_two_form(cdga: MatrixCdga) -> SuperPoly:
     """omega = sum_ij d(Xm1(i,j)) ^ d(X0(i,j)) + the Y and Z terms."""
-    ext, _, _ = cdga.extended()
-    n = cdga.n
-    base = len(cdga.table)
-    acc = SuperPoly.zero(ext)
-    for block in BLOCKS:
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                xi = SuperPoly.gen(ext, base + cdga.table.idx(f"{block}m1({i},{j})"))
-                eta = SuperPoly.gen(ext, base + cdga.table.idx(f"{block}0({i},{j})"))
-                acc += xi * eta
-    return acc
+    return _pair_odd_with_d_even(cdga, len(cdga.table))
 
 
 def build_primitive_one_form(cdga: MatrixCdga) -> SuperPoly:
     """phi = tr(Xm1 (ddr X0)^T + ...) = sum_ij Xm1(i,j) d(X0(i,j)) + cyc."""
+    return _pair_odd_with_d_even(cdga, 0)
+
+
+def _pair_odd_with_d_even(cdga: MatrixCdga, odd_shift: int) -> SuperPoly:
+    """sum_ij o(i,j) d(X0(i,j)) + the Y and Z terms, o(i,j) being Xm1(i,j)
+    for ``odd_shift`` 0 and its de Rham symbol d(Xm1(i,j)) for ``odd_shift``
+    the size of the base table."""
     ext, _, _ = cdga.extended()
-    n = cdga.n
     base = len(cdga.table)
     acc = SuperPoly.zero(ext)
     for block in BLOCKS:
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                odd = SuperPoly.gen(ext, cdga.table.idx(f"{block}m1({i},{j})"))
+        for i in range(1, cdga.n + 1):
+            for j in range(1, cdga.n + 1):
+                odd = SuperPoly.gen(ext, odd_shift + cdga.table.idx(f"{block}m1({i},{j})"))
                 eta = SuperPoly.gen(ext, base + cdga.table.idx(f"{block}0({i},{j})"))
                 acc += odd * eta
     return acc

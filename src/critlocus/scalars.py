@@ -1,14 +1,23 @@
-"""Exact scalar arithmetic: arbitrary-precision rationals and a prime field.
+"""Exact scalars: two fields, and the coefficients of the symbolic algebras.
 
-Every computation in this package runs over one of two fields:
+Every numeric computation in this package runs over one of two fields:
 
 * ``QQ`` -- the rationals, backed by :class:`fractions.Fraction` (always in
   lowest terms with positive denominator, which Fraction guarantees).
 * ``GF(p)`` -- the field with p elements for a configurable prime p, backed
   by plain ints in ``range(p)``.
 
-A field object bundles the handful of operations the linear-algebra kernels
-need, so matrices can be written once and run over either field.
+A field object bundles the operations the linear-algebra kernels and their
+test oracles use (``of``, ``add``, ``sub``, ``mul``, ``neg``, ``inv``,
+``div``, ``is_zero``), so matrices can be written once and run over either
+field.
+
+The symbolic algebras (``SuperPoly``, ``NCElement``, ``BimodElement``) are
+linear combinations over QQ.  They share one base class, :class:`Terms`: a
+dict from keys to coefficients, each kept by :func:`coefficient`, with the
+linear structure (sum, difference, negation, scaling, equality, hashing)
+written once.  :func:`signed_sum` is the one printed layout,
+``3/2*a*b - c + 2``, of ``poly_to_text`` and ``NCElement``.
 """
 
 from __future__ import annotations
@@ -71,11 +80,91 @@ def coefficient(c):
     return c.numerator if c.denominator == 1 else c
 
 
+def accumulate(terms: dict, pairs) -> dict:
+    """Add the (key, coefficient) ``pairs`` into ``terms`` in place, dropping
+    keys whose sum cancels and keeping the coefficient rule; returns
+    ``terms``.  The pairs' coefficients must already be exact numbers."""
+    for k, c in pairs:
+        nc = terms.get(k, 0) + c
+        if nc:
+            terms[k] = nc if type(nc) is int else coefficient(nc)
+        elif k in terms:
+            del terms[k]
+    return terms
+
+
+def signed_sum(pairs) -> str:
+    """(coefficient, factor names) pairs, in the given order, as the signed
+    sum ``3/2*a*b - c + 2``; a unit coefficient is omitted before factors,
+    and the empty sum is ``0``."""
+    parts = []
+    for c, factors in pairs:
+        if not factors:
+            body = str(abs(c))
+        elif abs(c) == 1:
+            body = "*".join(factors)
+        else:
+            body = f"{abs(c)}*" + "*".join(factors)
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(parts) or "0"
+
+
+class Terms:
+    """A linear combination over QQ: ``terms`` maps each key (a monomial, a
+    word, ...) to its coefficient, kept by :func:`coefficient` (so never
+    zero).  Subclasses add the keys' meaning and products; the linear
+    structure lives here.  Elements are treated as immutable values: every
+    operation returns a new element, and equal elements hash alike."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=None):
+        self.terms = {}
+        if terms:
+            for k, c in terms.items():
+                c = coefficient(c)
+                if c:
+                    self.terms[k] = c
+
+    def _like(self, terms: dict):
+        """An element of the same kind wrapping ``terms``, which must already
+        keep the coefficient rule; the dict is not copied."""
+        out = type(self)()
+        out.terms = terms
+        return out
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    def __add__(self, other):
+        return self._like(accumulate(dict(self.terms), other.terms.items()))
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c):
+        c = coefficient(c)
+        return self._like({k: coefficient(c * x) for k, x in self.terms.items()} if c else {})
+
+
 class RationalField:
     """The field of rational numbers."""
 
     name = "QQ"
-    characteristic = 0
 
     zero = Fraction(0)
     one = Fraction(1)
@@ -122,15 +211,12 @@ class RationalField:
 class PrimeField:
     """The field F_p for a prime p >= 2^20 (small p admits too many bad primes)."""
 
-    characteristic: int
-
     def __init__(self, p: int):
         if p < _SMALL_PRIME_LIMIT:
             raise ValueError(f"prime must be >= 2^20, got {p}")
         if not _is_probable_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
-        self.characteristic = p
         self.name = f"GF({p})"
         self.zero = 0
         self.one = 1

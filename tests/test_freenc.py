@@ -77,3 +77,19 @@ def test_coefficients_are_ints_when_integral():
     with pytest.raises(TypeError, match="0.5"):
         NCElement.word("x").scale(0.5)
     assert NCElement.word("x").__mul__(object()) is NotImplemented
+
+
+@pytest.mark.parametrize(
+    "element,text",
+    [
+        (NCElement(), "0"),
+        (NCElement.one(), "1"),
+        (NCElement({(): Fraction(-2, 3)}), "-2/3"),
+        (NCElement({"xy": Fraction(3, 2), "z": -1, (): 2}), "2 - z + 3/2*x*y"),
+        (NCElement({"yx": -1, "xy": -3}), "-3*x*y - y*x"),
+        (nc_differential(NCElement.letter("t")), "-u*x - v*y - w*z + x*u + y*v + z*w"),
+    ],
+)
+def test_printed_as_a_signed_sum_by_length_then_word(element, text):
+    assert str(element) == text
+    assert repr(element) == f"NCElement({text})"

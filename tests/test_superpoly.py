@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from critlocus.family import BimodElement
+from critlocus.freenc import NCElement
 from critlocus.superpoly import (
     Derivation,
     GeneratorTable,
@@ -285,7 +287,8 @@ def test_every_producer_keeps_the_coefficient_rule(data):
     for k in range(len(t)):
         made[f"gen {k}"] = SuperPoly.gen(t, k)
         if t.parity(k):
-            made[f"coefficient_of_gen {k}"] = a.coefficient_of_gen(k)
+            for coeff in a.linear_coefficients({k}).values():
+                made[f"linear_coefficients {k}"] = coeff
     for name, p in made.items():
         assert _in_normal_form(p), (name, p.terms)
 
@@ -309,6 +312,41 @@ def test_integral_sum_of_fractions_is_stored_as_an_int():
     half = SuperPoly.scalar(t, Fraction(1, 2)) * g(t, "Xm1(1,1)")
     [c] = (half * SuperPoly.scalar(t, 2)).terms.values()
     assert type(c) is int and c == 1
+
+
+def _superpoly_pair():
+    t = table2()
+    return poly_from_text(t, "3/2*X0(1,2)*Xm1(2,1) - T(1,1)"), poly_from_text(t, "T(1,1) + 1/3*Y0(2,2)")
+
+
+def _nc_pair():
+    return NCElement({"xu": Fraction(3, 2), "t": -1}), NCElement({"t": 1, "yz": Fraction(1, 3)})
+
+
+def _bimod_pair():
+    a = BimodElement({(("x",), "y", ()): Fraction(3, 2), ((), None, ("z",)): -1})
+    return a, BimodElement({((), None, ("z",)): 1, (("y",), "x*", ("x",)): Fraction(1, 3)})
+
+
+@pytest.mark.parametrize(
+    "pair", [_superpoly_pair, _nc_pair, _bimod_pair], ids=["SuperPoly", "NCElement", "BimodElement"]
+)
+def test_term_algebras_share_one_linear_structure(pair):
+    # a and b share one key, whose coefficients cancel in a + b
+    a, b = pair()
+    kind = type(a)
+    for zero in (a + (-a), a - a, a.scale(0), a.scale(Fraction(0))):
+        assert type(zero) is kind and zero.is_zero() and zero.terms == {}
+    s = a + b
+    assert type(s) is kind and len(s.terms) == len(a.terms) + len(b.terms) - 2
+    assert s - b == a and s - a == b and -(-a) == a and a - b == a + (-b)
+    halves = a.scale(Fraction(1, 2)) + a.scale(Fraction(1, 2))
+    assert halves == a and all(type(c) is int or c.denominator != 1 for c in halves.terms.values())
+    assert a.scale(2) == a + a and a.scale(1) == a and a.scale(-1) == -a
+    # equal elements hash alike however they were built; BimodElement included
+    assert hash(s) == hash(b + a) and hash(halves) == hash(a)
+    assert len({a, b, s, b + a, halves, s - b}) == 3
+    assert a != b and a != s and not (a == 1) and a != a.terms
 
 
 @pytest.mark.parametrize(

@@ -32,6 +32,8 @@ class MatrixPoint:
         self.X = [[Fraction(x) for x in row] for row in X]
         self.Y = [[Fraction(x) for x in row] for row in Y]
         self.Z = [[Fraction(x) for x in row] for row in Z]
+        if self.n == 0:
+            raise ValueError("matrices must be at least 1 x 1")
         for m in (self.X, self.Y, self.Z):
             if len(m) != self.n or any(len(row) != self.n for row in m):
                 raise ValueError("matrices must be square of equal size")

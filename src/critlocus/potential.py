@@ -17,12 +17,14 @@ Conventions (the transpose ledger, fixed once here and imported everywhere):
   d(dg) = -ddr(d g).
 
 The cotangent complex of the quotient by GL_n is modelled as a free complex
-in degrees -2..1 with ranks (n^2, 3n^2, 3n^2, n^2): the adjacent blocks are
-the degree-0 components of the total differential, and the components that
-jump two or three degrees (entries of negative degree) are kept as twist
-components, so the flatness identity of :meth:`FreeComplex.check_flatness`
-holds exactly.  Setting the odd generators to zero recovers an honest
-complex at every commuting triple.
+in degrees -2..1 with ranks (n^2, 3n^2, 3n^2, n^2).  Its basis in degree
+q <= 0 is the generators of cdeg q in table order (T; then Xm1, Ym1, Zm1;
+then X0, Y0, Z0), and in degree 1 the gl_n slots (a,b), row-major.  The
+adjacent blocks are the degree-0 components of the total differential, and
+the components that jump two or three degrees (entries of negative degree)
+are kept as twist components, so the flatness identity of
+:meth:`FreeComplex.check_flatness` holds exactly.  Setting the odd
+generators to zero recovers an honest complex at every commuting triple.
 """
 
 from __future__ import annotations
@@ -178,14 +180,13 @@ class MatrixCdga:
         for col, p in enumerate(self.jacobian_entries()):
             d_top.set(0, col, p)
         d_bot = SymMatrix(t, 3 * nn, nn)
-        # the odd generators, block by block, row-major: the rows of d_bot
-        first_odd = t.idx(f"{BLOCKS[0]}m1(1,1)")
-        odd = range(first_odd, first_odd + 3 * nn)
+        # the odd generators, in table order, are the rows of d_bot
+        start = degree_starts(t)
+        odd = range(start[-1], start[-1] + 3 * nn)
         for col in range(nn):
-            i, j = divmod(col, n)
-            image = self.differential.image_of(t.idx(f"T({i + 1},{j + 1})"))
+            image = self.differential.image_of(start[-2] + col)
             for k, coeff in image.linear_coefficients(odd).items():
-                d_bot.set(k - first_odd, col, coeff)
+                d_bot.set(k - start[-1], col, coeff)
         return FreeComplex(
             t,
             {-2: nn, -1: 3 * nn, 0: 1},
@@ -236,6 +237,16 @@ def build_koszul_cdga(n: int) -> MatrixCdga:
     return MatrixCdga(n)
 
 
+def degree_starts(table) -> dict:
+    """{q: index of the first generator of cdeg q}.  The canonical table
+    lists each degree's generators contiguously, so a generator's slot in
+    the cotangent basis of its degree is its index minus this start."""
+    starts = {}
+    for k in range(len(table)):
+        starts.setdefault(table.cdeg(k), k)
+    return starts
+
+
 def _entry_images(table, name: str, m: SymMatrix) -> dict:
     """The nonzero entries of ``m`` keyed by the index of the generator
     name(i+1,j+1) at their position; a missing image is zero."""
@@ -259,7 +270,7 @@ def coaction_derivation(cdga: MatrixCdga, a: int, b: int) -> Derivation:
     n, t = cdga.n, cdga.table
     images = {}
 
-    def add_adjoint(name, sign):
+    def add_adjoint(name, a, b, sign):
         # sign * [E_ab, M](i,j) = sign * (delta_ia M(b,j) - M(i,a) delta_jb)
         for i in range(1, n + 1):
             for j in range(1, n + 1):
@@ -270,21 +281,11 @@ def coaction_derivation(cdga: MatrixCdga, a: int, b: int) -> Derivation:
                     val -= _gen(t, f"{name}({i},{a})")
                 images[t.idx(f"{name}({i},{j})")] = val.scale(sign)
 
-    def add_coadjoint(name):
-        # -[E_ab^T, M](i,j) = -(delta_ib M(a,j) - M(i,b) delta_ja)
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                val = SuperPoly.zero(t)
-                if i == b:
-                    val -= _gen(t, f"{name}({a},{j})")
-                if j == a:
-                    val += _gen(t, f"{name}({i},{b})")
-                images[t.idx(f"{name}({i},{j})")] = val
-
     for name in ("X0", "Y0", "Z0", "T"):
-        add_adjoint(name, 1)
+        add_adjoint(name, a, b, 1)
+    # -[E_ab^T, M] = -[E_ba, M]
     for name in ("Xm1", "Ym1", "Zm1"):
-        add_coadjoint(name)
+        add_adjoint(name, b, a, -1)
     return Derivation(t, images, parity=0, cdeg_shift=0)
 
 
@@ -294,12 +295,13 @@ def coaction_derivation(cdga: MatrixCdga, a: int, b: int) -> Derivation:
 class CotangentModel:
     """Generator-degree presentation of the stacky cotangent complex.
 
-    Blocks, in order inside each degree:
+    The basis of degree q <= 0 is the de Rham symbols of the generators of
+    cdeg q, in table order (see :func:`degree_starts`):
 
-    * degree -2: tau(i,j), the de Rham symbols of the T generators
+    * degree -2: tau(i,j), the symbols of the T generators
     * degree -1: xi_A(i,j) for A = X, Y, Z, symbols of the odd generators
     * degree  0: eta_A(i,j), symbols of the degree-0 generators
-    * degree  1: the dual gl_n slots g(a,b)
+    * degree  1: the dual gl_n slots g(a,b), row-major
 
     ``complex`` holds the free complex with adjacent differentials and
     twist components; ``self_duality_report`` checks the transpose match
@@ -316,113 +318,38 @@ class CotangentModel:
         self.ranks = {-2: nn, -1: 3 * nn, 0: 3 * nn, 1: nn}
         self.complex = self._build()
 
-    # slot helpers, all 0-based
-    def _slot(self, block: str, i: int, j: int) -> int:
-        # block in X, Y, Z; returns offset within a 3n^2 group
-        return BLOCKS.index(block) * self.n * self.n + i * self.n + j
-
-    def _pair_slot(self, i: int, j: int) -> int:
-        return i * self.n + j
-
     def _build(self) -> FreeComplex:
+        """One pass over the table: generator k of cdeg q is column
+        k - start[q] of every component out of degree q."""
         cdga = self.cdga
         n, t = self.n, cdga.table
-        nn = n * n
-
-        def degree_zero_gens():
-            for block in BLOCKS:
-                for i in range(n):
-                    for j in range(n):
-                        yield block, i, j, t.idx(f"{block}0({i + 1},{j + 1})")
-
-        def odd_gens():
-            for block in BLOCKS:
-                for i in range(n):
-                    for j in range(n):
-                        yield block, i, j, t.idx(f"{block}m1({i + 1},{j + 1})")
-
-        def t_gens():
-            for i in range(n):
-                for j in range(n):
-                    yield i, j, t.idx(f"T({i + 1},{j + 1})")
-
-        # -- internal part: columns are -ddr(d gen), decomposed by symbol slot
-        ext, d_ext, ddr = cdga.extended()
+        start = degree_starts(t)
+        ext, d_ext, _ = cdga.extended()
         base = len(t)
-
-        def internal_column(gen_idx):
-            """-ddr(d g) as {target gen idx: coefficient SuperPoly}, split by
-            its one form symbol per term (so the coefficients live in the base)."""
-            img = d_ext.image_of(base + gen_idx)  # already -ddr(d g)
-            split = img.linear_coefficients(range(base, len(ext)))
-            return {k - base: SuperPoly._of_terms(t, coeff.terms) for k, coeff in split.items()}
-
-        d_m2_m1 = SymMatrix(t, 3 * nn, nn)
-        tw_m2_0 = SymMatrix(t, 3 * nn, nn)
-        tw_m2_1 = SymMatrix(t, nn, nn)
-        d_m1_0 = SymMatrix(t, 3 * nn, 3 * nn)
-        tw_m1_1 = SymMatrix(t, nn, 3 * nn)
-        d_0_1 = SymMatrix(t, nn, 3 * nn)
-
-        def target_slot(k):
-            g = t.gen(k)
-            name = g.name
-            i, j = g.index
-            if name.startswith("T"):
-                return -2, self._pair_slot(i - 1, j - 1)
-            block = name[0]
-            if "m1" in name:
-                return -1, self._slot(block, i - 1, j - 1)
-            return 0, self._slot(block, i - 1, j - 1)
-
-        # columns from the tau block
-        for i, j, k in t_gens():
-            col = self._pair_slot(i, j)
-            for tgt, coeff in internal_column(k).items():
-                deg, slot = target_slot(tgt)
-                if deg == -1:
-                    d_m2_m1.set(slot, col, coeff)
-                elif deg == 0:
-                    tw_m2_0.set(slot, col, coeff)
-                else:
-                    raise AssertionError("unexpected target degree")
-
-        # columns from the xi block
-        for block, i, j, k in odd_gens():
-            col = self._slot(block, i, j)
-            for tgt, coeff in internal_column(k).items():
-                deg, slot = target_slot(tgt)
-                if deg != 0:
-                    raise AssertionError("unexpected target degree")
-                d_m1_0.set(slot, col, coeff)
-
-        # -- coaction part into the gl slots
-        actions = [
-            [coaction_derivation(cdga, a + 1, b + 1) for b in range(n)]
-            for a in range(n)
-        ]
-        s = SuperPoly.scalar(t, self.COACTION_SIGN)
-
-        def coaction_entries(gen_idx, matrix, col):
-            for a in range(n):
-                for b in range(n):
-                    val = actions[a][b].image_of(gen_idx)
-                    if not val.is_zero():
-                        matrix.add_to(self._pair_slot(a, b), col, s * val)
-
-        for block, i, j, k in degree_zero_gens():
-            coaction_entries(k, d_0_1, self._slot(block, i, j))
-        for block, i, j, k in odd_gens():
-            coaction_entries(k, tw_m1_1, self._slot(block, i, j))
-        for i, j, k in t_gens():
-            coaction_entries(k, tw_m2_1, self._pair_slot(i, j))
-
-        return FreeComplex(
-            t,
-            self.ranks,
-            {-2: d_m2_m1, -1: d_m1_0, 0: d_0_1},
-            {(-2, 0): tw_m2_0, (-2, 1): tw_m2_1, (-1, 1): tw_m1_1},
-        )
+        forms = range(base, len(ext))
+        # the gl slots (a,b), row-major
+        actions = [coaction_derivation(cdga, a + 1, b + 1) for a in range(n) for b in range(n)]
+        # every component, empty ones included; a target in any other
+        # degree has no block and raises KeyError
+        blocks = {
+            (q, r): SymMatrix(t, self.ranks[r], self.ranks[q])
+            for q in range(-2, 1)
+            for r in range(q + 1, 2)
+        }
+        for k in range(base):
+            q = t.cdeg(k)
+            col = k - start[q]
+            # -ddr(d g), split by its one form symbol per term, so the
+            # coefficients live in the base
+            split = d_ext.image_of(base + k).linear_coefficients(forms)
+            for tgt, coeff in split.items():
+                r = t.cdeg(tgt - base)
+                blocks[(q, r)].set(tgt - base - start[r], col, SuperPoly._of_terms(t, coeff.terms))
+            for slot, action in enumerate(actions):
+                blocks[(q, 1)].set(slot, col, action.image_of(k).scale(self.COACTION_SIGN))
+        diff = {q: blocks[(q, q + 1)] for q in range(-2, 1)}
+        twist = {(q, r): m for (q, r), m in blocks.items() if r >= q + 2}
+        return FreeComplex(t, self.ranks, diff, twist)
 
     # -- reports -------------------------------------------------------------
 
@@ -433,34 +360,18 @@ class CotangentModel:
     def self_duality_report(self):
         """Outer blocks transpose-match under tau(i,j) ~ g(j,i); middle is
         symmetric under xi_A(i,j) ~ eta_A(i,j).  Records the matching sign."""
-        n = self.n
-        c = self.complex
-        outer_sign = None
-        ok = True
-        d_low = c.differential(-2)
-        d_top = c.differential(0)
-        for i in range(n):
-            for j in range(n):
-                col = self._pair_slot(i, j)
-                for row in range(3 * n * n):
-                    lhs = d_low.entry(row, col)
-                    rhs = d_top.entry(self._pair_slot(j, i), row)
-                    if lhs.is_zero() and rhs.is_zero():
-                        continue
-                    for sign in (1, -1):
-                        if lhs == rhs.scale(sign):
-                            if outer_sign is None:
-                                outer_sign = sign
-                            elif outer_sign != sign:
-                                ok = False
-                            break
-                    else:
-                        ok = False
+        n, c = self.n, self.complex
+        # d(0) transposed, its columns relabelled (a,b) -> (b,a)
+        top = c.differential(0).data
+        mirror = SymMatrix(self.cdga.table, n * n, 3 * n * n, [top[j * n + i] for i in range(n) for j in range(n)])
+        mirror = mirror.transpose()
+        signs = [sign for sign in (1, -1) if c.differential(-2) == mirror.scale(sign)]
+        # both signs match only when both outer blocks vanish (n = 1)
+        outer_sign = signs[0] if len(signs) == 1 else None
         mid = c.differential(-1)
         mid_symmetric = mid == mid.transpose()
-        # outer_sign stays None only when both outer blocks vanish (n = 1)
         return {
-            "ok": ok and mid_symmetric,
+            "ok": bool(signs) and mid_symmetric,
             "outer_sign": outer_sign,
             "middle_symmetric": mid_symmetric,
         }

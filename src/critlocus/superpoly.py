@@ -42,13 +42,12 @@ from .scalars import Terms, accumulate, coefficient, signed_sum
 
 
 class Generator:
-    __slots__ = ("name", "cdeg", "fdeg", "index")
+    __slots__ = ("name", "cdeg", "fdeg")
 
-    def __init__(self, name: str, cdeg: int, fdeg: int = 0, index=None):
+    def __init__(self, name: str, cdeg: int, fdeg: int = 0):
         self.name = name
         self.cdeg = cdeg
         self.fdeg = fdeg
-        self.index = index  # optional (i, j) matrix position
 
     @property
     def parity(self) -> int:
@@ -98,18 +97,17 @@ class GeneratorTable:
         for name, deg in cls.MATRIX_BLOCKS:
             for i in range(1, n + 1):
                 for j in range(1, n + 1):
-                    gens.append(Generator(f"{name}({i},{j})", deg, 0, (i, j)))
+                    gens.append(Generator(f"{name}({i},{j})", deg))
         t = cls(gens)
         t.n = n
         return t
 
     def extend_with_forms(self) -> "GeneratorTable":
         """Adjoin a de Rham symbol d(g) of form degree 1 for every generator."""
-        gens = [Generator(g.name, g.cdeg, g.fdeg, g.index) for g in self.gens]
+        gens = [Generator(g.name, g.cdeg, g.fdeg) for g in self.gens]
         for g in self.gens:
-            gens.append(Generator(f"d({g.name})", g.cdeg, g.fdeg + 1, g.index))
+            gens.append(Generator(f"d({g.name})", g.cdeg, g.fdeg + 1))
         ext = GeneratorTable(gens)
-        ext.base_size = len(self.gens)
         if hasattr(self, "n"):
             ext.n = self.n
         return ext

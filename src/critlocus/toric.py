@@ -94,8 +94,12 @@ class Fan2D:
         return out
 
     def blowup(self, cone_index: int) -> "Fan2D":
-        """Insert the sum of the cone's two rays (star subdivision)."""
-        i, j = self.cones()[cone_index]
+        """Insert the sum of the cone's two rays (star subdivision).  An index
+        that is not an int in 0..len(cones)-1 raises ValueError naming it."""
+        cones = self.cones()
+        if type(cone_index) is not int or not 0 <= cone_index < len(cones):
+            raise ValueError(f"blowup cone index {cone_index!r} is not one of 0..{len(cones) - 1}")
+        i, j = cones[cone_index]
         a, b = self.rays[i], self.rays[j]
         new = (a[0] + b[0], a[1] + b[1])
         rays = self.rays[: i + 1] + [new] + self.rays[i + 1 :]

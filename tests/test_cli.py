@@ -39,6 +39,8 @@ def test_usage_error_exit_code():
         ["partitions", "--n", "1", "--out", "{tmp}/nodir/x.json"],
         ["ext", "--corpus", "none", "--n", "2"],
         ["ext", "--corpus", "none", "--corpus-file", "{tmp}/empty.json"],
+        ["toric", "cover-stats", "--surface", '{{"base": "P2", "blowups": [true]}}'],
+        ["ext", "--corpus", "none", "--corpus-file", "{tmp}/zero_size.json"],
     ],
 )
 def test_bad_values_exit_2_without_traceback(args, tmp_path, capsys):
@@ -57,6 +59,7 @@ def _write_bad_corpora(tmp_path):
     loose = MatrixPoint([[0, 1], [0, 0]], [[0, 0], [1, 0]], [[0, 0], [0, 0]], [1, 0])
     save_corpus([mixed[0], loose], tmp_path / "not_commuting.json")
     save_corpus([], tmp_path / "empty.json")
+    (tmp_path / "zero_size.json").write_text(json.dumps([{"X": [], "Y": [], "Z": []}]))
 
 
 @pytest.mark.parametrize("name", ["mixed_ranks", "not_commuting"])

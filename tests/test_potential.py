@@ -171,11 +171,14 @@ def test_middle_block_matches_quoted_pattern():
     hand = SymMatrix(t, 3 * n * n, 3 * n * n)
 
     def eta_slot(block, p, q):
-        return model._slot(block, p, q)
+        return t.idx(f"{block}0({p + 1},{q + 1})") - t.idx("X0(1,1)")
+
+    def xi_slot(block, p, q):
+        return t.idx(f"{block}m1({p + 1},{q + 1})") - t.idx("Xm1(1,1)")
 
     for i in range(n):
         for j in range(n):
-            col = model._slot("X", i, j)
+            col = xi_slot("X", i, j)
             for k in range(n):
                 # + Y0(j+1,k+1) eta_Z(k,i) + Z0(k+1,i+1) eta_Y(j,k)
                 # - Y0(k+1,i+1) eta_Z(j,k) - Z0(j+1,k+1) eta_Y(k,i)
@@ -185,7 +188,7 @@ def test_middle_block_matches_quoted_pattern():
                 hand.add_to(eta_slot("Y", k, i), col, -SuperPoly.gen(t, f"Z0({j + 1},{k + 1})"))
     for i in range(n):
         for j in range(n):
-            col = model._slot("X", i, j)
+            col = xi_slot("X", i, j)
             for row in range(3 * n * n):
                 assert got.entry(row, col) == hand.entry(row, col).scale(-1)
 

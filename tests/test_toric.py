@@ -39,6 +39,13 @@ def test_blown_up_plane_is_first_hirzebruch():
     assert blown.isomorphic_selfint_profile(hirzebruch_fan(1))
 
 
+@pytest.mark.parametrize("cone_index", [-1, 3, True])
+def test_bad_blowup_index_is_refused(cone_index):
+    # -1 would wrap to the last cone and True would run cone 1
+    with pytest.raises(ValueError, match=repr(cone_index)):
+        Surface(SurfaceSpec("P2", [cone_index]))
+
+
 def test_two_blowup_tower_fan():
     surf = Surface(SurfaceSpec("P2", [0, 2]))
     assert len(surf.fan.rays) == 5

@@ -21,6 +21,16 @@ all of them, with coordinates and an exact inverse.  The chart families:
   again.  Points are plane points, or exceptional-direction pairs
   (center, direction point) for points on an exceptional curve.
 
+Points are stored in integer homogeneous coordinates: a plane point as
+the primitive integer triple whose first nonzero entry is positive, a
+point of F_k as the integer Cox quadruple whose fiber pair and then
+section pair are primitive with first nonzero entry positive.  Each
+rational point has exactly one such representative, so equality and
+hashing compare int tuples, and the chart searches run in integer
+arithmetic; a Fraction is built only for the chart coordinates returned.
+Coordinates may be given as ints, Fractions or strings such as "3/4"; a
+float or a bool is refused.  The blowup steps of a tower stay rational.
+
 All arithmetic is exact; chart coordinates compose with the recorded
 inverse to reproduce the input points on the nose.
 """
@@ -29,8 +39,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Optional
+
+from .scalars import _exact_input
 
 
 # -- fans ---------------------------------------------------------------------
@@ -168,19 +180,42 @@ class Surface:
 # -- points -------------------------------------------------------------------
 
 
-def _canonical_proj(coords):
-    coords = [Fraction(c) for c in coords]
-    for c in coords:
-        if c != 0:
-            return tuple(x / c for x in coords)
-    raise ValueError("zero point")
+def _cleared(values):
+    """Integers proportional to the exact values, and the common
+    denominator they were multiplied by.  A coordinate that is not an int
+    is read as a Fraction through ``_exact_input``, so a float or a bool is
+    refused rather than reinterpreted."""
+    if all(type(x) is int for x in values):
+        return tuple(values), 1
+    exact = [x if type(x) in (int, Fraction) else Fraction(_exact_input(x)) for x in values]
+    den = lcm(*(x.denominator for x in exact))
+    return tuple(x.numerator * (den // x.denominator) for x in exact), den
+
+
+def _primitive_signed(ints):
+    """The primitive integer vector proportional to the nonzero ``ints``
+    whose first nonzero entry is positive, and the signed divisor."""
+    g = gcd(*ints)
+    for x in ints:
+        if x:
+            if x < 0:
+                g = -g
+            break
+    if g == 1:
+        return tuple(ints), 1
+    return tuple(x // g for x in ints), g
 
 
 class P2Point:
-    """[x0 : x1 : x2], stored in a canonical scaling."""
+    """[x0 : x1 : x2], stored as the primitive integer triple whose first
+    nonzero entry is positive: the unique representative of a point of P2
+    over QQ, so equality and hashing compare int tuples."""
 
     def __init__(self, x0, x1, x2):
-        self.coords = _canonical_proj([x0, x1, x2])
+        ints, _ = _cleared((x0, x1, x2))
+        if not any(ints):
+            raise ValueError("zero point")
+        self.coords, _ = _primitive_signed(ints)
 
     def __eq__(self, other):
         return isinstance(other, P2Point) and self.coords == other.coords
@@ -191,29 +226,29 @@ class P2Point:
     def __repr__(self):
         return f"P2Point{self.coords}"
 
-    def to_json_obj(self):
-        return [str(c) for c in self.coords]
-
 
 class FnPoint:
     """Cox coordinates (x1, x2, x3, x4) on F_k: x1, x3 the fiber pair,
     x2 the negative section coordinate, x4 the positive one; equivalence
-    (x1, x2, x3, x4) ~ (l x1, m x2, l x3, l^k m x4)."""
+    (x1, x2, x3, x4) ~ (l x1, m x2, l x3, l^k m x4).
+
+    Stored as integers: the fiber pair primitive with its first nonzero
+    entry positive, which fixes l, and then the section pair the same way,
+    which fixes m.  So each point has one stored quadruple."""
 
     def __init__(self, k: int, x1, x2, x3, x4):
         self.k = k
-        x = [Fraction(v) for v in (x1, x2, x3, x4)]
-        if x[0] == 0 and x[2] == 0:
+        fiber, l = _cleared((x1, x3))
+        if not any(fiber):
             raise ValueError("fiber coordinates both zero")
-        if x[1] == 0 and x[3] == 0:
+        section, _ = _cleared((x2, x4))
+        if not any(section):
             raise ValueError("section coordinates both zero")
-        # canonicalize: scale the fiber pair, then the section pair
-        l = x[0] if x[0] != 0 else x[2]
-        x[0], x[2] = x[0] / l, x[2] / l
-        x[3] = x[3] / l**k
-        m = x[1] if x[1] != 0 else x[3]
-        x[1], x[3] = x[1] / m, x[3] / m
-        self.coords = tuple(x)
+        # scaling the fiber pair by l / g scales x4 by (l / g)^k; then
+        # m = g^k keeps the section pair integral
+        (y1, y3), g = _primitive_signed(fiber)
+        (y2, y4), _ = _primitive_signed((section[0] * g**k, section[1] * l**k))
+        self.coords = (y1, y2, y3, y4)
 
     def __eq__(self, other):
         return (
@@ -224,9 +259,6 @@ class FnPoint:
 
     def __repr__(self):
         return f"FnPoint(k={self.k}, {self.coords})"
-
-    def to_json_obj(self):
-        return [str(c) for c in self.coords]
 
 
 class TowerPoint:
@@ -299,24 +331,28 @@ class ChartResult:
 def find_chart_p2(points) -> ChartResult:
     """Complement of a line x0 + t x1 + t^2 x2 avoiding every point."""
     for t in range(0, 2 * len(points) + 1):
-        t = Fraction(t)
-        if all(_p2_line_value(p, t) != 0 for p in points):
-            coords = []
-            for p in points:
-                ell = _p2_line_value(p, t)
-                coords.append((p.coords[1] / ell, p.coords[2] / ell))
+        ells = [_p2_line_value(p, t) for p in points]
+        if all(ells):
+            coords = [_p2_chart_coords(p, ell) for p, ell in zip(points, ells)]
             return ChartResult({"surface": "P2", "line_t": str(t)}, coords)
     raise AssertionError("pigeonhole violated in plane chart search")
 
 
-def _p2_line_value(p: P2Point, t: Fraction):
+def _p2_line_value(p: P2Point, t: int) -> int:
     x0, x1, x2 = p.coords
     return x0 + t * x1 + t * t * x2
 
 
+def _p2_chart_coords(p: P2Point, ell: int):
+    return (Fraction(p.coords[1], ell), Fraction(p.coords[2], ell))
+
+
 def p2_chart_embed(description: dict, u, v) -> P2Point:
-    t = Fraction(description["line_t"])
-    return P2Point(1 - t * u - t * t * v, u, v)
+    """The point [1 - t u - t^2 v : u : v], built from the numerators and
+    the common denominator of u and v."""
+    t = int(description["line_t"])
+    (nu, nv), den = _cleared((u, v))
+    return P2Point(den - t * nu - t * t * nv, nu, nv)
 
 
 def find_chart_fn(k: int, points) -> ChartResult:
@@ -326,7 +362,7 @@ def find_chart_fn(k: int, points) -> ChartResult:
     fiber = None
     for (a, b) in fiber_candidates:
         if all(b * p.coords[0] - a * p.coords[2] != 0 for p in points):
-            fiber = (Fraction(a), Fraction(b))
+            fiber = (a, b)
             break
     assert fiber is not None, "pigeonhole violated in fiber search"
     a, b = fiber
@@ -346,7 +382,7 @@ def find_chart_fn(k: int, points) -> ChartResult:
     coords = []
     for p, ell, w in zip(points, ells, weights):
         x1, _, x3, x4 = p.coords
-        coords.append(((b2 * x1 - a2 * x3) / ell, w / (x4 + c * w)))
+        coords.append((Fraction(b2 * x1 - a2 * x3, ell), Fraction(w, x4 + c * w)))
     description = {
         "surface": f"F{k}",
         "fiber": [str(a), str(b)],
@@ -356,11 +392,10 @@ def find_chart_fn(k: int, points) -> ChartResult:
     return ChartResult(description, coords)
 
 
-def _complete_unimodular(a: Fraction, b: Fraction):
+def _complete_unimodular(a: int, b: int):
     """Integer (a2, b2) with a*b2 - b*a2 = 1, so the forms b x1 - a x3 and
     b2 x1 - a2 x3 are a unimodular pair."""
-    ai, bi = int(a), int(b)
-    old_r, r = ai, bi
+    old_r, r = a, b
     old_s, s = 1, 0
     old_t, t = 0, 1
     while r:
@@ -371,21 +406,21 @@ def _complete_unimodular(a: Fraction, b: Fraction):
     # old_s * a + old_t * b = gcd(a, b) = +-1
     if old_r < 0:
         old_s, old_t = -old_s, -old_t
-    return (Fraction(-old_t), Fraction(old_s))
+    return (-old_t, old_s)
 
 
 def fn_chart_embed(k: int, description: dict, u, v) -> FnPoint:
-    a = Fraction(description["fiber"][0])
-    b = Fraction(description["fiber"][1])
-    a2 = Fraction(description["fiber2"][0])
-    b2 = Fraction(description["fiber2"][1])
-    det = b * (-a2) - (-a) * b2
-    # solve (ell, ell2) = (1, u) for (x1, x3)
-    x1 = ((-a2) * 1 - (-a) * u) / det
-    x3 = (b * u - b2 * 1) / det
-    x2 = v  # with ell = 1 and the section form x4 + c x2 ell^k normalized to 1
-    x4 = 1 - Fraction(description["section_c"]) * x2
-    return FnPoint(k, x1, x2, x3, x4)
+    """The point with ell = 1, ell2 = u, x2 = v and x4 + c x2 ell^k = 1,
+    built from the numerators and denominators of u and v."""
+    a, b = (int(x) for x in description["fiber"])
+    a2, b2 = (int(x) for x in description["fiber2"])
+    c = int(description["section_c"])
+    (nu, nv), den = _cleared((u, v))
+    # the pairing is unimodular, a b2 - b a2 = 1, so (ell, ell2) = (1, u)
+    # solves to (x1, x3) = (a u - a2, b u - b2); the torus element
+    # l = m = den clears the denominators
+    x1, x3 = a * nu - a2 * den, b * nu - b2 * den
+    return FnPoint(k, x1, nv, x3, (den - c * nv) * den**k)
 
 
 def _blowup_substitution(cq, slope, pos):
@@ -437,16 +472,19 @@ def find_chart_tower(surface: Surface, points) -> ChartResult:
         raise ValueError("tower charts need distinct centers")
 
     exceptional_centers = set()
-    for p in points:
+    for idx, p in enumerate(points):
         if p.exceptional:
-            if p.center not in spec.blowups:
-                raise ValueError("exceptional point on an absent center")
+            # a bool is not a cone index, as in Fan2D.blowup
+            if type(p.center) is not int or p.center not in spec.blowups:
+                raise ValueError(
+                    f"point {idx}: exceptional center {p.center!r} is not one of the blowups {spec.blowups}"
+                )
             if p.direction == P2_FIXED_POINTS[p.center]:
-                raise ValueError("degenerate direction")
+                raise ValueError(f"point {idx}: degenerate direction")
             exceptional_centers.add(p.center)
         else:
             if p.base in centers:
-                raise ValueError("point coincides with a blowup center")
+                raise ValueError(f"point {idx}: point coincides with a blowup center")
 
     # base chart: the line must avoid every ordinary point, every direction
     # representative, and every center carrying an exceptional point
@@ -454,17 +492,14 @@ def find_chart_tower(surface: Surface, points) -> ChartResult:
     probe += [p.direction for p in points if p.exceptional]
     probe += [P2_FIXED_POINTS[c] for c in sorted(exceptional_centers)]
     for t in range(0, 2 * len(probe) + 1):
-        t = Fraction(t)
-        if all(_p2_line_value(q, t) != 0 for q in probe):
+        if all(_p2_line_value(q, t) for q in probe):
             break
     else:
         raise AssertionError("pigeonhole violated in tower base chart")
 
     def base_coords(q: P2Point):
         ell = _p2_line_value(q, t)
-        if ell == 0:
-            return None
-        return (q.coords[1] / ell, q.coords[2] / ell)
+        return _p2_chart_coords(q, ell) if ell else None
 
     # point state: ("at", (u, v)) or ("pending", cone, direction vector at
     # the center); center positions are carried through the same frames
@@ -503,12 +538,8 @@ def find_chart_tower(surface: Surface, points) -> ChartResult:
             pos = center_pos[later]
             if later in exceptional_centers and pos is not None:
                 blocked.add(slope_of((pos[0] - cq[0], pos[1] - cq[1])))
-        slope = None
-        for cand in range(len(blocked) + 1):
-            if Fraction(cand) not in blocked:
-                slope = Fraction(cand)
-                break
-        assert slope is not None
+        # len(blocked) + 1 integer slopes cannot all be blocked
+        slope = next(cand for cand in range(len(blocked) + 1) if cand not in blocked)
 
         new_state = []
         for p, st in zip(points, state):
@@ -568,7 +599,7 @@ def tower_chart_embed(surface: Surface, description: dict, u, v) -> TowerPoint:
     for step in reversed(description["steps"]):
         if not step["inside"]:
             continue
-        slope = Fraction(step["removed_slope"])
+        slope = int(step["removed_slope"])
         cq = (
             Fraction(step["center_chart_coords"][0]),
             Fraction(step["center_chart_coords"][1]),
@@ -590,15 +621,10 @@ def tower_chart_embed(surface: Surface, description: dict, u, v) -> TowerPoint:
                     (d * pending_v[0] - b * pending_v[1]) / det,
                     (-c * pending_v[0] + a * pending_v[1]) / det,
                 )
-    t = Fraction(description["line_t"])
-
-    def embed(pos):
-        return P2Point(1 - t * pos[0] - t * t * pos[1], pos[0], pos[1])
-
     if pending_center is not None:
-        direction = embed((coords[0] + pending_v[0], coords[1] + pending_v[1]))
+        direction = p2_chart_embed(description, coords[0] + pending_v[0], coords[1] + pending_v[1])
         return TowerPoint(center=pending_center, direction=direction)
-    return TowerPoint(base=embed(coords))
+    return TowerPoint(base=p2_chart_embed(description, *coords))
 
 
 def find_chart(surface: Surface, points) -> ChartResult:
@@ -624,8 +650,9 @@ def chart_embed(surface: Surface, description: dict, u, v):
 # -- statistics ----------------------------------------------------------------
 
 
-def _random_fraction(rng):
-    return Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+def _random_ratio(rng):
+    """(num, den) of a random rational num / den."""
+    return rng.randint(-9, 9), rng.randint(1, 5)
 
 
 def random_point(surface: Surface, rng):
@@ -633,23 +660,31 @@ def random_point(surface: Surface, rng):
     if spec.base == "P2" and not spec.blowups:
         kind = rng.random()
         if kind < 0.8:
-            return P2Point(1, _random_fraction(rng), _random_fraction(rng))
+            return _random_affine_point(rng)
         if kind < 0.95:
-            return P2Point(0, 1, _random_fraction(rng))
+            n, d = _random_ratio(rng)
+            return P2Point(0, d, n)
         return P2Point(0, 0, 1)
     if spec.base.startswith("F") and not spec.blowups:
         k = int(spec.base[1:])
         while True:
-            x1, x3 = _random_fraction(rng), _random_fraction(rng)
-            x2, x4 = _random_fraction(rng), _random_fraction(rng)
-            if (x1, x3) != (0, 0) and (x2, x4) != (0, 0):
-                return FnPoint(k, x1, x2, x3, x4)
+            (n1, d1), (n3, d3) = _random_ratio(rng), _random_ratio(rng)
+            (n2, d2), (n4, d4) = _random_ratio(rng), _random_ratio(rng)
+            if (n1, n3) != (0, 0) and (n2, n4) != (0, 0):
+                # l = d1 d3 clears the fiber pair, m = d2 d4 the section pair
+                return FnPoint(k, n1 * d3, n2 * d4, n3 * d1, n4 * d2 * (d1 * d3) ** k)
     # tower: plane points away from the centers
     centers = {P2_FIXED_POINTS[c] for c in spec.blowups}
     while True:
-        p = P2Point(1, _random_fraction(rng), _random_fraction(rng))
+        p = _random_affine_point(rng)
         if p not in centers:
             return TowerPoint(base=p)
+
+
+def _random_affine_point(rng):
+    """[1 : n1/d1 : n2/d2] for two random rationals."""
+    (n1, d1), (n2, d2) = _random_ratio(rng), _random_ratio(rng)
+    return P2Point(d1 * d2, n1 * d2, n2 * d1)
 
 
 def verify_cover_property(surface: Surface, trials: int, points_per_trial: int, rng) -> dict:

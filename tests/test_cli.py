@@ -41,6 +41,10 @@ def test_usage_error_exit_code():
         ["ext", "--corpus", "none", "--corpus-file", "{tmp}/empty.json"],
         ["toric", "cover-stats", "--surface", '{{"base": "P2", "blowups": [true]}}'],
         ["ext", "--corpus", "none", "--corpus-file", "{tmp}/zero_size.json"],
+        ["toric", "chart", "--surface", '{{"base": "P2"}}', "--points", "[[0.1, 2, 3]]"],
+        ["toric", "chart", "--surface", '{{"base": "P2"}}', "--points", "[[true, 2, 3]]"],
+        ["toric", "chart", "--surface", '{{"base": "P2", "blowups": [1]}}',
+         "--points", '[{{"center": true, "direction": [1, 1, 1]}}]'],
     ],
 )
 def test_bad_values_exit_2_without_traceback(args, tmp_path, capsys):

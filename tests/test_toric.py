@@ -2,8 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from critlocus.toric import (
+    P2_FIXED_POINTS,
     FnPoint,
     P2Point,
     Surface,
@@ -204,3 +207,134 @@ def test_second_blowup_center_uses_transported_frame():
     expected = (x1 / r, r)
     cq2 = tuple(F(x) for x in steps[1]["center_chart_coords"])
     assert cq2 == expected
+
+
+# -- canonical forms ------------------------------------------------------------
+#
+# Points are stored in integer homogeneous coordinates; these tests check the
+# stored form against definitions that do not use it.  Coordinates are drawn
+# as rationals and handed to the constructors as ints, Fractions or strings.
+
+
+def rationals(bound=6, max_den=4):
+    return st.builds(Fraction, st.integers(-bound, bound), st.integers(1, max_den))
+
+
+nonzero_rationals = rationals().filter(bool)
+
+
+def as_inputs(data, values):
+    """Each value as an int when integral, a Fraction or a string."""
+    forms = []
+    for q in values:
+        plain = q.numerator if q.denominator == 1 else q
+        forms.append(data.draw(st.sampled_from([plain, q, str(q)])))
+    return forms
+
+
+def plane_vectors(bound=6, max_den=4):
+    return st.lists(rationals(bound, max_den), min_size=3, max_size=3).filter(any)
+
+
+def cox_vectors(bound=6, max_den=4):
+    # (x1, x2, x3, x4) with both the fiber pair and the section pair nonzero
+    return st.lists(rationals(bound, max_den), min_size=4, max_size=4).filter(
+        lambda x: (x[0] or x[2]) and (x[1] or x[3])
+    )
+
+
+def reference_fn_form(k, x):
+    """Divide the fiber pair by its first nonzero entry, then the section
+    pair by its first nonzero entry, in Fractions."""
+    x = [Fraction(v) for v in x]
+    l = x[0] if x[0] else x[2]
+    x[0], x[2], x[3] = x[0] / l, x[2] / l, x[3] / l**k
+    m = x[1] if x[1] else x[3]
+    x[1], x[3] = x[1] / m, x[3] / m
+    return tuple(x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(plane_vectors(2, 2), plane_vectors(2, 2), st.data())
+def test_plane_points_are_equal_exactly_when_proportional(a, b, data):
+    pa, pb = P2Point(*as_inputs(data, a)), P2Point(*as_inputs(data, b))
+    minors_vanish = all(a[i] * b[j] == a[j] * b[i] for i in range(3) for j in range(i + 1, 3))
+    assert (pa == pb) == minors_vanish
+    if minors_vanish:
+        assert hash(pa) == hash(pb)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 3), cox_vectors(2, 2), cox_vectors(2, 2), st.data())
+def test_fn_point_equality_matches_fraction_canonical_form(k, a, b, data):
+    pa, pb = FnPoint(k, *as_inputs(data, a)), FnPoint(k, *as_inputs(data, b))
+    assert (pa == pb) == (reference_fn_form(k, a) == reference_fn_form(k, b))
+
+
+@settings(max_examples=200, deadline=None)
+@given(plane_vectors(), nonzero_rationals, st.data())
+def test_plane_point_is_invariant_under_scaling(x, s, data):
+    scaled = [s * v for v in x]
+    p = P2Point(*as_inputs(data, x))
+    assert p == P2Point(*as_inputs(data, scaled))
+    assert hash(p) == hash(P2Point(*scaled))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 3), cox_vectors(), nonzero_rationals, nonzero_rationals, st.data())
+def test_fn_point_is_invariant_under_the_torus(k, x, l, m, data):
+    x1, x2, x3, x4 = x
+    moved = [l * x1, m * x2, l * x3, l**k * m * x4]
+    assert FnPoint(k, *as_inputs(data, x)) == FnPoint(k, *as_inputs(data, moved))
+
+
+def test_points_refuse_floats_and_bools():
+    for bad in (0.5, True):
+        with pytest.raises(TypeError, match=repr(bad)):
+            P2Point(1, bad, 2)
+        with pytest.raises(TypeError, match=repr(bad)):
+            FnPoint(1, 1, 2, bad, 3)
+
+
+@pytest.mark.parametrize("center", [True, 1, "0"])
+def test_exceptional_center_must_be_a_blowup(center):
+    # True == 1 would otherwise be read as cone 1
+    surf = Surface(SurfaceSpec("P2", [0, 2]))
+    exc = TowerPoint(center=center, direction=P2Point(1, 1, 1))
+    with pytest.raises(ValueError, match=f"point 0: exceptional center {center!r}"):
+        find_chart(surf, [exc])
+
+
+# -- exceptional round trips ------------------------------------------------------
+
+
+@st.composite
+def tower_configurations(draw):
+    """A tower over distinct fixed points of the plane, and points on it:
+    at least one on an exceptional curve, the rest on either kind."""
+    blowups = draw(st.permutations([0, 1, 2]).flatmap(lambda p: st.sampled_from([p[:1], p[:2], p])))
+    centers = [P2_FIXED_POINTS[c] for c in blowups]
+
+    def exceptional():
+        center = draw(st.sampled_from(blowups))
+        direction = draw(plane_vectors().map(lambda v: P2Point(*v)).filter(lambda d: d != P2_FIXED_POINTS[center]))
+        return TowerPoint(center=center, direction=direction)
+
+    def ordinary():
+        base = draw(plane_vectors().map(lambda v: P2Point(*v)).filter(lambda q: q not in centers))
+        return TowerPoint(base=base)
+
+    points = [exceptional()]
+    for _ in range(draw(st.integers(0, 3))):
+        points.append(exceptional() if draw(st.booleans()) else ordinary())
+    return Surface(SurfaceSpec("P2", list(blowups))), draw(st.permutations(points))
+
+
+@settings(max_examples=200, deadline=None)
+@given(tower_configurations())
+def test_tower_chart_round_trips_exceptional_points(config):
+    surf, points = config
+    res = find_chart(surf, points)
+    for p, (u, v) in zip(points, res.coordinates):
+        back = chart_embed(surf, res.description, u, v)
+        assert back == p, (p, back)

@@ -176,7 +176,7 @@ def checks_chainmap(report: Report, args, rng):
         # this one see the same rng state either way
         pts = random_conjugate_points(n, samples, rng)
         cm = comparison()[0]
-        reps = [cm.check_at_point(cdga().point_assignment(pt.X, pt.Y, pt.Z)) for pt in pts]
+        reps = [cm.check_at_point(cdga().point(pt.X, pt.Y, pt.Z)) for pt in pts]
         return sum(not rep["ok"] for rep in reps), all(rep["all_invertible"] for rep in reps)
 
     _run(report, (

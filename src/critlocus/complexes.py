@@ -46,9 +46,10 @@ from .superpoly import Derivation, GeneratorTable, SuperPoly, add_product, poly_
 class SymMatrix:
     """A rows x cols matrix with SuperPoly entries over one generator table,
     stored as sparse rows: one ``{col: SuperPoly}`` dict per row holding
-    only its nonzero entries, as ``DenseMatrix`` stores scalars."""
+    only its nonzero entries, as ``DenseMatrix`` stores scalars.  Entries
+    are changed through ``set`` only, which drops the compiled form."""
 
-    __slots__ = ("table", "rows", "cols", "sparse_rows")
+    __slots__ = ("table", "rows", "cols", "sparse_rows", "_compiled")
 
     def __init__(self, table: GeneratorTable, rows: int, cols: int, data=None):
         """The zero matrix, or the matrix of dense row-major ``data`` with its
@@ -56,6 +57,7 @@ class SymMatrix:
         self.table = table
         self.rows = rows
         self.cols = cols
+        self._compiled = None
         if data is None:
             self.sparse_rows = [{} for _ in range(rows)]
         else:
@@ -100,6 +102,7 @@ class SymMatrix:
         """Set entry (i, j) to ``p``; a zero ``p`` clears it."""
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(f"entry ({i}, {j}) outside a {self.rows}x{self.cols} matrix")
+        self._compiled = None
         if p.terms:
             self.sparse_rows[i][j] = p
         else:
@@ -164,9 +167,15 @@ class SymMatrix:
                     acc[j] = q
         return out
 
+    def compiled(self) -> "CompiledMatrix":
+        """The compiled form, built on the first call and kept until ``set``."""
+        if self._compiled is None:
+            self._compiled = CompiledMatrix(self)
+        return self._compiled
+
     def evaluate(self, assignment, field=QQ) -> DenseMatrix:
         """The numeric matrix at a point, as ``FreeComplex.evaluate_at`` sets it."""
-        return CompiledMatrix(self).evaluate(_point_values(self.table, assignment), field)
+        return self.compiled().evaluate(_point_values(self.table, assignment), field)
 
 
 class CompiledMatrix:
@@ -293,9 +302,8 @@ class FreeComplex:
     ``base``:  a GeneratorTable for symbolic complexes, or a scalar field.
 
     A numeric complex keeps the ``rref`` of each differential it has
-    reduced, the pivot columns of each one it has only ranked, and the
-    outcome of its d^2 check, so its homology dimensions and
-    representatives eliminate each differential once and multiply
+    reduced and the outcome of its d^2 check, so its homology dimensions
+    and representatives eliminate each differential once and multiply
     differentials only for that one check.
     """
 
@@ -306,9 +314,7 @@ class FreeComplex:
         self.twist = dict(twist) if twist else {}
         self.symbolic = isinstance(base, GeneratorTable)
         self._reduced = {}
-        self._pivots = {}
         self._d_squared_failures = None
-        self._compiled = None
         self._check_shapes()
 
     def _check_shapes(self):
@@ -397,26 +403,18 @@ class FreeComplex:
         """Set degree-0 generators to scalars, all others to zero.
 
         ``assignment`` maps generator index (or name) to a rational, or is a
-        point already cleared by ``_point_values``.  The point's
-        denominators are cleared once, and every compiled matrix reads the
-        same integer numerators (see ``CompiledMatrix``).  Twist components
-        have strictly negative entry degrees, so they evaluate to zero and
-        are dropped; this is asserted.  The differentials and twist
-        components are compiled on the first call and the compiled forms are
-        kept for every later point.
+        point already cleared by ``_point_values`` or ``MatrixCdga.point``.
+        The point's denominators are cleared once, and every matrix reads
+        the same integer numerators through the compiled form it keeps (see
+        ``CompiledMatrix``).  Twist components have strictly negative entry
+        degrees, so they evaluate to zero and are dropped; this is asserted.
         """
         if not self.symbolic:
             raise ValueError("complex is already numeric")
         point = _point_values(self.base, assignment)
-        if self._compiled is None:
-            self._compiled = (
-                {k: CompiledMatrix(m) for k, m in self.diff.items()},
-                [CompiledMatrix(m) for m in self.twist.values()],
-            )
-        diffs, twists = self._compiled
-        diff = {k: m.evaluate(point, field) for k, m in diffs.items()}
-        for m in twists:
-            if next(m.values(point), None) is not None:
+        diff = {k: m.compiled().evaluate(point, field) for k, m in self.diff.items()}
+        for m in self.twist.values():
+            if next(m.compiled().values(point), None) is not None:
                 raise AssertionError("twist component survived evaluation")
         return FreeComplex(field, dict(self.ranks), diff)
 
@@ -431,14 +429,11 @@ class FreeComplex:
 
     def _differential_rank(self, k: int) -> int:
         """rank d^k, read off a cached ``rref`` when there is one, else off
-        ``pivot_columns``, whose pivots are then kept."""
+        ``pivot_columns``."""
         red = self._reduced.get(k)
         if red is not None:
             return len(red[1])
-        pivots = self._pivots.get(k)
-        if pivots is None:
-            pivots = self._pivots[k] = pivot_columns(self.differential(k))
-        return len(pivots)
+        return len(pivot_columns(self.differential(k)))
 
     def _require_numeric_complex(self):
         """Raise ValueError unless this is a numeric complex with d^2 = 0;
@@ -645,7 +640,6 @@ class ChainMap:
         for k, m in self.blocks.items():
             if m.cols != source.rank(k) or m.rows != target.rank(k):
                 raise ValueError(f"block at degree {k} has wrong shape")
-        self._compiled = {}
 
     def block(self, k: int):
         b = self.blocks.get(k)
@@ -671,8 +665,8 @@ class ChainMap:
         """Evaluate both complexes and the blocks, check squares and invertibility.
 
         The point's denominators are cleared once, and both complexes and
-        every block are evaluated at that one cleared point.  Symbolic
-        blocks are compiled on the first call, like the complexes.
+        every block are evaluated at that one cleared point, each through
+        the compiled form its matrix keeps.
         """
         if self.source.symbolic:
             assignment = _point_values(self.source.base, assignment)
@@ -683,10 +677,7 @@ class ChainMap:
         for k in set(src.degrees()) | set(tgt.degrees()):
             b = self.block(k)
             if isinstance(b, SymMatrix):
-                compiled = self._compiled.get(k)
-                if compiled is None:
-                    compiled = self._compiled[k] = CompiledMatrix(b)
-                b = compiled.evaluate(assignment, field)
+                b = b.compiled().evaluate(assignment, field)
             blocks[k] = b
             if src.rank(k) == tgt.rank(k) and src.rank(k):
                 report["invertible"][k] = b.rank() == src.rank(k)

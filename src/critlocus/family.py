@@ -426,8 +426,7 @@ class EndomorphismModel:
     # -- evaluation ----------------------------------------------------------------
 
     def evaluate_at(self, X, Y, Z, field=None) -> FreeComplex:
-        assignment = self.cdga.point_assignment(X, Y, Z)
-        return self.complex.evaluate_at(assignment, field or QQ)
+        return self.complex.evaluate_at(self.cdga.point(X, Y, Z), field or QQ)
 
 
 _ENDO_CACHE = {}
@@ -634,9 +633,9 @@ def build_comparison_map(n: int, cdga: MatrixCdga = None, search: bool = None):
     from .points import nilpotent_regular_point
 
     pt = nilpotent_regular_point(n)
-    assignment = cdga.point_assignment(pt.X, pt.Y, pt.Z)
-    src_num = tangent.complex.evaluate_at(assignment)
-    tgt_num = endo.complex.evaluate_at(assignment)
+    point = cdga.point(pt.X, pt.Y, pt.Z)
+    src_num = tangent.complex.evaluate_at(point)
+    tgt_num = endo.complex.evaluate_at(point)
 
     sign_patterns = {
         1: [(1,), (-1,)],
@@ -647,7 +646,7 @@ def build_comparison_map(n: int, cdga: MatrixCdga = None, search: bool = None):
         for q in range(4)
     ]
     blocks = [[_signed_permutation(t, n, signs, flavor) for flavor, signs in row] for row in candidates]
-    numeric = [[block.evaluate(assignment) for block in row] for row in blocks]
+    numeric = [[block.evaluate(point) for block in row] for row in blocks]
 
     # commuting[q]: the index pairs (a, b) of candidates at degrees q and
     # q + 1 whose square commutes at the point

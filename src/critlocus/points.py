@@ -25,31 +25,36 @@ from .scalars import QQ
 
 
 class MatrixPoint:
-    """A triple (X, Y, Z) of n x n matrices with an optional vector v."""
+    """A triple (X, Y, Z) of n x n matrices with an optional vector v, its
+    entries read by ``QQ.of`` (a float or a bool raises TypeError naming
+    it).  A point is not changed after it is made."""
 
     def __init__(self, X, Y, Z, v=None, provenance="manual"):
         self.n = len(X)
-        self.X = [[Fraction(x) for x in row] for row in X]
-        self.Y = [[Fraction(x) for x in row] for row in Y]
-        self.Z = [[Fraction(x) for x in row] for row in Z]
+        self.X = [[QQ.of(x) for x in row] for row in X]
+        self.Y = [[QQ.of(x) for x in row] for row in Y]
+        self.Z = [[QQ.of(x) for x in row] for row in Z]
         if self.n == 0:
             raise ValueError("matrices must be at least 1 x 1")
         for m in (self.X, self.Y, self.Z):
             if len(m) != self.n or any(len(row) != self.n for row in m):
                 raise ValueError("matrices must be square of equal size")
-        self.v = [Fraction(x) for x in v] if v is not None else None
+        self.v = [QQ.of(x) for x in v] if v is not None else None
         if self.v is not None and len(self.v) != self.n:
             raise ValueError("vector length mismatch")
         self.provenance = provenance
+        self._commuting = None
 
     def matrices(self):
         return self.X, self.Y, self.Z
 
     def is_commuting(self) -> bool:
-        for a, b in ((self.X, self.Y), (self.Y, self.Z), (self.Z, self.X)):
-            if not _commutes(a, b):
-                return False
-        return True
+        """Whether X, Y and Z commute pairwise.  The products run on the
+        first call only; later calls read the kept verdict."""
+        if self._commuting is None:
+            pairs = ((self.X, self.Y), (self.Y, self.Z), (self.Z, self.X))
+            self._commuting = all(_commutes(a, b) for a, b in pairs)
+        return self._commuting
 
     def conjugate(self, g, g_inv=None) -> "MatrixPoint":
         """The point g X g^-1, g Y g^-1, g Z g^-1 with vector g v.  A ``g``

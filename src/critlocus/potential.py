@@ -29,10 +29,9 @@ generators to zero recovers an honest complex at every commuting triple.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .complexes import FreeComplex, SymMatrix
+from .complexes import FreeComplex, SymMatrix, _Point
 from .points import check_square
+from .scalars import QQ
 from .superpoly import Derivation, GeneratorTable, SuperPoly
 
 BLOCKS = ("X", "Y", "Z")
@@ -219,18 +218,21 @@ class MatrixCdga:
         return self._ext
 
     def point_assignment(self, X, Y, Z) -> dict:
-        """Map degree-0 generators to the entries of three n x n matrices.
+        """Map degree-0 generator k to entry k of X, Y, Z, each read
+        row-major, in that order, as the canonical table lists X0, Y0, Z0.
 
-        A matrix of any other shape raises ValueError naming both shapes.
+        A matrix of any other shape raises ValueError naming both shapes,
+        and a float or bool entry raises TypeError naming it (``QQ.of``).
         """
-        n, t = self.n, self.table
-        out = {}
-        for name, m in (("X0", X), ("Y0", Y), ("Z0", Z)):
-            check_square(name[0], m, n)
-            for i in range(n):
-                for j in range(n):
-                    out[t.idx(f"{name}({i + 1},{j + 1})")] = Fraction(m[i][j])
-        return out
+        for name, m in (("X", X), ("Y", Y), ("Z", Z)):
+            check_square(name, m, self.n)
+        entries = (x for m in (X, Y, Z) for row in m for x in row)
+        return {k: QQ.of(x) for k, x in enumerate(entries)}
+
+    def point(self, X, Y, Z) -> _Point:
+        """The point X0 = X, Y0 = Y, Z0 = Z with its denominators cleared,
+        which every evaluation at the triple reads."""
+        return _Point(self.table, self.point_assignment(X, Y, Z))
 
 
 def build_koszul_cdga(n: int) -> MatrixCdga:
@@ -377,10 +379,7 @@ class CotangentModel:
         }
 
     def evaluate_at(self, X, Y, Z, field=None) -> FreeComplex:
-        from .scalars import QQ
-
-        assignment = self.cdga.point_assignment(X, Y, Z)
-        return self.complex.evaluate_at(assignment, field or QQ)
+        return self.complex.evaluate_at(self.cdga.point(X, Y, Z), field or QQ)
 
 
 def build_cotangent_complex(n: int, cdga: MatrixCdga = None) -> CotangentModel:

@@ -70,3 +70,19 @@ def matmul_calls(monkeypatch):
         if module_name.startswith("critlocus") and getattr(module, "product_first_nonzero", None) is original:
             monkeypatch.setattr(module, "product_first_nonzero", wrapper)
     return calls
+
+
+@pytest.fixture
+def compile_calls(monkeypatch):
+    """The SymMatrix of each ``CompiledMatrix`` built from here on."""
+    from critlocus.complexes import CompiledMatrix
+
+    calls = []
+    original = CompiledMatrix.__init__
+
+    def counting(self, m):
+        calls.append(m)
+        original(self, m)
+
+    monkeypatch.setattr(CompiledMatrix, "__init__", counting)
+    return calls

@@ -450,27 +450,31 @@ def test_bad_prime_is_met_entry_by_entry():
         model.evaluate_at([[0, Fraction(1, p)], [0, 0]], zero, zero, gf)
 
 
-def test_each_complex_and_block_compiles_once(monkeypatch):
-    compiled = []
-    original = complexes.CompiledMatrix.__init__
-
-    def counting(self, m):
-        compiled.append(m)
-        original(self, m)
-
-    monkeypatch.setattr(complexes.CompiledMatrix, "__init__", counting)
+def test_each_complex_and_block_compiles_once(compile_calls):
     cm, _ = build_comparison_map(2, search=False)
     model = EndomorphismModel(build_universal_family(2))
     pts = [point_from_partition(pp) for pp in enumerate_partitions(2)]
     pts += random_conjugate_points(2, 3, random.Random(11))
-    assert not compiled  # nothing is compiled before the first point
+    assert not compile_calls  # nothing is compiled before the first point
     for pt in pts:
         for field in (QQ, GF(DEFAULT_PRIME)):
             model.evaluate_at(pt.X, pt.Y, pt.Z, field)
             assert cm.check_at_point(model.cdga.point_assignment(pt.X, pt.Y, pt.Z), field)["ok"]
     parts = [model.complex, cm.source, cm.target]
     want = sum(len(cx.diff) + len(cx.twist) for cx in parts) + len(cm.source.ranks)
-    assert len(compiled) == want
+    assert len(compile_calls) == want
+
+
+def test_set_drops_the_compiled_form():
+    x, y = SuperPoly.gen(EVAL_TABLE, "X0(1,1)"), SuperPoly.gen(EVAL_TABLE, "Y0(1,1)")
+    m = SymMatrix(EVAL_TABLE, 1, 2, [[x, SuperPoly.zero(EVAL_TABLE)]])
+    point = {k: Fraction(k + 2) for k in DEGREE_ZERO}
+    value = lambda p: QQ.of(p.evaluate(point))
+    assert m.evaluate(point).data == [[value(x), 0]]
+    m.set(0, 1, y)
+    assert m.evaluate(point).data == [[value(x), value(y)]]
+    m.set(0, 0, SuperPoly.zero(EVAL_TABLE))
+    assert m.evaluate(point).data == [[0, value(y)]]
 
 
 @st.composite

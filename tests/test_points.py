@@ -52,6 +52,25 @@ def test_is_commuting_matches_list_products():
     assert seen == {True, False}
 
 
+def test_second_is_commuting_makes_no_product(matmul_calls):
+    for pt in (point_from_partition(enumerate_partitions(3)[0]), MatrixPoint(E12, E21, Z2)):
+        first = pt.is_commuting()
+        made = len(matmul_calls)
+        assert made and pt.is_commuting() == first
+        assert len(matmul_calls) == made
+
+
+@pytest.mark.parametrize("where", ["X", "Y", "Z", "v"])
+@pytest.mark.parametrize("bad", [0.1, 2.0, True, False])
+def test_point_entries_refuse_floats_and_bools(where, bad):
+    args = {"X": [[0]], "Y": [[0]], "Z": [[0]], "v": [1]}
+    args[where] = [bad] if where == "v" else [[bad]]
+    with pytest.raises(TypeError, match=repr(bad)):
+        MatrixPoint(**args)
+    args[where] = ["1/2"] if where == "v" else [["1/2"]]
+    assert MatrixPoint(**args).to_record()[where] in (["1/2"], [["1/2"]])
+
+
 @pytest.mark.parametrize("g", [[[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1]], [[1, 0], [0, 1], [1, 1]]], ids=["3x3", "1x1", "3x2"])
 def test_conjugating_matrix_of_another_shape_raises(g):
     pt = MatrixPoint(E12, Z2, Z2)

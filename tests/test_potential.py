@@ -1,6 +1,10 @@
+import random
+from fractions import Fraction
+
 import pytest
 
-from critlocus.complexes import SymMatrix
+from critlocus.complexes import SymMatrix, _point_values
+from critlocus.points import enumerate_partitions, point_from_partition, random_conjugate_points
 from critlocus.potential import (
     MatrixCdga,
     build_cotangent_complex,
@@ -262,3 +266,46 @@ def test_superpotential_identities(n):
     assert rep["omega_closed"]
     assert rep["calculus_consistent"]
     assert rep["ok"]
+
+
+# -- points ---------------------------------------------------------------------
+
+
+def _triples(n, rng):
+    """Partition points, conjugated points, and triples with zero and
+    rational entries, as lists of rows."""
+    pts = [point_from_partition(pp) for pp in enumerate_partitions(n)]
+    pts += random_conjugate_points(n, 3, rng)
+    out = [pt.matrices() for pt in pts]
+    zero = [[0] * n for _ in range(n)]
+    out.append((zero, zero, zero))
+    entry = lambda: rng.choice([0, 0, 1, -3, Fraction(1, 2), "-2/3", Fraction(5, 6)])
+    out += [tuple([[entry() for _ in range(n)] for _ in range(n)] for _ in range(3)) for _ in range(3)]
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_point_reads_entries_by_table_offset(n):
+    # the canonical table lists X0, Y0, Z0 first, each row-major
+    cdga = MatrixCdga(n)
+    for X, Y, Z in _triples(n, random.Random(n)):
+        by_name = {
+            f"{name}({i + 1},{j + 1})": m[i][j]
+            for name, m in (("X0", X), ("Y0", Y), ("Z0", Z))
+            for i in range(n)
+            for j in range(n)
+        }
+        want = _point_values(cdga.table, by_name)
+        got = cdga.point(X, Y, Z)
+        assert (got.table, got.den, got.nums, got.nonzero) == (want.table, want.den, want.nums, want.nonzero)
+        assert _point_values(cdga.table, cdga.point_assignment(X, Y, Z)).nums == want.nums
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.0, True, False])
+def test_point_assignment_refuses_float_and_bool_entries(bad):
+    cdga = MatrixCdga(2)
+    with pytest.raises(TypeError, match=repr(bad)):
+        cdga.point_assignment([[0, 0], [0, bad]], [[0, 0], [0, 0]], [[0, 0], [0, 0]])
+    with pytest.raises(TypeError, match=repr(bad)):
+        cdga.point([[0, 0], [0, 0]], [[0, 0], [0, 0]], [[bad, 0], [0, 0]])
+    assert cdga.point_assignment([["1/2", 0], [0, 0]], [[0, 0], [0, 0]], [[0, 0], [0, 0]])[0] == Fraction(1, 2)

@@ -34,12 +34,11 @@ from __future__ import annotations
 
 import json
 import re
-from fractions import Fraction
 from math import lcm
 from typing import Optional
 
-from .linalg import DenseMatrix, _matrix, kernel_basis, pivot_columns, product_first_nonzero, rref
-from .scalars import QQ, RationalField
+from .linalg import DenseMatrix, kernel_basis, pivot_columns, product_first_nonzero, rref
+from .scalars import QQ
 from .superpoly import Derivation, GeneratorTable, SuperPoly, add_product, poly_from_text, poly_to_text
 
 
@@ -118,6 +117,15 @@ class SymMatrix:
 
     def is_zero(self) -> bool:
         return not any(self.sparse_rows)
+
+    def first_nonzero(self):
+        """(row, col, entry) of the first nonzero entry in row-major order,
+        or None."""
+        for i, row in enumerate(self.sparse_rows):
+            if row:
+                j = min(row)
+                return i, j, row[j]
+        return None
 
     def matmul(self, other: "SymMatrix") -> "SymMatrix":
         """Row-wise: row i is the sum, over the nonzero a_ik, of a_ik times
@@ -263,33 +271,12 @@ class CompiledMatrix:
                 yield i, j, v
 
     def evaluate(self, point: "_Point", field) -> DenseMatrix:
-        """Sparse rows over ``field`` of the values that are nonzero there.
-
-        Over QQ each value is one Fraction.  Over GF(p) the common
-        denominator is written p^a * m once, and a value V is
-        (V / p^a) * m^-1 mod p; a V that p^a does not divide has a reduced
-        denominator divisible by p and raises ZeroDivisionError, as
-        ``PrimeField.of`` does.  Values that vanish mod p are dropped.
-        """
-        rows = [{} for _ in range(self.rows)]
+        """The matrix over ``field`` at ``point``: the values V over the one
+        denominator ``scale * D^E``, handed to ``DenseMatrix.from_integers``
+        as they are (over GF(p) a denominator divisible by p raises
+        ZeroDivisionError there)."""
         den = self.scale * point.den**self.degree
-        if isinstance(field, RationalField):
-            for i, j, v in self.values(point):
-                rows[i][j] = Fraction(v, den)
-        else:
-            p = field.p
-            pa = 1
-            while den % p == 0:
-                den //= p
-                pa *= p
-            inv = pow(den, -1, p)
-            for i, j, v in self.values(point):
-                if v % pa:
-                    raise ZeroDivisionError(f"denominator divisible by {p}")
-                x = v // pa * inv % p
-                if x:
-                    rows[i][j] = x
-        return _matrix(field, self.rows, self.cols, rows)
+        return DenseMatrix.from_integers(field, self.rows, self.cols, self.values(point), den)
 
 
 class FreeComplex:
@@ -362,7 +349,7 @@ class FreeComplex:
             if self.rank(k) and self.rank(k + 1) and self.rank(k + 2):
                 a, b = self.differential(k + 1), self.differential(k)
                 if self.symbolic:
-                    bad = _first_nonzero(a.matmul(b))
+                    bad = a.matmul(b).first_nonzero()
                 else:
                     bad = product_first_nonzero(a, b)
                 if bad is not None:
@@ -392,7 +379,7 @@ class FreeComplex:
                     dD = self.component(a, c).map_entries(derivation.apply)
                     total = dD if total is None else total.add(dD)
                 if total is not None:
-                    bad = _first_nonzero(total)
+                    bad = total.first_nonzero()
                     if bad is not None:
                         failures.append((a, c, bad[0], bad[1]))
         return (not failures), failures
@@ -417,6 +404,14 @@ class FreeComplex:
             if next(m.compiled().values(point), None) is not None:
                 raise AssertionError("twist component survived evaluation")
         return FreeComplex(field, dict(self.ranks), diff)
+
+    def reduced_mod(self, field) -> "FreeComplex":
+        """This numeric complex over QQ read over the prime field ``field``,
+        one ``DenseMatrix.reduced_mod`` per differential.  For a complex
+        that ``evaluate_at`` built, this is ``evaluate_at`` over ``field``
+        at the same point, ZeroDivisionError included, with no second
+        evaluation."""
+        return FreeComplex(field, dict(self.ranks), {k: m.reduced_mod(field) for k, m in self.diff.items()})
 
     # -- homology ----------------------------------------------------------------
 
@@ -534,15 +529,9 @@ def homology_representatives(cx: FreeComplex, k: int):
         free = range(rk)
     image = cx.reduction(k - 1)[1] if cx.rank(k - 1) else []
     f = len(cycles)
-    # B transposed with its columns reversed: row j of it is image column j
+    # B transposed with its columns reversed: row r of it is image column r
     # of d^(k-1), and free row free[t] of d^(k-1) lands in column f - 1 - t
-    d = cx.differential(k - 1).sparse_rows
-    rows = {j: {} for j in image}
-    for t, i in enumerate(free):
-        for j, x in d[i].items():
-            if j in rows:
-                rows[j][f - 1 - t] = x
-    bt = DenseMatrix.from_sparse(field, len(image), f, list(rows.values()))
+    bt = cx.differential(k - 1).submatrix(free[::-1], image).transpose()
     dropped = {f - 1 - q for q in pivot_columns(bt)}
     return [v for t, v in enumerate(cycles) if t not in dropped]
 
@@ -620,16 +609,6 @@ def _matrix_entries(m: SymMatrix) -> dict:
     return {f"{i},{j}": poly_to_text(p) for i, row in enumerate(m.sparse_rows) for j, p in row.items()}
 
 
-def _first_nonzero(m):
-    """(row, col, entry) of the first nonzero entry of a symbolic or numeric
-    matrix in row-major order, or None."""
-    for i, row in enumerate(m.sparse_rows):
-        if row:
-            j = min(row)
-            return (i, j, row[j])
-    return None
-
-
 class ChainMap:
     """A degree-0 map of complexes, one matrix per degree."""
 
@@ -655,7 +634,7 @@ class ChainMap:
                 lhs = self.block(c).matmul(self.source.component(a, c))
                 rhs = self.target.component(a, c).matmul(self.block(a))
                 diff = lhs.add(rhs.scale(-1))
-                bad = _first_nonzero(diff)
+                bad = diff.first_nonzero()
                 if bad is not None:
                     report["ok"] = False
                     report["failures"].append((a, c, *bad[:2]))

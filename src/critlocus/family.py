@@ -454,21 +454,23 @@ def trace_pairing_matrix(model_n: int, qk: int, reps_k, reps_comp, field=QQ) -> 
     """
     n = model_n
     nn = n * n
-    partners = []
-    for mask in MASKS_BY_DEGREE[qk]:
+    partner = {}  # slot of degree 3 - qk -> (the slot of degree qk it pairs with, sign)
+    for b, mask in enumerate(MASKS_BY_DEGREE[qk]):
         comp = FULL_MASK ^ mask
         block = MASKS_BY_DEGREE[3 - qk].index(comp) * nn
         sign = eps_merge_sign(mask, comp)
         for i in range(n):
             for j in range(n):
-                partners.append((block + j * n + i, sign))
-    by_slot = DenseMatrix.from_sparse(field, len(reps_comp), len(partners), reps_comp).transpose().sparse_rows
-    partnered = [
-        by_slot[idx] if sign > 0 else {c: field.neg(x) for c, x in by_slot[idx].items()}
-        for idx, sign in partners
-    ]
-    a = DenseMatrix.from_sparse(field, len(reps_k), len(partners), reps_k)
-    return a.matmul(DenseMatrix.from_sparse(field, len(partners), len(reps_comp), partnered))
+                partner[block + j * n + i] = (b * nn + i * n + j, sign)
+    partnered = []
+    for rep in reps_comp:
+        row = {}
+        for slot, x in rep.items():
+            pos, sign = partner[slot]
+            row[pos] = x if sign > 0 else field.neg(x)
+        partnered.append(row)
+    a = DenseMatrix.from_sparse(field, len(reps_k), len(partner), reps_k)
+    return a.matmul(DenseMatrix.from_sparse(field, len(reps_comp), len(partner), partnered).transpose())
 
 
 def ext_dims_at(point, field=QQ, model: EndomorphismModel = None) -> dict:
@@ -478,17 +480,26 @@ def ext_dims_at(point, field=QQ, model: EndomorphismModel = None) -> dict:
     ``point`` carries X, Y, Z as n x n arrays of rationals; ``model``, if
     given, must have the same n.
     """
+    return _ext_dims(_model_complex(point, field, model), point.n, field)
+
+
+def _model_complex(point, field, model):
+    """The model's complex at a commuting ``point``, over ``field``."""
     if not point.is_commuting():
         raise ValueError("ext dimensions require a commuting triple")
     model = model or endomorphism_model(point.n)
     if model.n != point.n:
         raise ValueError(f"a rank-{model.n} model cannot evaluate a rank-{point.n} point")
-    cx = model.evaluate_at(point.X, point.Y, point.Z, field)
+    return model.evaluate_at(point.X, point.Y, point.Z, field)
+
+
+def _ext_dims(cx, n, field) -> dict:
+    """``ext_dims_at`` of the evaluated complex ``cx`` of the rank-n model."""
     # representatives first: the dims then read the reductions they leave
     reps = {k: homology_representatives(cx, k) for k in range(4)}
     dims = cx.homology_dims()
     ranks = {
-        (k, 3 - k): trace_pairing_matrix(point.n, k, reps[k], reps[3 - k], field).rank()
+        (k, 3 - k): trace_pairing_matrix(n, k, reps[k], reps[3 - k], field).rank()
         for k in (0, 1)
     }
     return {
@@ -503,13 +514,15 @@ def check_ext_point(point, model: EndomorphismModel, field_p) -> dict:
     """One corpus point's Ext check: the model's and the Koszul oracle's
     dims over QQ and the model's pairing ranks, with the verdicts ``euler``,
     ``pairing`` (both pairings perfect) and ``prime`` (the model's dims over
-    ``field_p`` are the rational ones).  A point that raises gives only
+    ``field_p`` are the rational ones; the rational complex is reduced mod p,
+    not evaluated again).  A point that raises gives only
     ``{"exception": ...}``."""
     try:
-        mine = ext_dims_at(point, model=model)
+        cx = _model_complex(point, QQ, model)
+        mine = _ext_dims(cx, point.n, QQ)
         oracle = koszul_ext_oracle(point)
         try:
-            prime = model.evaluate_at(point.X, point.Y, point.Z, field_p).homology_dims() == mine["dims"]
+            prime = cx.reduced_mod(field_p).homology_dims() == mine["dims"]
         except ZeroDivisionError:
             prime = False
     except Exception as exc:

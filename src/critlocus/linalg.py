@@ -1,46 +1,49 @@
 """Exact linear algebra: one elimination routine and one product kernel.
 
 A :class:`DenseMatrix` is a rows x cols matrix over a field from
-:mod:`critlocus.scalars`, stored as sparse rows: one ``{col: value}`` dict
-per row holding only its nonzero entries.  Every constructor drops zeros,
-and every producer below writes only nonzero entries, so the kernels cost
-per nonzero entry and never scan a dense row.  ``DenseMatrix.data`` is a
-dense row-major copy, filled with the field's ``zero``, for readers that
-want one.  Over GF(p) the public constructors and ``set`` reduce each entry
-into ``range(p)``, so a multiple of p is dropped as a zero.  A kernel basis
-vector or a homology representative is a ``{col: value}`` sparse row too,
-ready for ``from_sparse``, which refuses a column outside the matrix.
+:mod:`critlocus.scalars`, stored as sparse rows of ints: one ``{col: int}``
+dict per row holding only its nonzero entries, and one positive int
+``den``.  Over QQ entry (i, j) is ``sparse_rows[i][j] / den``: the ints are
+numerators over that one denominator, which need not be reduced, so two
+equal matrices may be stored over different dens.  Over GF(p) the ints are
+residues in ``range(p)`` and ``den`` is 1.  The stored rows are private to
+this module; a value leaves it as a field element (a Fraction over QQ)
+through ``entry``, ``data``, ``kernel_basis``, ``solve`` and
+``product_first_nonzero``.  ``DenseMatrix.data`` is a dense row-major copy,
+filled with the field's ``zero``.  Every constructor drops zeros and every
+producer below writes only nonzero entries, so the kernels cost per
+nonzero entry and never scan a dense row.  A kernel basis vector or a
+homology representative is a ``{col: value}`` sparse row of field values,
+ready for ``from_sparse``, which clears it to ints and refuses a column
+outside the matrix.  ``from_integers`` builds a matrix from int values over
+one denominator, as point evaluation computes them.
 
-``_eliminate`` is the only elimination loop in the package.  It turns each
-nonzero row into a sparse row ``{col: int}``: over QQ cleared to integers
-and kept primitive, so no rational gcd work happens inside it, over GF(p)
-a copy of the stored residues.  Columns are taken in increasing order with
-the sparsest row holding the column as pivot, and each update touches only
-the nonzeros of the two rows involved.  The reduced echelon form is unique,
-so the pivot choice never shows in the output.  It has two readers:
+``_eliminate`` is the only elimination loop in the package.  It copies each
+nonzero stored row, over QQ made primitive (divided by the gcd of its
+entries; the den does not change a row space), so no rational gcd work
+happens inside it.  Columns are taken in increasing order with the sparsest
+row holding the column as pivot, and each update touches only the nonzeros
+of the two rows involved.  The reduced echelon form is unique, so the pivot
+choice never shows in the output.  It has two readers:
 
 * :func:`rref` clears every other row at each pivot (one Gauss-Jordan pass)
-  and normalizes the pivot rows at the end, building a Fraction only for
-  their nonzero entries.  Kernel bases, solving and row spaces are read off
-  it.
+  and scales the pivot rows to one den, the lcm of their pivot entries, so
+  each pivot entry reads 1.  Kernel bases, solving and row spaces are read
+  off it.
 * :func:`pivot_columns` clears only the rows below each pivot and returns
-  the pivot list of ``rref`` without building any Fraction.  Ranks are read
-  off it, and so are homology representatives: a numeric complex keeps the
-  ``rref`` of each differential, a cycle of ``kernel_basis`` is fixed by its
-  free coordinates (the non-pivot columns of that rref), and
+  the pivot list of ``rref``.  Ranks are read off it, and so are homology
+  representatives: a numeric complex keeps the ``rref`` of each
+  differential, a cycle of ``kernel_basis`` is fixed by its free
+  coordinates (the non-pivot columns of that rref), and
   ``complexes.homology_representatives`` eliminates only the image of the
   previous differential on those coordinates.
 
 :func:`_product_rows` is the one product kernel beside it, and it also has
 two readers.  It computes row i of ``a . b`` row-wise (Gustavson, ACM TOMS
-1978): the sum, over the nonzero a_ik, of a_ik times row k of b.  Each
-nonzero row of b is cleared once, over QQ to integers times a scale (the
-lcm of its denominators, the same clearing ``rref`` starts from), over
-GF(p) with scale 1.  Each left row becomes integer multipliers: over QQ the
-numerator of a_ik times L // (den a_ik * scale_k), where L is the lcm of
-those products over the row, so the sum is an integer row over L.  It
-yields the nonzero rows in order, with their columns ascending, building
-one Fraction per nonzero QQ entry and reducing each GF(p) entry once.
+1978): the sum, over the nonzero a_ik, of a_ik times row k of b.  The sums
+are int sums over both fields, the product's den is ``a.den * b.den``, and
+over GF(p) each entry is reduced once at the end.  It yields the nonzero
+rows in order, with their columns ascending.
 
 * :meth:`DenseMatrix.matmul` keeps the rows it yields.
 * :func:`product_first_nonzero` returns the first entry of the first row,
@@ -62,9 +65,10 @@ from .scalars import QQ, RationalField
 
 
 class DenseMatrix:
-    """A rows x cols matrix over an exact field, stored as sparse rows."""
+    """A rows x cols matrix over an exact field, stored as sparse int rows
+    over one denominator (see the module docstring)."""
 
-    __slots__ = ("field", "rows", "cols", "sparse_rows")
+    __slots__ = ("field", "rows", "cols", "sparse_rows", "den")
 
     def __init__(self, field, rows: int, cols: int, data):
         """From dense row-major ``data``; its zero entries are dropped."""
@@ -76,29 +80,77 @@ class DenseMatrix:
         self.field = field
         self.rows = rows
         self.cols = cols
-        self.sparse_rows = [_nonzero(field, enumerate(row)) for row in data]
+        self.sparse_rows, self.den = _cleared(field, [enumerate(row) for row in data])
 
     @classmethod
     def from_sparse(cls, field, rows: int, cols: int, sparse_rows) -> "DenseMatrix":
-        """From one ``{col: value}`` dict per row.  Over QQ a row is taken
-        over (not copied) unless it holds a zero, which is dropped; over
-        GF(p) it is reduced.  A column outside the matrix raises ValueError."""
+        """From one ``{col: value}`` dict of field values per row; zeros are
+        dropped.  A column outside the matrix raises ValueError."""
         if len(sparse_rows) != rows:
             raise ValueError("row count mismatch")
         used = set().union(*sparse_rows)
         if used and (min(used) < 0 or max(used) >= cols):
             i = next(i for i, row in enumerate(sparse_rows) if row and (min(row) < 0 or max(row) >= cols))
             raise ValueError(f"row {i} has a column outside range({cols})")
-        rational = isinstance(field, RationalField)
-        out = [row if rational and all(row.values()) else _nonzero(field, row.items()) for row in sparse_rows]
+        return _matrix(field, rows, cols, *_cleared(field, [row.items() for row in sparse_rows]))
+
+    @classmethod
+    def from_integers(cls, field, rows: int, cols: int, entries, den: int) -> "DenseMatrix":
+        """The matrix with value v / den at each (i, j, v) of ``entries``,
+        v a nonzero int, den a positive int, no (i, j) twice.
+
+        Over QQ the ints are stored as they are, over ``den``.  Over GF(p)
+        den is written p^a * m once, and v is stored as (v / p^a) * m^-1
+        mod p; a v that p^a does not divide has a reduced denominator
+        divisible by p and raises ZeroDivisionError, as ``PrimeField.of``
+        does.  Values that vanish mod p are dropped.
+        """
+        out = [{} for _ in range(rows)]
+        if isinstance(field, RationalField):
+            for i, j, v in entries:
+                out[i][j] = v
+            return _matrix(field, rows, cols, out, den)
+        p = field.p
+        pa = 1
+        while den % p == 0:
+            den //= p
+            pa *= p
+        inv = pow(den, -1, p)
+        for i, j, v in entries:
+            if v % pa:
+                raise ZeroDivisionError(f"denominator divisible by {p}")
+            x = v // pa * inv % p
+            if x:
+                out[i][j] = x
         return _matrix(field, rows, cols, out)
 
     @classmethod
+    def from_blocks(cls, blocks) -> "DenseMatrix":
+        """The block matrix of ``blocks``, a list of block rows over one
+        field: the blocks of a block row have one height, and those of a
+        block column one width.  Each block's ints are brought to the lcm of
+        the blocks' dens."""
+        field = blocks[0][0].field
+        widths = [b.cols for b in blocks[0]]
+        offsets = [sum(widths[:c]) for c in range(len(widths))]
+        den = lcm(*(b.den for row in blocks for b in row))
+        out = []
+        for row in blocks:
+            height = row[0].rows
+            if [b.cols for b in row] != widths or any(b.rows != height or b.field != field for b in row):
+                raise ValueError("blocks do not fit")
+            for i in range(height):
+                acc = {}
+                for off, b in zip(offsets, row):
+                    k = den // b.den
+                    for j, x in b.sparse_rows[i].items():
+                        acc[off + j] = x * k
+                out.append(acc)
+        return _matrix(field, len(out), sum(widths), out, den)
+
+    @classmethod
     def from_rows(cls, rows, field=QQ) -> "DenseMatrix":
-        data = [[field.of(x) for x in row] for row in rows]
-        r = len(data)
-        c = len(data[0]) if data else 0
-        return cls(field, r, c, data)
+        return cls(field, len(rows), len(rows[0]) if rows else 0, rows)
 
     @classmethod
     def zero(cls, rows: int, cols: int, field=QQ) -> "DenseMatrix":
@@ -106,71 +158,117 @@ class DenseMatrix:
 
     @classmethod
     def identity(cls, n: int, field=QQ) -> "DenseMatrix":
-        return _matrix(field, n, n, [{i: field.one} for i in range(n)])
+        return _matrix(field, n, n, [{i: 1} for i in range(n)])
 
     @property
     def data(self):
         """A dense row-major copy, with the field's zero in empty entries.
         Writing to it does not change the matrix; ``set`` does."""
-        zero = self.field.zero
+        zero, value = self.field.zero, self._value
         out = []
         for row in self.sparse_rows:
             dense = [zero] * self.cols
             for j, x in row.items():
-                dense[j] = x
+                dense[j] = value(x)
             out.append(dense)
         return out
 
+    def _value(self, x: int):
+        return _element(self.field, self.den, x)
+
     def __eq__(self, other):
-        return (
+        if not (
             isinstance(other, DenseMatrix)
             and self.field == other.field
             and (self.rows, self.cols) == (other.rows, other.cols)
-            and self.sparse_rows == other.sparse_rows
-        )
+        ):
+            return False
+        da, db = self.den, other.den
+        if da == db:
+            return self.sparse_rows == other.sparse_rows
+        for r, s in zip(self.sparse_rows, other.sparse_rows):
+            if r.keys() != s.keys() or any(x * db != s[j] * da for j, x in r.items()):
+                return False
+        return True
 
     def __repr__(self):
         return f"DenseMatrix({self.rows}x{self.cols} over {self.field})"
 
     def entry(self, i: int, j: int):
-        return self.sparse_rows[i].get(j, self.field.zero)
+        x = self.sparse_rows[i].get(j)
+        return self.field.zero if x is None else self._value(x)
+
+    def first_nonzero(self):
+        """(row, col, value) of the first nonzero entry in row-major order,
+        or None."""
+        for i, row in enumerate(self.sparse_rows):
+            if row:
+                j = min(row)
+                return i, j, self._value(row[j])
+        return None
 
     def set(self, i: int, j: int, x):
-        """Set entry (i, j) to ``x``; a zero ``x`` clears it."""
+        """Set entry (i, j) to ``x``; a zero ``x`` clears it.  Over QQ a
+        denominator that does not divide ``den`` moves the matrix to the lcm
+        of the two."""
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(f"entry ({i}, {j}) outside a {self.rows}x{self.cols} matrix")
-        row = self.sparse_rows[i]
-        row.pop(j, None)
-        row.update(_nonzero(self.field, [(j, x)]))
+        (row,), den = _cleared(self.field, [[(j, x)]])
+        if den != 1 and self.den % den:
+            new = lcm(self.den, den)
+            k = new // self.den
+            self.sparse_rows = [{c: v * k for c, v in r.items()} for r in self.sparse_rows]
+            self.den = new
+        self.sparse_rows[i].pop(j, None)
+        for c, v in row.items():
+            self.sparse_rows[i][c] = v * (self.den // den)
 
     def transpose(self) -> "DenseMatrix":
         out = [{} for _ in range(self.cols)]
         for i, row in enumerate(self.sparse_rows):
             for j, x in row.items():
                 out[j][i] = x
-        return _matrix(self.field, self.cols, self.rows, out)
+        return _matrix(self.field, self.cols, self.rows, out, self.den)
+
+    def submatrix(self, rows, cols) -> "DenseMatrix":
+        """Rows ``rows`` of the matrix, in that order, on the columns
+        ``cols``, column ``cols[c]`` becoming column c."""
+        pos = {j: c for c, j in enumerate(cols)}
+        out = [{pos[j]: x for j, x in self.sparse_rows[i].items() if j in pos} for i in rows]
+        return _matrix(self.field, len(out), len(pos), out, self.den)
 
     def matmul(self, other: "DenseMatrix") -> "DenseMatrix":
         """The exact product: the rows of :func:`_product_rows`."""
         out = [{} for _ in range(self.rows)]
         for i, row in _product_rows(self, other):
             out[i] = row
-        return _matrix(self.field, self.rows, other.cols, out)
+        return _matrix(self.field, self.rows, other.cols, out, self.den * other.den)
 
     def add(self, other: "DenseMatrix") -> "DenseMatrix":
+        """The sum, over the lcm of the two dens."""
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in add")
-        f = self.field
-        zero = f.zero
+        p = _modulus(self.field)
+        den = lcm(self.den, other.den)
+        ka, kb = den // self.den, den // other.den
         out = []
         for r, s in zip(self.sparse_rows, other.sparse_rows):
-            out.append({j: v for j in r | s if (v := f.add(r.get(j, zero), s.get(j, zero)))})
-        return _matrix(f, self.rows, self.cols, out)
+            sums = {j: r.get(j, 0) * ka + s.get(j, 0) * kb for j in r | s}
+            if p is not None:
+                sums = {j: v % p for j, v in sums.items()}
+            out.append({j: v for j, v in sums.items() if v})
+        return _matrix(self.field, self.rows, self.cols, out, den)
 
     def scale(self, c) -> "DenseMatrix":
         f = self.field
         c = f.of(c)
-        out = [{j: v for j, x in row.items() if (v := f.mul(c, x))} for row in self.sparse_rows]
+        if not c:
+            return DenseMatrix.zero(self.rows, self.cols, f)
+        if isinstance(f, RationalField):
+            n = c.numerator
+            out = [{j: x * n for j, x in row.items()} for row in self.sparse_rows]
+            return _matrix(f, self.rows, self.cols, out, self.den * c.denominator)
+        out = [{j: x * c % f.p for j, x in row.items()} for row in self.sparse_rows]
         return _matrix(f, self.rows, self.cols, out)
 
     def apply_vector(self, v):
@@ -182,7 +280,7 @@ class DenseMatrix:
             acc = f.zero
             for j, x in row.items():
                 acc = f.add(acc, f.mul(x, v[j]))
-            out.append(acc)
+            out.append(acc if self.den == 1 else f.div(acc, self.den))
         return out
 
     def is_zero(self) -> bool:
@@ -191,25 +289,52 @@ class DenseMatrix:
     def rank(self) -> int:
         return len(pivot_columns(self))
 
+    def reduced_mod(self, field) -> "DenseMatrix":
+        """This matrix over QQ read over the prime field ``field``, as
+        ``from_integers`` reads its stored ints and den."""
+        entries = ((i, j, x) for i, row in enumerate(self.sparse_rows) for j, x in row.items())
+        return DenseMatrix.from_integers(field, self.rows, self.cols, entries, self.den)
 
-def _nonzero(field, items) -> dict:
-    """The (col, value) pairs ``items`` as a sparse row of the nonzero
-    values, over GF(p) reduced into ``range(p)`` first."""
+
+def _element(field, den: int, x: int):
+    """The field element of a stored int ``x`` over ``den``: x / den over
+    QQ, the residue of x over GF(p)."""
     if isinstance(field, RationalField):
-        return {j: x for j, x in items if x}
-    p, of = field.p, field.of
-    return {j: v for j, x in items if (v := x % p if type(x) is int else of(x))}
+        return Fraction(x, den) if den != 1 else Fraction(x)
+    return x % field.p
 
 
-def _matrix(field, rows: int, cols: int, sparse_rows) -> DenseMatrix:
+def _modulus(field):
+    """p over GF(p), None over QQ."""
+    return None if isinstance(field, RationalField) else field.p
+
+
+def _cleared(field, rows):
+    """Rows of (col, value) pairs as sparse int rows and their den.  Over QQ
+    each value is read by ``QQ.of`` (an int is kept) and multiplied by the
+    lcm of the denominators; over GF(p) it is reduced into ``range(p)``, over
+    den 1.  Zeros are dropped."""
+    if not isinstance(field, RationalField):
+        p, of = field.p, field.of
+        return [{j: v for j, x in items if (v := x % p if type(x) is int else of(x))} for items in rows], 1
+    of = QQ.of
+    out = [{j: y for j, x in items if (y := x if type(x) is int else of(x))} for items in rows]
+    den = lcm(*{x.denominator for row in out for x in row.values() if type(x) is not int})
+    if den == 1:
+        return [{j: int(x) for j, x in row.items()} for row in out], 1
+    return [{j: x.numerator * (den // x.denominator) for j, x in row.items()} for row in out], den
+
+
+def _matrix(field, rows: int, cols: int, sparse_rows, den: int = 1) -> DenseMatrix:
     """A matrix on ``sparse_rows`` as they are: for producers whose rows
-    hold only nonzero entries (residues over GF(p)) inside the matrix by
+    hold only nonzero ints (residues over GF(p)) inside the matrix by
     construction."""
     m = DenseMatrix.__new__(DenseMatrix)
     m.field = field
     m.rows = rows
     m.cols = cols
     m.sparse_rows = sparse_rows
+    m.den = den
     return m
 
 
@@ -217,19 +342,22 @@ def rref(m: DenseMatrix):
     """Reduced row echelon form.  Returns (new matrix, pivot column list).
 
     One Gauss-Jordan pass of :func:`_eliminate`, clearing every other row at
-    each pivot.  The pivot rows come first and the zero rows after them;
-    Fractions are built only for the nonzero entries of the pivot rows.
+    each pivot.  The pivot rows come first and the zero rows after them.
+    Over QQ each primitive pivot row is multiplied by den / (its pivot
+    entry), den being the lcm of the pivot entries, so every pivot entry is
+    den and reads 1; no Fraction is built.
     """
-    f = m.field
     rows, pivots = _eliminate(m, full=True)
-    if isinstance(f, RationalField):
-        normalized = []
+    den = 1
+    if isinstance(m.field, RationalField) and rows:
+        den = lcm(*(row[pc] for row, pc in zip(rows, pivots)))
         for row, pc in zip(rows, pivots):
-            pv = row[pc]
-            normalized.append({j: Fraction(x, pv) for j, x in row.items()})
-        rows = normalized
+            k = den // row[pc]
+            if k != 1:
+                for j in row:
+                    row[j] *= k
     rows += [{} for _ in range(m.rows - len(pivots))]
-    return _matrix(f, m.rows, m.cols, rows), pivots
+    return _matrix(m.field, m.rows, m.cols, rows, den), pivots
 
 
 def pivot_columns(m: DenseMatrix):
@@ -237,7 +365,7 @@ def pivot_columns(m: DenseMatrix):
 
     A column is a pivot exactly when it is not in the span of the columns
     before it, and clearing the rows below each pivot already decides that,
-    so this pass touches no row above a pivot and builds no Fraction.
+    so this pass touches no row above a pivot.
     """
     return _eliminate(m, full=False)[1]
 
@@ -245,9 +373,8 @@ def pivot_columns(m: DenseMatrix):
 def _eliminate(m: DenseMatrix, full: bool):
     """The one elimination loop.  Returns (pivot rows, pivot columns).
 
-    Each nonzero stored row becomes a sparse row ``{col: int}``: over QQ its
-    entries are cleared to integers and made primitive (divided by the gcd
-    of its entries), over GF(p) they are copied, being residues already.
+    Each nonzero stored row is copied, over QQ made primitive (divided by
+    the gcd of its entries), over GF(p) as it is, being residues already.
     Columns are taken in increasing order.  Every row not yet chosen as a
     pivot has its first entry at or after the current column, so the rows
     holding the column are those that start there, and the sparsest of them
@@ -258,18 +385,14 @@ def _eliminate(m: DenseMatrix, full: bool):
     pivot choice does not change the result.  The pivot rows are returned
     in pivot order.
     """
-    p = None if isinstance(m.field, RationalField) else m.field.p
+    p = _modulus(m.field)
     starts = {}  # first column -> the unchosen rows that start there
     for row in m.sparse_rows:
         if not row:
             continue
-        if p is None:
-            srow, _ = _integer_row(row)
-            g = gcd(*srow.values())
-            if g != 1:
-                srow = {j: x // g for j, x in srow.items()}
-        else:
-            srow = dict(row)  # a copy, since the rows are cleared in place
+        g = gcd(*row.values()) if p is None else 1
+        # a copy, since the rows are cleared in place
+        srow = dict(row) if g == 1 else {j: x // g for j, x in row.items()}
         starts.setdefault(min(srow), []).append(srow)
     prows, pivots = [], []
     for col in range(m.cols):
@@ -328,16 +451,6 @@ def _clear(row, prow, col, p):
                 del row[j]
 
 
-def _integer_row(row):
-    """A sparse row of rationals times the lcm of their denominators, as
-    ``{col: int}``, and that lcm; row spaces are unchanged."""
-    ratios = [x.as_integer_ratio() for x in row.values()]
-    den = lcm(*[d for _, d in ratios])
-    if den == 1:
-        return dict(zip(row, [n for n, _ in ratios])), 1
-    return dict(zip(row, [n * (den // d) for n, d in ratios])), den
-
-
 def product_first_nonzero(a: DenseMatrix, b: DenseMatrix):
     """The first nonzero entry of ``a . b`` in row-major order, as
     (row, col, value), or None when the product is zero.  Rows after the
@@ -345,58 +458,30 @@ def product_first_nonzero(a: DenseMatrix, b: DenseMatrix):
     computed."""
     for i, row in _product_rows(a, b):
         j = next(iter(row))
-        return i, j, row[j]
+        return i, j, _element(a.field, a.den * b.den, row[j])
     return None
 
 
 def _product_rows(a: DenseMatrix, b: DenseMatrix):
     """Yield (i, row) for each nonzero row of ``a . b``, in row order, each
-    row a ``{col: value}`` dict of its nonzero entries with the columns
-    ascending (see the module docstring)."""
+    row a ``{col: int}`` dict of its nonzero entries, over ``a.den * b.den``,
+    with the columns ascending (see the module docstring)."""
     if a.cols != b.rows:
         raise ValueError("shape mismatch in matmul")
-    rational = isinstance(a.field, RationalField)
-    if rational:
-        # the rows of b that some a_ik meets, cleared once each
-        brows, scales = {}, {}
-        for k in set().union(*a.sparse_rows):
-            if b.sparse_rows[k]:
-                brows[k], scales[k] = _integer_row(b.sparse_rows[k])
-    else:
-        brows = {k: row for k, row in enumerate(b.sparse_rows) if row}
-        p = a.field.p
+    p = _modulus(a.field)
+    brows = b.sparse_rows
     for i, arow in enumerate(a.sparse_rows):
-        ks = [k for k in arow if k in brows]
-        if not ks:
-            continue
-        if rational:
-            ratios = [arow[k].as_integer_ratio() for k in ks]
-            dens = [d * scales[k] for k, (_, d) in zip(ks, ratios)]
-            den = lcm(*dens)
-            if den == 1:
-                mults = [n for n, _ in ratios]
-            else:
-                mults = [n * (den // d) for (n, _), d in zip(ratios, dens)]
-        else:
-            mults = [arow[k] for k in ks]
-        terms = zip(ks, mults)
-        k, c = next(terms)
-        acc = {j: c * y for j, y in brows[k].items()}
+        acc = {}
         get = acc.get
-        for k, c in terms:
+        for k, c in arow.items():
             for j, y in brows[k].items():
                 acc[j] = get(j, 0) + c * y
-        if rational:
-            js = sorted(j for j, v in acc.items() if v)
-            if js:
-                if den == 1:
-                    yield i, {j: Fraction(acc[j]) for j in js}
-                else:
-                    yield i, {j: Fraction(acc[j], den) for j in js}
+        if p is None:
+            row = {j: acc[j] for j in sorted(acc) if acc[j]}
         else:
-            reduced = {j: r for j, v in acc.items() if (r := v % p)}
-            if reduced:
-                yield i, dict(sorted(reduced.items()))
+            row = {j: r for j in sorted(acc) if (r := acc[j] % p)}
+        if row:
+            yield i, row
 
 
 def kernel_basis(m: DenseMatrix, reduction=None):
@@ -409,10 +494,11 @@ def kernel_basis(m: DenseMatrix, reduction=None):
     red, pivots = reduction if reduction is not None else rref(m)
     pivot_set = set(pivots)
     basis = {j: {j: f.one} for j in range(m.cols) if j not in pivot_set}
+    value = red._value
     for pc, row in zip(pivots, red.sparse_rows):
         for j, x in row.items():
             if j != pc:
-                basis[j][pc] = f.neg(x)
+                basis[j][pc] = value(-x)
     return list(basis.values())
 
 
@@ -421,17 +507,16 @@ def solve(m: DenseMatrix, b) -> Optional[list]:
     if len(b) != m.rows:
         raise ValueError("right-hand side length mismatch")
     f = m.field
-    aug = [{**row, m.cols: f.of(x)} for row, x in zip(m.sparse_rows, b)]
-    red, pivots = rref(DenseMatrix.from_sparse(f, m.rows, m.cols + 1, aug))
+    rhs = DenseMatrix(f, m.rows, 1, [[x] for x in b])
+    red, pivots = rref(DenseMatrix.from_blocks([[m, rhs]]))
     if m.cols in pivots:
         return None
     x = [f.zero] * m.cols
-    for row, pc in zip(red.sparse_rows, pivots):
-        x[pc] = row.get(m.cols, f.zero)
+    for r, pc in enumerate(pivots):
+        x[pc] = red.entry(r, m.cols)
     return x
 
 
 def row_space_basis(m: DenseMatrix):
     red, pivots = rref(m)
-    return _matrix(m.field, len(pivots), m.cols, red.sparse_rows[: len(pivots)]).data
-
+    return red.data[: len(pivots)]

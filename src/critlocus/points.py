@@ -139,7 +139,7 @@ def _invert(g):
     red, pivots = rref(aug)
     if pivots[:n] != list(range(n)):
         return None
-    return [[row.get(n + j, QQ.zero) for j in range(n)] for row in red.sparse_rows]
+    return [[red.entry(i, n + j) for j in range(n)] for i in range(n)]
 
 
 def save_corpus(points, path):
@@ -415,29 +415,15 @@ def koszul_ext_oracle(pt: MatrixPoint, field=QQ) -> dict:
     ax, ay, az = (_adjoint_matrix(m, field, 1) for m in pt.matrices())
     nx, ny, nz = (_adjoint_matrix(m, field, -1) for m in pt.matrices())
     zero = DenseMatrix.zero(nn, nn, field)
-
-    def stack(rows_of_blocks):
-        blocks_per_row = len(rows_of_blocks[0])
-        rows = []
-        for row_blocks in rows_of_blocks:
-            for i in range(nn):
-                row = {}
-                for b, blk in enumerate(row_blocks):
-                    offset = b * nn
-                    for j, x in blk.sparse_rows[i].items():
-                        row[offset + j] = x
-                rows.append(row)
-        return DenseMatrix.from_sparse(field, nn * len(rows_of_blocks), nn * blocks_per_row, rows)
-
-    d0 = stack([[ax], [ay], [az]])
-    d1 = stack(
+    d0 = DenseMatrix.from_blocks([[ax], [ay], [az]])
+    d1 = DenseMatrix.from_blocks(
         [
             [zero, nz, ay],
             [az, zero, nx],
             [ny, ax, zero],
         ]
     )
-    d2 = stack([[ax, ay, az]])
+    d2 = DenseMatrix.from_blocks([[ax, ay, az]])
     cx = FreeComplex(field, {0: nn, 1: 3 * nn, 2: 3 * nn, 3: nn}, {0: d0, 1: d1, 2: d2})
     # representatives first: the dims then read the reductions they leave
     reps = {k: homology_representatives(cx, k) for k in range(4)}
@@ -471,8 +457,8 @@ def _trace_pairing_rank(ra, rb, slots, n, field):
     """
     nn = n * n
     transposed = [s * nn + q * n + p for s in range(slots) for p in range(n) for q in range(n)]
-    by_slot = DenseMatrix.from_sparse(field, len(rb), len(transposed), rb).transpose().sparse_rows
+    moved = [{transposed[c]: x for c, x in b.items()} for b in rb]
     m = DenseMatrix.from_sparse(field, len(ra), len(transposed), ra).matmul(
-        DenseMatrix.from_sparse(field, len(transposed), len(rb), [by_slot[idx] for idx in transposed])
+        DenseMatrix.from_sparse(field, len(rb), len(transposed), moved).transpose()
     )
     return m.rank()

@@ -585,46 +585,49 @@ def find_chart_tower(surface: Surface, points) -> ChartResult:
     return ChartResult(description, [tuple(st[1]) for st in state])
 
 
-def tower_chart_embed(surface: Surface, description: dict, u, v) -> TowerPoint:
-    """Map chart coordinates back to a tower point.
+def tower_chart_embedder(description: dict):
+    """The map from chart coordinates back to tower points, with the steps
+    of ``description`` parsed once for all the points of the chart.
 
     Walking the steps backwards undoes each substitution; a vanishing
     radial coordinate identifies a point on that step's exceptional curve,
     whose direction vector is then transported back through the earlier
     frames by inverse Jacobians.
     """
-    coords = (Fraction(u), Fraction(v))
-    pending_center = None
-    pending_v = None
-    for step in reversed(description["steps"]):
-        if not step["inside"]:
-            continue
-        slope = int(step["removed_slope"])
-        cq = (
-            Fraction(step["center_chart_coords"][0]),
-            Fraction(step["center_chart_coords"][1]),
-        )
-        sigma, r = coords
-        if r == 0 and pending_center is None:
-            pending_center = step["center_cone"]
-            # sigma = vx / (vy - k vx); normalize vy - k vx = 1
-            pending_v = (sigma, 1 + slope * sigma)
-            coords = cq
-        else:
-            x1 = sigma * r
-            y1 = r + slope * x1
-            coords = (x1 + cq[0], y1 + cq[1])
-            if pending_v is not None:
-                (a, b), (c, d) = _blowup_derivative(cq, slope, coords)
-                det = a * d - b * c
-                pending_v = (
-                    (d * pending_v[0] - b * pending_v[1]) / det,
-                    (-c * pending_v[0] + a * pending_v[1]) / det,
-                )
-    if pending_center is not None:
-        direction = p2_chart_embed(description, coords[0] + pending_v[0], coords[1] + pending_v[1])
-        return TowerPoint(center=pending_center, direction=direction)
-    return TowerPoint(base=p2_chart_embed(description, *coords))
+    steps = [
+        (step["center_cone"], int(step["removed_slope"]), tuple(Fraction(c) for c in step["center_chart_coords"]))
+        for step in reversed(description["steps"])
+        if step["inside"]
+    ]
+
+    def embed(u, v) -> TowerPoint:
+        coords = (Fraction(u), Fraction(v))
+        pending_center = None
+        pending_v = None
+        for center_cone, slope, cq in steps:
+            sigma, r = coords
+            if r == 0 and pending_center is None:
+                pending_center = center_cone
+                # sigma = vx / (vy - k vx); normalize vy - k vx = 1
+                pending_v = (sigma, 1 + slope * sigma)
+                coords = cq
+            else:
+                x1 = sigma * r
+                y1 = r + slope * x1
+                coords = (x1 + cq[0], y1 + cq[1])
+                if pending_v is not None:
+                    (a, b), (c, d) = _blowup_derivative(cq, slope, coords)
+                    det = a * d - b * c
+                    pending_v = (
+                        (d * pending_v[0] - b * pending_v[1]) / det,
+                        (-c * pending_v[0] + a * pending_v[1]) / det,
+                    )
+        if pending_center is not None:
+            direction = p2_chart_embed(description, coords[0] + pending_v[0], coords[1] + pending_v[1])
+            return TowerPoint(center=pending_center, direction=direction)
+        return TowerPoint(base=p2_chart_embed(description, *coords))
+
+    return embed
 
 
 def find_chart(surface: Surface, points) -> ChartResult:
@@ -639,12 +642,18 @@ def find_chart(surface: Surface, points) -> ChartResult:
 
 
 def chart_embed(surface: Surface, description: dict, u, v):
+    return chart_embedder(surface, description)(u, v)
+
+
+def chart_embedder(surface: Surface, description: dict):
+    """``chart_embed`` on one chart, as a function of (u, v) that reads the
+    description once for all its points."""
     spec = surface.spec
     if spec.blowups:
-        return tower_chart_embed(surface, description, u, v)
+        return tower_chart_embedder(description)
     if spec.base == "P2":
-        return p2_chart_embed(description, u, v)
-    return fn_chart_embed(int(spec.base[1:]), description, u, v)
+        return lambda u, v: p2_chart_embed(description, u, v)
+    return lambda u, v: fn_chart_embed(int(spec.base[1:]), description, u, v)
 
 
 # -- statistics ----------------------------------------------------------------
@@ -693,9 +702,10 @@ def verify_cover_property(surface: Surface, trials: int, points_per_trial: int, 
     for trial in range(trials):
         points = [random_point(surface, rng) for _ in range(points_per_trial)]
         result = find_chart(surface, points)
+        embed = chart_embedder(surface, result.description)
         ok = True
         for p, (u, v) in zip(points, result.coordinates):
-            back = chart_embed(surface, result.description, u, v)
+            back = embed(u, v)
             if back != p:
                 ok = False
                 failures.append((trial, repr(p), repr(back)))

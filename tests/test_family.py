@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import sparsify
-from critlocus.complexes import FreeComplex
+from critlocus.complexes import ChainMap, FreeComplex
 from critlocus.family import (
     FULL_MASK,
     MASKS_BY_DEGREE,
@@ -307,6 +307,33 @@ def test_check_ext_point_off_diagonal_inverse_prime_is_a_bad_prime():
     assert record["dims"] == record["oracle_dims"] and record["euler"] and record["pairing"]
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_reduced_complex_is_the_gf_p_evaluation(n):
+    # check_ext_point reads the model's dims over GF(p) off the rational
+    # complex reduced mod p; at partition and conjugated points that is the
+    # complex evaluated over GF(p), differential by differential
+    model = endomorphism_model(n)
+    gf = GF(DEFAULT_PRIME)
+    pts = [point_from_partition(pp) for pp in enumerate_partitions(n)]
+    pts += random_conjugate_points(n, 4, random.Random(10 + n))
+    assert any(x.denominator > 1 for pt in pts for m in pt.matrices() for row in m for x in row)
+    for pt in pts:
+        direct = model.evaluate_at(pt.X, pt.Y, pt.Z, gf)
+        reduced = model.evaluate_at(pt.X, pt.Y, pt.Z).reduced_mod(gf)
+        assert reduced.ranks == direct.ranks and reduced.diff == direct.diff
+        assert reduced.homology_dims() == direct.homology_dims()
+    # a denominator divisible by p: both raise, and the point is a bad prime
+    p = DEFAULT_PRIME
+    diag = [[Fraction(i + 1, p) if i == j else 0 for j in range(n)] for i in range(n)]
+    zero = [[0] * n for _ in range(n)]
+    cx = model.evaluate_at(diag, zero, zero)
+    for build in (lambda: cx.reduced_mod(gf), lambda: model.evaluate_at(diag, zero, zero, gf)):
+        with pytest.raises(ZeroDivisionError, match=str(p)):
+            build()
+    record = check_ext_point(MatrixPoint(diag, zero, zero), model, gf)
+    assert record["prime"] is False and "exception" not in record
+
+
 def test_check_ext_point_records_an_exception(monkeypatch):
     import critlocus.family
 
@@ -452,6 +479,24 @@ def test_comparison_map_perturbed_sign_fails():
     pt = nilpotent_regular_point(2)
     rep = bad.check_at_point(cdga.point_assignment(pt.X, pt.Y, pt.Z))
     assert not rep["ok"]
+
+
+@pytest.mark.parametrize("factor", [-1, Fraction(1, 2)], ids=["-1", "1/2"])
+def test_comparison_map_scaled_block_fails_at_a_rational_point(factor):
+    # at a point with denominators the differentials are stored over a den
+    # above 1 and the blocks over 1; a block scaled by 1/2 keeps its
+    # numerators over twice its den, so only an equality that reads the
+    # dens rejects the squares it enters
+    cdga = MatrixCdga(2)
+    cm, _ = build_comparison_map(2, cdga)
+    pts = random_conjugate_points(2, 20, random.Random(3))
+    pt = next(p for p in pts if any(x.denominator > 1 for m in p.matrices() for row in m for x in row))
+    point = cdga.point(pt.X, pt.Y, pt.Z)
+    assert point.den > 1
+    assert cm.check_at_point(point)["ok"]
+    blocks = dict(cm.blocks)
+    blocks[2] = blocks[2].scale(factor)
+    assert not ChainMap(cm.source, cm.target, blocks).check_at_point(point)["ok"]
 
 
 def test_ext_dims_fat_point_not_cyclic():

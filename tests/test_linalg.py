@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -355,7 +356,7 @@ def test_setter_stores_nonzero_entries_only(field):
     m.set(1, 2, field.of(5))
     m.set(0, 0, field.of(3))
     m.set(0, 0, Fraction(0, 7))
-    assert m.sparse_rows == [{}, {2: field.of(5)}]
+    assert m.data == [[0, 0, 0], [0, 0, 5]] and [len(row) for row in m.sparse_rows] == [0, 1]
     assert m.entry(1, 2) == 5 and m.entry(0, 0) is field.zero
     for i, j in ((0, 3), (2, 0), (-1, 0), (0, -1)):
         with pytest.raises(IndexError):
@@ -384,7 +385,7 @@ def test_no_producer_stores_a_zero(field):
     assert pivots == [0, 1] and stores_no_zero(red) and red.sparse_rows[2] == {}
     b = DenseMatrix.from_rows([[2], [-1], [7]], field)
     prod = a.matmul(b)
-    assert stores_no_zero(prod) and prod.sparse_rows == [{}, {}, {0: field.one}]
+    assert stores_no_zero(prod) and prod.data == [[0], [0], [1]]
     t = a.transpose()
     assert stores_no_zero(t) and t.data == [list(col) for col in zip(*a.data)]
 
@@ -419,11 +420,172 @@ def test_gf_p_unreduced_one_is_the_identity():
     m.set(1, 1, Fraction(2 * P + 2, 2))
     assert m == DenseMatrix.identity(2, f)
     m.set(1, 1, 5 * P)
-    assert m.sparse_rows == [{0: 1}, {}]
+    assert m.data == [[1, 0], [0, 0]] and [len(row) for row in m.sparse_rows] == [1, 0]
 
 
 def test_gf_p_fraction_entry_is_stored_as_its_residue():
     f = GF(P)
     half = DenseMatrix(f, 1, 1, [[Fraction(1, 2)]])
-    assert half.rank() == 1 and half.sparse_rows == [{0: f.of(Fraction(1, 2))}]
+    assert half.rank() == 1 and half.entry(0, 0) == f.of(Fraction(1, 2)) == (P + 1) // 2
     assert half.matmul(DenseMatrix(f, 1, 1, [[2]])) == DenseMatrix.identity(1, f)
+
+
+# -- QQ matrices against a list-of-Fraction reference ----------------------------------
+#
+# A QQ matrix stores int numerators over one den that need not be reduced.
+# Each operation is checked against plain lists of Fractions, with every
+# input stored over k times the lcm of its denominators for a drawn k, so
+# equal inputs reach the kernels over different, unreduced dens.
+
+
+def stored_over(rows, r, c, k):
+    """``rows`` as an r x c QQ matrix over k times the lcm of their denominators."""
+    den = lcm(*(x.denominator for row in rows for x in row)) * k
+    entries = [(i, j, x.numerator * (den // x.denominator)) for i, row in enumerate(rows) for j, x in enumerate(row) if x]
+    return DenseMatrix.from_integers(QQ, r, c, entries, den)
+
+
+def rational_grid(r, c):
+    return st.lists(st.lists(mixed_rationals, min_size=c, max_size=c), min_size=r, max_size=r)
+
+
+@st.composite
+def qq_matrices(draw, r=None, c=None):
+    """(r, c, rows, matrix) with the matrix stored over an unreduced den."""
+    r = draw(st.integers(0, 5)) if r is None else r
+    c = draw(st.integers(0, 5)) if c is None else c
+    rows = draw(rational_grid(r, c))
+    return r, c, rows, stored_over(rows, r, c, draw(st.integers(1, 6)))
+
+
+def reference_rref(rows, c):
+    """Gauss-Jordan on lists of Fractions: (rref rows, pivot columns)."""
+    m = [list(row) for row in rows]
+    pivots = []
+    for col in range(c):
+        top = len(pivots)
+        hit = next((i for i in range(top, len(m)) if m[i][col]), None)
+        if hit is None:
+            continue
+        m[top], m[hit] = m[hit], m[top]
+        pv = m[top][col]
+        m[top] = [x / pv for x in m[top]]
+        for i in range(len(m)):
+            if i != top and m[i][col]:
+                f = m[i][col]
+                m[i] = [x - f * y for x, y in zip(m[i], m[top])]
+        pivots.append(col)
+    return m, pivots
+
+
+def all_fractions(rows):
+    return all(isinstance(x, Fraction) for row in rows for x in row)
+
+
+@settings(max_examples=100, deadline=None)
+@given(qq_matrices())
+def test_qq_entry_and_data_read_the_reference(m):
+    r, c, rows, a = m
+    assert a.data == rows and all_fractions(a.data)
+    assert all(a.entry(i, j) == rows[i][j] and isinstance(a.entry(i, j), Fraction) for i in range(r) for j in range(c))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5)).flatmap(
+    lambda d: st.tuples(qq_matrices(d[0], d[1]), qq_matrices(d[1], d[2]))))
+def test_qq_matmul_matches_the_reference(pair):
+    (r, k, a_rows, a), (_, c, b_rows, b) = pair
+    prod = a.matmul(b)
+    assert prod.data == naive_matmul(a_rows, b_rows, r, k, c) and all_fractions(prod.data)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.tuples(st.integers(0, 5), st.integers(0, 5)).flatmap(
+    lambda d: st.tuples(qq_matrices(*d), qq_matrices(*d))))
+def test_qq_add_matches_the_reference(pair):
+    (_, _, a_rows, a), (_, _, b_rows, b) = pair
+    total = a.add(b)
+    assert total.data == [[x + y for x, y in zip(r, s)] for r, s in zip(a_rows, b_rows)]
+    assert all_fractions(total.data)
+
+
+@settings(max_examples=100, deadline=None)
+@given(qq_matrices(), mixed_rationals)
+def test_qq_scale_and_transpose_match_the_reference(m, c):
+    r, cols, rows, a = m
+    assert a.scale(c).data == [[c * x for x in row] for row in rows]
+    assert a.transpose().data == [[rows[i][j] for i in range(r)] for j in range(cols)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(qq_matrices())
+def test_qq_rank_rref_and_kernel_match_the_reference(m):
+    r, c, rows, a = m
+    want, pivots = reference_rref(rows, c)
+    red, got_pivots = rref(a)
+    assert got_pivots == pivots and a.rank() == len(pivots)
+    assert red.data == want and all_fractions(red.data)
+    free = [j for j in range(c) if j not in pivots]
+    kernel = []
+    for j in free:
+        v = [Fraction(int(t == j)) for t in range(c)]
+        for row, pc in zip(want, pivots):
+            v[pc] = -row[j]
+        kernel.append(v)
+    got = [densify(v, c) for v in kernel_basis(a)]
+    assert got == kernel and all_fractions(got)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.tuples(st.integers(0, 5), st.integers(0, 5)).flatmap(
+    lambda d: st.tuples(qq_matrices(*d), st.lists(mixed_rationals, min_size=d[0], max_size=d[0]),
+                        st.lists(mixed_rationals, min_size=d[1], max_size=d[1]))))
+def test_qq_solve_matches_the_reference(case):
+    (r, c, rows, a), b, x0 = case
+    # an arbitrary right-hand side, and one in the image
+    for rhs in (b, [sum((x * y for x, y in zip(row, x0)), Fraction(0)) for row in rows]):
+        want, pivots = reference_rref([row + [y] for row, y in zip(rows, rhs)], c + 1)
+        got = solve(a, rhs)
+        if c in pivots:
+            assert got is None
+            continue
+        x = [Fraction(0)] * c
+        for row, pc in zip(want, pivots):
+            x[pc] = row[c]
+        assert got == x and all(isinstance(v, Fraction) for v in got)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(
+        lambda d: st.tuples(
+            qq_matrices(*d),
+            st.lists(st.tuples(st.integers(0, d[0] - 1), st.integers(0, d[1] - 1), mixed_rationals), max_size=6),
+        )
+    )
+)
+def test_qq_set_matches_the_reference(case):
+    (r, c, rows, a), writes = case
+    rows = [list(row) for row in rows]
+    for i, j, x in writes:
+        a.set(i, j, x)
+        rows[i][j] = x
+        assert a.data == rows
+    assert a == DenseMatrix(QQ, r, c, rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(qq_matrices(), st.integers(1, 6), st.integers(1, 6))
+def test_qq_equality_across_unreduced_dens(m, k1, k2):
+    r, c, rows, _ = m
+    a, b = stored_over(rows, r, c, k1), stored_over(rows, r, c, k2)
+    assert a == b and b == a
+    if k1 != k2:
+        assert a.den != b.den
+    # one entry changed, by a value with a new denominator or by 1
+    for i in range(r):
+        for j in range(c):
+            for delta in (Fraction(1, 7), Fraction(1)):
+                other = [list(row) for row in rows]
+                other[i][j] += delta
+                assert stored_over(other, r, c, k2) != a

@@ -16,9 +16,14 @@ differential the graded commutator against the superconnection
         - Mt (x) e_x e_y e_z,
 
 whose flatness dA + A^2 = 0 is equivalent to the Leibniz identities.  The
-adjacent blocks are the maps induced by the length-3 bimodule resolution of
-k[x,y,z] (left-minus-right multiplication patterns); the jump components
-carry the homotopies and vanish at every classical point.
+differential is built by blocks: on vec(E), E in End(V) read row-major,
+[M, E] = (M (x) 1 - 1 (x) M^T) vec(E), so a term M (x) e_a of A maps the
+slot of e_S to that of e_(a|S) by M (x) 1 from the left and by 1 (x) M^T
+from the right, each signed by ``product_sign``, the sign rule of products
+in End(V) (x) cdga (x) Lambda.  The adjacent blocks are the maps induced by
+the length-3 bimodule resolution of k[x,y,z] (left-minus-right
+multiplication patterns); the jump components carry the homotopies and
+vanish at every classical point.
 
 ``TangentModel`` is the shifted dual of the cotangent model, placed in
 degrees 0..3, and ``build_comparison_map`` finds the signed permutation
@@ -34,7 +39,7 @@ from __future__ import annotations
 from itertools import product as iproduct
 
 from .complexes import ChainMap, FreeComplex, SymMatrix, homology_representatives
-from .freenc import DIFFERENTIAL_ON_LETTERS, NCElement
+from .freenc import DEGREE, DIFFERENTIAL_ON_LETTERS, NCElement
 from .linalg import DenseMatrix
 from .points import koszul_ext_oracle
 from .potential import CotangentModel, MatrixCdga, cdga_of_rank
@@ -64,6 +69,13 @@ def eps_merge_sign(m1: int, m2: int) -> int:
         if higher & 1:
             sign = -sign
     return sign
+
+
+def product_sign(a1: int, a2: int, p2: int) -> int:
+    """Sign of (M1 (x) e_a1)(M2 (x) e_a2) = M1 M2 (x) e_(a1|a2) for M2 of
+    parity p2: the wedge sign times (-1)^(|a1| p2), 0 if the masks meet."""
+    sign = eps_merge_sign(a1, a2)
+    return -sign if popcount(a1) & p2 & 1 else sign
 
 
 # -- the module structure -----------------------------------------------------------
@@ -293,7 +305,13 @@ class EndomorphismModel:
     ordered as in MASKS_BY_DEGREE and (i,j) row-major inside each mask
     block.  The differential is [A, -] for the superconnection A; the
     coefficient differential of the base cdga completes it to a flat
-    twisted complex.
+    twisted complex.  The block from slot S to slot a | S is, for the
+    term M (x) e_a of A,
+
+        s_a (eps(a, S) M (x) 1 - (-1)^|S| eps'(S, a) 1 (x) M^T),
+
+    s_a the term's sign, eps(a, S) = product_sign(a, S, 0) and
+    eps'(S, a) = product_sign(S, a, parity of M).
     """
 
     def __init__(self, action: DModuleAction):
@@ -306,82 +324,50 @@ class EndomorphismModel:
         self.complex = self._build()
 
     def _superconnection_terms(self):
+        """(matrix, mask, sign, parity) per term M (x) e_mask of A, the parity
+        being that of the letter's degree."""
         # the homotopy letters enter with minus signs; v flips once more
         # because e_z e_x is written against the canonical order
-        m = self.action.matrices
-        return [
-            (m["x"], EPS_BITS["x"], 1),
-            (m["y"], EPS_BITS["y"], 1),
-            (m["z"], EPS_BITS["z"], 1),
-            (m["u"], EPS_BITS["y"] | EPS_BITS["z"], -1),
-            (m["v"], EPS_BITS["z"] | EPS_BITS["x"], 1),
-            (m["w"], EPS_BITS["x"] | EPS_BITS["y"], -1),
-            (m["t"], FULL_MASK, -1),
+        m, e = self.action.matrices, EPS_BITS
+        terms = [
+            ("x", e["x"], 1),
+            ("y", e["y"], 1),
+            ("z", e["z"], 1),
+            ("u", e["y"] | e["z"], -1),
+            ("v", e["z"] | e["x"], 1),
+            ("w", e["x"] | e["y"], -1),
+            ("t", FULL_MASK, -1),
         ]
-
-    def slot(self, i: int, j: int, mask: int) -> int:
-        q = popcount(mask)
-        block = MASKS_BY_DEGREE[q].index(mask)
-        return block * self.n * self.n + i * self.n + j
-
-    def _parity_of_term(self, term_matrix: SymMatrix) -> int:
-        for row in term_matrix.sparse_rows:
-            for p in row.values():
-                return p.cdeg() & 1
-        return 0
-
-    def commutator_with_connection(self, k: int, l: int, mask: int):
-        """[A, E_kl (x) e_mask] as {(i, j, mask'): SuperPoly}."""
-        out = {}
-        s_par = popcount(mask) & 1
-
-        def add(i, j, m, poly):
-            if poly.is_zero():
-                return
-            key = (i, j, m)
-            cur = out.get(key)
-            out[key] = poly if cur is None else cur + poly
-            if out[key].is_zero():
-                del out[key]
-
-        for matrix, amask, sgn in self.terms:
-            p_m = self._parity_of_term(matrix)
-            left_sign = eps_merge_sign(amask, mask)
-            if left_sign:
-                for m_row, row in enumerate(matrix.sparse_rows):
-                    if k in row:
-                        add(m_row, l, amask | mask, row[k].scale(sgn * left_sign))
-            right_sign = eps_merge_sign(mask, amask)
-            if right_sign:
-                # right term of [A, b] = A b - (-1)^{|b|} b A with |b| = s_par,
-                # and e_S moves past the entries of M at cost (-1)^(s_par p_m)
-                total = right_sign * (1 if s_par else -1)
-                if s_par and p_m:
-                    total = -total
-                for m_col, poly in matrix.sparse_rows[l].items():
-                    add(k, m_col, mask | amask, poly.scale(sgn * total))
-        return out
+        return [(m[g], mask, sign, DEGREE[g] & 1) for g, mask, sign in terms]
 
     def _build(self) -> FreeComplex:
+        """[A, -] by blocks: for each term M (x) e_a and source mask S, the
+        block from slot S to slot a | S holds the left action M (x) 1, which
+        sends E_(j,f) to M(i,j) E_(i,f), and the right action 1 (x) M^T,
+        which sends E_(f,i) to M(i,j) E_(f,j), each signed by
+        ``product_sign``."""
         n, t = self.n, self.cdga.table
         nn = n * n
+        slots = {mask: (q, b * nn) for q, masks in MASKS_BY_DEGREE.items() for b, mask in enumerate(masks)}
         blocks = {}
-
-        def block(qsrc, qtgt):
-            key = (qsrc, qtgt)
-            if key not in blocks:
-                blocks[key] = SymMatrix(t, self.ranks[qtgt], self.ranks[qsrc])
-            return blocks[key]
-
-        for q in range(4):
-            for mask in MASKS_BY_DEGREE[q]:
-                for k in range(n):
-                    for l in range(n):
-                        col = self.slot(k, l, mask)
-                        img = self.commutator_with_connection(k, l, mask)
-                        for (i, j, m2), poly in img.items():
-                            q2 = popcount(m2)
-                            block(q, q2).set(self.slot(i, j, m2), col, poly)
+        for matrix, amask, sgn, parity in self.terms:
+            for mask, (q, src) in slots.items():
+                if amask & mask:
+                    continue
+                r, tgt = slots[amask | mask]
+                if (q, r) not in blocks:
+                    blocks[(q, r)] = SymMatrix(t, self.ranks[r], self.ranks[q])
+                block = blocks[(q, r)]
+                # [A, b] = A b - (-1)^{|b|} b A, with |b| = |S|
+                left = sgn * product_sign(amask, mask, 0)
+                right = -sgn * product_sign(mask, amask, parity) * (-1) ** popcount(mask)
+                for i, row in enumerate(matrix.sparse_rows):
+                    for j, poly in row.items():
+                        lpoly, rpoly = poly.scale(left), poly.scale(right)
+                        for f in range(n):
+                            block.add_to(tgt + i * n + f, src + j * n + f, lpoly)
+                            block.add_to(tgt + f * n + j, src + f * n + i, rpoly)
+        blocks = {key: m for key, m in blocks.items() if not m.is_zero()}
         diff = {q: blocks[(q, q + 1)] for q in range(3) if (q, q + 1) in blocks}
         twist = {
             (q, r): m for (q, r), m in blocks.items() if r >= q + 2
@@ -399,18 +385,13 @@ class EndomorphismModel:
         def add(mask, m):
             acc[mask] = m if mask not in acc else acc[mask].add(m)
 
-        for matrix, amask, sgn in self.terms:
+        for matrix, amask, sgn, _ in self.terms:
             add(amask, matrix.map_entries(d.apply).scale(sgn))
-        parities = [self._parity_of_term(m) for m, _, _ in self.terms]
-        for m1, a1, s1 in self.terms:
-            for (m2, a2, s2), p2 in zip(self.terms, parities):
-                merge = eps_merge_sign(a1, a2)
-                if not merge:
-                    continue
-                sign = s1 * s2 * merge
-                if (popcount(a1) & 1) and p2:
-                    sign = -sign
-                add(a1 | a2, m1.matmul(m2).scale(sign))
+        for m1, a1, s1, _ in self.terms:
+            for m2, a2, s2, p2 in self.terms:
+                sign = product_sign(a1, a2, p2)
+                if sign:
+                    add(a1 | a2, m1.matmul(m2).scale(s1 * s2 * sign))
         return {mask: m for mask, m in acc.items() if not m.is_zero()}
 
     def flatness_report(self):
@@ -458,7 +439,7 @@ def trace_pairing_matrix(model_n: int, qk: int, reps_k, reps_comp, field=QQ) -> 
     for b, mask in enumerate(MASKS_BY_DEGREE[qk]):
         comp = FULL_MASK ^ mask
         block = MASKS_BY_DEGREE[3 - qk].index(comp) * nn
-        sign = eps_merge_sign(mask, comp)
+        sign = product_sign(mask, comp, 0)
         for i in range(n):
             for j in range(n):
                 partner[block + j * n + i] = (b * nn + i * n + j, sign)

@@ -244,6 +244,18 @@ class DenseMatrix:
             out[i] = row
         return _matrix(self.field, self.rows, other.cols, out, self.den * other.den)
 
+    def kron(self, other: "DenseMatrix") -> "DenseMatrix":
+        """The Kronecker product: entry (i r + k, j c + l) is a_ij b_kl for
+        ``other`` r x c, over ``self.den * other.den``."""
+        p = _modulus(self.field)
+        c = other.cols
+        out = []
+        for arow in self.sparse_rows:
+            for brow in other.sparse_rows:
+                row = {j * c + l: x * y for j, x in arow.items() for l, y in brow.items()}
+                out.append(row if p is None else {j: v % p for j, v in row.items()})
+        return _matrix(self.field, self.rows * other.rows, self.cols * c, out, self.den * other.den)
+
     def add(self, other: "DenseMatrix") -> "DenseMatrix":
         """The sum, over the lcm of the two dens."""
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -515,8 +527,3 @@ def solve(m: DenseMatrix, b) -> Optional[list]:
     for r, pc in enumerate(pivots):
         x[pc] = red.entry(r, m.cols)
     return x
-
-
-def row_space_basis(m: DenseMatrix):
-    red, pivots = rref(m)
-    return red.data[: len(pivots)]

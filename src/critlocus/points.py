@@ -20,7 +20,7 @@ import json
 from fractions import Fraction
 
 from .complexes import FreeComplex, homology_representatives
-from .linalg import DenseMatrix, row_space_basis, rref
+from .linalg import DenseMatrix, rref
 from .scalars import QQ
 
 
@@ -68,7 +68,11 @@ class MatrixPoint:
         else:
             check_square("g_inv", g_inv, n)
         left, right = DenseMatrix.from_rows(g), DenseMatrix.from_rows(g_inv)
-        conj = lambda m: left.matmul(DenseMatrix(QQ, n, n, m)).matmul(right).data
+
+        def conj(m):
+            c = left.matmul(DenseMatrix(QQ, n, n, m)).matmul(right)
+            return [[c.entry(i, j) for j in range(n)] for i in range(n)]
+
         v = _apply(g, self.v) if self.v is not None else None
         return MatrixPoint(
             conj(self.X), conj(self.Y), conj(self.Z), v, provenance="random-conjugate"
@@ -165,17 +169,19 @@ def load_corpus(path):
 
 
 def is_cyclic(pt: MatrixPoint) -> bool:
-    """Krylov saturation: grow span{v} by X, Y, Z until stable."""
+    """Krylov saturation: grow span{v} by X, Y, Z until stable.  The span is
+    kept as the pivot rows of an rref, and a row vector r grows by r M^T."""
     if pt.v is None:
         raise ValueError("cyclicity needs a marked vector")
-    basis = row_space_basis(DenseMatrix.from_rows([pt.v]))
-    while basis and len(basis) < pt.n:
-        images = [_apply(m, vec) for vec in basis for m in pt.matrices()]
-        grown = row_space_basis(DenseMatrix.from_rows(basis + images))
-        if len(grown) == len(basis):
-            break
-        basis = grown
-    return len(basis) == pt.n
+    transposed = [DenseMatrix.from_rows(m).transpose() for m in pt.matrices()]
+    span, dim = DenseMatrix.from_rows([pt.v]), 0
+    while True:
+        red, pivots = rref(span)
+        if len(pivots) in (dim, pt.n):
+            return len(pivots) == pt.n
+        dim = len(pivots)
+        basis = red.submatrix(range(dim), range(pt.n))
+        span = DenseMatrix.from_blocks([[basis]] + [[basis.matmul(m)] for m in transposed])
 
 
 def is_critical(pt: MatrixPoint) -> bool:
@@ -383,24 +389,12 @@ def random_conjugate_points(n, count, rng):
 # -- the independent Koszul oracle -----------------------------------------------------
 
 
-def _adjoint_matrix(m, field, sign):
-    """Matrix of ``sign * [m, -]`` on End(V) in the basis E_(p,q), index
-    p*n + q, as sparse rows holding only its nonzero entries."""
-    n = len(m)
-    rows = [{} for _ in range(n * n)]
-    # [m, E_pq] = m E_pq - E_pq m = sum_a m(a,p) E_aq - sum_b m(q,b) E_pb
-    col_support = [[(a, x) for a in range(n) if (x := m[a][p])] for p in range(n)]
-    row_support = [[(b, x) for b, x in enumerate(row) if x] for row in m]
-    for p in range(n):
-        for q in range(n):
-            column = {a * n + q: x for a, x in col_support[p]}
-            for b, x in row_support[q]:
-                r = p * n + b
-                column[r] = column.get(r, 0) - x
-            for r, x in column.items():
-                if x and (v := field.of(x if sign > 0 else -x)):
-                    rows[r][p * n + q] = v
-    return DenseMatrix.from_sparse(field, n * n, n * n, rows)
+def _adjoint_matrix(m, field):
+    """Matrix of ``[m, -]`` on End(V) in the basis E_(p,q), index p*n + q:
+    m E - E m is (m (x) 1 - 1 (x) m^T) vec(E) for the row-major vec."""
+    mat = DenseMatrix.from_rows(m, field)
+    one = DenseMatrix.identity(len(m), field)
+    return mat.kron(one).add(one.kron(mat.transpose()).scale(-1))
 
 
 def koszul_ext_oracle(pt: MatrixPoint, field=QQ) -> dict:
@@ -412,8 +406,8 @@ def koszul_ext_oracle(pt: MatrixPoint, field=QQ) -> dict:
         raise ValueError("oracle needs a commuting triple")
     n = pt.n
     nn = n * n
-    ax, ay, az = (_adjoint_matrix(m, field, 1) for m in pt.matrices())
-    nx, ny, nz = (_adjoint_matrix(m, field, -1) for m in pt.matrices())
+    ax, ay, az = (_adjoint_matrix(m, field) for m in pt.matrices())
+    nx, ny, nz = ax.scale(-1), ay.scale(-1), az.scale(-1)
     zero = DenseMatrix.zero(nn, nn, field)
     d0 = DenseMatrix.from_blocks([[ax], [ay], [az]])
     d1 = DenseMatrix.from_blocks(

@@ -159,10 +159,10 @@ class MatrixCdga:
 
     def commutator_entries_transposed(self):
         """[Y0,Z0]^T, [Z0,X0]^T, [X0,Y0]^T entries in the same order."""
-        out = []
+        n, out = self.n, []
         for a, b in ((self.y0, self.z0), (self.z0, self.x0), (self.x0, self.y0)):
-            for row in commutator(a, b).transpose().data:
-                out.extend(row)
+            c = commutator(a, b)
+            out.extend(c.entry(j, i) for i in range(n) for j in range(n))
         return out
 
     def koszul_display(self) -> FreeComplex:
@@ -364,8 +364,9 @@ class CotangentModel:
         symmetric under xi_A(i,j) ~ eta_A(i,j).  Records the matching sign."""
         n, c = self.n, self.complex
         # d(0) transposed, its columns relabelled (a,b) -> (b,a)
-        top = c.differential(0).data
-        mirror = SymMatrix(self.cdga.table, n * n, 3 * n * n, [top[j * n + i] for i in range(n) for j in range(n)])
+        top = c.differential(0).sparse_rows
+        mirror = SymMatrix(self.cdga.table, n * n, 3 * n * n)
+        mirror.sparse_rows = [top[j * n + i] for i in range(n) for j in range(n)]
         mirror = mirror.transpose()
         signs = [sign for sign in (1, -1) if c.differential(-2) == mirror.scale(sign)]
         # both signs match only when both outer blocks vanish (n = 1)

@@ -22,6 +22,7 @@ from critlocus.family import (
     endomorphism_model,
     ext_dims_at,
     popcount,
+    product_sign,
     trace_pairing_matrix,
 )
 from critlocus.freenc import NCElement
@@ -141,6 +142,26 @@ def test_endo_model_flat(n):
     rep = model.flatness_report()
     assert rep["connection_flat"]
     assert rep["complex_flat"]
+
+
+def reference_product_sign(a1, a2, p2):
+    """Sign of (M1 (x) e_a1)(M2 (x) e_a2): sort the letters of e_a1 followed
+    by those of e_a2, one sign per inversion, then (-1)^(|a1| p2)."""
+    if a1 & a2:
+        return 0
+    letters = [b for b in range(3) if a1 >> b & 1] + [b for b in range(3) if a2 >> b & 1]
+    inversions = sum(1 for s in range(len(letters)) for t in range(s + 1, len(letters)) if letters[s] > letters[t])
+    return (-1) ** (inversions + bin(a1).count("1") * p2)
+
+
+@pytest.mark.parametrize("p2", [0, 1])
+def test_product_sign_matches_the_inversion_count(p2):
+    for a1 in range(8):
+        for a2 in range(8):
+            assert product_sign(a1, a2, p2) == reference_product_sign(a1, a2, p2), (a1, a2)
+    assert product_sign(1, 3, p2) == 0 and product_sign(7, 7, p2) == 0
+    # e_y e_x = -e_x e_y, and an odd e_x passes an odd matrix at another sign
+    assert product_sign(2, 1, 0) == -1 and product_sign(1, 2, 1) == -1 and product_sign(3, 4, 1) == 1
 
 
 def test_endo_ranks_and_euler():

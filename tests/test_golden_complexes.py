@@ -32,6 +32,10 @@ DIGESTS = {
     (4, "cotangent"): "6b4b216a3542f3cb749750b6fcfa3f2a0910386df4479ded042d90563bf9956b",
     (4, "tangent"): "616ab3c8149ef2bd9a322d5ab0ef0b7f56437c40fe67413fdf00fbb3f781d27a",
     (4, "koszul"): "e9ad665e2e1af454ab916049bf646759cfdba9f813fa68ca3a032dc5f2fe594d",
+    (5, "endomorphism"): "030698c11a940a5eb718429f4e37ca5b832ddbd089153203ffc50c1d1510c193",
+    (5, "cotangent"): "9a1960a9073f5816126de0463e104dd945ca8ecadd09bba161412f6fe976f357",
+    (5, "tangent"): "388e9eec2742c2c4b9164ea2e8cf2f4d177a0f25ba97f0d370b1915a3438cba0",
+    (5, "koszul"): "5138b5392e8e993a7eeffd2fef2e323b1252f5d009dfbe4e5ce215b638913845",
 }
 
 

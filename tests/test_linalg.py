@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import densify
-from critlocus.linalg import DenseMatrix, kernel_basis, product_first_nonzero, rref, row_space_basis, solve
+from critlocus.linalg import DenseMatrix, kernel_basis, product_first_nonzero, rref, solve
 from critlocus.scalars import DEFAULT_PRIME, GF, QQ
 
 
@@ -106,7 +106,8 @@ def test_kernel_plus_row_space_spans():
             [[rng.randint(-3, 3) for _ in range(5)] for _ in range(4)]
         )
         ker = [densify(v, 5) for v in kernel_basis(m)]
-        rows = row_space_basis(m)
+        red, pivots = rref(m)
+        rows = [[red.entry(i, j) for j in range(5)] for i in range(len(pivots))]
         stacked = DenseMatrix.from_rows(ker + rows) if ker or rows else None
         assert stacked is not None
         assert stacked.rank() == 5
@@ -377,8 +378,13 @@ def test_no_producer_stores_a_zero(field):
     # the commutator with a scalar matrix cancels everywhere
     for m in ([[2, 0], [0, 2]], [[Fraction(P), 1], [0, Fraction(1, 3)]]):
         for sign in (1, -1):
-            assert stores_no_zero(_adjoint_matrix(m, field, sign))
-    assert _adjoint_matrix([[2, 0], [0, 2]], field, 1) == DenseMatrix.zero(4, 4, field)
+            assert stores_no_zero(_adjoint_matrix(m, field).scale(sign))
+    assert _adjoint_matrix([[2, 0], [0, 2]], field) == DenseMatrix.zero(4, 4, field)
+    # a Kronecker product stores one entry per pair of stored entries (P/2
+    # vanishes mod P)
+    a = DenseMatrix.from_rows([[2, 0], [Fraction(1, 3), 1]], field)
+    k = a.kron(DenseMatrix.from_rows([[0, Fraction(P, 2)], [1, 0]], field))
+    assert stores_no_zero(k) and sum(map(len, k.sparse_rows)) == (6 if field == QQ else 3)
     # dependent rows leave zero rows in rref; cancelling terms in a product
     a = DenseMatrix.from_rows([[1, 2, 0], [2, 4, 0], [1, 1, 0]], field)
     red, pivots = rref(a)
@@ -515,6 +521,34 @@ def test_qq_scale_and_transpose_match_the_reference(m, c):
     r, cols, rows, a = m
     assert a.scale(c).data == [[c * x for x in row] for row in rows]
     assert a.transpose().data == [[rows[i][j] for i in range(r)] for j in range(cols)]
+
+
+def reference_kron(a, b, p=None):
+    """Kronecker product of two lists of rows: row (i, k) lists a_ij b_kl
+    for j, then l; reduced mod p when p is given."""
+    out = [[x * y for x in arow for y in brow] for arow in a for brow in b]
+    return out if p is None else [[v % p for v in row] for row in out]
+
+
+@settings(max_examples=100, deadline=None)
+@given(qq_matrices(), qq_matrices())
+def test_qq_kron_matches_the_reference(ma, mb):
+    (r, c, a_rows, a), (s, d, b_rows, b) = ma, mb
+    k = a.kron(b)
+    assert (k.rows, k.cols, k.den) == (r * s, c * d, a.den * b.den)
+    assert k.data == reference_kron(a_rows, b_rows) and all_fractions(k.data)
+    assert stores_no_zero(k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(grids(unreduced_ints), grids(unreduced_ints))
+def test_gf_p_kron_matches_the_reference(ga, gb):
+    field = GF(P)
+    ((r, c), a_rows), ((s, d), b_rows) = ga, gb
+    k = DenseMatrix(field, r, c, a_rows).kron(DenseMatrix(field, s, d, b_rows))
+    assert (k.rows, k.cols, k.den) == (r * s, c * d, 1)
+    assert k.data == reference_kron(a_rows, b_rows, P)
+    assert stores_no_zero(k)
 
 
 @settings(max_examples=100, deadline=None)

@@ -303,7 +303,7 @@ def test_adjoint_matrix_is_the_signed_commutator(n, sign, field):
         m = [[Fraction(rng.choice([0, 0, 0, 1, -2, 3]), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)]
         for i in range(n):
             m[i][i] = Fraction(rng.choice([0, 1]))
-        got = _adjoint_matrix(m, field, sign)
+        got = _adjoint_matrix(m, field).scale(sign)
         for p in range(n):
             for q in range(n):
                 e = [[Fraction(int((a, b) == (p, q))) for b in range(n)] for a in range(n)]

@@ -37,7 +37,7 @@ import re
 from math import lcm
 from typing import Optional
 
-from .linalg import DenseMatrix, kernel_basis, pivot_columns, product_first_nonzero, rref
+from .linalg import DenseMatrix, eliminate, kernel_basis, product_first_nonzero
 from .scalars import QQ
 from .superpoly import Derivation, GeneratorTable, SuperPoly, add_product, poly_from_text, poly_to_text
 
@@ -288,10 +288,11 @@ class FreeComplex:
                components (empty for honest complexes).
     ``base``:  a GeneratorTable for symbolic complexes, or a scalar field.
 
-    A numeric complex keeps the ``rref`` of each differential it has
-    reduced and the outcome of its d^2 check, so its homology dimensions
-    and representatives eliminate each differential once and multiply
-    differentials only for that one check.
+    A numeric complex keeps the outcome of its d^2 check and, per degree,
+    the elimination of its differential on a coordinate complement of the
+    image (see ``_reduce``), so its homology dimensions and representatives
+    eliminate each differential once and multiply differentials only for
+    that one check.
     """
 
     def __init__(self, base, ranks: dict, diff: dict, twist: Optional[dict] = None):
@@ -300,7 +301,7 @@ class FreeComplex:
         self.diff = dict(diff)
         self.twist = dict(twist) if twist else {}
         self.symbolic = isinstance(base, GeneratorTable)
-        self._reduced = {}
+        self._steps = {}
         self._d_squared_failures = None
         self._check_shapes()
 
@@ -415,20 +416,33 @@ class FreeComplex:
 
     # -- homology ----------------------------------------------------------------
 
-    def reduction(self, k: int):
-        """``rref`` of the numeric differential d^k, computed once per complex."""
-        red = self._reduced.get(k)
-        if red is None:
-            red = self._reduced[k] = rref(self.differential(k))
-        return red
+    def _reduce(self, k: int, full: bool = False):
+        """(kept, reduction, pivot columns, pivot rows) of degree k, kept
+        per complex.
 
-    def _differential_rank(self, k: int) -> int:
-        """rank d^k, read off a cached ``rref`` when there is one, else off
-        ``pivot_columns``."""
-        red = self._reduced.get(k)
-        if red is not None:
-            return len(red[1])
-        return len(pivot_columns(self.differential(k)))
+        ``kept`` lists the columns of C^k outside the pivot rows of
+        d^(k-1), and d^k is eliminated by ``linalg.eliminate`` on those
+        columns alone: the reduction (None unless ``full``), its pivot
+        columns (positions in ``kept``) and its pivot rows (degree k+1
+        coordinates).  The pivot rows J of d^(k-1) are independent rows
+        spanning its row space, so an image vector that vanishes on J
+        vanishes, and C^k is the image of d^(k-1) plus the coordinates
+        outside J.  Given d^2 = 0, d^k on ``kept`` then has the rank of
+        d^k and its kernel is a basis of H^k.  Degree k-1 is reduced first,
+        forward only unless it was already.  With no C^(k+1) nothing is
+        eliminated.
+        """
+        step = self._steps.get(k)
+        if step is None or (full and step[1] is None and self.rank(k + 1)):
+            image = set(self._reduce(k - 1)[3]) if self.rank(k - 1) else ()
+            kept = [j for j in range(self.rank(k)) if j not in image]
+            if self.rank(k + 1):
+                d = self.differential(k)
+                step = (kept, *eliminate(d.submatrix(range(d.rows), kept), full))
+            else:
+                step = (kept, None, [], [])
+            self._steps[k] = step
+        return step
 
     def _require_numeric_complex(self):
         """Raise ValueError unless this is a numeric complex with d^2 = 0;
@@ -441,16 +455,17 @@ class FreeComplex:
             raise ValueError(f"d^2 != 0 at {self._d_squared_failures[0][:2]}")
 
     def homology_dims(self) -> dict:
-        """dim H^k = rank_k - rank d^k - rank d^(k-1) for a numeric complex.
+        """dim H^k of a numeric complex: the kept columns of C^k less the
+        rank of d^k on them (see ``_reduce``).
 
         A caller that also wants representatives takes them first, so the
-        ranks are read off the reductions they leave.
+        dims read the reductions they leave.
         """
         self._require_numeric_complex()
         dims = {}
-        rk = {k: self._differential_rank(k) if self.rank(k) and self.rank(k + 1) else 0 for k in self.ranks}
         for k in self.degrees():
-            dims[k] = self.rank(k) - rk.get(k, 0) - rk.get(k - 1, 0)
+            kept, _, pivots, _ = self._reduce(k)
+            dims[k] = len(kept) - len(pivots)
         return dims
 
     def euler_characteristic(self) -> int:
@@ -503,37 +518,20 @@ def homology_representatives(cx: FreeComplex, k: int):
     """Cycle representatives of a basis of H^k of a numeric complex, each a
     sparse row ``{col: value}`` of its nonzero coordinates in C^k.
 
-    The kept cycles are those of ``kernel_basis(d^k)`` that are not in the
-    span of the image of d^(k-1) and the cycles before them.  That basis
-    puts cycle t at 1 on the t-th free coordinate of d^k (a non-pivot column
-    of its rref) and at 0 on the others, so a cycle is fixed by its free
-    coordinates, and the image of d^(k-1) lies among the cycles.  Let B be
-    d^(k-1) on the free rows and on the pivot columns of its own rref, which
-    span its image.  Cycle t is then dropped exactly when some vector in the
-    column span of B has its last nonzero coordinate at t, so the dropped
-    cycles are the pivot columns of B transposed, read with its columns
-    reversed.  Raises ValueError unless d^2 = 0.
+    They are ``kernel_basis`` of d^k on the kept columns of C^k, the
+    coordinates outside the pivot rows of d^(k-1), placed back on C^k (see
+    ``FreeComplex._reduce``); with no differential out of degree k they are
+    the unit vectors of the kept columns.  Over QQ each is a primitive
+    integer vector.  Raises ValueError unless d^2 = 0.
     """
-    field = cx.base
-    rk = cx.rank(k)
-    if rk == 0:
+    if cx.rank(k) == 0:
         return []
     cx._require_numeric_complex()
-    if cx.rank(k + 1):
-        red = cx.reduction(k)
-        cycles = kernel_basis(cx.differential(k), red)
-        bound = set(red[1])
-        free = [i for i in range(rk) if i not in bound]
-    else:
-        cycles = [{i: field.one} for i in range(rk)]
-        free = range(rk)
-    image = cx.reduction(k - 1)[1] if cx.rank(k - 1) else []
-    f = len(cycles)
-    # B transposed with its columns reversed: row r of it is image column r
-    # of d^(k-1), and free row free[t] of d^(k-1) lands in column f - 1 - t
-    bt = cx.differential(k - 1).submatrix(free[::-1], image).transpose()
-    dropped = {f - 1 - q for q in pivot_columns(bt)}
-    return [v for t, v in enumerate(cycles) if t not in dropped]
+    kept, red, pivots, _ = cx._reduce(k, full=True)
+    if red is None:
+        return [{j: 1} for j in kept]
+    # a reduced echelon form has the kernel of the matrix it reduces
+    return [{kept[c]: x for c, x in v.items()} for v in kernel_basis(red, (red, pivots))]
 
 
 def _zero_matrix(base, rows: int, cols: int):

@@ -8,35 +8,37 @@ numerators over that one denominator, which need not be reduced, so two
 equal matrices may be stored over different dens.  Over GF(p) the ints are
 residues in ``range(p)`` and ``den`` is 1.  The stored rows are private to
 this module; a value leaves it as a field element (a Fraction over QQ)
-through ``entry``, ``data``, ``kernel_basis``, ``solve`` and
-``product_first_nonzero``.  ``DenseMatrix.data`` is a dense row-major copy,
-filled with the field's ``zero``.  Every constructor drops zeros and every
-producer below writes only nonzero entries, so the kernels cost per
-nonzero entry and never scan a dense row.  A kernel basis vector or a
-homology representative is a ``{col: value}`` sparse row of field values,
-ready for ``from_sparse``, which clears it to ints and refuses a column
-outside the matrix.  ``from_integers`` builds a matrix from int values over
-one denominator, as point evaluation computes them.
+through ``entry``, ``data``, ``solve`` and ``product_first_nonzero``.
+``DenseMatrix.data`` is a dense row-major copy, filled with the field's
+``zero``.  Every constructor drops zeros and every producer below writes
+only nonzero entries, so the kernels cost per nonzero entry and never scan
+a dense row.  A kernel basis vector or a homology representative is a
+``{col: value}`` sparse row, ready for ``from_sparse``, which clears it to
+ints and refuses a column outside the matrix; over QQ it is a primitive
+integer vector (a multiple of a basis vector is as good a basis vector),
+over GF(p) a row of residues.  ``from_integers`` builds a matrix from int
+values over one denominator, as point evaluation computes them.
 
-``_eliminate`` is the only elimination loop in the package.  It copies each
-nonzero stored row, over QQ made primitive (divided by the gcd of its
+:func:`eliminate` is the only elimination loop in the package.  It copies
+each nonzero stored row, over QQ made primitive (divided by the gcd of its
 entries; the den does not change a row space), so no rational gcd work
-happens inside it.  Columns are taken in increasing order with the sparsest
-row holding the column as pivot, and each update touches only the nonzeros
-of the two rows involved.  The reduced echelon form is unique, so the pivot
-choice never shows in the output.  It has two readers:
+happens inside it.  Its forward pass takes the columns in increasing order
+with the sparsest row holding the column as pivot, and each update touches
+only the nonzeros of the two rows.  It returns the pivot columns and the
+pivot rows, the rows of the input that pivot, which are independent and
+span its row space; with ``full`` it also back-substitutes, from the last
+pivot up, to the reduced echelon form.  That form is unique, so the pivot
+choice never shows in it.  It has three readers:
 
-* :func:`rref` clears every other row at each pivot (one Gauss-Jordan pass)
-  and scales the pivot rows to one den, the lcm of their pivot entries, so
-  each pivot entry reads 1.  Kernel bases, solving and row spaces are read
-  off it.
-* :func:`pivot_columns` clears only the rows below each pivot and returns
-  the pivot list of ``rref``.  Ranks are read off it, and so are homology
-  representatives: a numeric complex keeps the ``rref`` of each
-  differential, a cycle of ``kernel_basis`` is fixed by its free
-  coordinates (the non-pivot columns of that rref), and
-  ``complexes.homology_representatives`` eliminates only the image of the
-  previous differential on those coordinates.
+* :func:`rref` takes the reduced form, scaled to one den, the lcm of the
+  pivot entries, so each pivot entry reads 1.  Kernel bases, solving and
+  row spaces are read off it.
+* :func:`pivot_columns` takes the forward pass alone.  Ranks are read off
+  it.
+* ``complexes.FreeComplex`` eliminates each differential d^k once, on the
+  coordinates of C^k outside the pivot rows of d^(k-1), which complement
+  the image of d^(k-1): homology dimensions are read off the pivots there,
+  and representatives off the kernel.
 
 :func:`_product_rows` is the one product kernel beside it, and it also has
 two readers.  It computes row i of ``a . b`` row-wise (Gustavson, ACM TOMS
@@ -351,25 +353,10 @@ def _matrix(field, rows: int, cols: int, sparse_rows, den: int = 1) -> DenseMatr
 
 
 def rref(m: DenseMatrix):
-    """Reduced row echelon form.  Returns (new matrix, pivot column list).
-
-    One Gauss-Jordan pass of :func:`_eliminate`, clearing every other row at
-    each pivot.  The pivot rows come first and the zero rows after them.
-    Over QQ each primitive pivot row is multiplied by den / (its pivot
-    entry), den being the lcm of the pivot entries, so every pivot entry is
-    den and reads 1; no Fraction is built.
-    """
-    rows, pivots = _eliminate(m, full=True)
-    den = 1
-    if isinstance(m.field, RationalField) and rows:
-        den = lcm(*(row[pc] for row, pc in zip(rows, pivots)))
-        for row, pc in zip(rows, pivots):
-            k = den // row[pc]
-            if k != 1:
-                for j in row:
-                    row[j] *= k
-    rows += [{} for _ in range(m.rows - len(pivots))]
-    return _matrix(m.field, m.rows, m.cols, rows, den), pivots
+    """Reduced row echelon form.  Returns (new matrix, pivot column list):
+    the reduction of ``eliminate(m, full=True)``."""
+    red, pivots, _ = eliminate(m, full=True)
+    return red, pivots
 
 
 def pivot_columns(m: DenseMatrix):
@@ -379,56 +366,83 @@ def pivot_columns(m: DenseMatrix):
     before it, and clearing the rows below each pivot already decides that,
     so this pass touches no row above a pivot.
     """
-    return _eliminate(m, full=False)[1]
+    return eliminate(m, full=False)[1]
 
 
-def _eliminate(m: DenseMatrix, full: bool):
-    """The one elimination loop.  Returns (pivot rows, pivot columns).
+def eliminate(m: DenseMatrix, full: bool):
+    """The one elimination loop.  Returns (reduction, pivot columns, pivot
+    rows): the reduction is ``rref(m)``'s matrix with ``full`` and None
+    without, and pivot row t is the index in ``m`` of the row that pivots
+    at the t-th pivot column.
 
     Each nonzero stored row is copied, over QQ made primitive (divided by
     the gcd of its entries), over GF(p) as it is, being residues already.
-    Columns are taken in increasing order.  Every row not yet chosen as a
-    pivot has its first entry at or after the current column, so the rows
-    holding the column are those that start there, and the sparsest of them
-    is the pivot (over GF(p) scaled to 1).  The others, and with ``full``
-    the earlier pivot rows, are cleared at the column, each update touching
-    only the nonzeros of the two rows.  This leaves the reduced echelon
-    form up to the scale of each row, and since that form is unique the
-    pivot choice does not change the result.  The pivot rows are returned
-    in pivot order.
+    The forward pass takes the columns in increasing order.  Every row not
+    yet chosen as a pivot has its first entry at or after the current
+    column, so the rows holding the column are those that start there, and
+    the sparsest of them is the pivot (over GF(p) scaled to 1).  The others
+    are cleared at the column, each update touching only the nonzeros of
+    the two rows.  A row is only ever changed by adding multiples of pivot
+    rows, so the rows of ``m`` picked as pivots are independent and every
+    other row of ``m`` is a combination of them.
+
+    With ``full`` each pivot column is then cleared in the pivot rows above
+    it, from the last pivot back: a pivot row is used only once the later
+    pivots have cleared it, so clearing with it fills in no later pivot
+    column.  That leaves the reduced echelon form up to the scale of each
+    row, and since that form is unique the pivot choice does not change it.
+    Over QQ each primitive pivot row is then multiplied by den / (its pivot
+    entry), den being the lcm of the pivot entries, so every pivot entry is
+    den and reads 1; no Fraction is built.  The pivot rows come first, in
+    pivot order, and the zero rows after them.
     """
     p = _modulus(m.field)
-    starts = {}  # first column -> the unchosen rows that start there
-    for row in m.sparse_rows:
+    starts = {}  # first column -> the unchosen (index, row) pairs that start there
+    for i, row in enumerate(m.sparse_rows):
         if not row:
             continue
         g = gcd(*row.values()) if p is None else 1
         # a copy, since the rows are cleared in place
         srow = dict(row) if g == 1 else {j: x // g for j, x in row.items()}
-        starts.setdefault(min(srow), []).append(srow)
-    prows, pivots = [], []
+        starts.setdefault(min(srow), []).append((i, srow))
+    prows, pivots, origins = [], [], []
     for col in range(m.cols):
         if not starts:
             break
         group = starts.pop(col, None)
         if group is None:
             continue
-        prow = min(group, key=len)
-        below = [r for r in group if r is not prow]
+        chosen = min(group, key=lambda pair: len(pair[1]))
+        i, prow = chosen
         if p is not None and prow[col] != 1:
             inv = pow(prow[col], -1, p)
             prow = {j: x * inv % p for j, x in prow.items()}
-        for r in below:
-            _clear(r, prow, col, p)
-            if r:
-                starts.setdefault(min(r), []).append(r)
-        if full:
-            for r in prows:
-                if col in r:
-                    _clear(r, prow, col, p)
+        for pair in group:
+            if pair is not chosen:
+                r = pair[1]
+                _clear(r, prow, col, p)
+                if r:
+                    starts.setdefault(min(r), []).append(pair)
         prows.append(prow)
         pivots.append(col)
-    return prows, pivots
+        origins.append(i)
+    if not full:
+        return None, pivots, origins
+    for t in range(len(prows) - 1, 0, -1):
+        prow, col = prows[t], pivots[t]
+        for r in prows[:t]:
+            if col in r:
+                _clear(r, prow, col, p)
+    den = 1
+    if p is None and prows:
+        den = lcm(*(row[pc] for row, pc in zip(prows, pivots)))
+        for row, pc in zip(prows, pivots):
+            k = den // row[pc]
+            if k != 1:
+                for j in row:
+                    row[j] *= k
+    prows += [{} for _ in range(m.rows - len(pivots))]
+    return _matrix(m.field, m.rows, m.cols, prows, den), pivots, origins
 
 
 def _clear(row, prow, col, p):
@@ -498,19 +512,26 @@ def _product_rows(a: DenseMatrix, b: DenseMatrix):
 
 def kernel_basis(m: DenseMatrix, reduction=None):
     """Basis of the right kernel, as sparse rows ``{col: value}``: for each
-    non-pivot column j of ``rref(m)``, one at j and minus column j of the
-    rref at the pivot columns.  ``reduction`` is ``rref(m)`` when the
-    caller already has it.
+    non-pivot column j of ``rref(m)``, the vector that is 1 at j and minus
+    column j of the rref at the pivot columns.  Over QQ it is returned as
+    its primitive integer multiple, positive at j: den at j and minus the
+    stored ints of column j, divided by their gcd.  ``reduction`` is
+    ``rref(m)`` when the caller already has it.
     """
-    f = m.field
+    p = _modulus(m.field)
     red, pivots = reduction if reduction is not None else rref(m)
     pivot_set = set(pivots)
-    basis = {j: {j: f.one} for j in range(m.cols) if j not in pivot_set}
-    value = red._value
+    basis = {j: {j: red.den} for j in range(m.cols) if j not in pivot_set}
     for pc, row in zip(pivots, red.sparse_rows):
         for j, x in row.items():
             if j != pc:
-                basis[j][pc] = value(-x)
+                basis[j][pc] = -x if p is None else -x % p
+    if p is None:
+        for v in basis.values():
+            g = gcd(*v.values())
+            if g > 1:
+                for j in v:
+                    v[j] //= g
     return list(basis.values())
 
 

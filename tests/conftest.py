@@ -1,4 +1,6 @@
 import sys
+from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
@@ -6,7 +8,8 @@ from critlocus.scalars import QQ
 
 
 # Kernel bases and homology representatives are sparse rows {col: value};
-# these two convert between them and the dense vectors of the references.
+# densify and sparsify convert between them and the dense vectors of the
+# references, and primitive gives the integer form of a QQ kernel vector.
 
 
 def densify(v, length, field=QQ):
@@ -17,6 +20,16 @@ def densify(v, length, field=QQ):
     return out
 
 
+def primitive(v):
+    """The rational vector ``v`` as its primitive integer multiple with the
+    sign of ``v``: times the lcm of its denominators, over the gcd of the
+    numerators that gives."""
+    den = lcm(*(Fraction(x).denominator for x in v))
+    ints = [int(Fraction(x) * den) for x in v]
+    g = gcd(*ints) or 1
+    return [x // g for x in ints]
+
+
 def sparsify(v):
     """The dense vector ``v`` as a sparse row of its nonzero entries."""
     return {j: x for j, x in enumerate(v) if x}
@@ -24,25 +37,22 @@ def sparsify(v):
 
 @pytest.fixture
 def rref_calls(monkeypatch):
-    """(name, rows, cols) of the eliminations made from here on, through any
-    critlocus module: full ``rref`` passes and ``pivot_columns`` passes."""
+    """(kind, rows, cols) of the eliminations made from here on, through any
+    critlocus module: every ``linalg.eliminate`` call, ``rref`` and
+    ``pivot_columns`` included, with kind "full" for a reduction and
+    "forward" for a pivot-only pass."""
     import critlocus.linalg
 
     calls = []
+    original = critlocus.linalg.eliminate
 
-    def counting(name, original):
-        def wrapper(m):
-            calls.append((name, m.rows, m.cols))
-            return original(m)
+    def counting(m, full):
+        calls.append(("full" if full else "forward", m.rows, m.cols))
+        return original(m, full)
 
-        return wrapper
-
-    for name in ("rref", "pivot_columns"):
-        original = getattr(critlocus.linalg, name)
-        wrapper = counting(name, original)
-        for module_name, module in list(sys.modules.items()):
-            if module_name.startswith("critlocus") and getattr(module, name, None) is original:
-                monkeypatch.setattr(module, name, wrapper)
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("critlocus") and getattr(module, "eliminate", None) is original:
+            monkeypatch.setattr(module, "eliminate", counting)
     return calls
 
 

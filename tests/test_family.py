@@ -438,24 +438,30 @@ def test_trace_pairing_matches_pair_loop(n, field):
 
 
 def test_ext_dims_at_eliminates_each_differential_once(rref_calls):
-    # three full reductions of the differentials; pivot-only eliminations
-    # for the four degrees' representatives and the two pairing ranks
+    # one full reduction per differential (ranks 9, 27, 27, 9), each on the
+    # columns of its source outside the pivot rows of the one before it, and
+    # pivot-only eliminations for the two pairing ranks
     model = endomorphism_model(3)
     pt = point_from_partition(PlanePartition({(0, 0, 0), (1, 0, 0), (0, 1, 0)}))
     ext_dims_at(pt, model=model)
-    names = [name for name, _, _ in rref_calls]
-    assert names.count("rref") == 3 and names.count("pivot_columns") == 6
+    calls = list(rref_calls)
+    d = model.evaluate_at(pt.X, pt.Y, pt.Z).diff
+    r0, r1 = d[0].rank(), d[1].rank()
+    assert [(r, c) for kind, r, c in calls if kind == "full"] == [(27, 9), (27, 27 - r0), (9, 27 - r1)]
+    assert [kind for kind, _, _ in calls].count("forward") == 2
 
 
 def test_gf_p_homology_dims_rank_by_forward_elimination(rref_calls):
-    # with no reduction cached, the ranks of the three differentials come
-    # from pivot-only eliminations and no row is back-substituted
+    # with nothing reduced yet, the dims come from one pivot-only
+    # elimination per differential, on the same columns, and no row is
+    # back-substituted
     model = endomorphism_model(3)
     pt = point_from_partition(PlanePartition({(0, 0, 0), (1, 0, 0), (0, 1, 0)}))
     cx = model.evaluate_at(pt.X, pt.Y, pt.Z, GF(DEFAULT_PRIME))
     dims = cx.homology_dims()
-    names = [name for name, _, _ in rref_calls]
-    assert names.count("pivot_columns") == 3 and names.count("rref") == 0
+    calls = list(rref_calls)
+    r0, r1 = cx.differential(0).rank(), cx.differential(1).rank()
+    assert calls == [("forward", 27, 9), ("forward", 27, 27 - r0), ("forward", 9, 27 - r1)]
     assert dims == ext_dims_at(pt, model=model)["dims"]
 
 

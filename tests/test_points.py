@@ -278,12 +278,16 @@ def test_oracle_pairing_rank_matches_tr_pair(n, field):
 
 
 def test_oracle_eliminates_each_differential_once(rref_calls):
-    # three full reductions of the differentials; pivot-only eliminations
-    # for the four degrees' representatives and the two pairing ranks
+    # one full reduction per differential (ranks 9, 27, 27, 9), each on the
+    # columns of its source outside the pivot rows of the one before it, and
+    # pivot-only eliminations for the two pairing ranks
     pt = point_from_partition(PlanePartition({(0, 0, 0), (1, 0, 0), (0, 1, 0)}))
-    koszul_ext_oracle(pt)
-    names = [name for name, _, _ in rref_calls]
-    assert names.count("rref") == 3 and names.count("pivot_columns") == 6
+    dims = koszul_ext_oracle(pt)["dims"]
+    calls = list(rref_calls)
+    r0 = 9 - dims[0]  # H^0 = ker d^0
+    r1 = 27 - r0 - dims[1]
+    assert [(r, c) for kind, r, c in calls if kind == "full"] == [(27, 9), (27, 27 - r0), (9, 27 - r1)]
+    assert [kind for kind, _, _ in calls].count("forward") == 2
 
 
 def test_nilpotent_regular_point():

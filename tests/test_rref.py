@@ -1,10 +1,13 @@
 """The shared elimination kernel, checked against independent references.
 
-The endomorphism model and the Koszul oracle both reduce to ``rref``, so
-their agreement cannot expose a fault in it.  These tests compare ``rref``
-and ``pivot_columns`` with a textbook Gauss-Jordan on Fractions (or on ints
-mod p), and compare ``homology_representatives`` with an incremental greedy
-span, on small random complexes and on the Ext complexes of both sides.
+The endomorphism model and the Koszul oracle both reduce through
+``linalg.eliminate``, so their agreement cannot expose a fault in it.  These
+tests compare ``rref`` and ``pivot_columns`` with a textbook Gauss-Jordan on
+Fractions (or on ints mod p), check the pivot rows ``eliminate`` returns
+against the same reference, and check ``homology_representatives`` against
+the definition of a homology basis (exact cycles, as many as dim H^k,
+independent modulo the image by an incremental span), on small random
+complexes and on the Ext complexes of both sides.
 """
 
 import random
@@ -14,11 +17,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import densify
+from conftest import densify, primitive
 from critlocus import points
 from critlocus.complexes import FreeComplex, homology_representatives
 from critlocus.family import endomorphism_model
-from critlocus.linalg import DenseMatrix, kernel_basis, pivot_columns, product_first_nonzero, rref
+from critlocus.linalg import DenseMatrix, eliminate, kernel_basis, pivot_columns, product_first_nonzero, rref
 from critlocus.points import (
     enumerate_partitions,
     koszul_ext_oracle,
@@ -26,7 +29,7 @@ from critlocus.points import (
     random_conjugate_points,
 )
 from critlocus.scalars import DEFAULT_PRIME, GF, QQ
-from test_linalg import first_nonzero, naive_matmul
+from test_linalg import first_nonzero, naive_matmul, qq_matrices
 
 P = 1048583  # the smallest prime a PrimeField accepts
 
@@ -84,14 +87,26 @@ class GreedySpan:
         return False
 
 
-def greedy_representatives(cx, k):
-    """Cycles kept by offering the image columns, then each cycle, to a span."""
-    span = GreedySpan(cx.base)
-    if cx.rank(k - 1):
-        d = cx.differential(k - 1)
-        for j in range(d.cols):
-            span.add([d.data[i][j] for i in range(d.rows)])
-    return [v for v in kernel_basis(cx.differential(k)) if span.add(densify(v, cx.rank(k), cx.base))]
+def check_representatives(cx, dims):
+    """The representatives of each degree are cycles (exactly), ``dims[k]``
+    of them, zero on the pivot rows of d^(k-1), and independent modulo the
+    image: a span offered the image columns, then the representatives,
+    accepts every representative."""
+    f = cx.base
+    for k in cx.degrees():
+        reps = homology_representatives(cx, k)
+        assert len(reps) == dims[k]
+        dense = [densify(v, cx.rank(k), f) for v in reps]
+        d = cx.differential(k)
+        assert all(f.is_zero(x) for v in dense for x in d.apply_vector(v))
+        span = GreedySpan(f)
+        if cx.rank(k - 1):
+            image = set(cx._reduce(k - 1)[3])
+            assert not any(j in image for v in reps for j in v)
+            b = cx.differential(k - 1).data
+            for j in range(cx.rank(k - 1)):
+                span.add([row[j] for row in b])
+        assert all(span.add(v) for v in dense)
 
 
 def matrices(entries, max_rows=6, max_cols=7):
@@ -149,6 +164,30 @@ def test_pivot_columns_match_naive_over_gf_p_unreduced_entries(mat):
     assert pivots == naive_rref(rows, ncols, P)[1]
 
 
+def check_pivot_rows(m, rows, ncols, p=None):
+    """Both passes of ``eliminate`` return as many distinct pivot rows as
+    pivots, and those rows of ``m`` have the rank of ``m`` by the reference."""
+    rank = len(naive_rref(rows, ncols, p)[1])
+    for full in (False, True):
+        _, pivots, prows = eliminate(m, full)
+        assert len(set(prows)) == len(prows) == len(pivots) == rank
+        assert len(naive_rref([rows[i] for i in prows], ncols, p)[1]) == rank
+
+
+@SETTINGS
+@given(qq_matrices())
+def test_pivot_rows_have_the_rank_over_qq_unreduced_dens(m):
+    r, c, rows, a = m
+    check_pivot_rows(a, rows, c)
+
+
+@SETTINGS
+@given(matrices(unreduced))
+def test_pivot_rows_have_the_rank_over_gf_p_unreduced_entries(mat):
+    rows, ncols = mat
+    check_pivot_rows(DenseMatrix(GF(P), len(rows), ncols, rows), rows, ncols, P)
+
+
 def test_multiples_of_p_are_zero():
     field = GF(P)
     m = DenseMatrix(field, 1, 2, [[P, 2 * P]])
@@ -194,18 +233,15 @@ def random_complex(rng, field):
 
 @SETTINGS
 @given(st.integers(0, 2**32 - 1), st.booleans())
-def test_homology_representatives_match_greedy_span(seed, over_gf):
+def test_homology_representatives_are_a_homology_basis(seed, over_gf):
+    # the dims first, so the representatives reduce again in full
     field = GF(P) if over_gf else QQ
     cx = random_complex(random.Random(seed), field)
-    dims = cx.homology_dims()
-    for k in (0, 1, 2):
-        reps = homology_representatives(cx, k)
-        assert reps == greedy_representatives(cx, k)
-        assert len(reps) == dims[k]
+    check_representatives(cx, cx.homology_dims())
 
 
 @pytest.mark.parametrize("over_gf", [False, True])
-def test_homology_representatives_match_greedy_span_on_ext_complexes(over_gf, monkeypatch):
+def test_homology_representatives_are_a_homology_basis_on_ext_complexes(over_gf, monkeypatch):
     # the model's and the Koszul oracle's complexes at n=3 (ranks 9, 27, 27,
     # 9), at every partition point and two seeded conjugated points
     field = GF(DEFAULT_PRIME) if over_gf else QQ
@@ -224,11 +260,12 @@ def test_homology_representatives_match_greedy_span_on_ext_complexes(over_gf, mo
         koszul_ext_oracle(pt, field)
     assert len(oracle) == len(pts)
     for cx in [model.evaluate_at(pt.X, pt.Y, pt.Z, field) for pt in pts] + oracle:
-        dims = cx.homology_dims()
-        for k in range(4):
-            reps = homology_representatives(cx, k)
-            assert reps == greedy_representatives(cx, k)
-            assert len(reps) == dims[k]
+        check_representatives(cx, cx.homology_dims())
+        for k in range(3):
+            # d^k on the coordinates outside the pivot rows of d^(k-1) keeps its rank
+            d = cx.differential(k)
+            kept = cx._reduce(k)[0]
+            assert len(pivot_columns(d.submatrix(range(d.rows), kept))) == len(pivot_columns(d))
 
 
 @pytest.mark.parametrize("over_gf", [False, True])
@@ -249,7 +286,7 @@ def test_representatives_are_sparse_rows_without_zeros(over_gf):
                 if over_gf:
                     assert all(type(x) is int and 0 < x < P for x in v.values())
                 else:
-                    assert all(isinstance(x, Fraction) and x != 0 for x in v.values())
+                    assert all(type(x) is int and x != 0 for x in v.values())
                 kept += 1
     assert kept
 
@@ -297,7 +334,7 @@ def test_shared_zero_fast_path_never_decides_a_result_over_qq(pair):
     ref, ref_pivots = naive_rref(rows, ncols)
     assert (red.data, pivots) == (ref, ref_pivots)
     assert pivot_columns(m) == ref_pivots
-    assert [densify(v, ncols) for v in kernel_basis(m)] == naive_kernel(rows, ncols)
+    assert [densify(v, ncols) for v in kernel_basis(m)] == [primitive(v) for v in naive_kernel(rows, ncols)]
     cols = len(right[0]) if right else 0
     b = DenseMatrix(QQ, ncols, cols, right) if right else DenseMatrix.zero(ncols, cols)
     expected = naive_matmul(rows, b.data, len(rows), ncols, cols)

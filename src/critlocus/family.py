@@ -422,6 +422,27 @@ def endomorphism_model(n: int) -> EndomorphismModel:
 # -- the trace pairing --------------------------------------------------------------
 
 
+_PARTNER_CACHE = {}
+
+
+def _pairing_partners(n: int, qk: int) -> dict:
+    """Slot of degree 3 - qk -> (the slot of degree qk it pairs with, sign),
+    built once per (n, qk)."""
+    key = (n, qk)
+    if key not in _PARTNER_CACHE:
+        nn = n * n
+        partner = {}
+        for b, mask in enumerate(MASKS_BY_DEGREE[qk]):
+            comp = FULL_MASK ^ mask
+            block = MASKS_BY_DEGREE[3 - qk].index(comp) * nn
+            sign = product_sign(mask, comp, 0)
+            for i in range(n):
+                for j in range(n):
+                    partner[block + j * n + i] = (b * nn + i * n + j, sign)
+        _PARTNER_CACHE[key] = partner
+    return _PARTNER_CACHE[key]
+
+
 def trace_pairing_matrix(model_n: int, qk: int, reps_k, reps_comp, field=QQ) -> DenseMatrix:
     """Pairing <a, b> = sum over complementary slots of the matrix trace
     weighted by the orientation of e_S ^ e_S', between representatives
@@ -433,16 +454,7 @@ def trace_pairing_matrix(model_n: int, qk: int, reps_k, reps_comp, field=QQ) -> 
     is reps_k times the transpose of reps_comp reindexed by that partner and
     signed.
     """
-    n = model_n
-    nn = n * n
-    partner = {}  # slot of degree 3 - qk -> (the slot of degree qk it pairs with, sign)
-    for b, mask in enumerate(MASKS_BY_DEGREE[qk]):
-        comp = FULL_MASK ^ mask
-        block = MASKS_BY_DEGREE[3 - qk].index(comp) * nn
-        sign = product_sign(mask, comp, 0)
-        for i in range(n):
-            for j in range(n):
-                partner[block + j * n + i] = (b * nn + i * n + j, sign)
+    partner = _pairing_partners(model_n, qk)
     partnered = []
     for rep in reps_comp:
         row = {}

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import densify, primitive
-from critlocus.linalg import DenseMatrix, kernel_basis, product_first_nonzero, rref, solve
+from critlocus.linalg import DenseMatrix, eliminate, kernel_basis, product_first_nonzero, rref, solve
 from critlocus.scalars import DEFAULT_PRIME, GF, QQ
 
 
@@ -624,3 +624,109 @@ def test_qq_equality_across_unreduced_dens(m, k1, k2):
                 other = [list(row) for row in rows]
                 other[i][j] += delta
                 assert stored_over(other, r, c, k2) != a
+
+
+def test_from_sparse_over_qq_reads_ints_fraction_ints_and_halves_alike():
+    ints = [{0: 3, 2: -4}, {}, {1: 5}]
+    whole = [{j: Fraction(x) for j, x in row.items()} for row in ints]
+    halves = [{j: Fraction(x, 2) for j, x in row.items()} for row in ints]
+    a, b, c = (DenseMatrix.from_sparse(QQ, 3, 3, rows) for rows in (ints, whole, halves))
+    dense = [[3, 0, -4], [0, 0, 0], [0, 5, 0]]
+    assert a == b == DenseMatrix.from_rows(dense)
+    assert c == DenseMatrix.from_rows([[Fraction(x, 2) for x in row] for row in dense]) == a.scale(Fraction(1, 2))
+    for m in (a, b):
+        assert m.den == 1 and m.sparse_rows == ints
+        assert all(type(x) is int for row in m.sparse_rows for x in row.values())
+    assert c.den == 2 and c.sparse_rows == ints
+
+
+# -- elimination and products: invariants of the kernels ---------------------------
+
+
+def eliminated(m, full):
+    """eliminate's three outputs, with the reduction as (den, stored rows)."""
+    red, pivots, rows = eliminate(m, full)
+    return (None if red is None else (red.den, red.sparse_rows)), pivots, rows
+
+
+@st.composite
+def scaled_qq_pairs(draw):
+    """An r x c QQ matrix over an unreduced den and the same matrix with each
+    row multiplied by a nonzero int of absolute value 2..30."""
+    r, c = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    rows = draw(rational_grid(r, c))
+    ks = draw(st.lists(st.integers(2, 30).flatmap(lambda k: st.sampled_from([k, -k])), min_size=r, max_size=r))
+    scaled = [[x * k for x in row] for row, k in zip(rows, ks)]
+    return (stored_over(rows, r, c, draw(st.integers(1, 6))), stored_over(scaled, r, c, draw(st.integers(1, 6))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(scaled_qq_pairs())
+def test_eliminate_ignores_row_scaling_over_qq(pair):
+    # scaling a row changes neither its support nor its row space, so the
+    # pivot choice, the pivot rows and the unique reduced form all stay
+    a, b = pair
+    for full in (True, False):
+        assert eliminated(a, full) == eliminated(b, full)
+
+
+@st.composite
+def scaled_gf_p_pairs(draw):
+    (r, c), rows = draw(grids(st.one_of(st.just(0), st.just(0), unreduced_ints)))
+    units = draw(st.lists(st.integers(1, P - 1), min_size=r, max_size=r))
+    scaled = [[x * u for x in row] for row, u in zip(rows, units)]
+    return DenseMatrix(GF(P), r, c, rows), DenseMatrix(GF(P), r, c, scaled)
+
+
+@settings(max_examples=200, deadline=None)
+@given(scaled_gf_p_pairs())
+def test_eliminate_ignores_row_scaling_over_gf_p(pair):
+    a, b = pair
+    for full in (True, False):
+        assert eliminated(a, full) == eliminated(b, full)
+
+
+@st.composite
+def products_on_descending_rows(draw, nonzero):
+    """(a rows, b rows) as lists, a with rows of exactly one nonzero entry
+    as well as rows of several."""
+    r, k, c = draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    a = []
+    for _ in range(r):
+        count = draw(st.sampled_from([1, min(2, k), k]))
+        cols = draw(st.lists(st.integers(0, k - 1), min_size=count, max_size=count, unique=True))
+        a.append([draw(nonzero) if j in cols else 0 for j in range(k)])
+    b = draw(st.lists(st.lists(st.one_of(st.just(0), nonzero), min_size=c, max_size=c), min_size=k, max_size=k))
+    return a, b
+
+
+def descending_matrix(field, rows):
+    """``rows`` as a matrix whose stored rows were written by ``set`` from
+    the last column to the first."""
+    m = DenseMatrix.zero(len(rows), len(rows[0]), field)
+    for i, row in enumerate(rows):
+        for j in reversed(range(len(row))):
+            m.set(i, j, row[j])
+    return m
+
+
+@pytest.mark.parametrize("field", [QQ, GF(P)], ids=["QQ", "GF(p)"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_products_of_descending_rows_come_out_column_ascending(field, data):
+    # nonzero values; over GF(p) unreduced representatives of nonzero residues
+    if field == QQ:
+        nonzero = st.fractions(-9, 9, max_denominator=12).filter(bool)
+    else:
+        nonzero = st.tuples(st.integers(1, P - 1), st.integers(-2, 2)).map(lambda t: t[0] + t[1] * P)
+    a_rows, b_rows = data.draw(products_on_descending_rows(nonzero))
+    r, k, c = len(a_rows), len(b_rows), len(b_rows[0])
+    a = DenseMatrix(field, r, k, a_rows)
+    b = descending_matrix(field, b_rows)
+    assert all(list(row) == sorted(row, reverse=True) for row in b.sparse_rows)
+    assert b.data == DenseMatrix(field, k, c, b_rows).data
+    expected = naive_matmul(a_rows, b_rows, r, k, c, None if field == QQ else P)
+    prod = a.matmul(b)
+    assert prod.data == expected
+    assert all(list(row) == sorted(row) for row in prod.sparse_rows)
+    assert product_first_nonzero(a, b) == first_nonzero(expected)

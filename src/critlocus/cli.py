@@ -199,7 +199,7 @@ def checks_ext(report: Report, args, rng):
     @_shared
     def ext():
         points = list(args.corpus_points or [])
-        n = points[0].n if points else args.n
+        n = args.n
         if args.corpus in ("partitions", "both"):
             points.extend(point_from_partition(pp) for pp in enumerate_partitions(n))
         if args.corpus in ("random", "both"):
@@ -526,6 +526,8 @@ def main(argv=None) -> int:
             parser.error("--corpus none checks no points without --corpus-file")
     except SystemExit as exc:  # argparse has printed the usage error
         return exc.code
+    if getattr(args, "corpus_points", None):
+        args.n = args.corpus_points[0].n  # the rank of every corpus point
     rng = random.Random(args.seed)
     configuration = {"n": args.n, "prime": args.prime, "seed": args.seed, "samples": args.samples}
     configuration.update((key, getattr(args, key)) for key in args.reported)

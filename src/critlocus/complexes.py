@@ -37,7 +37,7 @@ import re
 from math import lcm
 from typing import Optional
 
-from .linalg import DenseMatrix, eliminate, kernel_basis, product_first_nonzero
+from .linalg import DenseMatrix, back_substitute, eliminate, kernel_basis, product_first_nonzero
 from .scalars import QQ
 from .superpoly import Derivation, GeneratorTable, SuperPoly, add_product, poly_from_text, poly_to_text
 
@@ -289,7 +289,7 @@ class FreeComplex:
     ``base``:  a GeneratorTable for symbolic complexes, or a scalar field.
 
     A numeric complex keeps the outcome of its d^2 check and, per degree,
-    the elimination of its differential on a coordinate complement of the
+    the forward pass of its differential on a coordinate complement of the
     image (see ``_reduce``), so its homology dimensions and representatives
     eliminate each differential once and multiply differentials only for
     that one check.
@@ -416,29 +416,27 @@ class FreeComplex:
 
     # -- homology ----------------------------------------------------------------
 
-    def _reduce(self, k: int, full: bool = False):
-        """(kept, reduction, pivot columns, pivot rows) of degree k, kept
+    def _reduce(self, k: int):
+        """(kept, echelon, pivot columns, pivot rows) of degree k, kept
         per complex.
 
         ``kept`` lists the columns of C^k outside the pivot rows of
         d^(k-1), and d^k is eliminated by ``linalg.eliminate`` on those
-        columns alone: the reduction (None unless ``full``), its pivot
+        columns alone: the forward echelon (None with no C^(k+1)), its pivot
         columns (positions in ``kept``) and its pivot rows (degree k+1
         coordinates).  The pivot rows J of d^(k-1) are independent rows
         spanning its row space, so an image vector that vanishes on J
         vanishes, and C^k is the image of d^(k-1) plus the coordinates
         outside J.  Given d^2 = 0, d^k on ``kept`` then has the rank of
-        d^k and its kernel is a basis of H^k.  Degree k-1 is reduced first,
-        forward only unless it was already.  With no C^(k+1) nothing is
-        eliminated.
+        d^k and its kernel is a basis of H^k.  Degree k-1 is reduced first.
         """
         step = self._steps.get(k)
-        if step is None or (full and step[1] is None and self.rank(k + 1)):
+        if step is None:
             image = set(self._reduce(k - 1)[3]) if self.rank(k - 1) else ()
             kept = [j for j in range(self.rank(k)) if j not in image]
             if self.rank(k + 1):
                 d = self.differential(k)
-                step = (kept, *eliminate(d.submatrix(range(d.rows), kept), full))
+                step = (kept, *eliminate(d.submatrix(range(d.rows), kept)))
             else:
                 step = (kept, None, [], [])
             self._steps[k] = step
@@ -456,11 +454,7 @@ class FreeComplex:
 
     def homology_dims(self) -> dict:
         """dim H^k of a numeric complex: the kept columns of C^k less the
-        rank of d^k on them (see ``_reduce``).
-
-        A caller that also wants representatives takes them first, so the
-        dims read the reductions they leave.
-        """
+        pivots of the forward pass of d^k on them (see ``_reduce``)."""
         self._require_numeric_complex()
         dims = {}
         for k in self.degrees():
@@ -522,14 +516,16 @@ def homology_representatives(cx: FreeComplex, k: int):
     coordinates outside the pivot rows of d^(k-1), placed back on C^k (see
     ``FreeComplex._reduce``); with no differential out of degree k they are
     the unit vectors of the kept columns.  Over QQ each is a primitive
-    integer vector.  Raises ValueError unless d^2 = 0.
+    integer vector.  Raises ValueError unless the complex is numeric with
+    d^2 = 0, at every degree.
     """
+    cx._require_numeric_complex()
     if cx.rank(k) == 0:
         return []
-    cx._require_numeric_complex()
-    kept, red, pivots, _ = cx._reduce(k, full=True)
-    if red is None:
+    kept, echelon, pivots, _ = cx._reduce(k)
+    if echelon is None:
         return [{j: 1} for j in kept]
+    red = back_substitute(echelon, pivots)
     # a reduced echelon form has the kernel of the matrix it reduces
     return [{kept[c]: x for c, x in v.items()} for v in kernel_basis(red, (red, pivots))]
 

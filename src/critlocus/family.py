@@ -488,9 +488,8 @@ def _model_complex(point, field, model):
 
 def _ext_dims(cx, n, field) -> dict:
     """``ext_dims_at`` of the evaluated complex ``cx`` of the rank-n model."""
-    # representatives first: the dims then read the reductions they leave
-    reps = {k: homology_representatives(cx, k) for k in range(4)}
     dims = cx.homology_dims()
+    reps = {k: homology_representatives(cx, k) for k in range(4)}
     ranks = {
         (k, 3 - k): trace_pairing_matrix(n, k, reps[k], reps[3 - k], field).rank()
         for k in (0, 1)

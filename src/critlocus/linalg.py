@@ -28,21 +28,21 @@ with the sparsest row holding the column as pivot, and each update
 QQ a row is made primitive again when it becomes a pivot, not after each
 update (Bareiss, Math. Comp. 1968, removes content only where it pays too);
 a row updated so often that its factors pass a bound on their bits is
-made primitive before that.  It returns the pivot columns and the
-pivot rows, the rows of the input that pivot, which are independent and
-span its row space; with ``full`` it also back-substitutes, from the last
-pivot up, to the reduced echelon form.  That form is unique, so the pivot
-choice never shows in it.  It has three readers:
+made primitive before that.  It returns the echelon form it leaves, the
+pivot columns and the pivot rows, the rows of the input that pivot, which
+are independent and span its row space.  :func:`back_substitute` is the
+second pass: on a copy of that echelon it clears each pivot column from
+the last pivot up, to the reduced echelon form.  That form is unique, so
+the pivot choice never shows in it.
 
-* :func:`rref` takes the reduced form, scaled to one den, the lcm of the
-  pivot entries, so each pivot entry reads 1.  Kernel bases, solving and
-  row spaces are read off it.
-* :func:`pivot_columns` takes the forward pass alone.  Ranks are read off
-  it.
-* ``complexes.FreeComplex`` eliminates each differential d^k once, on the
-  coordinates of C^k outside the pivot rows of d^(k-1), which complement
-  the image of d^(k-1): homology dimensions are read off the pivots there,
-  and representatives off the kernel.
+* :func:`rref` runs both passes and takes the reduced form, scaled to one
+  den, the lcm of the pivot entries, so each pivot entry reads 1.  Kernel
+  bases, solving and row spaces are read off it.
+* :func:`pivot_columns` and ``DenseMatrix.rank`` read the forward pass.
+* ``complexes.FreeComplex`` keeps the forward pass of each differential
+  d^k, on the coordinates of C^k outside the pivot rows of d^(k-1), which
+  complement the image of d^(k-1): homology dimensions are read off its
+  pivots, and representatives off the kernel of its back-substitution.
 
 :func:`_product_rows` is the one product kernel beside it, and it also has
 two readers.  It computes row i of ``a . b`` row-wise (Gustavson, ACM TOMS
@@ -365,26 +365,26 @@ def _matrix(field, rows: int, cols: int, sparse_rows, den: int = 1) -> DenseMatr
 
 def rref(m: DenseMatrix):
     """Reduced row echelon form.  Returns (new matrix, pivot column list):
-    the reduction of ``eliminate(m, full=True)``."""
-    red, pivots, _ = eliminate(m, full=True)
-    return red, pivots
+    :func:`eliminate` followed by :func:`back_substitute`."""
+    echelon, pivots, _ = eliminate(m)
+    return back_substitute(echelon, pivots), pivots
 
 
 def pivot_columns(m: DenseMatrix):
-    """The pivot columns of ``rref(m)``, by forward elimination alone.
+    """The pivot columns of ``rref(m)``, by the forward pass alone.
 
     A column is a pivot exactly when it is not in the span of the columns
     before it, and clearing the rows below each pivot already decides that,
     so this pass touches no row above a pivot.
     """
-    return eliminate(m, full=False)[1]
+    return eliminate(m)[1]
 
 
-def eliminate(m: DenseMatrix, full: bool):
-    """The one elimination loop.  Returns (reduction, pivot columns, pivot
-    rows): the reduction is ``rref(m)``'s matrix with ``full`` and None
-    without, and pivot row t is the index in ``m`` of the row that pivots
-    at the t-th pivot column.
+def eliminate(m: DenseMatrix):
+    """The forward pass.  Returns (echelon, pivot columns, pivot rows): the
+    echelon holds one row per pivot, in pivot order, then zero rows, over
+    den 1, and spans the row space of ``m``; pivot row t is the index in
+    ``m`` of the row that pivots at the t-th pivot column.
 
     Each nonzero stored row is copied, over QQ made primitive (divided by
     the gcd of its entries), over GF(p) as it is, being residues already.
@@ -403,18 +403,6 @@ def eliminate(m: DenseMatrix, full: bool):
     changed by adding multiples of pivot rows, so the rows of ``m`` picked
     as pivots are independent and every other row of ``m`` is a combination
     of them.
-
-    With ``full`` each pivot column is then cleared in the pivot rows above
-    it, from the last pivot back, with the same update: a pivot row is used
-    only once the later pivots have cleared it, so clearing with it fills
-    in no later pivot column, and over QQ it is made primitive just before
-    it is used.  That leaves the reduced
-    echelon form up to the scale of each row, and since that form is unique
-    the pivot choice does not change it.  Over QQ each primitive pivot row
-    is then multiplied by den / (its pivot entry), den being the lcm of the
-    pivot entries, so every pivot entry is den and reads 1; no Fraction is
-    built.  The pivot rows come first, in pivot order, and the zero rows
-    after them.
     """
     p = _modulus(m.field)
     starts = {}  # first column -> the unchosen (index, row) pairs that start there
@@ -463,8 +451,26 @@ def eliminate(m: DenseMatrix, full: bool):
                 grown[pair[0]] = bits
             if r:
                 starts.setdefault(min(r), []).append(pair)
-    if not full:
-        return None, pivots, origins
+    prows += [{} for _ in range(m.rows - len(pivots))]
+    return _matrix(m.field, m.rows, m.cols, prows), pivots, origins
+
+
+def back_substitute(echelon: DenseMatrix, pivots):
+    """The matrix of ``rref(m)`` from ``eliminate(m)``'s echelon and pivot
+    columns, which are not changed.
+
+    Each pivot column is cleared in the pivot rows above it, from the last
+    pivot back, with the update of :func:`_clear`: a pivot row is used only
+    once the later pivots have cleared it, so clearing with it fills in no
+    later pivot column, and over QQ it is made primitive just before it is
+    used.  That leaves the reduced echelon form up to the scale of each
+    row.  Over QQ each primitive pivot row is then multiplied by den / (its
+    pivot entry), den being the lcm of the pivot entries, so every pivot
+    entry is den and reads 1; no Fraction is built.  The rows keep the
+    echelon's order.
+    """
+    p = _modulus(echelon.field)
+    prows = [dict(row) for row in echelon.sparse_rows[: len(pivots)]]
     for t in range(len(prows) - 1, -1, -1):
         prow, col = prows[t], pivots[t]
         if p is None:
@@ -481,8 +487,8 @@ def eliminate(m: DenseMatrix, full: bool):
             if k != 1:
                 for j in row:
                     row[j] *= k
-    prows += [{} for _ in range(m.rows - len(pivots))]
-    return _matrix(m.field, m.rows, m.cols, prows, den), pivots, origins
+    prows += [{} for _ in range(echelon.rows - len(pivots))]
+    return _matrix(echelon.field, echelon.rows, echelon.cols, prows, den)
 
 
 # Over QQ a row not yet chosen as a pivot is made primitive again once the

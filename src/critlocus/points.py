@@ -419,9 +419,8 @@ def koszul_ext_oracle(pt: MatrixPoint, field=QQ) -> dict:
     )
     d2 = DenseMatrix.from_blocks([[ax, ay, az]])
     cx = FreeComplex(field, {0: nn, 1: 3 * nn, 2: 3 * nn, 3: nn}, {0: d0, 1: d1, 2: d2})
-    # representatives first: the dims then read the reductions they leave
-    reps = {k: homology_representatives(cx, k) for k in range(4)}
     dims = cx.homology_dims()
+    reps = {k: homology_representatives(cx, k) for k in range(4)}
     pair01 = tuple(
         _trace_pairing_rank(reps[k], reps[3 - k], slots, n, field)
         for k, slots in ((0, 1), (1, 3))

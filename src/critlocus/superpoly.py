@@ -413,10 +413,13 @@ def poly_from_text(table: GeneratorTable, text: str) -> SuperPoly:
                     i += 2
                     if tokens[i][0] != "num" or "/" in tokens[i][1]:
                         fail(i, "an integer exponent")
-                    g = SuperPoly.one(table)
-                    for _ in range(int(tokens[i][1])):
-                        g = g * f
-                    f = g
+                    e, k = int(tokens[i][1]), table.idx(val)
+                    if e == 0:
+                        f = SuperPoly.one(table)
+                    elif not table.parity(k):
+                        f = SuperPoly(table, {(((k, e),), ()): 1})
+                    elif e > 1:  # an odd generator squares to zero
+                        f = SuperPoly.zero(table)
                 term = term * f
             else:
                 fail(i, "a coefficient or a generator")

@@ -37,22 +37,27 @@ def sparsify(v):
 
 @pytest.fixture
 def rref_calls(monkeypatch):
-    """(kind, rows, cols) of the eliminations made from here on, through any
-    critlocus module: every ``linalg.eliminate`` call, ``rref`` and
-    ``pivot_columns`` included, with kind "full" for a reduction and
-    "forward" for a pivot-only pass."""
+    """(kind, rows, cols) of the elimination passes made from here on,
+    through any critlocus module: kind "forward" for each
+    ``linalg.eliminate`` call, ``rref`` and ``pivot_columns`` included, and
+    "back" for each ``back_substitute`` call, with the echelon's shape."""
     import critlocus.linalg
 
     calls = []
-    original = critlocus.linalg.eliminate
 
-    def counting(m, full):
-        calls.append(("full" if full else "forward", m.rows, m.cols))
-        return original(m, full)
+    def counting(kind, original):
+        def wrapper(m, *args):
+            calls.append((kind, m.rows, m.cols))
+            return original(m, *args)
 
-    for module_name, module in list(sys.modules.items()):
-        if module_name.startswith("critlocus") and getattr(module, "eliminate", None) is original:
-            monkeypatch.setattr(module, "eliminate", counting)
+        return wrapper
+
+    for kind, name in (("forward", "eliminate"), ("back", "back_substitute")):
+        original = getattr(critlocus.linalg, name)
+        wrapper = counting(kind, original)
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("critlocus") and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, wrapper)
     return calls
 
 

@@ -248,6 +248,21 @@ def test_ext_corpus_file_round_trip(tmp_path):
     assert agreement["details"]["points"] == 3
 
 
+def test_ext_reports_the_rank_of_its_corpus_file(tmp_path):
+    # a rank-3 corpus file under the default --n 2: the partition points
+    # are taken at the corpus rank, and the report states that rank
+    from critlocus.points import enumerate_partitions, point_from_partition, save_corpus
+
+    corpus = tmp_path / "c3.json"
+    save_corpus([point_from_partition(pp) for pp in enumerate_partitions(3)], corpus)
+    code, text = run(["ext", "--n", "2", "--corpus", "partitions", "--corpus-file", str(corpus)], tmp_path)
+    assert code == 0
+    payload = json.loads(text)
+    assert payload["configuration"]["n"] == 3
+    agreement = next(c for c in payload["checks"] if c["name"] == "ext.oracle_agreement")
+    assert agreement["details"]["points"] == 12
+
+
 def test_ext_report_has_per_point_details(tmp_path):
     code, text = run(["ext", "--n", "2", "--corpus", "partitions"], tmp_path)
     assert code == 0

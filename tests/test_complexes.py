@@ -128,6 +128,14 @@ def test_homology_representatives_reject_non_complex_checking_d_squared_once(mat
     assert len(matmul_calls) == 2
 
 
+def test_homology_representatives_refuse_a_symbolic_complex_at_every_degree():
+    # degrees of rank 0 included: the complex is checked before its ranks
+    cx = endomorphism_model(1).complex
+    for k in (-1, 0, 1, 3, 4, 7):
+        with pytest.raises(ValueError, match="polynomial base"):
+            complexes.homology_representatives(cx, k)
+
+
 def test_euler_characteristic_matches_homology():
     import random
 

@@ -438,17 +438,19 @@ def test_trace_pairing_matches_pair_loop(n, field):
 
 
 def test_ext_dims_at_eliminates_each_differential_once(rref_calls):
-    # one full reduction per differential (ranks 9, 27, 27, 9), each on the
-    # columns of its source outside the pivot rows of the one before it, and
-    # pivot-only eliminations for the two pairing ranks
+    # one forward pass and one back-substitution per differential (ranks 9,
+    # 27, 27, 9), each on the columns of its source outside the pivot rows
+    # of the one before it, and forward passes alone for the two pairing ranks
     model = endomorphism_model(3)
     pt = point_from_partition(PlanePartition({(0, 0, 0), (1, 0, 0), (0, 1, 0)}))
     ext_dims_at(pt, model=model)
     calls = list(rref_calls)
     d = model.evaluate_at(pt.X, pt.Y, pt.Z).diff
     r0, r1 = d[0].rank(), d[1].rank()
-    assert [(r, c) for kind, r, c in calls if kind == "full"] == [(27, 9), (27, 27 - r0), (9, 27 - r1)]
-    assert [kind for kind, _, _ in calls].count("forward") == 2
+    shapes = [(27, 9), (27, 27 - r0), (9, 27 - r1)]
+    forward = [(r, c) for kind, r, c in calls if kind == "forward"]
+    assert forward[:3] == shapes and len(forward) == 5
+    assert [(r, c) for kind, r, c in calls if kind == "back"] == shapes
 
 
 def test_gf_p_homology_dims_rank_by_forward_elimination(rref_calls):

@@ -278,16 +278,18 @@ def test_oracle_pairing_rank_matches_tr_pair(n, field):
 
 
 def test_oracle_eliminates_each_differential_once(rref_calls):
-    # one full reduction per differential (ranks 9, 27, 27, 9), each on the
-    # columns of its source outside the pivot rows of the one before it, and
-    # pivot-only eliminations for the two pairing ranks
+    # one forward pass and one back-substitution per differential (ranks 9,
+    # 27, 27, 9), each on the columns of its source outside the pivot rows
+    # of the one before it, and forward passes alone for the two pairing ranks
     pt = point_from_partition(PlanePartition({(0, 0, 0), (1, 0, 0), (0, 1, 0)}))
     dims = koszul_ext_oracle(pt)["dims"]
     calls = list(rref_calls)
     r0 = 9 - dims[0]  # H^0 = ker d^0
     r1 = 27 - r0 - dims[1]
-    assert [(r, c) for kind, r, c in calls if kind == "full"] == [(27, 9), (27, 27 - r0), (9, 27 - r1)]
-    assert [kind for kind, _, _ in calls].count("forward") == 2
+    shapes = [(27, 9), (27, 27 - r0), (9, 27 - r1)]
+    forward = [(r, c) for kind, r, c in calls if kind == "forward"]
+    assert forward[:3] == shapes and len(forward) == 5
+    assert [(r, c) for kind, r, c in calls if kind == "back"] == shapes
 
 
 def test_nilpotent_regular_point():

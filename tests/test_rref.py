@@ -165,13 +165,14 @@ def test_pivot_columns_match_naive_over_gf_p_unreduced_entries(mat):
 
 
 def check_pivot_rows(m, rows, ncols, p=None):
-    """Both passes of ``eliminate`` return as many distinct pivot rows as
-    pivots, and those rows of ``m`` have the rank of ``m`` by the reference."""
+    """``eliminate`` returns as many distinct pivot rows as pivots, those
+    rows of ``m`` have the rank of ``m`` by the reference, and ``rref``,
+    which back-substitutes the same pass, keeps its pivot columns."""
     rank = len(naive_rref(rows, ncols, p)[1])
-    for full in (False, True):
-        _, pivots, prows = eliminate(m, full)
-        assert len(set(prows)) == len(prows) == len(pivots) == rank
-        assert len(naive_rref([rows[i] for i in prows], ncols, p)[1]) == rank
+    _, pivots, prows = eliminate(m)
+    assert len(set(prows)) == len(prows) == len(pivots) == rank
+    assert len(naive_rref([rows[i] for i in prows], ncols, p)[1]) == rank
+    assert rref(m)[1] == pivots
 
 
 @SETTINGS
@@ -234,7 +235,7 @@ def random_complex(rng, field):
 @SETTINGS
 @given(st.integers(0, 2**32 - 1), st.booleans())
 def test_homology_representatives_are_a_homology_basis(seed, over_gf):
-    # the dims first, so the representatives reduce again in full
+    # the dims first: the representatives back-substitute the echelons they leave
     field = GF(P) if over_gf else QQ
     cx = random_complex(random.Random(seed), field)
     check_representatives(cx, cx.homology_dims())
@@ -266,6 +267,38 @@ def test_homology_representatives_are_a_homology_basis_on_ext_complexes(over_gf,
             d = cx.differential(k)
             kept = cx._reduce(k)[0]
             assert len(pivot_columns(d.submatrix(range(d.rows), kept))) == len(pivot_columns(d))
+
+
+@pytest.mark.parametrize("side", ["model", "oracle"])
+def test_dims_and_representatives_in_either_order_eliminate_once(side, rref_calls, monkeypatch):
+    # dims then representatives, and representatives then dims, on fresh
+    # copies of one n=3 complex: each runs one forward pass and one
+    # back-substitution per differential (ranks 9, 27, 27, 9), and both
+    # orders give the same dims and representatives
+    pt = point_from_partition(enumerate_partitions(3)[0])
+    if side == "model":
+        cx = endomorphism_model(3).evaluate_at(pt.X, pt.Y, pt.Z)
+    else:
+        oracle = []
+        monkeypatch.setattr(points, "homology_representatives", lambda c, k: oracle.append(c) or [])
+        koszul_ext_oracle(pt)
+        cx = oracle[0]
+    r0, r1 = cx.differential(0).rank(), cx.differential(1).rank()
+    shapes = [(27, 9), (27, 27 - r0), (9, 27 - r1)]
+    results = []
+    for dims_first in (True, False):
+        fresh = FreeComplex(cx.base, cx.ranks, cx.diff)
+        rref_calls.clear()
+        if dims_first:
+            dims = fresh.homology_dims()
+            reps = [homology_representatives(fresh, k) for k in range(4)]
+        else:
+            reps = [homology_representatives(fresh, k) for k in range(4)]
+            dims = fresh.homology_dims()
+        assert [(r, c) for kind, r, c in rref_calls if kind == "forward"] == shapes
+        assert [(r, c) for kind, r, c in rref_calls if kind == "back"] == shapes
+        results.append((dims, reps))
+    assert results[0] == results[1]
 
 
 @pytest.mark.parametrize("over_gf", [False, True])

@@ -237,6 +237,20 @@ def test_text_format_example():
     ).scale(Fraction(1, 2)) - g(t, "X0(1,1)")
 
 
+def test_exponents_build_the_power_directly():
+    # a power is one monomial, not e products, so a huge exponent parses at
+    # once; an odd generator squares to zero and a zeroth power is one
+    t = table2()
+    k = t.idx("X0(1,1)")
+    assert poly_from_text(t, "X0(1,1)^1000000000").terms == {(((k, 10**9),), ()): 1}
+    assert poly_from_text(t, "2*X0(1,1)^3") == g(t, "X0(1,1)") * g(t, "X0(1,1)") * g(t, "X0(1,1)") * 2
+    assert poly_from_text(t, "Xm1(1,1)^1") == g(t, "Xm1(1,1)")
+    assert poly_from_text(t, "Xm1(1,1)^2").is_zero()
+    assert poly_from_text(t, "Xm1(1,1)^1000000000").is_zero()
+    assert poly_from_text(t, "X0(1,1)^0") == poly_from_text(t, "Xm1(1,1)^0") == SuperPoly.one(t)
+    assert poly_from_text(t, "3*T(1,1)^0*Y0(1,2)") == g(t, "Y0(1,2)") * 3
+
+
 def test_extended_table_form_symbols():
     t = table2().extend_with_forms()
     dx0 = g(t, "d(X0(1,1))")

@@ -14,7 +14,7 @@ verification surface.  See README for the command-line interface.
 
 from .scalars import DEFAULT_PRIME, GF, QQ
 from .linalg import DenseMatrix, kernel_basis, solve
-from .superpoly import Derivation, GeneratorTable, SuperPoly, poly_from_text, poly_to_text
+from .superpoly import Derivation, GeneratorTable, SuperPoly, poly_to_text
 from .freenc import NCElement, nc_differential
 from .complexes import ChainMap, FreeComplex, SymMatrix
 from .potential import (
@@ -56,7 +56,6 @@ __all__ = [
     "Derivation",
     "GeneratorTable",
     "SuperPoly",
-    "poly_from_text",
     "poly_to_text",
     "NCElement",
     "nc_differential",

@@ -33,13 +33,12 @@ locus always produces an honest numeric complex.
 from __future__ import annotations
 
 import json
-import re
 from math import lcm
 from typing import Optional
 
 from .linalg import DenseMatrix, back_substitute, eliminate, kernel_basis, product_first_nonzero
 from .scalars import QQ
-from .superpoly import Derivation, GeneratorTable, SuperPoly, add_product, poly_from_text, poly_to_text
+from .superpoly import Derivation, GeneratorTable, SuperPoly, add_product, poly_to_text
 
 
 class SymMatrix:
@@ -483,30 +482,6 @@ class FreeComplex:
         }
         return json.dumps(obj, sort_keys=True)
 
-    @classmethod
-    def from_json(cls, table: GeneratorTable, text: str) -> "FreeComplex":
-        obj = json.loads(text)
-        ranks = {int(k): _rank(k, r) for k, r in obj["ranks"].items()}
-
-        def load(entries, rows, cols):
-            m = SymMatrix.zero(table, rows, cols)
-            for key, s in entries.items():
-                i, j = _index_pair(key)
-                if not (0 <= i < rows and 0 <= j < cols):
-                    raise ValueError(f"entry key {key!r} outside a {rows}x{cols} matrix")
-                m.set(i, j, poly_from_text(table, s))
-            return m
-
-        diff = {
-            int(k): load(v, ranks.get(int(k) + 1, 0), ranks.get(int(k), 0))
-            for k, v in obj["differentials"].items()
-        }
-        twist = {}
-        for key, v in obj.get("twists", {}).items():
-            k, l = _index_pair(key)
-            twist[(k, l)] = load(v, ranks.get(l, 0), ranks.get(k, 0))
-        return cls(table, ranks, diff, twist)
-
 
 def homology_representatives(cx: FreeComplex, k: int):
     """Cycle representatives of a basis of H^k of a numeric complex, each a
@@ -559,20 +534,15 @@ class _Point:
 def _point_values(table: GeneratorTable, assignment) -> _Point:
     """``assignment``, keyed by generator name or index, cleared to a
     ``_Point`` over ``table``; a ``_Point`` over ``table`` is returned as it
-    is.  Every degree-0 generator must have an exact value.  A name not in
-    the table, or an index outside ``range(len(table))``, raises KeyError
-    naming it, as does a bool key; values for the other generators are
-    checked to be exact but never enter the point."""
+    is.  Every degree-0 generator must have an exact value.  A key that
+    ``GeneratorTable.idx`` refuses raises KeyError naming it; values for
+    the other generators are checked to be exact but never enter the
+    point."""
     if isinstance(assignment, _Point):
         if assignment.table is not table:
             raise ValueError("point was cleared over another generator table")
         return assignment
-    given = {}
-    size = len(table)
-    for k, v in assignment.items():
-        if isinstance(k, bool) or (isinstance(k, int) and not 0 <= k < size):
-            raise KeyError(k)
-        given[k if isinstance(k, int) else table.idx(k)] = QQ.of(v)
+    given = {table.idx(k): QQ.of(v) for k, v in assignment.items()}
     values = {}
     for k, g in enumerate(table.gens):
         if g.cdeg == 0 and g.fdeg == 0:
@@ -588,15 +558,6 @@ def _rank(degree, r) -> int:
     if isinstance(r, bool) or not isinstance(r, int):
         raise ValueError(f"rank {r!r} at degree {degree} is not an integer")
     return r
-
-
-def _index_pair(key: str):
-    """The two ints of a JSON key ``"i,j"``; any other key raises ValueError
-    naming it."""
-    m = re.fullmatch(r"(-?\d+),(-?\d+)", key)
-    if m is None:
-        raise ValueError(f"malformed entry key {key!r}, expected 'i,j'")
-    return int(m[1]), int(m[2])
 
 
 def _matrix_entries(m: SymMatrix) -> dict:

@@ -115,6 +115,8 @@ class DenseMatrix:
         divisible by p and raises ZeroDivisionError, as ``PrimeField.of``
         does.  Values that vanish mod p are dropped.
         """
+        if den < 1:
+            raise ValueError(f"den {den} is not positive")
         out = [{} for _ in range(rows)]
         if isinstance(field, RationalField):
             for i, j, v in entries:
@@ -139,7 +141,9 @@ class DenseMatrix:
         """The block matrix of ``blocks``, a list of block rows over one
         field: the blocks of a block row have one height, and those of a
         block column one width.  Each block's ints are brought to the lcm of
-        the blocks' dens."""
+        the blocks' dens; no block row, or an empty one, raises ValueError."""
+        if not blocks or not all(blocks):
+            raise ValueError("blocks do not fit")
         field = blocks[0][0].field
         widths = [b.cols for b in blocks[0]]
         offsets = [sum(widths[:c]) for c in range(len(widths))]
@@ -205,6 +209,9 @@ class DenseMatrix:
         return f"DenseMatrix({self.rows}x{self.cols} over {self.field})"
 
     def entry(self, i: int, j: int):
+        """Entry (i, j); an index outside the matrix raises IndexError."""
+        if not (0 <= i < self.rows and 0 <= j < self.cols):
+            raise IndexError(f"entry ({i}, {j}) outside a {self.rows}x{self.cols} matrix")
         x = self.sparse_rows[i].get(j)
         return self.field.zero if x is None else self._value(x)
 
@@ -242,7 +249,10 @@ class DenseMatrix:
 
     def submatrix(self, rows, cols) -> "DenseMatrix":
         """Rows ``rows`` of the matrix, in that order, on the columns
-        ``cols``, column ``cols[c]`` becoming column c."""
+        ``cols``, column ``cols[c]`` becoming column c.  Each is a range or a
+        list; an index outside the matrix raises IndexError naming it."""
+        _check_indices(rows, self.rows, "row")
+        _check_indices(cols, self.cols, "column")
         pos = {j: c for c, j in enumerate(cols)}
         out = [{pos[j]: x for j, x in self.sparse_rows[i].items() if j in pos} for i in rows]
         return _matrix(self.field, len(out), len(pos), out, self.den)
@@ -316,6 +326,15 @@ class DenseMatrix:
         ``from_integers`` reads its stored ints and den."""
         entries = ((i, j, x) for i, row in enumerate(self.sparse_rows) for j, x in row.items())
         return DenseMatrix.from_integers(field, self.rows, self.cols, entries, self.den)
+
+
+def _check_indices(indices, size: int, what: str):
+    """Raise IndexError naming an end of ``indices`` outside range(size)."""
+    if not indices:
+        return
+    for k in (indices[0], indices[-1]) if isinstance(indices, range) else (min(indices), max(indices)):
+        if not 0 <= k < size:
+            raise IndexError(f"{what} {k} outside range({size})")
 
 
 def _element(field, den: int, x: int):

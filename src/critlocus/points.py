@@ -214,10 +214,15 @@ def _is_downward_closed(cells) -> bool:
 
 
 class PlanePartition:
-    """A finite downward-closed subset of N^3."""
+    """A finite nonempty downward-closed subset of N^3."""
 
     def __init__(self, cells):
         self.cells = frozenset(tuple(c) for c in cells)
+        if not self.cells:
+            raise ValueError("a plane partition has at least one cell")
+        for c in self.cells:
+            if len(c) != 3 or any(type(x) is not int or x < 0 for x in c):
+                raise ValueError(f"cell {c!r} is not in N^3")
         if not _is_downward_closed(self.cells):
             raise ValueError("cell set is not downward closed")
 
@@ -340,6 +345,8 @@ def point_from_partition(pp: PlanePartition) -> MatrixPoint:
 
 def nilpotent_regular_point(n: int) -> MatrixPoint:
     """The single-row partition point: X the nilpotent shift, Y = Z = 0."""
+    if n < 1:
+        raise ValueError("size must be positive")
     pp = PlanePartition({(a, 0, 0) for a in range(n)})
     return point_from_partition(pp)
 

@@ -24,7 +24,7 @@ machine ints.  This module adds the generator table, the product
 (``add_product``), grading, evaluation and the Leibniz extension of a
 derivation.
 
-Elements print to and parse from a plain text format, e.g.::
+Elements print to a plain text format, e.g.::
 
     3/2*X0(1,2)*Xm1(2,1) - T(1,1)^2
 
@@ -33,7 +33,6 @@ See README for the grammar.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from numbers import Number
 from typing import Iterable, Optional
@@ -71,8 +70,12 @@ class GeneratorTable:
     def __len__(self):
         return len(self.gens)
 
-    def idx(self, name: str) -> int:
-        return self.by_name[name]
+    def idx(self, key) -> int:
+        """The index of the generator named or indexed by ``key``; a bool, an
+        unknown name or an int outside range(len(self)) raises KeyError."""
+        if type(key) is int and 0 <= key < len(self.gens):
+            return key
+        return self.by_name[key]
 
     def gen(self, k: int) -> Generator:
         return self.gens[k]
@@ -219,7 +222,7 @@ class SuperPoly(Terms):
 
     @classmethod
     def gen(cls, table, name_or_idx) -> "SuperPoly":
-        k = name_or_idx if isinstance(name_or_idx, int) else table.idx(name_or_idx)
+        k = table.idx(name_or_idx)
         if table.parity(k):
             m = ((), (k,))
         else:
@@ -331,7 +334,7 @@ class SuperPoly(Terms):
                 split.setdefault(o[j], {})[(e, o[:j] + o[j + 1 :])] = -c if (len(o) - 1 - j) & 1 else c
         return {k: SuperPoly._of_terms(self.table, split[k]) for k in sorted(split)}
 
-    # -- printing / parsing -------------------------------------------------
+    # -- printing -----------------------------------------------------------
 
     def __repr__(self):
         return f"SuperPoly({self})"
@@ -361,82 +364,6 @@ def poly_to_text(p: SuperPoly) -> str:
     return signed_sum((p.terms[m], factors(m)) for m in order)
 
 
-_TOKEN = re.compile(
-    r"(?P<num>\d+(?:/\d+)?)|(?P<name>d\([A-Za-z]+[0-9a-z]*\(\d+,\d+\)\)|[A-Za-z]+[0-9a-z]*\(\d+,\d+\))|(?P<op>[\^*+-])"
-)
-_SPACE = re.compile(r"\s*")
-
-
-def _tokens(text):
-    """(kind, text, position) per token, closed by an ("end", "", len) token."""
-    out = []
-    pos = _SPACE.match(text).end()
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise ValueError(f"bad token at position {pos} of {text!r}")
-        out.append((m.lastgroup, m.group(), pos))
-        pos = _SPACE.match(text, m.end()).end()
-    out.append(("end", "", len(text)))
-    return out
-
-
-def poly_from_text(table: GeneratorTable, text: str) -> SuperPoly:
-    """Parse the textual polynomial format back into a SuperPoly.
-
-    A term is factors (coefficients, or generators with an optional integer
-    exponent) joined by '*'; it must end in a factor and be followed by
-    '+', '-' or the end of the text.  Anything else raises ValueError
-    naming the position of the offending token.
-    """
-    tokens = _tokens(text)
-
-    def fail(i, what):
-        raise ValueError(f"expected {what} at position {tokens[i][2]} of {text!r}")
-
-    result = SuperPoly.zero(table)
-    i = 0
-    sign = 1
-    if tokens[0][:2] == ("op", "-"):
-        sign, i = -1, 1
-    while True:
-        term = SuperPoly.scalar(table, sign)
-        while True:
-            kind, val, _ = tokens[i]
-            if kind == "num":
-                term = term.scale(Fraction(val))
-            elif kind == "name":
-                if val not in table.by_name:
-                    fail(i, "a known generator")
-                f = SuperPoly.gen(table, val)
-                if tokens[i + 1][:2] == ("op", "^"):
-                    i += 2
-                    if tokens[i][0] != "num" or "/" in tokens[i][1]:
-                        fail(i, "an integer exponent")
-                    e, k = int(tokens[i][1]), table.idx(val)
-                    if e == 0:
-                        f = SuperPoly.one(table)
-                    elif not table.parity(k):
-                        f = SuperPoly(table, {(((k, e),), ()): 1})
-                    elif e > 1:  # an odd generator squares to zero
-                        f = SuperPoly.zero(table)
-                term = term * f
-            else:
-                fail(i, "a coefficient or a generator")
-            i += 1
-            if tokens[i][:2] != ("op", "*"):
-                break
-            i += 1
-        result = result + term
-        kind, val, _ = tokens[i]
-        if kind == "end":
-            return result
-        if kind != "op" or val not in ("+", "-"):
-            fail(i, "'+', '-' or the end")
-        sign = 1 if val == "+" else -1
-        i += 1
-
-
 class Derivation:
     """A graded derivation of fixed parity, given by its values on generators.
 
@@ -446,10 +373,7 @@ class Derivation:
 
     def __init__(self, table: GeneratorTable, images: dict, parity: int, cdeg_shift: Optional[int] = None):
         self.table = table
-        self.images = {}
-        for k, v in images.items():
-            idx = k if isinstance(k, int) else table.idx(k)
-            self.images[idx] = v
+        self.images = {table.idx(k): v for k, v in images.items()}
         self.parity = parity & 1
         self.cdeg_shift = cdeg_shift
 

@@ -413,6 +413,37 @@ def test_from_sparse_refuses_a_column_outside_the_matrix(field):
     assert m.rank() == 1 and m.data == [[0, 0], [0, 1]]
 
 
+@pytest.mark.parametrize("field", [QQ, GF(P)], ids=["QQ", "GF(p)"])
+def test_from_integers_refuses_a_den_below_one(field):
+    # over GF(p) den 0 looped forever; over QQ it built a matrix of rank 1
+    # whose data divided by zero
+    for den in (0, -2):
+        with pytest.raises(ValueError, match=f"den {den} "):
+            DenseMatrix.from_integers(field, 1, 1, [(0, 0, 1)], den)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(P)], ids=["QQ", "GF(p)"])
+def test_readers_refuse_indices_outside_the_matrix(field):
+    m = DenseMatrix.identity(3, field)
+    for i, j in ((-1, 2), (0, 7), (3, 0), (0, -1)):
+        with pytest.raises(IndexError, match=f"entry \\({i}, {j}\\)"):
+            m.entry(i, j)
+    for rows, cols, bad in (
+        ([0, 1], [0, 5], "column 5"),
+        ([-1], [0], "row -1"),
+        (range(4), range(3), "row 3"),
+        (range(3), range(-1, 2), "column -1"),
+        (range(2, -2, -1), [0], "row -1"),
+    ):
+        with pytest.raises(IndexError, match=bad):
+            m.submatrix(rows, cols)
+    assert m.submatrix(range(2, -1, -1), [2, 0]).data == [[1, 0], [0, 0], [0, 1]]
+    assert m.submatrix([], range(3)).rows == 0 and m.submatrix(range(3), []).cols == 0
+    for blocks in ([], [[]], [[m], []]):
+        with pytest.raises(ValueError, match="blocks do not fit"):
+            DenseMatrix.from_blocks(blocks)
+
+
 # -- GF(p) entries are stored reduced --------------------------------------------------
 
 

@@ -160,6 +160,19 @@ def test_partition_rejects_non_closed():
         PlanePartition({(1, 0, 0)})
 
 
+def test_partition_cells_lie_in_n3():
+    # a negative coordinate was never stepped down to, and the empty set
+    # reached point_from_partition as a KeyError
+    for cells in ({(-1, 0, 0), (0, 0, 0)}, {(0, 0, 0), (0, 0)}, {(0, 0, 0, 0)}, {(0, 0, 0.0)}, {(0, 0, True)}):
+        with pytest.raises(ValueError, match="not in N\\^3"):
+            PlanePartition(cells)
+    with pytest.raises(ValueError, match="at least one cell"):
+        PlanePartition(set())
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="size must be positive"):
+            nilpotent_regular_point(n)
+
+
 @pytest.mark.parametrize(
     "n,count", [(1, 1), (2, 3), (3, 6), (4, 13), (5, 24), (6, 48)]
 )

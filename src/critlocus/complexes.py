@@ -434,8 +434,7 @@ class FreeComplex:
             image = set(self._reduce(k - 1)[3]) if self.rank(k - 1) else ()
             kept = [j for j in range(self.rank(k)) if j not in image]
             if self.rank(k + 1):
-                d = self.differential(k)
-                step = (kept, *eliminate(d.submatrix(range(d.rows), kept)))
+                step = (kept, *eliminate(self.differential(k), kept))
             else:
                 step = (kept, None, [], [])
             self._steps[k] = step

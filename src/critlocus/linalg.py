@@ -41,8 +41,9 @@ the pivot choice never shows in it.
 * :func:`pivot_columns` and ``DenseMatrix.rank`` read the forward pass.
 * ``complexes.FreeComplex`` keeps the forward pass of each differential
   d^k, on the coordinates of C^k outside the pivot rows of d^(k-1), which
-  complement the image of d^(k-1): homology dimensions are read off its
-  pivots, and representatives off the kernel of its back-substitution.
+  complement the image of d^(k-1), read in place through the column list
+  of :func:`eliminate`: homology dimensions are read off its pivots, and
+  representatives off the kernel of its back-substitution.
 
 :func:`_product_rows` is the one product kernel beside it, and it also has
 two readers.  It computes row i of ``a . b`` row-wise (Gustavson, ACM TOMS
@@ -250,10 +251,10 @@ class DenseMatrix:
     def submatrix(self, rows, cols) -> "DenseMatrix":
         """Rows ``rows`` of the matrix, in that order, on the columns
         ``cols``, column ``cols[c]`` becoming column c.  Each is a range or a
-        list; an index outside the matrix raises IndexError naming it."""
+        list; an index outside the matrix raises IndexError naming it, and a
+        repeated column ValueError naming it."""
         _check_indices(rows, self.rows, "row")
-        _check_indices(cols, self.cols, "column")
-        pos = {j: c for c, j in enumerate(cols)}
+        pos = _positions(cols, self.cols)
         out = [{pos[j]: x for j, x in self.sparse_rows[i].items() if j in pos} for i in rows]
         return _matrix(self.field, len(out), len(pos), out, self.den)
 
@@ -263,18 +264,6 @@ class DenseMatrix:
         for i, row in _product_rows(self, other):
             out[i] = row
         return _matrix(self.field, self.rows, other.cols, out, self.den * other.den)
-
-    def kron(self, other: "DenseMatrix") -> "DenseMatrix":
-        """The Kronecker product: entry (i r + k, j c + l) is a_ij b_kl for
-        ``other`` r x c, over ``self.den * other.den``."""
-        p = _modulus(self.field)
-        c = other.cols
-        out = []
-        for arow in self.sparse_rows:
-            for brow in other.sparse_rows:
-                row = {j * c + l: x * y for j, x in arow.items() for l, y in brow.items()}
-                out.append(row if p is None else {j: v % p for j, v in row.items()})
-        return _matrix(self.field, self.rows * other.rows, self.cols * c, out, self.den * other.den)
 
     def add(self, other: "DenseMatrix") -> "DenseMatrix":
         """The sum, over the lcm of the two dens."""
@@ -335,6 +324,18 @@ def _check_indices(indices, size: int, what: str):
     for k in (indices[0], indices[-1]) if isinstance(indices, range) else (min(indices), max(indices)):
         if not 0 <= k < size:
             raise IndexError(f"{what} {k} outside range({size})")
+
+
+def _positions(cols, size: int) -> dict:
+    """``{cols[c]: c}`` for a range or list of distinct columns in
+    range(size); a column outside it raises IndexError naming it, and a
+    repeated column ValueError naming it."""
+    _check_indices(cols, size, "column")
+    pos = {j: c for c, j in enumerate(cols)}
+    if len(pos) != len(cols):
+        # pos keeps the last place of a column, so its first place differs
+        raise ValueError(f"column {next(j for c, j in enumerate(cols) if pos[j] != c)} repeated")
+    return pos
 
 
 def _element(field, den: int, x: int):
@@ -399,11 +400,14 @@ def pivot_columns(m: DenseMatrix):
     return eliminate(m)[1]
 
 
-def eliminate(m: DenseMatrix):
+def eliminate(m: DenseMatrix, cols=None):
     """The forward pass.  Returns (echelon, pivot columns, pivot rows): the
     echelon holds one row per pivot, in pivot order, then zero rows, over
     den 1, and spans the row space of ``m``; pivot row t is the index in
-    ``m`` of the row that pivots at the t-th pivot column.
+    ``m`` of the row that pivots at the t-th pivot column.  With ``cols``,
+    a range or list of distinct columns, it is the forward pass of
+    ``m.submatrix(range(m.rows), cols)``, each row read on ``cols`` as it
+    is copied, so the pivot columns are positions in ``cols``.
 
     Each nonzero stored row is copied, over QQ made primitive (divided by
     the gcd of its entries), over GF(p) as it is, being residues already.
@@ -424,19 +428,32 @@ def eliminate(m: DenseMatrix):
     of them.
     """
     p = _modulus(m.field)
+    pos = None if cols is None else _positions(cols, m.cols)
     starts = {}  # first column -> the unchosen (index, row) pairs that start there
     for i, row in enumerate(m.sparse_rows):
         if not row:
             continue
-        g = gcd(*row.values()) if p is None else 1
         # a copy, since the rows are cleared in place
-        srow = dict(row) if g == 1 else {j: x // g for j, x in row.items()}
-        starts.setdefault(min(srow), []).append((i, srow))
+        if pos is None:
+            row = dict(row)
+        else:
+            row = {pos[j]: x for j, x in row.items() if j in pos}
+            if not row:
+                continue
+        if p is None:
+            if len(row) == 1:
+                # the primitive form of a one-entry row is its sign
+                ((j, x),) = row.items()
+                row[j] = 1 if x > 0 else -1
+            else:
+                _make_primitive(row)
+        starts.setdefault(min(row), []).append((i, row))
     # over QQ, input index of a row updated since it was copied -> the bits of
     # the factors a it was multiplied by since it was last made primitive
     grown = {}
     prows, pivots, origins = [], [], []
-    for col in range(m.cols):
+    width = m.cols if cols is None else len(cols)
+    for col in range(width):
         if not starts:
             break
         group = starts.pop(col, None)
@@ -471,7 +488,7 @@ def eliminate(m: DenseMatrix):
             if r:
                 starts.setdefault(min(r), []).append(pair)
     prows += [{} for _ in range(m.rows - len(pivots))]
-    return _matrix(m.field, m.rows, m.cols, prows), pivots, origins
+    return _matrix(m.field, m.rows, width, prows), pivots, origins
 
 
 def back_substitute(echelon: DenseMatrix, pivots):

@@ -11,17 +11,21 @@ are provided; their agreement is one of the acceptance checks.
 
 ``koszul_ext_oracle`` computes Ext dimensions from scratch using the Koszul
 complex of the three commuting adjoint operators on End(V), a code path
-sharing nothing with the endomorphism model beyond the matrix kernels.
+sharing nothing with the endomorphism model beyond the matrix kernels.  Its
+differentials (``_koszul_differentials``) are written straight from
+[m, E] = m E - E m, one pass each, over the triple cleared once to int
+numerators over one denominator.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import lcm
 
 from .complexes import FreeComplex, homology_representatives
 from .linalg import DenseMatrix, rref
-from .scalars import QQ
+from .scalars import QQ, RationalField
 
 
 class MatrixPoint:
@@ -397,11 +401,73 @@ def random_conjugate_points(n, count, rng):
 
 
 def _adjoint_matrix(m, field):
-    """Matrix of ``[m, -]`` on End(V) in the basis E_(p,q), index p*n + q:
-    m E - E m is (m (x) 1 - 1 (x) m^T) vec(E) for the row-major vec."""
-    mat = DenseMatrix.from_rows(m, field)
-    one = DenseMatrix.identity(len(m), field)
-    return mat.kron(one).add(one.kron(mat.transpose()).scale(-1))
+    """Matrix of ``[m, -]`` on End(V) in the basis E_(p,q), index p*n + q,
+    written as each block of :func:`_koszul_differentials`."""
+    return _commutator_blocks([m], field, [[(0, 0, 1, 0)]])[0]
+
+
+def _koszul_differentials(pt: MatrixPoint, field):
+    """(d0, d1, d2) of the Koszul complex of ad_X, ad_Y, ad_Z on End(V):
+    d0 = [adX; adY; adZ], d1 = [[0, -adZ, adY], [adZ, 0, -adX], [-adY,
+    adX, 0]] and d2 = [adX adY adZ], each written in one pass."""
+    return _commutator_blocks(pt.matrices(), field, _KOSZUL_LAYOUTS)
+
+
+# the blocks (a, b, sign, k) of d0, d1 and d2, k indexing (X, Y, Z)
+_KOSZUL_LAYOUTS = (
+    [(0, 0, 1, 0), (1, 0, 1, 1), (2, 0, 1, 2)],
+    [(0, 1, -1, 2), (0, 2, 1, 1), (1, 0, 1, 2), (1, 2, -1, 0), (2, 0, -1, 1), (2, 1, 1, 0)],
+    [(0, 0, 1, 0), (0, 1, 1, 1), (0, 2, 1, 2)],
+)
+
+
+def _commutator_blocks(matrices, field, layouts):
+    """For each layout, the block matrix whose block (a, b) is ``sign``
+    times the matrix of ``[matrices[k], -]`` for each (a, b, sign, k) of the
+    layout, the other blocks zero, every block n^2 x n^2.
+
+    The matrices are cleared once to int numerators over the lcm of their
+    denominators, so each block matrix is one ``DenseMatrix.from_integers``
+    over it; over GF(p) an lcm divisible by p raises ZeroDivisionError, as
+    ``PrimeField.of`` does on the entry whose denominator p divides.  The
+    rows of [m, -] come from the definition: with E_rs at index r*n + s,
+    (m E - E m)_pq is the sum of m_pr E_rq less the sum of E_ps m_sq, so
+    row p*n + q holds m_pr at r*n + q and -m_sq at p*n + s, the two meeting
+    at p*n + q as m_pp - m_qq."""
+    n = len(matrices[0])
+    nn = n * n
+    den = lcm(*(x.denominator for m in matrices for row in m for x in row))
+    if not isinstance(field, RationalField) and den % field.p == 0:
+        raise ZeroDivisionError(f"denominator divisible by {field.p}")
+    adjoints = []
+    for m in matrices:
+        ints = [[x.numerator * (den // x.denominator) for x in row] for row in m]
+        columns = [[(s, ints[s][q]) for s in range(n) if ints[s][q]] for q in range(n)]
+        rows = []
+        for p in range(n):
+            left = [(r * n, v) for r, v in enumerate(ints[p]) if v]
+            for q in range(n):
+                row = {rn + q: v for rn, v in left}
+                for s, v in columns[q]:
+                    j = p * n + s
+                    w = row.get(j, 0) - v
+                    if w:
+                        row[j] = w
+                    else:
+                        del row[j]
+                rows.append(row)
+        adjoints.append(rows)
+    out = []
+    for layout in layouts:
+        entries = [
+            (a * nn + i, b * nn + j, sign * v)
+            for a, b, sign, k in layout
+            for i, row in enumerate(adjoints[k])
+            for j, v in row.items()
+        ]
+        shape = [nn * (1 + max(block[t] for block in layout)) for t in (0, 1)]
+        out.append(DenseMatrix.from_integers(field, *shape, entries, den))
+    return tuple(out)
 
 
 def koszul_ext_oracle(pt: MatrixPoint, field=QQ) -> dict:
@@ -413,19 +479,7 @@ def koszul_ext_oracle(pt: MatrixPoint, field=QQ) -> dict:
         raise ValueError("oracle needs a commuting triple")
     n = pt.n
     nn = n * n
-    ax, ay, az = (_adjoint_matrix(m, field) for m in pt.matrices())
-    nx, ny, nz = ax.scale(-1), ay.scale(-1), az.scale(-1)
-    zero = DenseMatrix.zero(nn, nn, field)
-    d0 = DenseMatrix.from_blocks([[ax], [ay], [az]])
-    d1 = DenseMatrix.from_blocks(
-        [
-            [zero, nz, ay],
-            [az, zero, nx],
-            [ny, ax, zero],
-        ]
-    )
-    d2 = DenseMatrix.from_blocks([[ax, ay, az]])
-    cx = FreeComplex(field, {0: nn, 1: 3 * nn, 2: 3 * nn, 3: nn}, {0: d0, 1: d1, 2: d2})
+    cx = FreeComplex(field, {0: nn, 1: 3 * nn, 2: 3 * nn, 3: nn}, dict(enumerate(_koszul_differentials(pt, field))))
     dims = cx.homology_dims()
     reps = {k: homology_representatives(cx, k) for k in range(4)}
     pair01 = tuple(

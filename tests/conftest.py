@@ -39,15 +39,17 @@ def sparsify(v):
 def rref_calls(monkeypatch):
     """(kind, rows, cols) of the elimination passes made from here on,
     through any critlocus module: kind "forward" for each
-    ``linalg.eliminate`` call, ``rref`` and ``pivot_columns`` included, and
-    "back" for each ``back_substitute`` call, with the echelon's shape."""
+    ``linalg.eliminate`` call, ``rref`` and ``pivot_columns`` included, with
+    the length of its column list as cols when it is given one, and "back"
+    for each ``back_substitute`` call, with the echelon's shape."""
     import critlocus.linalg
 
     calls = []
 
     def counting(kind, original):
         def wrapper(m, *args):
-            calls.append((kind, m.rows, m.cols))
+            width = len(args[0]) if kind == "forward" and args and args[0] is not None else m.cols
+            calls.append((kind, m.rows, width))
             return original(m, *args)
 
         return wrapper

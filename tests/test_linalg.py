@@ -388,11 +388,6 @@ def test_no_producer_stores_a_zero(field):
         for sign in (1, -1):
             assert stores_no_zero(_adjoint_matrix(m, field).scale(sign))
     assert _adjoint_matrix([[2, 0], [0, 2]], field) == DenseMatrix.zero(4, 4, field)
-    # a Kronecker product stores one entry per pair of stored entries (P/2
-    # vanishes mod P)
-    a = DenseMatrix.from_rows([[2, 0], [Fraction(1, 3), 1]], field)
-    k = a.kron(DenseMatrix.from_rows([[0, Fraction(P, 2)], [1, 0]], field))
-    assert stores_no_zero(k) and sum(map(len, k.sparse_rows)) == (6 if field == QQ else 3)
     # dependent rows leave zero rows in rref; cancelling terms in a product
     a = DenseMatrix.from_rows([[1, 2, 0], [2, 4, 0], [1, 1, 0]], field)
     red, pivots = rref(a)
@@ -562,34 +557,6 @@ def test_qq_scale_and_transpose_match_the_reference(m, c):
     assert a.transpose().data == [[rows[i][j] for i in range(r)] for j in range(cols)]
 
 
-def reference_kron(a, b, p=None):
-    """Kronecker product of two lists of rows: row (i, k) lists a_ij b_kl
-    for j, then l; reduced mod p when p is given."""
-    out = [[x * y for x in arow for y in brow] for arow in a for brow in b]
-    return out if p is None else [[v % p for v in row] for row in out]
-
-
-@settings(max_examples=100, deadline=None)
-@given(qq_matrices(), qq_matrices())
-def test_qq_kron_matches_the_reference(ma, mb):
-    (r, c, a_rows, a), (s, d, b_rows, b) = ma, mb
-    k = a.kron(b)
-    assert (k.rows, k.cols, k.den) == (r * s, c * d, a.den * b.den)
-    assert k.data == reference_kron(a_rows, b_rows) and all_fractions(k.data)
-    assert stores_no_zero(k)
-
-
-@settings(max_examples=100, deadline=None)
-@given(grids(unreduced_ints), grids(unreduced_ints))
-def test_gf_p_kron_matches_the_reference(ga, gb):
-    field = GF(P)
-    ((r, c), a_rows), ((s, d), b_rows) = ga, gb
-    k = DenseMatrix(field, r, c, a_rows).kron(DenseMatrix(field, s, d, b_rows))
-    assert (k.rows, k.cols, k.den) == (r * s, c * d, 1)
-    assert k.data == reference_kron(a_rows, b_rows, P)
-    assert stores_no_zero(k)
-
-
 @settings(max_examples=100, deadline=None)
 @given(qq_matrices())
 def test_qq_rank_rref_and_kernel_match_the_reference(m):
@@ -732,6 +699,53 @@ def scaled_gf_p_pairs(draw):
 def test_eliminate_ignores_row_scaling_over_gf_p(pair):
     a, b = pair
     assert eliminated(a) == eliminated(b)
+
+
+def stored(m):
+    """Shape, den and stored rows of ``m``, each row's items in stored order."""
+    return m.rows, m.cols, m.den, [list(row.items()) for row in m.sparse_rows]
+
+
+def increasing_columns(c):
+    return st.lists(st.integers(0, c - 1), unique=True, max_size=c).map(sorted) if c else st.just([])
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_eliminate_on_kept_columns_matches_the_submatrix_over_qq(data):
+    # inputs over unreduced dens; the columns kept are an increasing subset
+    _, c, _, m = data.draw(qq_matrices(c=data.draw(st.integers(0, 7))))
+    cols = data.draw(increasing_columns(c))
+    echelon, pivots, rows = eliminate(m, cols)
+    want, want_pivots, want_rows = eliminate(m.submatrix(range(m.rows), cols))
+    assert stored(echelon) == stored(want) and (pivots, rows) == (want_pivots, want_rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_eliminate_on_kept_columns_matches_the_submatrix_over_gf_p(data):
+    (r, c), rows = data.draw(grids(st.one_of(st.just(0), unreduced_ints)))
+    m = DenseMatrix(GF(P), r, c, rows)
+    cols = data.draw(increasing_columns(c))
+    echelon, pivots, prows = eliminate(m, cols)
+    want, want_pivots, want_rows = eliminate(m.submatrix(range(r), cols))
+    assert stored(echelon) == stored(want) and (pivots, prows) == (want_pivots, want_rows)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(P)], ids=["QQ", "GF(p)"])
+def test_a_repeated_or_outside_column_is_refused(field):
+    # a repeated column used to collapse: [1, 1, 0] gave a 2 x 2 matrix with
+    # an entry in column 2, whose data raised IndexError
+    m = DenseMatrix.identity(3, field)
+    for cols, bad in (([1, 1, 0], "column 1"), ([2, 0, 1, 0], "column 0")):
+        with pytest.raises(ValueError, match=f"{bad} repeated"):
+            m.submatrix([0, 1], cols)
+        with pytest.raises(ValueError, match=f"{bad} repeated"):
+            eliminate(m, cols)
+    with pytest.raises(IndexError, match="column 3"):
+        eliminate(m, [0, 3])
+    assert eliminate(m, range(1, 3))[1] == eliminate(m, [1, 2])[1] == [0, 1]
+    assert m.submatrix([0, 0], [2, 0]).data == [[0, 1], [0, 1]]
 
 
 @st.composite

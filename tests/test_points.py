@@ -25,7 +25,7 @@ from critlocus.points import (
     random_invertible,
     save_corpus,
 )
-from critlocus.points import _adjoint_matrix, _trace_pairing_rank
+from critlocus.points import _adjoint_matrix, _koszul_differentials, _trace_pairing_rank
 from critlocus.scalars import GF, QQ
 from test_linalg import naive_matmul
 
@@ -303,6 +303,85 @@ def test_oracle_eliminates_each_differential_once(rref_calls):
     forward = [(r, c) for kind, r, c in calls if kind == "forward"]
     assert forward[:3] == shapes and len(forward) == 5
     assert [(r, c) for kind, r, c in calls if kind == "back"] == shapes
+
+
+def reference_koszul_differentials(pt):
+    """Dense d0, d1, d2 of the Koszul complex, column by column from
+    [m, E] = m E - E m on Fraction matrices: d0 E = ([X, E], [Y, E], [Z, E]),
+    d1 (a, b, c) = ([Y, c] - [Z, b], [Z, a] - [X, c], [X, b] - [Y, a]) and
+    d2 (a, b, c) = [X, a] + [Y, b] + [Z, c], E_pq at index p*n + q."""
+    n = pt.n
+    X, Y, Z = pt.matrices()
+
+    def br(m, e):
+        me, em = naive_matmul(m, e, n, n, n), naive_matmul(e, m, n, n, n)
+        return [[me[i][j] - em[i][j] for j in range(n)] for i in range(n)]
+
+    def add(*ms):
+        return [[sum(m[i][j] for m in ms) for j in range(n)] for i in range(n)]
+
+    def neg(m):
+        return [[-x for x in row] for row in m]
+
+    def units(slots):
+        for k in range(slots * n * n):
+            yield [
+                [[Fraction(int(s * n * n + i * n + j == k)) for j in range(n)] for i in range(n)]
+                for s in range(slots)
+            ]
+
+    maps = (
+        (1, lambda e: [br(X, e[0]), br(Y, e[0]), br(Z, e[0])]),
+        (
+            3,
+            lambda e: [
+                add(br(Y, e[2]), neg(br(Z, e[1]))),
+                add(br(Z, e[0]), neg(br(X, e[2]))),
+                add(br(X, e[1]), neg(br(Y, e[0]))),
+            ],
+        ),
+        (3, lambda e: [add(br(X, e[0]), br(Y, e[1]), br(Z, e[2]))]),
+    )
+    out = []
+    for slots, f in maps:
+        columns = [[x for block in f(e) for row in block for x in row] for e in units(slots)]
+        out.append([list(row) for row in zip(*columns)])
+    return out
+
+
+def fractional_point(n, rng):
+    """A commuting point with non-integer entries: A, A^2 / 7 and I / 5 + A / 2."""
+    A = [[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)]
+    A2 = naive_matmul(A, A, n, n, n)
+    Y = [[x / 7 for x in row] for row in A2]
+    Z = [[Fraction(int(i == j), 5) + A[i][j] / 2 for j in range(n)] for i in range(n)]
+    return MatrixPoint(A, Y, Z)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(1048583)], ids=["QQ", "GF(p)"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_koszul_differentials_match_the_commutator_reference(n, field):
+    rng = random.Random(n)
+    pts = [point_from_partition(pp) for pp in enumerate_partitions(n)]
+    pts += random_conjugate_points(n, 2, rng) + [fractional_point(n, rng)]
+    assert any(x.denominator > 1 for m in pts[-1].matrices() for row in m for x in row)
+    for pt in pts:
+        got = _koszul_differentials(pt, field)
+        for d, want in zip(got, reference_koszul_differentials(pt)):
+            assert d.data == [[field.of(x) for x in row] for row in want]
+            assert all(x or x is field.zero for row in d.data for x in row)
+
+
+def test_gf_p_koszul_differentials_refuse_a_denominator_divisible_by_p():
+    # an off-diagonal entry, and a scalar diagonal whose commutators all cancel
+    p = 1048583
+    for X, cancels in (([[0, Fraction(1, 2 * p)], [0, 0]], False), ([[Fraction(1, p), 0], [0, Fraction(1, p)]], True)):
+        pt = MatrixPoint(X, Z2, Z2)
+        with pytest.raises(ZeroDivisionError, match=f"divisible by {p}"):
+            _koszul_differentials(pt, GF(p))
+        with pytest.raises(ZeroDivisionError, match=f"divisible by {p}"):
+            _adjoint_matrix(X, GF(p))
+        assert _koszul_differentials(pt, QQ)[0].is_zero() == cancels
 
 
 def test_nilpotent_regular_point():

@@ -211,38 +211,31 @@ class CompiledMatrix:
 
     def __init__(self, m: SymMatrix):
         live = [g.cdeg == 0 and g.fdeg == 0 for g in m.table.gens]
-
-        def live_terms(p):
-            for (e, o), c in p.terms.items():
-                if not o and all(live[k] for k, _ in e):
-                    yield c, tuple(k for k, exp in e for _ in range(exp))
-
         self.rows = m.rows
         self.cols = m.cols
-        self.scale = 1
-        self.degree = 0
-        for row in m.sparse_rows:
-            for p in row.values():
-                for c, gens in live_terms(p):
-                    self.scale = lcm(self.scale, c.denominator)
-                    self.degree = max(self.degree, len(gens))
-        self.entries = []
-        self.by_gen = {}
-        self.constant = []
+        # one walk over the terms: the live ones, with the scale and degree
+        scale, degree, found = 1, 0, []
         for i, row in enumerate(m.sparse_rows):
             for j in sorted(row):
-                terms = tuple(
-                    (c.numerator * (self.scale // c.denominator), gens, self.degree - len(gens))
-                    for c, gens in live_terms(row[j])
-                )
-                if not terms:
-                    continue
-                n = len(self.entries)
-                if not all(gens for _, gens, _ in terms):
-                    self.constant.append(n)
-                for k in {gens[0] for _, gens, _ in terms if gens}:
-                    self.by_gen.setdefault(k, []).append(n)
-                self.entries.append((i, j, terms))
+                terms = []
+                for (e, o), c in row[j].terms.items():
+                    if not o and all(live[k] for k, _ in e):
+                        gens = tuple(k for k, exp in e for _ in range(exp))
+                        terms.append((c, gens))
+                        scale = lcm(scale, c.denominator)
+                        degree = max(degree, len(gens))
+                if terms:
+                    found.append((i, j, terms))
+        self.scale, self.degree = scale, degree
+        self.entries, self.by_gen, self.constant = [], {}, []
+        for n, (i, j, terms) in enumerate(found):
+            if not all(gens for _, gens in terms):
+                self.constant.append(n)
+            for k in {gens[0] for _, gens in terms if gens}:
+                self.by_gen.setdefault(k, []).append(n)
+            self.entries.append(
+                (i, j, tuple((c.numerator * (scale // c.denominator), gens, degree - len(gens)) for c, gens in terms))
+            )
 
     def values(self, point: "_Point"):
         """(row, col, V) of each entry that is nonzero at ``point``, in

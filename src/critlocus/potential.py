@@ -263,31 +263,40 @@ def _entry_images(table, name: str, m: SymMatrix) -> dict:
 
 
 def coaction_derivation(cdga: MatrixCdga, a: int, b: int) -> Derivation:
-    """The vector field of the elementary matrix E_(a,b), 1-based indices.
+    """The vector field of the elementary matrix E_(a,b), 1-based indices;
+    an index that is not an int in 1..n raises ValueError naming it.
 
     Even generators transform by M -> [E, M], odd ones by M -> -[E^T, M];
     this is the unique extension under which the differential is
-    equivariant.
+    equivariant.  Only the nonzero images are written, by table offset:
+    the block of M starts at its place in ``MATRIX_BLOCKS`` times n^2.
     """
     n, t = cdga.n, cdga.table
+    for label, v in (("a", a), ("b", b)):
+        if type(v) is not int or not 1 <= v <= n:
+            raise ValueError(f"gl_{n} index {label} = {v!r} is not an int in 1..{n}")
     images = {}
+    for block, (_, deg) in enumerate(GeneratorTable.MATRIX_BLOCKS):
+        start, odd = block * n * n, deg & 1
+        # s * [E_pq, M](i,j) = s * (delta_ip M(q,j) - M(i,p) delta_jq), 0-based,
+        # with -[E_ab^T, M] = -[E_ba, M] on the odd blocks
+        p, q, s = (b - 1, a - 1, -1) if odd else (a - 1, b - 1, 1)
 
-    def add_adjoint(name, a, b, sign):
-        # sign * [E_ab, M](i,j) = sign * (delta_ia M(b,j) - M(i,a) delta_jb)
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                val = SuperPoly.zero(t)
-                if i == a:
-                    val += _gen(t, f"{name}({b},{j})")
-                if j == b:
-                    val -= _gen(t, f"{name}({i},{a})")
-                images[t.idx(f"{name}({i},{j})")] = val.scale(sign)
+        def term(i, j):
+            k = start + i * n + j
+            return ((), (k,)) if odd else (((k, 1),), ())
 
-    for name in ("X0", "Y0", "Z0", "T"):
-        add_adjoint(name, a, b, 1)
-    # -[E_ab^T, M] = -[E_ba, M]
-    for name in ("Xm1", "Ym1", "Zm1"):
-        add_adjoint(name, b, a, -1)
+        for i in range(n):
+            if i != p:
+                images[start + i * n + q] = SuperPoly._of_terms(t, {term(i, p): -s})
+                continue
+            for j in range(n):
+                terms = {term(q, j): s}
+                if j == q:
+                    if p == q:
+                        continue
+                    terms[term(i, p)] = -s
+                images[start + i * n + j] = SuperPoly._of_terms(t, terms)
     return Derivation(t, images, parity=0, cdeg_shift=0)
 
 
@@ -321,8 +330,9 @@ class CotangentModel:
         self.complex = self._build()
 
     def _build(self) -> FreeComplex:
-        """One pass over the table: generator k of cdeg q is column
-        k - start[q] of every component out of degree q."""
+        """One pass over the table, then one over the gl actions' images:
+        generator k of cdeg q is column k - start[q] of every component
+        out of degree q."""
         cdga = self.cdga
         n, t = self.n, cdga.table
         start = degree_starts(t)
@@ -347,8 +357,11 @@ class CotangentModel:
             for tgt, coeff in split.items():
                 r = t.cdeg(tgt - base)
                 blocks[(q, r)].set(tgt - base - start[r], col, SuperPoly._of_terms(t, coeff.terms))
-            for slot, action in enumerate(actions):
-                blocks[(q, 1)].set(slot, col, action.image_of(k).scale(self.COACTION_SIGN))
+        # an action's row is its gl slot; it stores about 2n images a block
+        for slot, action in enumerate(actions):
+            for k, image in action.images.items():
+                q = t.cdeg(k)
+                blocks[(q, 1)].set(slot, k - start[q], image.scale(self.COACTION_SIGN))
         diff = {q: blocks[(q, q + 1)] for q in range(-2, 1)}
         twist = {(q, r): m for (q, r), m in blocks.items() if r >= q + 2}
         return FreeComplex(t, self.ranks, diff, twist)

@@ -33,11 +33,12 @@ See README for the grammar.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from numbers import Number
 from typing import Iterable, Optional
 
-from .scalars import Terms, accumulate, coefficient, signed_sum
+from .scalars import Terms, coefficient, signed_sum
 
 
 class Generator:
@@ -161,11 +162,15 @@ def add_product(terms: dict, left: dict, right: dict):
     ``accumulate`` costs it about a tenth more time."""
     for (e1, o1), c1 in left.items():
         for (e2, o2), c2 in right.items():
-            sign, odd = _merge_odd(o1, o2)
-            if sign == 0:
-                continue
+            if o1 and o2:
+                sign, odd = _merge_odd(o1, o2)
+                if not sign:
+                    continue
+                c = sign * c1 * c2
+            else:
+                odd, c = o1 or o2, c1 * c2
             m = (_merge_even(e1, e2), odd)
-            nc = terms.get(m, 0) + sign * c1 * c2
+            nc = terms.get(m, 0) + c
             if nc:
                 terms[m] = nc if type(nc) is int else coefficient(nc)
             elif m in terms:
@@ -173,10 +178,22 @@ def add_product(terms: dict, left: dict, right: dict):
 
 
 def _merge_even(e1, e2):
+    """The product of two sorted exponent tuples.  A one-factor side, as
+    almost every entry these builds multiply is linear, is inserted in
+    place; otherwise the exponents are summed in a dict and sorted."""
     if not e1:
         return e2
     if not e2:
         return e1
+    if len(e1) == 1:
+        e1, e2 = e2, e1
+    if len(e2) == 1:
+        k, x = e2[0]
+        # (k,) sorts before every (k, exp), so i is the first key >= k
+        i = bisect_left(e1, (k,))
+        if i < len(e1) and e1[i][0] == k:
+            return e1[:i] + ((k, e1[i][1] + x),) + e1[i + 1 :]
+        return e1[:i] + e2 + e1[i:]
     d = dict(e1)
     for k, e in e2:
         d[k] = d.get(k, 0) + e
@@ -368,12 +385,23 @@ class Derivation:
     """A graded derivation of fixed parity, given by its values on generators.
 
     ``apply`` extends the generator assignment by the graded Leibniz rule
-    d(ab) = (da)b + (-1)^(p(d) p(a)) a (db).
+    d(ab) = (da)b + (-1)^(p(d) p(a)) a (db).  An image must be a SuperPoly
+    over the same table: another value raises TypeError, an element of
+    another table ValueError, each naming the generator.  Zero images are
+    not stored.
     """
 
     def __init__(self, table: GeneratorTable, images: dict, parity: int, cdeg_shift: Optional[int] = None):
         self.table = table
-        self.images = {table.idx(k): v for k, v in images.items()}
+        self.images = {}
+        for key, img in images.items():
+            k = table.idx(key)
+            if not isinstance(img, SuperPoly):
+                raise TypeError(f"image of {table.gen(k).name} is not a SuperPoly: {img!r}")
+            if img.table is not table:
+                raise ValueError(f"image of {table.gen(k).name} is built over another generator table")
+            if img.terms:
+                self.images[k] = img
         self.parity = parity & 1
         self.cdeg_shift = cdeg_shift
 
@@ -389,8 +417,6 @@ class Derivation:
             return
         t = self.table
         for k, img in self.images.items():
-            if img.is_zero():
-                continue
             want = t.cdeg(k) + self.cdeg_shift
             got = img.cdeg()
             if got != want:
@@ -400,30 +426,36 @@ class Derivation:
 
     def apply(self, p: SuperPoly) -> SuperPoly:
         out = {}
+        images = self.images
         pd = self.parity
         for (e, o), c in p.terms.items():
-            # even factors first (their parity is 0, no Leibniz sign)
+            # one site per factor with an image: (image, the other even factors,
+            # the odd letters left and right of it, coefficient with its sign)
+            sites = []
             for pos, (k, exp) in enumerate(e):
-                img = self.images.get(k)
-                if img is not None and img.terms:
-                    lowered = ((k, exp - 1),) if exp > 1 else ()
-                    accumulate(out, _sandwich(c * exp, e[:pos] + lowered + e[pos + 1 :], (), img.terms, o))
-            # odd factors, walking left to right
+                img = images.get(k)
+                if img is not None:
+                    sites.append((img, e[:pos] + (((k, exp - 1),) if exp > 1 else ()) + e[pos + 1 :], (), o, c * exp))
             for j, k in enumerate(o):
-                img = self.images.get(k)
-                if img is not None and img.terms:
-                    sign = -1 if (pd and (j & 1)) else 1
-                    accumulate(out, _sandwich(c * sign, e, o[:j], img.terms, o[j + 1 :]))
+                img = images.get(k)
+                if img is not None:
+                    sites.append((img, e, o[:j], o[j + 1 :], -c if pd and j & 1 else c))
+            for img, even, left, right, cs in sites:
+                for (e2, o2), c2 in img.terms.items():
+                    if o2:
+                        s1, odd = _merge_odd(left, o2)
+                        if not s1:
+                            continue
+                        s2, odd = _merge_odd(odd, right)
+                        if not s2:
+                            continue
+                        nc = s1 * s2 * cs * c2
+                    else:
+                        odd, nc = left + right, cs * c2
+                    m = (_merge_even(even, e2), odd)
+                    nc += out.get(m, 0)
+                    if nc:
+                        out[m] = nc if type(nc) is int else coefficient(nc)
+                    elif m in out:
+                        del out[m]
         return SuperPoly._of_terms(self.table, out)
-
-
-def _sandwich(c, even, left, terms, right):
-    """The terms of c * m * q * r, with m the monomial (even, left), q the
-    element given by ``terms`` and r the odd word ``right``, as (monomial,
-    coefficient) pairs: one per term of q that survives."""
-    for (e2, o2), c2 in terms.items():
-        s1, odd = _merge_odd(left, o2)
-        if s1:
-            s2, odd = _merge_odd(odd, right)
-            if s2:
-                yield (_merge_even(even, e2), odd), s1 * s2 * c * c2

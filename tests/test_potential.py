@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -135,6 +136,42 @@ def test_coaction_makes_differential_equivariant():
                 lhs = d.apply(rho.apply(g))
                 rhs = rho.apply(d.apply(g))
                 assert lhs == rhs, (a, b, cdga.table.gen(k).name)
+
+
+def _elementary(table, n, a, b):
+    e = SymMatrix(table, n, n)
+    e.set(a - 1, b - 1, SuperPoly.one(table))
+    return e
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_coaction_images_are_the_commutators(n):
+    # [E_ab, M] on X0, Y0, Z0, T and -[E_ba, M] on Xm1, Ym1, Zm1, entry by
+    # entry, read by generator name; every stored image is nonzero
+    cdga = MatrixCdga(n)
+    t = cdga.table
+    for a in range(1, n + 1):
+        for b in range(1, n + 1):
+            rho = coaction_derivation(cdga, a, b)
+            assert all(img.terms for img in rho.images.values())
+            for name, _ in GeneratorTable.MATRIX_BLOCKS:
+                m = symbol_matrix(t, name, n)
+                if name in ("Xm1", "Ym1", "Zm1"):
+                    want = commutator(_elementary(t, n, b, a), m).scale(-1)
+                else:
+                    want = commutator(_elementary(t, n, a, b), m)
+                for i in range(n):
+                    for j in range(n):
+                        got = rho.image_of(t.idx(f"{name}({i + 1},{j + 1})"))
+                        assert got == want.entry(i, j), (a, b, name, i, j)
+
+
+@pytest.mark.parametrize("bad", [0, 3, -1, True, 1.0, "1", None])
+def test_coaction_refuses_an_index_outside_one_to_n(bad):
+    cdga = MatrixCdga(2)
+    for a, b in ((bad, 1), (1, bad)):
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            coaction_derivation(cdga, a, b)
 
 
 # -- cotangent model ---------------------------------------------------------

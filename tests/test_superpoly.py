@@ -3,7 +3,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from critlocus.family import BimodElement
@@ -12,6 +12,7 @@ from critlocus.superpoly import (
     Derivation,
     GeneratorTable,
     SuperPoly,
+    _merge_even,
     poly_to_text,
 )
 
@@ -379,3 +380,186 @@ def test_product_with_a_non_number_is_not_implemented():
         x * object()
     with pytest.raises(TypeError):
         x * "2"
+
+
+def test_derivation_refuses_an_image_over_another_table():
+    t1, t2 = GeneratorTable.canonical(1), GeneratorTable.canonical(2)
+    with pytest.raises(ValueError, match=re.escape("image of X0(1,1)")):
+        Derivation(t2, {"X0(1,1)": g(t1, "Y0(1,1)")}, 0)
+    # a structurally equal table is still another table
+    with pytest.raises(ValueError, match=re.escape("image of Xm1(1,1)")):
+        Derivation(t1, {"Xm1(1,1)": g(GeneratorTable.canonical(1), "X0(1,1)")}, 1)
+
+
+@pytest.mark.parametrize("image", [3, Fraction(1, 2), None, "X0(1,1)"])
+def test_derivation_refuses_an_image_that_is_not_a_superpoly(image):
+    t = GeneratorTable.canonical(1)
+    with pytest.raises(TypeError, match=re.escape("image of Y0(1,1)")):
+        Derivation(t, {"Y0(1,1)": image}, 0)
+
+
+def test_derivation_stores_no_zero_image():
+    t = table2()
+    d = Derivation(t, {"X0(1,1)": SuperPoly.zero(t), "Y0(1,1)": g(t, "Z0(1,1)")}, 0)
+    assert d.images.keys() == {t.idx("Y0(1,1)")}
+    assert d.image_of(t.idx("X0(1,1)")).is_zero()
+
+
+# -- an independent reference for the product and Derivation.apply ------------
+#
+# An element is a dict {monomial: coefficient}.  The reference multiplies by
+# concatenating the two monomials' flattened words (each generator repeated
+# by its exponent) and bubble-sorting the result by generator index, with a
+# sign for every swap of two odd letters and zero for two equal odd letters.
+
+
+def _ref_normal(t, word):
+    """(sign, monomial) of the word ``word``, or (0, None) when it vanishes."""
+    word, sign = list(word), 1
+    for end in range(len(word) - 1, 0, -1):
+        for i in range(end):
+            if word[i] > word[i + 1]:
+                if t.parity(word[i]) and t.parity(word[i + 1]):
+                    sign = -sign
+                word[i], word[i + 1] = word[i + 1], word[i]
+    even, odd = {}, []
+    for i, k in enumerate(word):
+        if t.parity(k):
+            if i and word[i - 1] == k:
+                return 0, None
+            odd.append(k)
+        else:
+            even[k] = even.get(k, 0) + 1
+    return sign, (tuple(sorted(even.items())), tuple(odd))
+
+
+def _ref_word(m):
+    """The monomial ``m`` as its word sorted by index: moving even letters
+    costs no sign, so the word's normal form is ``m`` itself."""
+    e, o = m
+    return sorted([k for k, x in e for _ in range(x)] + list(o))
+
+
+def _ref_add(out, m, c):
+    out[m] = out.get(m, 0) + c
+    if not out[m]:
+        del out[m]
+
+
+def _ref_product(t, a, b):
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            sign, m = _ref_normal(t, _ref_word(m1) + _ref_word(m2))
+            if sign:
+                _ref_add(out, m, sign * c1 * c2)
+    return out
+
+
+def _ref_apply(t, images, parity, a):
+    """Leibniz factor by factor: D(g1...gr) is the sum over i of
+    (-1)^(parity * p(g1...g(i-1))) g1...g(i-1) D(gi) g(i+1)...gr."""
+    out = {}
+    for m, c in a.items():
+        word = _ref_word(m)
+        for i, k in enumerate(word):
+            if k not in images:
+                continue
+            # a part of a sorted word is sorted: its sign is +1
+            _, left = _ref_normal(t, word[:i])
+            _, right = _ref_normal(t, word[i + 1 :])
+            sign = -1 if parity and sum(t.parity(x) for x in word[:i]) & 1 else 1
+            term = _ref_product(t, _ref_product(t, {left: sign * c}, images[k]), {right: 1})
+            for m2, c2 in term.items():
+                _ref_add(out, m2, c2)
+    return out
+
+
+@st.composite
+def ref_elements(draw, t, pool, parity=None):
+    """A sum of coefficient times word in the generators ``pool``, an even
+    one repeated up to three times, normalized by the reference alone; with
+    ``parity`` set, only the terms of that parity are kept."""
+    out = {}
+    for _ in range(draw(st.integers(1, 4))):
+        c = draw(st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-5, 3)]))
+        word = []
+        for k, times in draw(st.lists(st.tuples(st.sampled_from(pool), st.integers(1, 3)), max_size=4)):
+            word += [k] * (1 if t.parity(k) else times)
+        sign, m = _ref_normal(t, word)
+        if sign and (parity is None or len(m[1]) & 1 == parity):
+            _ref_add(out, m, sign * c)
+    return out
+
+
+@st.composite
+def tables_and_pools(draw):
+    """The rank-2 table or its form extension, with a few of its generators:
+    so few that words repeat them and derivations hit them."""
+    t = draw(st.sampled_from(TEXT_TABLES))
+    return t, draw(st.lists(st.integers(0, len(t) - 1), min_size=1, max_size=6, unique=True))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_product_matches_the_reference(data):
+    t, pool = data.draw(tables_and_pools())
+    a, b = data.draw(ref_elements(t, pool)), data.draw(ref_elements(t, pool))
+    assert (SuperPoly(t, a) * SuperPoly(t, b)).terms == _ref_product(t, a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_derivation_apply_matches_the_reference(data):
+    t, pool = data.draw(tables_and_pools())
+    parity = data.draw(st.integers(0, 1))
+    # a derivation of parity p sends g to an element of parity p(g) + p
+    images = {k: data.draw(ref_elements(t, pool, (t.parity(k) + parity) & 1)) for k in pool}
+    a = data.draw(ref_elements(t, pool))
+    d = Derivation(t, {k: SuperPoly(t, img) for k, img in images.items()}, parity)
+    want = _ref_apply(t, {k: img for k, img in images.items() if img}, parity, a)
+    assert d.apply(SuperPoly(t, a)).terms == want
+
+
+@pytest.mark.parametrize("parity", [0, 1])
+def test_derivation_apply_matches_the_reference_inside_an_odd_word(parity):
+    # odd letters on both sides of the one hit, and a squared even factor
+    t = TEXT_TABLES[1]
+    word = [t.idx(x) for x in ("X0(1,1)", "X0(1,1)", "Xm1(1,1)", "Xm1(1,2)", "Ym1(2,1)", "d(X0(2,2))")]
+    _, m = _ref_normal(t, word)
+    if parity:
+        hit = {"Xm1(1,2)": ["X0(2,2)", "Xm1(2,2)*Zm1(1,1)"], "X0(1,1)": ["Ym1(1,1)"]}
+    else:
+        hit = {"Xm1(1,2)": ["Zm1(2,2)", "X0(1,2)*Zm1(1,1)"], "X0(1,1)": ["Y0(1,2)"]}
+    images = {}
+    for name, words in hit.items():
+        img = {}
+        for w in words:
+            _ref_add(img, _ref_normal(t, [t.idx(x) for x in w.split("*")])[1], 1)
+        images[t.idx(name)] = img
+    d = Derivation(t, {k: SuperPoly(t, img) for k, img in images.items()}, parity)
+    want = _ref_apply(t, images, parity, {m: 3})
+    assert want
+    assert d.apply(SuperPoly(t, {m: 3})).terms == want
+
+
+exponent_tuples = st.dictionaries(st.integers(0, 8), st.integers(1, 4), max_size=4).map(
+    lambda d: tuple(sorted(d.items()))
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(exponent_tuples, exponent_tuples)
+@example((), ())
+@example((), ((3, 1),))
+@example(((3, 1),), ((3, 2),))
+@example(((5, 1),), ((3, 1),))
+@example(((1, 1), (3, 2), (7, 1)), ((3, 1),))
+@example(((1, 1), (3, 2), (7, 1)), ((0, 1),))
+@example(((1, 1), (3, 2), (7, 1)), ((9, 2),))
+def test_merge_even_matches_dict_and_sort(e1, e2):
+    summed = dict(e1)
+    for k, x in e2:
+        summed[k] = summed.get(k, 0) + x
+    want = tuple(sorted(summed.items()))
+    assert _merge_even(e1, e2) == want == _merge_even(e2, e1)

@@ -282,6 +282,8 @@ def _addable_cells(s):
 def enumerate_partitions_by_heights(n: int):
     """Independent strategy: a plane partition is a height matrix h(a, b),
     weakly decreasing along rows and columns, with total sum n."""
+    if n < 1:
+        raise ValueError("size must be positive")
     results = []
 
     def extend_rows(remaining, prev_row, acc):

@@ -34,16 +34,16 @@ from .points import check_square
 from .scalars import QQ
 from .superpoly import Derivation, GeneratorTable, SuperPoly
 
-BLOCKS = ("X", "Y", "Z")
-
-
-def _gen(table, name):
-    return SuperPoly.gen(table, name)
-
 
 def symbol_matrix(table, name: str, n: int) -> SymMatrix:
-    """The n x n matrix whose (i,j) entry is the generator name(i+1,j+1)."""
-    rows = [[_gen(table, f"{name}({i},{j})") for j in range(1, n + 1)] for i in range(1, n + 1)]
+    """The n x n matrix whose (i,j) entry is the generator name(i+1,j+1),
+    read by table offset (``GeneratorTable.block_start``).  A table that is
+    not a canonical table of rank n, nor its extension by forms, raises
+    ValueError naming both ranks."""
+    if table.n != n:
+        raise ValueError(f"a rank-{n} matrix {name} needs a rank-{n} canonical table, not one of rank {table.n}")
+    start = GeneratorTable.block_start(name, n)
+    rows = [[SuperPoly.gen(table, start + i * n + j) for j in range(n)] for i in range(n)]
     return SymMatrix(table, n, n, rows)
 
 
@@ -69,9 +69,7 @@ def build_potential(n: int, table=None) -> SuperPoly:
     """W = tr(X0 [Y0, Z0]) as a degree-0 element of the rank-n cdga."""
     if table is None:
         table = GeneratorTable.canonical(n)
-    x = symbol_matrix(table, "X0", n)
-    y = symbol_matrix(table, "Y0", n)
-    z = symbol_matrix(table, "Z0", n)
+    x, y, z = (symbol_matrix(table, name, n) for name in ("X0", "Y0", "Z0"))
     return trace(x.matmul(commutator(y, z)))
 
 
@@ -82,13 +80,9 @@ class MatrixCdga:
         self.n = n
         self.table = GeneratorTable.canonical(n)
         t = self.table
-        self.x0 = symbol_matrix(t, "X0", n)
-        self.y0 = symbol_matrix(t, "Y0", n)
-        self.z0 = symbol_matrix(t, "Z0", n)
-        self.xm1 = symbol_matrix(t, "Xm1", n)
-        self.ym1 = symbol_matrix(t, "Ym1", n)
-        self.zm1 = symbol_matrix(t, "Zm1", n)
-        self.tgen = symbol_matrix(t, "T", n)
+        self.x0, self.y0, self.z0, self.xm1, self.ym1, self.zm1, self.tgen = (
+            symbol_matrix(t, name, n) for name, _ in GeneratorTable.MATRIX_BLOCKS
+        )
         self.potential = build_potential(n, t)
         self.differential = self._build_differential()
         self._ext = None
@@ -121,21 +115,6 @@ class MatrixCdga:
         d.check_degrees()
         return d
 
-    def partial_w(self, block: str, i: int, j: int) -> SuperPoly:
-        """dW/d(block)(i,j) by coefficient extraction from W."""
-        marker = self.table.idx(f"{block}0({i},{j})")
-        # W is multilinear in the three blocks, so coefficient extraction
-        # in a degree-0 generator is the honest partial derivative.
-        terms = {}
-        for (e, o), c in self.potential.terms.items():
-            d = dict(e)
-            if marker not in d:
-                continue
-            exp = d.pop(marker)
-            m = (tuple(sorted(d.items())), o)
-            terms[m] = terms.get(m, 0) + c * exp
-        return SuperPoly(self.table, terms)
-
     # -- checks ----------------------------------------------------------------
 
     def d_squared_on_generators(self):
@@ -149,12 +128,16 @@ class MatrixCdga:
         return bad
 
     def jacobian_entries(self):
-        """The 3n^2 entries of dW, in block order."""
+        """The 3n^2 entries of dW, in block order.  W is linear in each of
+        X0, Y0 and Z0, so splitting W by one block's generators gives that
+        block's partial derivatives."""
+        n, t = self.n, self.table
         out = []
-        for block in BLOCKS:
-            for i in range(1, self.n + 1):
-                for j in range(1, self.n + 1):
-                    out.append(self.partial_w(block, i, j))
+        for name in ("X0", "Y0", "Z0"):
+            start = GeneratorTable.block_start(name, n)
+            block = range(start, start + n * n)
+            split = self.potential.linear_coefficients(block)
+            out.extend(split[k] if k in split else SuperPoly.zero(t) for k in block)
         return out
 
     def commutator_entries_transposed(self):
@@ -175,9 +158,7 @@ class MatrixCdga:
         """
         n, t = self.n, self.table
         nn = n * n
-        d_top = SymMatrix(t, 1, 3 * nn)
-        for col, p in enumerate(self.jacobian_entries()):
-            d_top.set(0, col, p)
+        d_top = SymMatrix(t, 1, 3 * nn, [self.jacobian_entries()])
         d_bot = SymMatrix(t, 3 * nn, nn)
         # the odd generators, in table order, are the rows of d_bot
         start = degree_starts(t)
@@ -252,11 +233,9 @@ def degree_starts(table) -> dict:
 def _entry_images(table, name: str, m: SymMatrix) -> dict:
     """The nonzero entries of ``m`` keyed by the index of the generator
     name(i+1,j+1) at their position; a missing image is zero."""
-    return {
-        table.idx(f"{name}({i + 1},{j + 1})"): p
-        for i, row in enumerate(m.sparse_rows)
-        for j, p in row.items()
-    }
+    n = table.n
+    start = GeneratorTable.block_start(name, n)
+    return {start + i * n + j: p for i, row in enumerate(m.sparse_rows) for j, p in row.items()}
 
 
 # -- the action of gl_n -----------------------------------------------------------
@@ -268,16 +247,16 @@ def coaction_derivation(cdga: MatrixCdga, a: int, b: int) -> Derivation:
 
     Even generators transform by M -> [E, M], odd ones by M -> -[E^T, M];
     this is the unique extension under which the differential is
-    equivariant.  Only the nonzero images are written, by table offset:
-    the block of M starts at its place in ``MATRIX_BLOCKS`` times n^2.
+    equivariant.  Only the nonzero images are written, by table offset
+    (``GeneratorTable.block_start``).
     """
     n, t = cdga.n, cdga.table
     for label, v in (("a", a), ("b", b)):
         if type(v) is not int or not 1 <= v <= n:
             raise ValueError(f"gl_{n} index {label} = {v!r} is not an int in 1..{n}")
     images = {}
-    for block, (_, deg) in enumerate(GeneratorTable.MATRIX_BLOCKS):
-        start, odd = block * n * n, deg & 1
+    for name, deg in GeneratorTable.MATRIX_BLOCKS:
+        start, odd = GeneratorTable.block_start(name, n), deg & 1
         # s * [E_pq, M](i,j) = s * (delta_ip M(q,j) - M(i,p) delta_jq), 0-based,
         # with -[E_ab^T, M] = -[E_ba, M] on the odd blocks
         p, q, s = (b - 1, a - 1, -1) if odd else (a - 1, b - 1, 1)
@@ -416,16 +395,14 @@ def build_primitive_one_form(cdga: MatrixCdga) -> SuperPoly:
 def _pair_odd_with_d_even(cdga: MatrixCdga, odd_shift: int) -> SuperPoly:
     """sum_ij o(i,j) d(X0(i,j)) + the Y and Z terms, o(i,j) being Xm1(i,j)
     for ``odd_shift`` 0 and its de Rham symbol d(Xm1(i,j)) for ``odd_shift``
-    the size of the base table."""
+    the size of the base table.  The odd blocks follow the degree-0 ones
+    in the same order, so generator odd + r pairs with d(generator r)."""
     ext, _, _ = cdga.extended()
     base = len(cdga.table)
+    odd = GeneratorTable.block_start("Xm1", cdga.n)
     acc = SuperPoly.zero(ext)
-    for block in BLOCKS:
-        for i in range(1, cdga.n + 1):
-            for j in range(1, cdga.n + 1):
-                odd = SuperPoly.gen(ext, odd_shift + cdga.table.idx(f"{block}m1({i},{j})"))
-                eta = SuperPoly.gen(ext, base + cdga.table.idx(f"{block}0({i},{j})"))
-                acc += odd * eta
+    for r in range(odd):
+        acc += SuperPoly.gen(ext, odd_shift + odd + r) * SuperPoly.gen(ext, base + r)
     return acc
 
 

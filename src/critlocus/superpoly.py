@@ -60,6 +60,9 @@ class Generator:
 class GeneratorTable:
     """An ordered list of generators; order fixes all normal-form signs."""
 
+    # the rank of a canonical table and of its extension by forms
+    n = None
+
     def __init__(self, gens: Iterable[Generator]):
         self.gens = list(gens)
         self.by_name = {}
@@ -95,6 +98,13 @@ class GeneratorTable:
     MATRIX_BLOCKS = (("X0", 0), ("Y0", 0), ("Z0", 0), ("Xm1", -1), ("Ym1", -1), ("Zm1", -1), ("T", -2))
 
     @classmethod
+    def block_start(cls, name: str, n: int) -> int:
+        """The index of name(1,1) in the canonical rank-n table.  Generator
+        name(i+1,j+1) has index b*n^2 + i*n + j, b being name's place in
+        ``MATRIX_BLOCKS``; a name not there raises ValueError."""
+        return [m for m, _ in cls.MATRIX_BLOCKS].index(name) * n * n
+
+    @classmethod
     def canonical(cls, n: int) -> "GeneratorTable":
         """Rank-n table: 3n^2 degree-0, 3n^2 degree-(-1), n^2 degree-(-2) gens."""
         gens = []
@@ -112,8 +122,7 @@ class GeneratorTable:
         for g in self.gens:
             gens.append(Generator(f"d({g.name})", g.cdeg, g.fdeg + 1))
         ext = GeneratorTable(gens)
-        if hasattr(self, "n"):
-            ext.n = self.n
+        ext.n = self.n
         return ext
 
 

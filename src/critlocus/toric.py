@@ -631,7 +631,18 @@ def tower_chart_embedder(description: dict):
 
 
 def find_chart(surface: Surface, points) -> ChartResult:
+    """A chart holding every point; a point of another surface raises
+    ValueError naming its index."""
     spec = surface.spec
+    for idx, p in enumerate(points):
+        if spec.blowups:
+            fits = isinstance(p, TowerPoint)
+        elif spec.base == "P2":
+            fits = isinstance(p, P2Point)
+        else:
+            fits = isinstance(p, FnPoint) and p.k == int(spec.base[1:])
+        if not fits:
+            raise ValueError(f"point {idx}: {p!r} is not a point of {spec.to_json_obj()}")
     if spec.blowups:
         return find_chart_tower(surface, points)
     if spec.base == "P2":

@@ -173,6 +173,13 @@ def test_partition_cells_lie_in_n3():
             nilpotent_regular_point(n)
 
 
+@pytest.mark.parametrize("strategy", [enumerate_partitions, enumerate_partitions_by_heights])
+@pytest.mark.parametrize("n", [0, -1])
+def test_partition_enumerators_refuse_a_size_below_one(strategy, n):
+    with pytest.raises(ValueError, match="size must be positive"):
+        strategy(n)
+
+
 @pytest.mark.parametrize(
     "n,count", [(1, 1), (2, 3), (3, 6), (4, 13), (5, 24), (6, 48)]
 )

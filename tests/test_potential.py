@@ -8,6 +8,7 @@ from critlocus.complexes import SymMatrix, _point_values
 from critlocus.points import enumerate_partitions, point_from_partition, random_conjugate_points
 from critlocus.potential import (
     MatrixCdga,
+    _entry_images,
     build_cotangent_complex,
     build_potential,
     build_two_form,
@@ -38,18 +39,70 @@ def test_potential_cyclic_trace_identity():
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_partial_w_is_transposed_commutator(n):
-    cdga = MatrixCdga(n)
-    comm_t = commutator(cdga.y0, cdga.z0).transpose()
-    for i in range(n):
-        for j in range(n):
-            assert cdga.partial_w("X", i + 1, j + 1) == comm_t.entry(i, j)
-
-
-@pytest.mark.parametrize("n", [2, 3, 4])
 def test_jacobian_entries_match_commutators_entrywise(n):
     cdga = MatrixCdga(n)
     assert cdga.jacobian_entries() == cdga.commutator_entries_transposed()
+
+
+def _partial_by_walk(cdga, name):
+    """dW/d(name): every term of W holding the generator, with it removed
+    and its exponent brought down."""
+    marker = cdga.table.idx(name)
+    terms = {}
+    for (e, o), c in cdga.potential.terms.items():
+        d = dict(e)
+        if marker not in d:
+            continue
+        exp = d.pop(marker)
+        m = (tuple(sorted(d.items())), o)
+        terms[m] = terms.get(m, 0) + c * exp
+    return SuperPoly(cdga.table, terms)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_jacobian_entries_match_a_walk_over_w(n):
+    cdga = MatrixCdga(n)
+    want = [
+        _partial_by_walk(cdga, f"{block}0({i},{j})")
+        for block in ("X", "Y", "Z")
+        for i in range(1, n + 1)
+        for j in range(1, n + 1)
+    ]
+    assert cdga.jacobian_entries() == want
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_symbol_matrix_reads_the_generators_by_name(n):
+    t = GeneratorTable.canonical(n)
+    for table in (t, t.extend_with_forms()):
+        for name, _ in GeneratorTable.MATRIX_BLOCKS:
+            rows = [[SuperPoly.gen(table, f"{name}({i},{j})") for j in range(1, n + 1)] for i in range(1, n + 1)]
+            assert symbol_matrix(table, name, n) == SymMatrix(table, n, n, rows)
+
+
+def test_symbol_matrix_refuses_a_table_of_another_rank():
+    # by offset, X0(1,3) of a rank-3 read would be a Y0 entry of the rank-2 table
+    for table, n in ((GeneratorTable.canonical(2), 3), (GeneratorTable.canonical(3), 2)):
+        with pytest.raises(ValueError, match=f"rank-{n} .*rank {table.n}"):
+            symbol_matrix(table, "X0", n)
+    hand = GeneratorTable(GeneratorTable.canonical(1).gens)
+    with pytest.raises(ValueError, match="rank None"):
+        symbol_matrix(hand, "X0", 1)
+    with pytest.raises(ValueError):
+        build_potential(2, GeneratorTable.canonical(3))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_entry_images_are_keyed_by_the_generator_at_their_position(n):
+    t = GeneratorTable.canonical(n)
+    # entry (i,j) is the scalar i*n + j + 1, which names its position
+    m = SymMatrix(t, n, n, [[SuperPoly.scalar(t, i * n + j + 1) for j in range(n)] for i in range(n)])
+    for name, _ in GeneratorTable.MATRIX_BLOCKS:
+        images = _entry_images(t, name, m)
+        assert len(images) == n * n
+        for k, p in images.items():
+            i, j = divmod(p.terms[((), ())] - 1, n)
+            assert t.gen(k).name == f"{name}({i + 1},{j + 1})"
 
 
 def test_differential_on_quoted_generators():
@@ -59,7 +112,7 @@ def test_differential_on_quoted_generators():
     comm_t = commutator(cdga.y0, cdga.z0).transpose()
     assert d.image_of(t.idx("Xm1(1,2)")) == comm_t.entry(0, 1)
     # dXm1 equals the X partial of W
-    assert d.image_of(t.idx("Xm1(2,1)")) == cdga.partial_w("X", 2, 1)
+    assert d.image_of(t.idx("Xm1(2,1)")) == cdga.jacobian_entries()[2]
 
 
 def test_differential_on_t_block():

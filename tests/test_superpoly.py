@@ -33,6 +33,22 @@ def test_canonical_table_counts():
     assert by_deg == {0: 27, -1: 27, -2: 9}
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_block_start_is_the_canonical_layout(n):
+    # name(i,j) sits at b*n^2 + (i-1)*n + (j-1), b its place in MATRIX_BLOCKS
+    t = GeneratorTable.canonical(n)
+    ext = t.extend_with_forms()
+    assert ext.n == n and t.n == n and GeneratorTable([]).n is None
+    for b, (name, _) in enumerate(GeneratorTable.MATRIX_BLOCKS):
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                k = GeneratorTable.block_start(name, n) + (i - 1) * n + (j - 1)
+                assert k == b * n * n + (i - 1) * n + (j - 1)
+                assert t.idx(f"{name}({i},{j})") == k == ext.idx(f"{name}({i},{j})")
+    with pytest.raises(ValueError):
+        GeneratorTable.block_start("W0", n)
+
+
 def test_odd_square_zero():
     t = table2()
     xi = g(t, "Xm1(1,1)")

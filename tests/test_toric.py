@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -142,6 +143,22 @@ def test_tower_rejects_point_on_center():
     surf = Surface(SurfaceSpec("P2", [0]))
     with pytest.raises(ValueError):
         find_chart(surf, [TowerPoint(base=P2Point(0, 0, 1))])
+
+
+@pytest.mark.parametrize(
+    "spec,good,bad",
+    [
+        (SurfaceSpec("F2"), FnPoint(2, 1, 1, 1, 1), FnPoint(3, 1, 2, 3, 4)),
+        (SurfaceSpec("P2"), P2Point(1, 1, 1), FnPoint(2, 1, 2, 3, 4)),
+        (SurfaceSpec("P2", [0]), TowerPoint(base=P2Point(1, 1, 1)), P2Point(1, 2, 3)),
+    ],
+)
+def test_find_chart_refuses_a_point_of_another_surface(spec, good, bad):
+    # the F2 case once gave a chart whose embed returned another point
+    surf = Surface(spec)
+    assert len(find_chart(surf, [good]).coordinates) == 1
+    with pytest.raises(ValueError, match=re.escape(f"point 1: {bad!r}")):
+        find_chart(surf, [good, bad])
 
 
 def test_chart_json_shape():

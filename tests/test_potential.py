@@ -39,6 +39,17 @@ def test_potential_cyclic_trace_identity():
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_partial_w_is_transposed_commutator(n):
+    # the X block of dW comes first in jacobian_entries, row by row
+    cdga = MatrixCdga(n)
+    partials = cdga.jacobian_entries()[: n * n]
+    comm_t = commutator(cdga.y0, cdga.z0).transpose()
+    for i in range(n):
+        for j in range(n):
+            assert partials[i * n + j] == comm_t.entry(i, j)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_jacobian_entries_match_commutators_entrywise(n):
     cdga = MatrixCdga(n)
     assert cdga.jacobian_entries() == cdga.commutator_entries_transposed()

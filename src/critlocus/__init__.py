@@ -13,14 +13,13 @@ verification surface.  See README for the command-line interface.
 """
 
 from .scalars import DEFAULT_PRIME, GF, QQ
-from .linalg import DenseMatrix, kernel_basis, solve
+from .linalg import DenseMatrix, kernel_basis
 from .superpoly import Derivation, GeneratorTable, SuperPoly, poly_to_text
-from .freenc import NCElement, nc_differential
+from .freenc import NCElement
 from .complexes import ChainMap, FreeComplex, SymMatrix
 from .potential import (
     MatrixCdga,
     build_cotangent_complex,
-    build_koszul_cdga,
     build_potential,
     build_two_form,
     verify_superpotential_identities,
@@ -37,7 +36,6 @@ from .points import (
     MatrixPoint,
     PlanePartition,
     enumerate_partitions,
-    is_critical,
     is_cyclic,
     koszul_ext_oracle,
     point_from_partition,
@@ -52,19 +50,16 @@ __all__ = [
     "QQ",
     "DenseMatrix",
     "kernel_basis",
-    "solve",
     "Derivation",
     "GeneratorTable",
     "SuperPoly",
     "poly_to_text",
     "NCElement",
-    "nc_differential",
     "ChainMap",
     "FreeComplex",
     "SymMatrix",
     "MatrixCdga",
     "build_cotangent_complex",
-    "build_koszul_cdga",
     "build_potential",
     "build_two_form",
     "verify_superpotential_identities",
@@ -77,7 +72,6 @@ __all__ = [
     "MatrixPoint",
     "PlanePartition",
     "enumerate_partitions",
-    "is_critical",
     "is_cyclic",
     "koszul_ext_oracle",
     "point_from_partition",

@@ -285,11 +285,6 @@ class GinzburgResolution:
             out[f"augmentation.alpha0 on {a}"] = lambda a=a: self.multiply_out(self.alpha0(term((), a, ())))
         return out
 
-    def composites_vanish(self) -> dict:
-        report = {name: image().normalize().is_zero() for name, image in self.composites().items()}
-        report["ok"] = all(report.values())
-        return report
-
 
 def build_ginzburg_resolution() -> GinzburgResolution:
     return GinzburgResolution()
@@ -373,36 +368,6 @@ class EndomorphismModel:
             (q, r): m for (q, r), m in blocks.items() if r >= q + 2
         }
         return FreeComplex(t, self.ranks, diff, twist)
-
-    # -- flatness of the superconnection ------------------------------------------
-
-    def connection_flatness_defect(self) -> dict:
-        """dA + A^2 in the algebra End(V) (x) cdga (x) Lambda, as
-        {mask: matrix} over the masks where it is nonzero."""
-        d = self.cdga.differential
-        acc = {}
-
-        def add(mask, m):
-            acc[mask] = m if mask not in acc else acc[mask].add(m)
-
-        for matrix, amask, sgn, _ in self.terms:
-            add(amask, matrix.map_entries(d.apply).scale(sgn))
-        for m1, a1, s1, _ in self.terms:
-            for m2, a2, s2, p2 in self.terms:
-                sign = product_sign(a1, a2, p2)
-                if sign:
-                    add(a1 | a2, m1.matmul(m2).scale(s1 * s2 * sign))
-        return {mask: m for mask, m in acc.items() if not m.is_zero()}
-
-    def flatness_report(self):
-        defect = self.connection_flatness_defect()
-        ok, failures = self.complex.check_flatness(self.cdga.differential)
-        return {
-            "connection_flat": not defect,
-            "complex_flat": ok,
-            "ok": not defect and ok,
-            "failures": failures[:5],
-        }
 
     # -- evaluation ----------------------------------------------------------------
 
@@ -570,10 +535,6 @@ class TangentModel:
                 else:
                     twist[(q, r)] = m
         return FreeComplex(c.base, self.ranks, diff, twist)
-
-    def flatness_report(self):
-        ok, failures = self.complex.check_flatness(self.cotangent.cdga.differential)
-        return {"ok": ok, "failures": failures[:5]}
 
 
 def _signed_permutation(table, n, slot_signs, flavor):

@@ -8,7 +8,7 @@ numerators over that one denominator, which need not be reduced, so two
 equal matrices may be stored over different dens.  Over GF(p) the ints are
 residues in ``range(p)`` and ``den`` is 1.  The stored rows are private to
 this module; a value leaves it as a field element (a Fraction over QQ)
-through ``entry``, ``data``, ``solve`` and ``product_first_nonzero``.
+through ``entry``, ``data`` and ``product_first_nonzero``.
 ``DenseMatrix.data`` is a dense row-major copy, filled with the field's
 ``zero``.  Every constructor drops zeros and every producer below writes
 only nonzero entries, so the kernels cost per nonzero entry and never scan
@@ -37,7 +37,7 @@ the pivot choice never shows in it.
 
 * :func:`rref` runs both passes and takes the reduced form, scaled to one
   den, the lcm of the pivot entries, so each pivot entry reads 1.  Kernel
-  bases, solving and row spaces are read off it.
+  bases, inverses and the cyclicity test's spans are read off it.
 * :func:`pivot_columns` and ``DenseMatrix.rank`` read the forward pass.
 * ``complexes.FreeComplex`` keeps the forward pass of each differential
   d^k, on the coordinates of C^k outside the pivot rows of d^(k-1), which
@@ -70,7 +70,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Optional
 
 from .scalars import QQ, RationalField
 
@@ -291,18 +290,6 @@ class DenseMatrix:
             return _matrix(f, self.rows, self.cols, out, self.den * c.denominator)
         out = [{j: x * c % f.p for j, x in row.items()} for row in self.sparse_rows]
         return _matrix(f, self.rows, self.cols, out)
-
-    def apply_vector(self, v):
-        if len(v) != self.cols:
-            raise ValueError("vector length mismatch")
-        f = self.field
-        out = []
-        for row in self.sparse_rows:
-            acc = f.zero
-            for j, x in row.items():
-                acc = f.add(acc, f.mul(x, v[j]))
-            out.append(acc if self.den == 1 else f.div(acc, self.den))
-        return out
 
     def is_zero(self) -> bool:
         return not any(self.sparse_rows)
@@ -644,17 +631,3 @@ def kernel_basis(m: DenseMatrix, reduction=None):
                     v[j] //= g
     return list(basis.values())
 
-
-def solve(m: DenseMatrix, b) -> Optional[list]:
-    """One exact solution of m x = b, or None if the system is inconsistent."""
-    if len(b) != m.rows:
-        raise ValueError("right-hand side length mismatch")
-    f = m.field
-    rhs = DenseMatrix(f, m.rows, 1, [[x] for x in b])
-    red, pivots = rref(DenseMatrix.from_blocks([[m, rhs]]))
-    if m.cols in pivots:
-        return None
-    x = [f.zero] * m.cols
-    for r, pc in enumerate(pivots):
-        x[pc] = red.entry(r, m.cols)
-    return x

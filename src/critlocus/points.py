@@ -2,7 +2,8 @@
 
 A point is a triple of n x n rational matrices with an optional marked
 vector.  Cyclicity (the stability condition for the Hilbert-scheme chart)
-is decided by Krylov saturation; criticality is pairwise commutation.
+is decided by Krylov saturation; criticality is pairwise commutation
+(``MatrixPoint.is_commuting``).
 
 Plane partitions, the finite downward-closed subsets of N^3, index the
 torus-fixed points and generate the standard test corpus via multiplication
@@ -169,7 +170,7 @@ def load_corpus(path):
     return points
 
 
-# -- cyclicity and criticality -------------------------------------------------
+# -- cyclicity ----------------------------------------------------------------------
 
 
 def is_cyclic(pt: MatrixPoint) -> bool:
@@ -186,20 +187,6 @@ def is_cyclic(pt: MatrixPoint) -> bool:
         dim = len(pivots)
         basis = red.submatrix(range(dim), range(pt.n))
         span = DenseMatrix.from_blocks([[basis]] + [[basis.matmul(m)] for m in transposed])
-
-
-def is_critical(pt: MatrixPoint) -> bool:
-    """dW = 0 at the point, i.e. the three matrices pairwise commute."""
-    return pt.is_commuting()
-
-
-def is_critical_via_symbolic_gradient(pt: MatrixPoint) -> bool:
-    """Cross-check: evaluate the symbolic entries of dW at the point."""
-    from .potential import MatrixCdga
-
-    cdga = MatrixCdga(pt.n)
-    assignment = cdga.point_assignment(pt.X, pt.Y, pt.Z)
-    return all(p.evaluate(assignment) == 0 for p in cdga.jacobian_entries())
 
 
 # -- plane partitions ---------------------------------------------------------------
@@ -400,12 +387,6 @@ def random_conjugate_points(n, count, rng):
 
 
 # -- the independent Koszul oracle -----------------------------------------------------
-
-
-def _adjoint_matrix(m, field):
-    """Matrix of ``[m, -]`` on End(V) in the basis E_(p,q), index p*n + q,
-    written as each block of :func:`_koszul_differentials`."""
-    return _commutator_blocks([m], field, [[(0, 0, 1, 0)]])[0]
 
 
 def _koszul_differentials(pt: MatrixPoint, field):

@@ -216,10 +216,6 @@ class MatrixCdga:
         return _Point(self.table, self.point_assignment(X, Y, Z))
 
 
-def build_koszul_cdga(n: int) -> MatrixCdga:
-    return MatrixCdga(n)
-
-
 def degree_starts(table) -> dict:
     """{q: index of the first generator of cdeg q}.  The canonical table
     lists each degree's generators contiguously, so a generator's slot in

@@ -7,10 +7,11 @@ Every numeric computation in this package runs over one of two fields:
 * ``GF(p)`` -- the field with p elements for a configurable prime p, backed
   by plain ints in ``range(p)``.
 
-A field object bundles the operations the linear-algebra kernels and their
-test oracles use (``of``, ``add``, ``sub``, ``mul``, ``neg``, ``inv``,
-``div``, ``is_zero``), so matrices can be written once and run over either
-field.
+A field object bundles ``of``, ``add``, ``sub``, ``mul``, ``neg``, ``inv``,
+``div`` and ``is_zero``.  The package itself calls ``of`` and ``neg``: the
+matrix kernels store ints (see :mod:`critlocus.linalg`).  The other
+operations serve the test oracles, which compute entry by entry over either
+field, and the benchmark's tracer reads ``is_zero``.
 
 The symbolic algebras (``SuperPoly``, ``NCElement``, ``BimodElement``) are
 linear combinations over QQ.  They share one base class, :class:`Terms`: a
@@ -29,20 +30,26 @@ DEFAULT_PRIME = 2147483647
 
 _SMALL_PRIME_LIMIT = 1 << 20
 
+# Miller-Rabin with the primes up to 41 as bases is exact below psi_13
+# (Sorenson-Webster, Math. Comp. 2017); at psi_12 = 399165290221 *
+# 798330580441 the bases up to 37 all pass a composite.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIMALITY_BOUND = 3317044064679887385961981
 
-def _is_probable_prime(n: int) -> bool:
+
+def _is_prime(n: int) -> bool:
+    """Exact for n < ``_PRIMALITY_BOUND``."""
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _MR_BASES:
         if n % q == 0:
             return n == q
-    # Deterministic Miller-Rabin for n < 3.3 * 10^24 with these bases.
     d = n - 1
     r = 0
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _MR_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -209,12 +216,16 @@ class RationalField:
 
 
 class PrimeField:
-    """The field F_p for a prime p >= 2^20 (small p admits too many bad primes)."""
+    """The field F_p for a prime 2^20 <= p < ``_PRIMALITY_BOUND`` (small p
+    admits too many bad primes; above the bound primality is not decided
+    exactly)."""
 
     def __init__(self, p: int):
         if p < _SMALL_PRIME_LIMIT:
             raise ValueError(f"prime must be >= 2^20, got {p}")
-        if not _is_probable_prime(p):
+        if p >= _PRIMALITY_BOUND:
+            raise ValueError(f"prime must be < {_PRIMALITY_BOUND}, where primality is tested exactly, got {p}")
+        if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.name = f"GF({p})"

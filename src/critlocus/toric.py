@@ -82,29 +82,6 @@ class Fan2D:
         n = len(self.rays)
         return all(_det(self.rays[i], self.rays[(i + 1) % n]) > 0 for i in range(n))
 
-    def self_intersections(self):
-        """D_i^2 from v_(i-1) + v_(i+1) = -D_i^2 v_i."""
-        n = len(self.rays)
-        out = []
-        for i in range(n):
-            s = (
-                self.rays[(i - 1) % n][0] + self.rays[(i + 1) % n][0],
-                self.rays[(i - 1) % n][1] + self.rays[(i + 1) % n][1],
-            )
-            v = self.rays[i]
-            if v[0]:
-                if s[0] % v[0]:
-                    raise ValueError("non-proportional neighbor sum")
-                c = s[0] // v[0]
-            else:
-                if s[1] % v[1]:
-                    raise ValueError("non-proportional neighbor sum")
-                c = s[1] // v[1]
-            if (v[0] * c, v[1] * c) != s:
-                raise ValueError("neighbor sum not proportional to ray")
-            out.append(-c)
-        return out
-
     def blowup(self, cone_index: int) -> "Fan2D":
         """Insert the sum of the cone's two rays (star subdivision).  An index
         that is not an int in 0..len(cones)-1 raises ValueError naming it."""
@@ -116,21 +93,6 @@ class Fan2D:
         new = (a[0] + b[0], a[1] + b[1])
         rays = self.rays[: i + 1] + [new] + self.rays[i + 1 :]
         return Fan2D(rays)
-
-    def isomorphic_selfint_profile(self, other: "Fan2D") -> bool:
-        """Cyclic equality of self-intersection sequences (also reversed)."""
-        a = self.self_intersections()
-        b = other.self_intersections()
-        if len(a) != len(b):
-            return False
-        doubled = b + b
-        rev = list(reversed(b)) + list(reversed(b))
-        for start in range(len(b)):
-            if doubled[start : start + len(a)] == a:
-                return True
-            if rev[start : start + len(a)] == a:
-                return True
-        return False
 
 
 def p2_fan() -> Fan2D:
@@ -652,13 +614,10 @@ def find_chart(surface: Surface, points) -> ChartResult:
     raise ValueError(f"unsupported surface {spec.base}")
 
 
-def chart_embed(surface: Surface, description: dict, u, v):
-    return chart_embedder(surface, description)(u, v)
-
-
 def chart_embedder(surface: Surface, description: dict):
-    """``chart_embed`` on one chart, as a function of (u, v) that reads the
-    description once for all its points."""
+    """The embedding of one chart of ``surface``, as a function from chart
+    coordinates (u, v) to a point; it reads the description once for all
+    its points."""
     spec = surface.spec
     if spec.blowups:
         return tower_chart_embedder(description)

@@ -9,7 +9,9 @@ from critlocus.scalars import QQ
 
 # Kernel bases and homology representatives are sparse rows {col: value};
 # densify and sparsify convert between them and the dense vectors of the
-# references, and primitive gives the integer form of a QQ kernel vector.
+# references, primitive gives the integer form of a QQ kernel vector, and
+# apply_vector checks a dense vector against a matrix.  adjoint_matrix is
+# the matrix of one commutator [m, -], as the Koszul oracle writes it.
 
 
 def densify(v, length, field=QQ):
@@ -33,6 +35,28 @@ def primitive(v):
 def sparsify(v):
     """The dense vector ``v`` as a sparse row of its nonzero entries."""
     return {j: x for j, x in enumerate(v) if x}
+
+
+def apply_vector(m, v):
+    """The product of the DenseMatrix ``m`` and the dense vector ``v``,
+    summed entry by entry with ``m``'s field operations over ``m.data``."""
+    assert len(v) == m.cols
+    f = m.field
+    out = []
+    for row in m.data:
+        acc = f.zero
+        for x, y in zip(row, v):
+            acc = f.add(acc, f.mul(x, y))
+        out.append(acc)
+    return out
+
+
+def adjoint_matrix(m, field):
+    """The matrix of ``[m, -]`` on End(V), index p*n + q for E_(p,q): the
+    one-block layout of the Koszul oracle's writer."""
+    from critlocus.points import _commutator_blocks
+
+    return _commutator_blocks([m], field, [[(0, 0, 1, 0)]])[0]
 
 
 @pytest.fixture

@@ -45,6 +45,8 @@ def test_usage_error_exit_code():
         ["toric", "chart", "--surface", '{{"base": "P2"}}', "--points", "[[true, 2, 3]]"],
         ["toric", "chart", "--surface", '{{"base": "P2", "blowups": [1]}}',
          "--points", '[{{"center": true, "direction": [1, 1, 1]}}]'],
+        # psi_12 = 399165290221 * 798330580441, a strong pseudoprime to the bases up to 37
+        ["ext", "--n", "2", "--prime", "318665857834031151167461", "--corpus", "partitions"],
     ],
 )
 def test_bad_values_exit_2_without_traceback(args, tmp_path, capsys):

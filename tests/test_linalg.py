@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import densify, primitive
+from conftest import adjoint_matrix, apply_vector, densify, primitive
 from critlocus.linalg import (
     DenseMatrix,
     back_substitute,
@@ -14,7 +14,6 @@ from critlocus.linalg import (
     kernel_basis,
     product_first_nonzero,
     rref,
-    solve,
 )
 from critlocus.scalars import DEFAULT_PRIME, GF, QQ
 
@@ -61,35 +60,8 @@ def test_kernel_members_annihilated():
             [[rng.randint(-3, 3) for _ in range(5)] for _ in range(3)]
         )
         for v in kernel_basis(m):
-            assert all(x == 0 for x in m.apply_vector(densify(v, 5)))
+            assert all(x == 0 for x in apply_vector(m, densify(v, 5)))
         assert len(kernel_basis(m)) == 5 - m.rank()
-
-
-def test_solve_identity():
-    m = DenseMatrix.identity(3)
-    assert solve(m, [1, 2, 3]) == [1, 2, 3]
-
-
-def test_solve_inconsistent():
-    m = DenseMatrix.zero(2, 2)
-    assert solve(m, [1, 0]) is None
-
-
-def test_solve_scalar_division():
-    assert solve(DenseMatrix.from_rows([[2]]), [3]) == [Fraction(3, 2)]
-
-
-def test_solve_roundtrip_random():
-    rng = random.Random(11)
-    for _ in range(20):
-        m = DenseMatrix.from_rows(
-            [[rng.randint(-4, 4) for _ in range(4)] for _ in range(3)]
-        )
-        x = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(4)]
-        b = m.apply_vector(x)
-        x2 = solve(m, b)
-        assert x2 is not None
-        assert m.apply_vector(x2) == b
 
 
 def test_rank_agrees_mod_p():
@@ -134,6 +106,13 @@ def test_bad_prime_rejected():
         GF(1048576)  # not prime
     with pytest.raises(ValueError):
         GF(97)  # too small
+    # psi_12, the least strong pseudoprime to the prime bases up to 37
+    with pytest.raises(ValueError, match="not prime"):
+        GF(399165290221 * 798330580441)
+    # psi_13: from there on the bases up to 41 no longer decide primality
+    with pytest.raises(ValueError, match="3317044064679887385961981"):
+        GF(3317044064679887385961981)
+    assert GF(2**61 - 1).p == 2**61 - 1
 
 
 # -- the product kernel ------------------------------------------------------------
@@ -375,7 +354,6 @@ def test_setter_stores_nonzero_entries_only(field):
 @pytest.mark.parametrize("field", [QQ, GF(P)], ids=["QQ", "GF(p)"])
 def test_no_producer_stores_a_zero(field):
     from critlocus.family import endomorphism_model
-    from critlocus.points import _adjoint_matrix
 
     # evaluation: the entries [X, -] takes from X = diag(P, 0) are +-P, which
     # vanish mod P, while those from Y do not
@@ -386,8 +364,8 @@ def test_no_producer_stores_a_zero(field):
     # the commutator with a scalar matrix cancels everywhere
     for m in ([[2, 0], [0, 2]], [[Fraction(P), 1], [0, Fraction(1, 3)]]):
         for sign in (1, -1):
-            assert stores_no_zero(_adjoint_matrix(m, field).scale(sign))
-    assert _adjoint_matrix([[2, 0], [0, 2]], field) == DenseMatrix.zero(4, 4, field)
+            assert stores_no_zero(adjoint_matrix(m, field).scale(sign))
+    assert adjoint_matrix([[2, 0], [0, 2]], field) == DenseMatrix.zero(4, 4, field)
     # dependent rows leave zero rows in rref; cancelling terms in a product
     a = DenseMatrix.from_rows([[1, 2, 0], [2, 4, 0], [1, 1, 0]], field)
     red, pivots = rref(a)
@@ -575,25 +553,6 @@ def test_qq_rank_rref_and_kernel_match_the_reference(m):
     got = kernel_basis(a)
     assert [densify(v, c) for v in got] == [primitive(v) for v in kernel]
     assert all(type(x) is int for v in got for x in v.values())
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.tuples(st.integers(0, 5), st.integers(0, 5)).flatmap(
-    lambda d: st.tuples(qq_matrices(*d), st.lists(mixed_rationals, min_size=d[0], max_size=d[0]),
-                        st.lists(mixed_rationals, min_size=d[1], max_size=d[1]))))
-def test_qq_solve_matches_the_reference(case):
-    (r, c, rows, a), b, x0 = case
-    # an arbitrary right-hand side, and one in the image
-    for rhs in (b, [sum((x * y for x, y in zip(row, x0)), Fraction(0)) for row in rows]):
-        want, pivots = reference_rref([row + [y] for row, y in zip(rows, rhs)], c + 1)
-        got = solve(a, rhs)
-        if c in pivots:
-            assert got is None
-            continue
-        x = [Fraction(0)] * c
-        for row, pc in zip(want, pivots):
-            x[pc] = row[c]
-        assert got == x and all(isinstance(v, Fraction) for v in got)
 
 
 @settings(max_examples=100, deadline=None)

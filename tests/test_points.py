@@ -7,15 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import sparsify
+from conftest import adjoint_matrix, sparsify
 from critlocus.linalg import DenseMatrix
 from critlocus.points import (
     MatrixPoint,
     PlanePartition,
     enumerate_partitions,
     enumerate_partitions_by_heights,
-    is_critical,
-    is_critical_via_symbolic_gradient,
     is_cyclic,
     koszul_ext_oracle,
     load_corpus,
@@ -25,7 +23,8 @@ from critlocus.points import (
     random_invertible,
     save_corpus,
 )
-from critlocus.points import _adjoint_matrix, _koszul_differentials, _trace_pairing_rank
+from critlocus.points import _koszul_differentials, _trace_pairing_rank
+from critlocus.potential import MatrixCdga
 from critlocus.scalars import GF, QQ
 from test_linalg import naive_matmul
 
@@ -104,11 +103,20 @@ def test_cyclicity_requires_vector():
 
 def test_critical_diagonal():
     d = [[1, 0], [0, 2]]
-    assert is_critical(MatrixPoint(d, d, d))
+    assert MatrixPoint(d, d, d).is_commuting()
 
 
 def test_not_critical():
-    assert not is_critical(MatrixPoint(E12, E21, Z2))
+    assert not MatrixPoint(E12, E21, Z2).is_commuting()
+
+
+def is_critical_via_symbolic_gradient(pt):
+    """dW = 0 at the point, read off the symbolic entries of dW evaluated
+    there: a reference for ``MatrixPoint.is_commuting`` that shares no code
+    with it."""
+    cdga = MatrixCdga(pt.n)
+    assignment = cdga.point_assignment(pt.X, pt.Y, pt.Z)
+    return all(p.evaluate(assignment) == 0 for p in cdga.jacobian_entries())
 
 
 def test_critical_matches_symbolic_gradient():
@@ -121,7 +129,7 @@ def test_critical_matches_symbolic_gradient():
                 for _ in range(3)
             ]
         )
-        assert is_critical(pt) == is_critical_via_symbolic_gradient(pt)
+        assert pt.is_commuting() == is_critical_via_symbolic_gradient(pt)
         agree += 1
     assert agree == 100
 
@@ -132,12 +140,12 @@ def test_conjugation_invariance():
     for _ in range(10):
         g = random_invertible(3, rng)
         conj = base.conjugate(g)
-        assert is_critical(conj)
+        assert conj.is_commuting()
         assert is_cyclic(conj)
     bad = MatrixPoint(E12, E21, Z2, v=[1, 1])
     for _ in range(5):
         g = random_invertible(2, rng)
-        assert is_critical(bad.conjugate(g)) == is_critical(bad)
+        assert bad.conjugate(g).is_commuting() == bad.is_commuting()
 
 
 def test_conjugate_matches_list_products():
@@ -195,7 +203,7 @@ def test_point_from_single_box():
     pt = point_from_partition(PlanePartition({(0, 0, 0)}))
     assert pt.n == 1
     assert pt.X == [[0]] and pt.Y == [[0]] and pt.Z == [[0]]
-    assert is_critical(pt) and is_cyclic(pt)
+    assert pt.is_commuting() and is_cyclic(pt)
 
 
 def test_point_from_two_boxes_is_shift():
@@ -204,21 +212,21 @@ def test_point_from_two_boxes_is_shift():
     # multiplication by x is the nilpotent shift, y and z act by zero
     assert pt.X in ([[0, 0], [1, 0]], [[0, 1], [0, 0]])
     assert pt.Y == Z2 and pt.Z == Z2
-    assert is_critical(pt) and is_cyclic(pt)
+    assert pt.is_commuting() and is_cyclic(pt)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_all_partition_points_critical_cyclic(n):
     for pp in enumerate_partitions(n):
         pt = point_from_partition(pp)
-        assert is_critical(pt)
+        assert pt.is_commuting()
         assert is_cyclic(pt)
 
 
 def test_random_conjugates_stay_on_critical_locus():
     rng = random.Random(23)
     for pt in random_conjugate_points(3, 10, rng):
-        assert is_critical(pt)
+        assert pt.is_commuting()
         assert is_cyclic(pt)
 
 
@@ -387,14 +395,14 @@ def test_gf_p_koszul_differentials_refuse_a_denominator_divisible_by_p():
         with pytest.raises(ZeroDivisionError, match=f"divisible by {p}"):
             _koszul_differentials(pt, GF(p))
         with pytest.raises(ZeroDivisionError, match=f"divisible by {p}"):
-            _adjoint_matrix(X, GF(p))
+            adjoint_matrix(X, GF(p))
         assert _koszul_differentials(pt, QQ)[0].is_zero() == cancels
 
 
 def test_nilpotent_regular_point():
     pt = nilpotent_regular_point(3)
     assert pt.n == 3
-    assert is_cyclic(pt) and is_critical(pt)
+    assert is_cyclic(pt) and pt.is_commuting()
 
 
 @pytest.mark.parametrize("field", [QQ, GF(1048583)], ids=["QQ", "GF(p)"])
@@ -408,7 +416,7 @@ def test_adjoint_matrix_is_the_signed_commutator(n, sign, field):
         m = [[Fraction(rng.choice([0, 0, 0, 1, -2, 3]), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)]
         for i in range(n):
             m[i][i] = Fraction(rng.choice([0, 1]))
-        got = _adjoint_matrix(m, field).scale(sign)
+        got = adjoint_matrix(m, field).scale(sign)
         for p in range(n):
             for q in range(n):
                 e = [[Fraction(int((a, b) == (p, q))) for b in range(n)] for a in range(n)]

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import densify, primitive
+from conftest import apply_vector, densify, primitive
 from critlocus import points
 from critlocus.complexes import FreeComplex, homology_representatives
 from critlocus.family import endomorphism_model
@@ -98,7 +98,7 @@ def check_representatives(cx, dims):
         assert len(reps) == dims[k]
         dense = [densify(v, cx.rank(k), f) for v in reps]
         d = cx.differential(k)
-        assert all(f.is_zero(x) for v in dense for x in d.apply_vector(v))
+        assert all(f.is_zero(x) for v in dense for x in apply_vector(d, v))
         span = GreedySpan(f)
         if cx.rank(k - 1):
             image = set(cx._reduce(k - 1)[3])

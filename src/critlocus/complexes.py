@@ -25,9 +25,11 @@ equation of the twisted differential,
 where d differentiates the entries.  ``check_d_squared`` tests the bare
 matrix equation (which holds for honest complexes, e.g. anything numeric
 or the Koszul presentation of the potential); ``check_flatness`` tests the
-twisted identity.  Setting every negative-degree generator to zero kills
-the twist components, so evaluation at a classical point of the critical
-locus always produces an honest numeric complex.
+twisted identity of a symbolic complex.  A :class:`ChainMap` joins two
+symbolic complexes and checks its squares symbolically or at a point.
+Setting every negative-degree generator to zero kills the twist
+components, so evaluation at a classical point of the critical locus
+always produces an honest numeric complex.
 """
 
 from __future__ import annotations
@@ -324,7 +326,9 @@ class FreeComplex:
         m = self.diff.get(k) if l == k + 1 else self.twist.get((k, l))
         if m is not None:
             return m
-        return _zero_matrix(self.base, self.rank(l), self.rank(k))
+        if self.symbolic:
+            return SymMatrix.zero(self.base, self.rank(l), self.rank(k))
+        return DenseMatrix.zero(self.rank(l), self.rank(k), self.base)
 
     # -- structural checks ---------------------------------------------------
 
@@ -350,14 +354,16 @@ class FreeComplex:
         return (not failures), failures
 
     def check_flatness(self, derivation: Optional[Derivation] = None):
-        """Twisted flatness: d(D[a->c]) + sum_b +-(D[b->c] D[a->b]) = 0.
-
-        For numeric complexes, or symbolic ones with closed entries and no
-        twist, this reduces to check_d_squared.  ``derivation`` is the
-        differential of the base cdga acting on entries; omit it for
-        numeric bases.  The route through degree b carries the Koszul sign
-        (-1)^((a+1-b)(b+2-c)) from moving entries past each other.
+        """Twisted flatness of a symbolic complex: d(D[a->c]) + sum_b
+        +-(D[b->c] D[a->b]) = 0.  A numeric complex raises ValueError: its
+        check is ``check_d_squared``, to which this reduces for closed
+        entries and no twist.  ``derivation`` is the differential of the
+        base cdga acting on entries; omit it for closed entries.  The route
+        through degree b carries the Koszul sign (-1)^((a+1-b)(b+2-c)) from
+        moving entries past each other.
         """
+        if not self.symbolic:
+            raise ValueError("a numeric complex is checked by check_d_squared, not check_flatness")
         failures = []
         degs = self.degrees()
         for a in degs:
@@ -497,13 +503,6 @@ def homology_representatives(cx: FreeComplex, k: int):
     return [{kept[c]: x for c, x in v.items()} for v in kernel_basis(red, (red, pivots))]
 
 
-def _zero_matrix(base, rows: int, cols: int):
-    """The zero matrix over a generator table (symbolic) or a scalar field."""
-    if isinstance(base, GeneratorTable):
-        return SymMatrix.zero(base, rows, cols)
-    return DenseMatrix.zero(rows, cols, base)
-
-
 class _Point:
     """A point with its denominators cleared: the degree-0 generators take
     the values ``nums[k] / den``, where ``den`` is the lcm of their
@@ -557,9 +556,12 @@ def _matrix_entries(m: SymMatrix) -> dict:
 
 
 class ChainMap:
-    """A degree-0 map of complexes, one matrix per degree."""
+    """A degree-0 map of symbolic complexes, one SymMatrix per degree; a
+    numeric source or target raises ValueError."""
 
     def __init__(self, source: FreeComplex, target: FreeComplex, blocks: dict):
+        if not (source.symbolic and target.symbolic):
+            raise ValueError("a chain map is between symbolic complexes")
         self.source = source
         self.target = target
         self.blocks = dict(blocks)
@@ -571,7 +573,7 @@ class ChainMap:
         b = self.blocks.get(k)
         if b is not None:
             return b
-        return _zero_matrix(self.source.base, self.target.rank(k), self.source.rank(k))
+        return SymMatrix.zero(self.source.base, self.target.rank(k), self.source.rank(k))
 
     def check_symbolic(self) -> dict:
         """All squares commute, including twist components."""
@@ -594,19 +596,15 @@ class ChainMap:
         every block are evaluated at that one cleared point, each through
         the compiled form its matrix keeps.
         """
-        if self.source.symbolic:
-            assignment = _point_values(self.source.base, assignment)
-        src = self.source.evaluate_at(assignment, field)
-        tgt = self.target.evaluate_at(assignment, field)
+        point = _point_values(self.source.base, assignment)
+        src = self.source.evaluate_at(point, field)
+        tgt = self.target.evaluate_at(point, field)
         report = {"ok": True, "failures": [], "invertible": {}}
         blocks = {}
         for k in set(src.degrees()) | set(tgt.degrees()):
-            b = self.block(k)
-            if isinstance(b, SymMatrix):
-                b = b.compiled().evaluate(assignment, field)
-            blocks[k] = b
+            blocks[k] = self.block(k).compiled().evaluate(point, field)
             if src.rank(k) == tgt.rank(k) and src.rank(k):
-                report["invertible"][k] = b.rank() == src.rank(k)
+                report["invertible"][k] = blocks[k].rank() == src.rank(k)
         for k in sorted(blocks):
             if not (src.rank(k) and tgt.rank(k + 1)):
                 continue

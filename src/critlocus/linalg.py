@@ -10,7 +10,8 @@ residues in ``range(p)`` and ``den`` is 1.  The stored rows are private to
 this module; a value leaves it as a field element (a Fraction over QQ)
 through ``entry``, ``data`` and ``product_first_nonzero``.
 ``DenseMatrix.data`` is a dense row-major copy, filled with the field's
-``zero``.  Every constructor drops zeros and every producer below writes
+``zero``.  A matrix is written once, by a constructor or a kernel below,
+and then only read.  Every constructor drops zeros and every kernel writes
 only nonzero entries, so the kernels cost per nonzero entry and never scan
 a dense row.  A kernel basis vector or a homology representative is a
 ``{col: value}`` sparse row, ready for ``from_sparse``, which clears it to
@@ -177,7 +178,8 @@ class DenseMatrix:
     @property
     def data(self):
         """A dense row-major copy, with the field's zero in empty entries.
-        Writing to it does not change the matrix; ``set`` does."""
+        Writing to it does not change the matrix, which nothing changes
+        once it is built."""
         zero, value = self.field.zero, self._value
         out = []
         for row in self.sparse_rows:
@@ -215,31 +217,6 @@ class DenseMatrix:
         x = self.sparse_rows[i].get(j)
         return self.field.zero if x is None else self._value(x)
 
-    def first_nonzero(self):
-        """(row, col, value) of the first nonzero entry in row-major order,
-        or None."""
-        for i, row in enumerate(self.sparse_rows):
-            if row:
-                j = min(row)
-                return i, j, self._value(row[j])
-        return None
-
-    def set(self, i: int, j: int, x):
-        """Set entry (i, j) to ``x``; a zero ``x`` clears it.  Over QQ a
-        denominator that does not divide ``den`` moves the matrix to the lcm
-        of the two."""
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError(f"entry ({i}, {j}) outside a {self.rows}x{self.cols} matrix")
-        (row,), den = _cleared(self.field, [[(j, x)]])
-        if den != 1 and self.den % den:
-            new = lcm(self.den, den)
-            k = new // self.den
-            self.sparse_rows = [{c: v * k for c, v in r.items()} for r in self.sparse_rows]
-            self.den = new
-        self.sparse_rows[i].pop(j, None)
-        for c, v in row.items():
-            self.sparse_rows[i][c] = v * (self.den // den)
-
     def transpose(self) -> "DenseMatrix":
         out = [{} for _ in range(self.cols)]
         for i, row in enumerate(self.sparse_rows):
@@ -263,33 +240,6 @@ class DenseMatrix:
         for i, row in _product_rows(self, other):
             out[i] = row
         return _matrix(self.field, self.rows, other.cols, out, self.den * other.den)
-
-    def add(self, other: "DenseMatrix") -> "DenseMatrix":
-        """The sum, over the lcm of the two dens."""
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in add")
-        p = _modulus(self.field)
-        den = lcm(self.den, other.den)
-        ka, kb = den // self.den, den // other.den
-        out = []
-        for r, s in zip(self.sparse_rows, other.sparse_rows):
-            sums = {j: r.get(j, 0) * ka + s.get(j, 0) * kb for j in r | s}
-            if p is not None:
-                sums = {j: v % p for j, v in sums.items()}
-            out.append({j: v for j, v in sums.items() if v})
-        return _matrix(self.field, self.rows, self.cols, out, den)
-
-    def scale(self, c) -> "DenseMatrix":
-        f = self.field
-        c = f.of(c)
-        if not c:
-            return DenseMatrix.zero(self.rows, self.cols, f)
-        if isinstance(f, RationalField):
-            n = c.numerator
-            out = [{j: x * n for j, x in row.items()} for row in self.sparse_rows]
-            return _matrix(f, self.rows, self.cols, out, self.den * c.denominator)
-        out = [{j: x * c % f.p for j, x in row.items()} for row in self.sparse_rows]
-        return _matrix(f, self.rows, self.cols, out)
 
     def is_zero(self) -> bool:
         return not any(self.sparse_rows)

@@ -111,8 +111,8 @@ class MatrixCdga:
     def _build_differential(self) -> Derivation:
         images = self._odd_images()
         images.update(self._t_images())
-        d = Derivation(self.table, images, parity=1, cdeg_shift=1)
-        d.check_degrees()
+        d = Derivation(self.table, images, parity=1)
+        d.check_degrees(1)
         return d
 
     # -- checks ----------------------------------------------------------------
@@ -272,7 +272,7 @@ def coaction_derivation(cdga: MatrixCdga, a: int, b: int) -> Derivation:
                         continue
                     terms[term(i, p)] = -s
                 images[start + i * n + j] = SuperPoly._of_terms(t, terms)
-    return Derivation(t, images, parity=0, cdeg_shift=0)
+    return Derivation(t, images, parity=0)
 
 
 # -- the cotangent model ------------------------------------------------------------

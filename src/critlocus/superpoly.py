@@ -400,7 +400,7 @@ class Derivation:
     not stored.
     """
 
-    def __init__(self, table: GeneratorTable, images: dict, parity: int, cdeg_shift: Optional[int] = None):
+    def __init__(self, table: GeneratorTable, images: dict, parity: int):
         self.table = table
         self.images = {}
         for key, img in images.items():
@@ -412,7 +412,6 @@ class Derivation:
             if img.terms:
                 self.images[k] = img
         self.parity = parity & 1
-        self.cdeg_shift = cdeg_shift
 
     def image_of(self, k: int) -> SuperPoly:
         img = self.images.get(k)
@@ -420,13 +419,12 @@ class Derivation:
             return SuperPoly.zero(self.table)
         return img
 
-    def check_degrees(self):
-        """Each image must be homogeneous of degree gen degree + shift."""
-        if self.cdeg_shift is None:
-            return
+    def check_degrees(self, shift: int):
+        """Each image must be homogeneous of degree gen degree + ``shift``;
+        ValueError names the first generator whose image is not."""
         t = self.table
         for k, img in self.images.items():
-            want = t.cdeg(k) + self.cdeg_shift
+            want = t.cdeg(k) + shift
             got = img.cdeg()
             if got != want:
                 raise ValueError(

@@ -37,6 +37,7 @@ inverse to reproduce the input points on the nose.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
@@ -106,21 +107,26 @@ def hirzebruch_fan(k: int) -> Fan2D:
 @dataclass
 class SurfaceSpec:
     """Base surface plus an ordered list of blowup centers (cone indices
-    into the fan current at each step)."""
+    into the fan current at each step).  The base is "P2" or "F" and a
+    decimal k with no sign and no leading zero; any other base raises
+    ValueError naming it."""
 
     base: str  # "P2" or "F<k>"
     blowups: list = field(default_factory=list)
 
+    def __post_init__(self):
+        if not (isinstance(self.base, str) and re.fullmatch(r"P2|F(0|[1-9][0-9]*)", self.base)):
+            raise ValueError(f'base surface {self.base!r} is not "P2" or "F<k>", k a decimal with no sign or leading zero')
+
     def base_fan(self) -> Fan2D:
         if self.base == "P2":
             return p2_fan()
-        if self.base.startswith("F"):
-            return hirzebruch_fan(int(self.base[1:]))
-        raise ValueError(f"unknown base surface {self.base}")
+        return hirzebruch_fan(int(self.base[1:]))
 
     @classmethod
     def from_json_obj(cls, obj) -> "SurfaceSpec":
-        return cls(obj["base"], list(obj.get("blowups", [])))
+        """A spec with no "base" raises ValueError, as any unknown base does."""
+        return cls(obj.get("base"), list(obj.get("blowups", [])))
 
     def to_json_obj(self):
         return {"base": self.base, "blowups": list(self.blowups)}
@@ -199,6 +205,8 @@ class FnPoint:
     which fixes m.  So each point has one stored quadruple."""
 
     def __init__(self, k: int, x1, x2, x3, x4):
+        if isinstance(k, bool) or not isinstance(k, int) or k < 0:
+            raise ValueError(f"k = {k!r} is not a non-negative int")
         self.k = k
         fiber, l = _cleared((x1, x3))
         if not any(fiber):

@@ -47,6 +47,9 @@ def test_usage_error_exit_code():
          "--points", '[{{"center": true, "direction": [1, 1, 1]}}]'],
         # psi_12 = 399165290221 * 798330580441, a strong pseudoprime to the bases up to 37
         ["ext", "--n", "2", "--prime", "318665857834031151167461", "--corpus", "partitions"],
+        # a leading zero would otherwise be read as F1
+        ["toric", "cover-stats", "--surface", '{{"base": "F01"}}'],
+        ["toric", "cover-stats", "--surface", "{{}}"],
     ],
 )
 def test_bad_values_exit_2_without_traceback(args, tmp_path, capsys):

@@ -180,6 +180,25 @@ def test_identity_chain_map_commutes():
     assert cm.check_symbolic()["ok"]
 
 
+@pytest.mark.parametrize("field", [QQ, GF(DEFAULT_PRIME)], ids=["QQ", "GF(p)"])
+def test_flatness_refuses_a_numeric_complex(field):
+    # a numeric complex has no twist and no base differential: its flatness
+    # is d^2 = 0, which check_d_squared decides
+    cx = FreeComplex(field, {0: 1, 1: 1}, {0: DenseMatrix.identity(1, field)})
+    with pytest.raises(ValueError, match="check_d_squared"):
+        cx.check_flatness()
+    assert cx.check_d_squared() == (True, [])
+
+
+def test_chain_map_refuses_a_numeric_complex():
+    t = GeneratorTable.canonical(1)
+    sym = FreeComplex(t, {0: 1}, {})
+    num = FreeComplex(QQ, {0: 1}, {})
+    for source, target in ((num, num), (num, sym), (sym, num)):
+        with pytest.raises(ValueError, match="symbolic complexes"):
+            ChainMap(source, target, {0: DenseMatrix.identity(1)})
+
+
 def test_evaluation_is_a_chain_functor():
     # wherever the symbolic composite vanishes identically, every
     # evaluation is again a complex, commuting triple or not

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import sparsify
+from conftest import apply_vector, sparsify
 from critlocus.complexes import ChainMap, FreeComplex
 from critlocus.family import (
     FULL_MASK,
@@ -37,6 +37,7 @@ from critlocus.points import (
     point_from_partition,
     random_conjugate_points,
 )
+from critlocus.points import _koszul_differentials
 from critlocus.scalars import DEFAULT_PRIME, GF, QQ
 
 
@@ -213,7 +214,7 @@ def endo_complex_at_point(X, Y, Z, field=QQ) -> FreeComplex:
 
     diff = {}
     for q in range(3):
-        m = DenseMatrix.zero(ranks[q + 1], ranks[q], field)
+        m = [[field.zero] * ranks[q] for _ in range(ranks[q + 1])]
         for mask in MASKS_BY_DEGREE[q]:
             for k in range(n):
                 for l in range(n):
@@ -226,19 +227,15 @@ def endo_complex_at_point(X, Y, Z, field=QQ) -> FreeComplex:
                                 val = field.of(Fraction(mat[r][k]))
                                 if not field.is_zero(val):
                                     row = slot(r, l, amask | mask)
-                                    m.set(row, col, field.add(
-                                        m.entry(row, col), field.mul(field.of(ls), val)
-                                    ))
+                                    m[row][col] = field.add(m[row][col], field.mul(field.of(ls), val))
                         if rs:
                             tot = rs * (1 if (q & 1) else -1)
                             for c2 in range(n):
                                 val = field.of(Fraction(mat[l][c2]))
                                 if not field.is_zero(val):
                                     row = slot(k, c2, mask | amask)
-                                    m.set(row, col, field.add(
-                                        m.entry(row, col), field.mul(field.of(tot), val)
-                                    ))
-        diff[q] = m
+                                    m[row][col] = field.add(m[row][col], field.mul(field.of(tot), val))
+        diff[q] = DenseMatrix(field, ranks[q + 1], ranks[q], m)
     return FreeComplex(field, ranks, diff)
 
 
@@ -254,6 +251,75 @@ def test_evaluation_commutes_with_direct_assembly():
                 direct = endo_complex_at_point(pt.X, pt.Y, pt.Z, field)
                 for q in range(3):
                     assert via_symbolic.differential(q) == direct.differential(q)
+
+
+# -- the product the evaluated model differentiates ----------------------------
+
+
+def slot_product(n, p, a, q, b):
+    """The product in End(V) (x) Lambda(e_x, e_y, e_z) at a point, where
+    every entry is a scalar: (A (x) e_S)(B (x) e_T) = eps_merge_sign(S, T)
+    AB (x) e_(S|T).  ``a`` and ``b`` are slot vectors of degrees p and q:
+    the n x n blocks of the masks of MASKS_BY_DEGREE, each read row-major."""
+    nn = n * n
+    out = [0] * (nn * len(MASKS_BY_DEGREE[p + q]))
+    for s, smask in enumerate(MASKS_BY_DEGREE[p]):
+        for t, tmask in enumerate(MASKS_BY_DEGREE[q]):
+            sign = eps_merge_sign(smask, tmask)
+            if not sign:
+                continue
+            base = MASKS_BY_DEGREE[p + q].index(smask | tmask) * nn
+            for i in range(n):
+                for k in range(n):
+                    x = a[s * nn + i * n + k]
+                    if x:
+                        for j in range(n):
+                            out[base + i * n + j] += sign * x * b[t * nn + k * n + j]
+    return out
+
+
+LEIBNIZ_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1), (0, 2), (2, 0))
+
+
+def leibniz_failures(diffs, n, rng, draws=3):
+    """The degree pairs (p, q), one per draw, at which d(ab) = (da)b +
+    (-1)^p a(db) fails for seeded integer chains a, b, d being the three
+    differentials ``diffs`` on the model's slots."""
+    nn = n * n
+    failed = []
+    for p, q in LEIBNIZ_PAIRS:
+        for _ in range(draws):
+            a = [rng.randint(-3, 3) for _ in range(nn * len(MASKS_BY_DEGREE[p]))]
+            b = [rng.randint(-3, 3) for _ in range(nn * len(MASKS_BY_DEGREE[q]))]
+            lhs = apply_vector(diffs[p + q], slot_product(n, p, a, q, b))
+            left = slot_product(n, p + 1, apply_vector(diffs[p], a), q, b)
+            right = slot_product(n, p, a, q + 1, apply_vector(diffs[q], b))
+            if lhs != [x + (-1) ** p * y for x, y in zip(left, right)]:
+                failed.append((p, q))
+    return failed
+
+
+def test_evaluated_model_is_a_graded_derivation_of_the_slot_product():
+    # at a point the differential is [A, -] for A = X e_x + Y e_y + Z e_z, a
+    # graded derivation of the product exactly when product_sign and the
+    # slot order of MASKS_BY_DEGREE encode End(V) (x) Lambda
+    rng = random.Random(18)
+    checks = 0
+    for n in (1, 2, 3):
+        model = endomorphism_model(n)
+        pts = [point_from_partition(pp) for pp in enumerate_partitions(n)]
+        pts += random_conjugate_points(n, 3, random.Random(n))
+        for pt in pts:
+            cx = model.evaluate_at(pt.X, pt.Y, pt.Z)
+            assert leibniz_failures([cx.differential(q) for q in range(3)], n, rng) == []
+            checks += 3 * len(LEIBNIZ_PAIRS)
+    assert checks == 342
+    # the oracle's Koszul differentials write the e_x e_z slot as e_z e_x, so
+    # they fail wherever that slot is reached; (0, 0) never reaches it
+    pts = [point_from_partition(pp) for pp in enumerate_partitions(2)]
+    for pt in pts + random_conjugate_points(2, 3, random.Random(2)):
+        failed = leibniz_failures(_koszul_differentials(pt, QQ), 2, rng)
+        assert failed and (0, 0) not in failed
 
 
 def _first_partition_point(n):
@@ -415,7 +481,7 @@ def reference_trace_pairing(model_n, reps_k, reps_comp, field):
 
     qk = [q for q in range(4) if len(reps_k[0]) == nn * len(MASKS_BY_DEGREE[q])][0]
     qc = 3 - qk
-    out = DenseMatrix.zero(len(reps_k), len(reps_comp), field)
+    out = [[field.zero] * len(reps_comp) for _ in reps_k]
     for a, va in enumerate(reps_k):
         for b, vb in enumerate(reps_comp):
             acc = field.zero
@@ -433,8 +499,8 @@ def reference_trace_pairing(model_n, reps_k, reps_comp, field):
                         continue
                     sgn = eps_merge_sign(mask_a, mask_b)
                     acc = field.add(acc, field.mul(field.of(sgn), field.mul(xa, xb)))
-            out.set(a, b, acc)
-    return out
+            out[a][b] = acc
+    return DenseMatrix(field, len(reps_k), len(reps_comp), out)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(1048583)], ids=["QQ", "GF(p)"])
@@ -578,14 +644,14 @@ def reference_comparison_search(n):
     def numeric_block(flavor, slot_signs):
         nn = n * n
         size = len(slot_signs) * nn
-        m = DenseMatrix.zero(size, size, QQ)
+        m = [[0] * size for _ in range(size)]
         for b, sign in enumerate(slot_signs):
             for i in range(n):
                 for j in range(n):
                     src = b * nn + i * n + j
                     tgt = b * nn + (j * n + i if flavor else i * n + j)
-                    m.set(tgt, src, QQ.of(sign))
-        return m
+                    m[tgt][src] = sign
+        return DenseMatrix(QQ, size, size, m)
 
     sign_patterns = {
         1: [(1,), (-1,)],

@@ -23,7 +23,7 @@ from critlocus.points import (
     random_invertible,
     save_corpus,
 )
-from critlocus.points import _koszul_differentials, _trace_pairing_rank
+from critlocus.points import _commutator_blocks, _koszul_differentials, _trace_pairing_rank
 from critlocus.potential import MatrixCdga
 from critlocus.scalars import GF, QQ
 from test_linalg import naive_matmul
@@ -416,7 +416,7 @@ def test_adjoint_matrix_is_the_signed_commutator(n, sign, field):
         m = [[Fraction(rng.choice([0, 0, 0, 1, -2, 3]), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)]
         for i in range(n):
             m[i][i] = Fraction(rng.choice([0, 1]))
-        got = adjoint_matrix(m, field).scale(sign)
+        got = _commutator_blocks([m], field, [[(0, 0, sign, 0)]])[0]
         for p in range(n):
             for q in range(n):
                 e = [[Fraction(int((a, b) == (p, q))) for b in range(n)] for a in range(n)]

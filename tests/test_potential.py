@@ -157,7 +157,7 @@ def test_untransposed_t_differential_fails_rank_three():
     for i in range(3):
         for j in range(3):
             images[t.idx(f"T({i + 1},{j + 1})")] = mu.entry(i, j)
-    naive = Derivation(t, images, parity=1, cdeg_shift=1)
+    naive = Derivation(t, images, parity=1)
     bad = [
         k
         for k in range(len(t))

@@ -126,7 +126,7 @@ def sample_differential(t):
                 acc += g(t, f"Y0({j},{k})") * g(t, f"Z0({k},{i})")
                 acc -= g(t, f"Z0({j},{k})") * g(t, f"Y0({k},{i})")
             images[t.idx(f"Xm1({i},{j})")] = acc
-    return Derivation(t, images, parity=1, cdeg_shift=1)
+    return Derivation(t, images, parity=1)
 
 
 def test_derivation_on_quoted_generator_image():
@@ -172,9 +172,9 @@ def test_derivation_leibniz_random():
 
 def test_degree_check_rejects_bad_assignment():
     t = table2()
-    bad = Derivation(t, {t.idx("Xm1(1,1)"): g(t, "T(1,1)")}, parity=1, cdeg_shift=1)
+    bad = Derivation(t, {t.idx("Xm1(1,1)"): g(t, "T(1,1)")}, parity=1)
     with pytest.raises(ValueError):
-        bad.check_degrees()
+        bad.check_degrees(1)
 
 
 def test_evaluation_is_ring_map():

@@ -311,6 +311,19 @@ def test_points_refuse_floats_and_bools():
             FnPoint(1, 1, 2, bad, 3)
 
 
+def test_surface_names_and_fiber_degrees_are_read_strictly():
+    # "F01" would otherwise be read as F1, "F-1" would build a fan, and
+    # k = -1 would fail in a power that does not name k
+    for base in ("F-1", "F01", "F", "P3", "f1", "F1 ", None):
+        with pytest.raises(ValueError, match=re.escape(repr(base))):
+            SurfaceSpec(base)
+    for base in ("P2", "F0", "F1", "F10"):
+        assert SurfaceSpec(base).base == base
+    for k in (-1, 1.0, True, "1"):
+        with pytest.raises(ValueError, match=re.escape(f"k = {k!r}")):
+            FnPoint(k, 1, 2, 3, 4)
+
+
 @pytest.mark.parametrize("center", [True, 1, "0"])
 def test_exceptional_center_must_be_a_blowup(center):
     # True == 1 would otherwise be read as cone 1

@@ -11,8 +11,9 @@ Both matrix types are stored as sparse rows.  A :class:`SymMatrix` keeps
 one ``{col: SuperPoly}`` dict of nonzero polynomials per row, as
 :class:`~critlocus.linalg.DenseMatrix` keeps nonzero scalars; its producers
 write only nonzero entries, its readers visit only those, and its product
-is row-wise, row i being the sum of a_ik times row k of the right factor.
-Its ``data`` is a dense copy for readers outside the package.
+is row-wise, row i being the sum of a_ik times row k of the right factor,
+with a constant alone in its row applied as a scaling.  Its ``data`` is a
+dense copy for readers outside the package.
 
 Complexes arising as generator-degree presentations of dg modules also
 carry *twist* components: matrices from degree k to degree l >= k+2 whose
@@ -25,11 +26,14 @@ equation of the twisted differential,
 where d differentiates the entries.  ``check_d_squared`` tests the bare
 matrix equation (which holds for honest complexes, e.g. anything numeric
 or the Koszul presentation of the potential); ``check_flatness`` tests the
-twisted identity of a symbolic complex.  A :class:`ChainMap` joins two
-symbolic complexes and checks its squares symbolically or at a point.
+twisted identity of a symbolic complex, summing it into one term dict per
+entry.  A :class:`ChainMap` joins two symbolic complexes and checks its
+squares symbolically, comparing the two sides of each, or at a point.
 Setting every negative-degree generator to zero kills the twist
 components, so evaluation at a classical point of the critical locus
-always produces an honest numeric complex.
+always produces an honest numeric complex.  A matrix that reads no
+generator evaluates to the same matrix at every point, so its compiled
+form builds that matrix once per field.
 """
 
 from __future__ import annotations
@@ -39,8 +43,8 @@ from math import lcm
 from typing import Optional
 
 from .linalg import DenseMatrix, back_substitute, eliminate, kernel_basis, product_first_nonzero
-from .scalars import QQ
-from .superpoly import Derivation, GeneratorTable, SuperPoly, add_product, poly_to_text
+from .scalars import QQ, accumulate
+from .superpoly import ONE_MONOMIAL, Derivation, GeneratorTable, SuperPoly, add_product, poly_to_text
 
 
 class SymMatrix:
@@ -130,15 +134,45 @@ class SymMatrix:
 
     def matmul(self, other: "SymMatrix") -> "SymMatrix":
         """Row-wise: row i is the sum, over the nonzero a_ik, of a_ik times
-        row k of ``other``."""
+        row k of ``other``.
+
+        A constant met alone in its row is not multiplied out, as
+        ``linalg._product_rows`` treats a one-entry row: a row of ``self``
+        whose one entry is a constant c gives c times row k of ``other``
+        (its polynomials themselves at c = 1), and a row k of ``other``
+        whose one entry is a constant c adds c times a_ik, kept as it is in
+        a column that gets no other contribution.  Every other pair of
+        entries goes through ``add_product``."""
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matmul")
         out = SymMatrix(self.table, self.rows, other.cols)
+        brows = other.sparse_rows
         for row, acc in zip(self.sparse_rows, out.sparse_rows):
-            sums = {}
+            if len(row) == 1:
+                ((k, a),) = row.items()
+                c = _constant(a)
+                if c is not None:
+                    acc.update(brows[k] if c == 1 else {j: b.scale(c) for j, b in brows[k].items()})
+                    continue
+            sums, scaled = {}, []
             for k, a in row.items():
-                for j, b in other.sparse_rows[k].items():
+                brow = brows[k]
+                if len(brow) == 1:
+                    ((j, b),) = brow.items()
+                    c = _constant(b)
+                    if c is not None:
+                        scaled.append((j, c, a))
+                        continue
+                for j, b in brow.items():
                     add_product(sums.setdefault(j, {}), a.terms, b.terms)
+            for j, c, a in scaled:
+                terms = sums.get(j)
+                if terms is None:
+                    if j not in acc:
+                        acc[j] = a if c == 1 else a.scale(c)
+                        continue
+                    terms = sums[j] = dict(acc.pop(j).terms)
+                accumulate(terms, a.terms.items() if c == 1 else ((m, x * c) for m, x in a.terms.items()))
             for j, terms in sums.items():
                 if terms:
                     acc[j] = SuperPoly._of_terms(self.table, terms)
@@ -206,29 +240,43 @@ class CompiledMatrix:
     terms.  A term vanishes unless its first generator is nonzero, so
     ``by_gen`` lists, per generator, the entries with a term led by it, and
     ``constant`` those with a constant term: a point visits only those
-    lists for its nonzero generators, and the constant entries.
+    lists for its nonzero generators, and the constant entries.  With
+    ``by_gen`` empty the matrix has degree 0 and does not depend on the
+    point: ``fixed`` keeps its value per field, and ``ranks`` the rank of
+    that value once ``rank_of`` has decided it.
     """
 
-    __slots__ = ("rows", "cols", "entries", "scale", "degree", "by_gen", "constant")
+    __slots__ = ("rows", "cols", "entries", "scale", "degree", "by_gen", "constant", "fixed", "ranks")
 
     def __init__(self, m: SymMatrix):
         live = [g.cdeg == 0 and g.fdeg == 0 for g in m.table.gens]
         self.rows = m.rows
         self.cols = m.cols
-        # one walk over the terms: the live ones, with the scale and degree
-        scale, degree, found = 1, 0, []
+        # one walk over the terms: the live ones, their denominators and degree
+        dens, degree, found = set(), 0, []
         for i, row in enumerate(m.sparse_rows):
             for j in sorted(row):
                 terms = []
                 for (e, o), c in row[j].terms.items():
-                    if not o and all(live[k] for k, _ in e):
+                    if o:
+                        continue
+                    if len(e) == 1:
+                        ((k, exp),) = e
+                        if not live[k]:
+                            continue
+                        gens = (k,) * exp
+                    elif all(live[k] for k, _ in e):
                         gens = tuple(k for k, exp in e for _ in range(exp))
-                        terms.append((c, gens))
-                        scale = lcm(scale, c.denominator)
-                        degree = max(degree, len(gens))
+                    else:
+                        continue
+                    terms.append((c, gens))
+                    if type(c) is not int:
+                        dens.add(c.denominator)
+                    if len(gens) > degree:
+                        degree = len(gens)
                 if terms:
                     found.append((i, j, terms))
-        self.scale, self.degree = scale, degree
+        self.scale, self.degree = lcm(*dens), degree
         self.entries, self.by_gen, self.constant = [], {}, []
         for n, (i, j, terms) in enumerate(found):
             if not all(gens for _, gens in terms):
@@ -236,8 +284,9 @@ class CompiledMatrix:
             for k in {gens[0] for _, gens in terms if gens}:
                 self.by_gen.setdefault(k, []).append(n)
             self.entries.append(
-                (i, j, tuple((c.numerator * (scale // c.denominator), gens, degree - len(gens)) for c, gens in terms))
+                (i, j, tuple((c.numerator * (self.scale // c.denominator), gens, degree - len(gens)) for c, gens in terms))
             )
+        self.fixed, self.ranks = {}, {}
 
     def values(self, point: "_Point"):
         """(row, col, V) of each entry that is nonzero at ``point``, in
@@ -268,9 +317,26 @@ class CompiledMatrix:
         """The matrix over ``field`` at ``point``: the values V over the one
         denominator ``scale * D^E``, handed to ``DenseMatrix.from_integers``
         as they are (over GF(p) a denominator divisible by p raises
-        ZeroDivisionError there)."""
-        den = self.scale * point.den**self.degree
-        return DenseMatrix.from_integers(field, self.rows, self.cols, self.values(point), den)
+        ZeroDivisionError there).  A matrix that reads no generator has
+        the same value over ``scale`` at every point: it is built on the
+        first call per field and kept in ``fixed``."""
+        if self.by_gen:
+            den = self.scale * point.den**self.degree
+            return DenseMatrix.from_integers(field, self.rows, self.cols, self.values(point), den)
+        m = self.fixed.get(field)
+        if m is None:
+            m = self.fixed[field] = DenseMatrix.from_integers(field, self.rows, self.cols, self.values(point), self.scale)
+        return m
+
+    def rank_of(self, value: DenseMatrix) -> int:
+        """The rank of ``value``, a matrix that ``evaluate`` returned.  The
+        rank of a kept value (see ``evaluate``) is decided once per field."""
+        if self.fixed.get(value.field) is not value:
+            return value.rank()
+        r = self.ranks.get(value.field)
+        if r is None:
+            r = self.ranks[value.field] = value.rank()
+        return r
 
 
 class FreeComplex:
@@ -361,6 +427,14 @@ class FreeComplex:
         base cdga acting on entries; omit it for closed entries.  The route
         through degree b carries the Koszul sign (-1)^((a+1-b)(b+2-c)) from
         moving entries past each other.
+
+        Each (a, c) sums its identity straight into one term dict per entry
+        (i, j), no product or difference matrix being built: every route's
+        products through ``add_product``, with the sign folded into the
+        left factor, and d of each entry of D[a->c] through
+        ``accumulate``.  Returns (ok, failures), failures listing
+        (a, c, row, col) for the first nonzero entry of each (a, c) in
+        row-major order.
         """
         if not self.symbolic:
             raise ValueError("a numeric complex is checked by check_d_squared, not check_flatness")
@@ -368,19 +442,24 @@ class FreeComplex:
         degs = self.degrees()
         for a in degs:
             for c in (c for c in degs if c > a):
-                total = None
+                sums = [{} for _ in range(self.rank(c))]
                 for b in (b for b in degs if a < b < c):
-                    prod = self.component(b, c).matmul(self.component(a, b))
-                    if ((a + 1 - b) * (b + 2 - c)) & 1:
-                        prod = prod.scale(-1)
-                    total = prod if total is None else total.add(prod)
+                    negate = ((a + 1 - b) * (b + 2 - c)) & 1
+                    right = self.component(a, b).sparse_rows
+                    for row, acc in zip(self.component(b, c).sparse_rows, sums):
+                        for k, p in row.items():
+                            left = {m: -x for m, x in p.terms.items()} if negate else p.terms
+                            for j, q in right[k].items():
+                                add_product(acc.setdefault(j, {}), left, q.terms)
                 if derivation is not None:
-                    dD = self.component(a, c).map_entries(derivation.apply)
-                    total = dD if total is None else total.add(dD)
-                if total is not None:
-                    bad = total.first_nonzero()
-                    if bad is not None:
-                        failures.append((a, c, bad[0], bad[1]))
+                    for row, acc in zip(self.component(a, c).sparse_rows, sums):
+                        for j, p in row.items():
+                            accumulate(acc.setdefault(j, {}), derivation.apply(p).terms.items())
+                for i, acc in enumerate(sums):
+                    bad = [j for j, terms in acc.items() if terms]
+                    if bad:
+                        failures.append((a, c, i, min(bad)))
+                        break
         return (not failures), failures
 
     # -- evaluation ------------------------------------------------------------
@@ -543,6 +622,12 @@ def _point_values(table: GeneratorTable, assignment) -> _Point:
     return _Point(table, values)
 
 
+def _constant(p: SuperPoly):
+    """The coefficient of ``p`` if it is a nonzero constant, else None."""
+    t = p.terms
+    return t.get(ONE_MONOMIAL) if len(t) == 1 else None
+
+
 def _rank(degree, r) -> int:
     """``r`` if it is an int; anything else, a bool included, raises
     ValueError naming the degree rather than being read as an int."""
@@ -557,7 +642,13 @@ def _matrix_entries(m: SymMatrix) -> dict:
 
 class ChainMap:
     """A degree-0 map of symbolic complexes, one SymMatrix per degree; a
-    numeric source or target raises ValueError."""
+    numeric source or target raises ValueError.
+
+    ``check_symbolic`` compares the two sides of each square, twist
+    components included, and ``check_at_point`` evaluates everything at a
+    point.  A block that reads no generator, as the signed permutations of
+    the comparison map do, is evaluated and its rank decided once per
+    field, through the compiled form it keeps until ``SymMatrix.set``."""
 
     def __init__(self, source: FreeComplex, target: FreeComplex, blocks: dict):
         if not (source.symbolic and target.symbolic):
@@ -576,17 +667,20 @@ class ChainMap:
         return SymMatrix.zero(self.source.base, self.target.rank(k), self.source.rank(k))
 
     def check_symbolic(self) -> dict:
-        """All squares commute, including twist components."""
+        """All squares commute, including twist components: for a < c,
+        F[c] D_src[a->c] = D_tgt[a->c] F[a].  The two sides are compared as
+        they are; a failure names the first (row, col) in row-major order
+        where they differ, the first nonzero entry of their difference."""
         report = {"ok": True, "failures": []}
         for a in self.source.degrees():
             for c in (c for c in self.target.degrees() if c > a):
                 lhs = self.block(c).matmul(self.source.component(a, c))
                 rhs = self.target.component(a, c).matmul(self.block(a))
-                diff = lhs.add(rhs.scale(-1))
-                bad = diff.first_nonzero()
-                if bad is not None:
+                if lhs != rhs:
+                    i, x, y = next((i, x, y) for i, (x, y) in enumerate(zip(lhs.sparse_rows, rhs.sparse_rows)) if x != y)
+                    j = min(j for j in x.keys() | y.keys() if x.get(j) != y.get(j))
                     report["ok"] = False
-                    report["failures"].append((a, c, *bad[:2]))
+                    report["failures"].append((a, c, i, j))
         return report
 
     def check_at_point(self, assignment: dict, field=QQ) -> dict:
@@ -602,9 +696,10 @@ class ChainMap:
         report = {"ok": True, "failures": [], "invertible": {}}
         blocks = {}
         for k in set(src.degrees()) | set(tgt.degrees()):
-            blocks[k] = self.block(k).compiled().evaluate(point, field)
+            compiled = self.block(k).compiled()
+            blocks[k] = compiled.evaluate(point, field)
             if src.rank(k) == tgt.rank(k) and src.rank(k):
-                report["invertible"][k] = blocks[k].rank() == src.rank(k)
+                report["invertible"][k] = compiled.rank_of(blocks[k]) == src.rank(k)
         for k in sorted(blocks):
             if not (src.rank(k) and tgt.rank(k + 1)):
                 continue

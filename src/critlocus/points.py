@@ -61,17 +61,15 @@ class MatrixPoint:
             self._commuting = all(_commutes(a, b) for a, b in pairs)
         return self._commuting
 
-    def conjugate(self, g, g_inv=None) -> "MatrixPoint":
-        """The point g X g^-1, g Y g^-1, g Z g^-1 with vector g v.  A ``g``
-        or ``g_inv`` that is not n x n raises ValueError naming both shapes."""
+    def conjugate(self, g) -> "MatrixPoint":
+        """The point g X g^-1, g Y g^-1, g Z g^-1 with vector g v, g^-1
+        computed from ``g``.  A ``g`` that is not n x n raises ValueError
+        naming both shapes, and a singular one ValueError."""
         n = self.n
         check_square("g", g, n)
+        g_inv = _invert(g)
         if g_inv is None:
-            g_inv = _invert(g)
-            if g_inv is None:
-                raise ValueError("conjugating matrix is singular")
-        else:
-            check_square("g_inv", g_inv, n)
+            raise ValueError("conjugating matrix is singular")
         left, right = DenseMatrix.from_rows(g), DenseMatrix.from_rows(g_inv)
 
         def conj(m):

@@ -465,3 +465,243 @@ def test_set_drops_the_compiled_form():
     assert m.evaluate(point).data == [[value(x), value(y)]]
     m.set(0, 0, SuperPoly.zero(EVAL_TABLE))
     assert m.evaluate(point).data == [[0, value(y)]]
+
+
+# -- symbolic identity checks against their matrix-building references ------------
+
+# entries for products: constants (1, -1 and 1/2 among them), one-term
+# monomials, multi-term polynomials and zeros, so rows with one entry turn
+# up on either side, and a polynomial beside its negative lets sums cancel
+X, Y = SuperPoly.gen(EVAL_TABLE, "X0(1,1)"), SuperPoly.gen(EVAL_TABLE, "Y0(1,1)")
+CONSTANTS = [SuperPoly.scalar(EVAL_TABLE, c) for c in (1, -1, Fraction(1, 2), 3)]
+MONOMIALS = [X, Y, ODD, SuperPoly.scalar(EVAL_TABLE, Fraction(-2, 3)) * X * Y]
+POLYNOMIALS = [X + Y, X - SuperPoly.one(EVAL_TABLE), X * ODD + Y.scale(Fraction(1, 2))]
+PRODUCT_ENTRIES = CONSTANTS + MONOMIALS + POLYNOMIALS
+product_entries = st.one_of(
+    st.just(SuperPoly.zero(EVAL_TABLE)),
+    st.sampled_from(PRODUCT_ENTRIES),
+    st.sampled_from(PRODUCT_ENTRIES).map(lambda p: -p),
+    entries(),
+)
+
+
+@st.composite
+def sparse_sym_matrices(draw, rows, cols):
+    """Mostly empty rows x cols matrices: each entry is zero with
+    probability about 1/2."""
+    zero = SuperPoly.zero(EVAL_TABLE)
+    return SymMatrix(
+        EVAL_TABLE,
+        rows,
+        cols,
+        [[draw(product_entries) if draw(st.booleans()) else zero for _ in range(cols)] for _ in range(rows)],
+    )
+
+
+def reference_matmul(a, b):
+    """The sum over k of a_ik * b_kj, by SuperPoly ``*`` and ``+``."""
+    A, B = a.data, b.data
+    zero = SuperPoly.zero(a.table)
+    return [[sum((A[i][k] * B[k][j] for k in range(a.cols)), zero) for j in range(b.cols)] for i in range(a.rows)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_matmul_matches_the_reference_product(data):
+    r, k, c = (data.draw(st.integers(0, 4)) for _ in range(3))
+    a = data.draw(sparse_sym_matrices(r, k))
+    b = data.draw(sparse_sym_matrices(k, c))
+    got = a.matmul(b)
+    assert got.data == reference_matmul(a, b)
+    assert _stores_only_nonzeros(got)
+
+
+def test_matmul_meets_constants_with_products_and_cancels():
+    one, half = SuperPoly.one(EVAL_TABLE), SuperPoly.scalar(EVAL_TABLE, Fraction(1, 2))
+    zero = SuperPoly.zero(EVAL_TABLE)
+    cases = [
+        # a left row whose one entry is 1, -1 or 1/2
+        ([[one], [-one], [half], [X]], [[X, zero, X + Y]]),
+        # column 0: a general product meets a constant row of the right
+        # factor, and the two cancel; column 1: two constant rows cancel
+        ([[one, X, X]], [[X, zero], [-one, one], [zero, -one]]),
+        ([[X, Y, X]], [[one, zero], [X, Y], [-one, zero]]),
+        # one constant contribution kept alone, one scaled by 1/2 and two
+        # constant contributions that add up rather than cancel
+        ([[X, Y, ODD]], [[zero, half], [one, zero], [zero, half]]),
+        ([[X, X + Y]], [[half], [half]]),
+    ]
+    for rows_a, rows_b in cases:
+        a = SymMatrix(EVAL_TABLE, len(rows_a), len(rows_b), rows_a)
+        b = SymMatrix(EVAL_TABLE, len(rows_b), len(rows_b[0]), rows_b)
+        got = a.matmul(b)
+        assert got.data == reference_matmul(a, b) and _stores_only_nonzeros(got)
+    # the cancelling columns are stored empty, not as zero polynomials
+    a = SymMatrix(EVAL_TABLE, 1, 3, [[one, X, X]])
+    b = SymMatrix(EVAL_TABLE, 3, 2, [[X, zero], [-one, one], [zero, -one]])
+    assert a.matmul(b).sparse_rows == [{}]
+
+
+def reference_flatness(cx, derivation=None):
+    """The flatness check with its matrices built: each route's product,
+    negated by ``scale(-1)`` where its sign is odd, the routes and the
+    derivation's image of D[a->c] added, and the first nonzero entry of the
+    sum reported."""
+    failures = []
+    degs = cx.degrees()
+    for a in degs:
+        for c in (c for c in degs if c > a):
+            total = None
+            for b in (b for b in degs if a < b < c):
+                prod = cx.component(b, c).matmul(cx.component(a, b))
+                if ((a + 1 - b) * (b + 2 - c)) & 1:
+                    prod = prod.scale(-1)
+                total = prod if total is None else total.add(prod)
+            if derivation is not None:
+                dD = cx.component(a, c).map_entries(derivation.apply)
+                total = dD if total is None else total.add(dD)
+            if total is not None:
+                bad = total.first_nonzero()
+                if bad is not None:
+                    failures.append((a, c, bad[0], bad[1]))
+    return (not failures), failures
+
+
+def reference_check_symbolic(cm):
+    """The chain-map squares decided by the first nonzero entry of lhs - rhs."""
+    report = {"ok": True, "failures": []}
+    for a in cm.source.degrees():
+        for c in (c for c in cm.target.degrees() if c > a):
+            lhs = cm.block(c).matmul(cm.source.component(a, c))
+            rhs = cm.target.component(a, c).matmul(cm.block(a))
+            bad = lhs.add(rhs.scale(-1)).first_nonzero()
+            if bad is not None:
+                report["ok"] = False
+                report["failures"].append((a, c, *bad[:2]))
+    return report
+
+
+def _copy(m):
+    return SymMatrix(m.table, m.rows, m.cols, m.data)
+
+
+def _perturbed(m, rng):
+    """A copy of ``m`` with one entry (i, j) changed: cleared, or added a
+    constant or a generator of the table."""
+    out = _copy(m)
+    i, j = rng.randrange(m.rows), rng.randrange(m.cols)
+    p = m.entry(i, j)
+    change = rng.choice([-p, SuperPoly.one(m.table), SuperPoly.gen(m.table, rng.randrange(len(m.table)))])
+    out.set(i, j, p + change)
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_flatness_failures_match_the_matrix_reference(n):
+    from critlocus.potential import CotangentModel
+
+    cdga = MatrixCdga(n)
+    cx = CotangentModel(cdga).complex
+    d = cdga.differential
+    assert cx.check_flatness(d) == reference_flatness(cx, d) == (True, [])
+    rng = random.Random(n)
+    keys = [("diff", k) for k in sorted(cx.diff)] + [("twist", k) for k in sorted(cx.twist)]
+    assert any(kind == "twist" for kind, _ in keys)
+    failing = 0
+    for kind, key in keys:
+        for _ in range(3):
+            diff, twist = dict(cx.diff), dict(cx.twist)
+            parts = diff if kind == "diff" else twist
+            parts[key] = _perturbed(parts[key], rng)
+            bad = FreeComplex(cx.base, cx.ranks, diff, twist)
+            for derivation in (d, None):
+                got = bad.check_flatness(derivation)
+                assert got == reference_flatness(bad, derivation)
+                failing += not got[0]
+    # at n = 1 every component is zero and d kills every generator, so no
+    # single changed entry breaks the identity
+    assert failing or n == 1
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_chain_map_failures_match_the_matrix_reference(n):
+    cm, _ = build_comparison_map(n, search=False)
+    assert cm.check_symbolic() == reference_check_symbolic(cm) == {"ok": True, "failures": []}
+    rng = random.Random(n)
+    for k in sorted(cm.blocks):
+        for _ in range(3):
+            blocks = dict(cm.blocks)
+            blocks[k] = _perturbed(blocks[k], rng)
+            bad = ChainMap(cm.source, cm.target, blocks)
+            got = bad.check_symbolic()
+            assert got == reference_check_symbolic(bad)
+            assert not got["ok"] or blocks[k] == cm.blocks[k]
+
+
+# -- blocks that read no generator are evaluated once per field ----------------------
+
+
+def reference_check_at_point(cm, assignment, field):
+    """``check_at_point`` with every matrix evaluated entry by entry by
+    ``SuperPoly.evaluate`` at this point."""
+
+    def ev(m):
+        return DenseMatrix(field, m.rows, m.cols, [[field.of(p.evaluate(assignment)) for p in row] for row in m.data])
+
+    degs = set(cm.source.degrees()) | set(cm.target.degrees())
+    src, tgt, blocks = {}, {}, {k: ev(cm.block(k)) for k in degs}
+    for cx, out in ((cm.source, src), (cm.target, tgt)):
+        for k in degs:
+            out[k] = ev(cx.differential(k))
+    report = {"ok": True, "failures": [], "invertible": {}}
+    for k in degs:
+        if cm.source.rank(k) == cm.target.rank(k) and cm.source.rank(k):
+            report["invertible"][k] = blocks[k].rank() == cm.source.rank(k)
+    for k in sorted(degs):
+        if cm.source.rank(k) and cm.target.rank(k + 1):
+            if blocks[k + 1].matmul(src[k]) != tgt[k].matmul(blocks[k]):
+                report["ok"] = False
+                report["failures"].append(k)
+    report["all_invertible"] = all(report["invertible"].values()) if report["invertible"] else False
+    return report
+
+
+def test_constant_blocks_are_kept_per_field_and_dropped_by_set():
+    cdga = MatrixCdga(2)
+    cm, _ = build_comparison_map(2, cdga, search=False)
+    pts = [point_from_partition(pp) for pp in enumerate_partitions(2)]
+    pts += random_conjugate_points(2, 2, random.Random(4))
+    assignments = [cdga.point_assignment(pt.X, pt.Y, pt.Z) for pt in pts]
+    fields = (QQ, GF(1048583))
+
+    def fresh(blocks):
+        return ChainMap(cm.source, cm.target, {k: _copy(m) for k, m in blocks.items()})
+
+    for field in fields:
+        for a in assignments:
+            assert cm.check_at_point(a, field) == fresh(cm.blocks).check_at_point(a, field)
+    # a block edited after those checks is read afresh at the next one
+    block = cm.blocks[1]
+    i, row = next((i, row) for i, row in enumerate(block.sparse_rows) if row)
+    j = next(iter(row))
+    block.set(i, j, SuperPoly.zero(cdga.table))
+    for field in fields:
+        for a in assignments:
+            got = cm.check_at_point(a, field)
+            assert got == fresh(cm.blocks).check_at_point(a, field) == reference_check_at_point(cm, a, field)
+            assert not got["invertible"][1]
+
+
+def test_blocks_that_read_a_generator_are_evaluated_at_every_point():
+    t = GeneratorTable.canonical(1)
+    x, y = SuperPoly.gen(t, "X0(1,1)"), SuperPoly.gen(t, "Y0(1,1)")
+    d = SymMatrix(t, 2, 2, [[y, x], [SuperPoly.zero(t), y]])
+    cx = FreeComplex(t, {0: 2, 1: 2}, {0: d})
+    scaled = SymMatrix(t, 2, 2, [[x, SuperPoly.zero(t)], [SuperPoly.zero(t), x]])
+    cm = ChainMap(cx, cx, {0: scaled, 1: sym_identity(t, 2)})
+    for field in (QQ, GF(DEFAULT_PRIME)):
+        for xv, yv in ((0, 1), (2, 1), (0, 0), (Fraction(1, 3), 5), (0, 2)):
+            a = {0: Fraction(xv), 1: Fraction(yv), 2: Fraction(0)}
+            got = cm.check_at_point(a, field)
+            assert got == reference_check_at_point(cm, a, field)
+            assert got["invertible"][0] == (xv != 0)

@@ -76,8 +76,19 @@ def test_conjugating_matrix_of_another_shape_raises(g):
     shape = f"{len(g)}x{len(g[0])}"
     with pytest.raises(ValueError, match=f"g is {shape}, expected 2x2"):
         pt.conjugate(g)
-    with pytest.raises(ValueError, match=f"g_inv is {shape}, expected 2x2"):
-        pt.conjugate(I2, g)
+
+
+def test_conjugate_of_a_commuting_point_commutes():
+    # g^-1 is always computed from g: no inverse is taken on trust
+    pt = point_from_partition(enumerate_partitions(3)[1])
+    g = [[1, 1, 0], [0, 1, 0], [0, 0, 1]]
+    conj = pt.conjugate(g)
+    assert pt.is_commuting() and conj.is_commuting()
+    assert conj.provenance == "random-conjugate"
+    for m, c in zip(pt.matrices(), conj.matrices()):
+        assert naive_matmul(g, m, 3, 3, 3) == naive_matmul(c, g, 3, 3, 3)
+    with pytest.raises(ValueError, match="singular"):
+        pt.conjugate([[1, 1, 0], [1, 1, 0], [0, 0, 1]])
 
 
 def test_cyclic_shift_vector():
@@ -328,8 +339,20 @@ def reference_koszul_differentials(pt):
     n = pt.n
     X, Y, Z = pt.matrices()
 
+    def product(a, b):
+        # the textbook sum over k of a[i][k] * b[k][j], skipping zero factors
+        out = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for k in range(n):
+                x = a[i][k]
+                if x:
+                    for j in range(n):
+                        if b[k][j]:
+                            out[i][j] += x * b[k][j]
+        return out
+
     def br(m, e):
-        me, em = naive_matmul(m, e, n, n, n), naive_matmul(e, m, n, n, n)
+        me, em = product(m, e), product(e, m)
         return [[me[i][j] - em[i][j] for j in range(n)] for i in range(n)]
 
     def add(*ms):

@@ -349,7 +349,7 @@ def cmd_toric_chart(parser, args):
             return TowerPoint(base=P2Point(*coords(raw, 3)))
         if spec.base == "P2":
             return P2Point(*coords(raw, 3))
-        return FnPoint(int(spec.base[1:]), *coords(raw, 4))
+        return FnPoint(spec.k, *coords(raw, 4))
 
     # a malformed point is a usage error, and so is a point the chart search
     # refuses (a plane point at a blowup center, say)

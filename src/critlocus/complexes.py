@@ -9,11 +9,14 @@ vector ``col``.
 
 Both matrix types are stored as sparse rows.  A :class:`SymMatrix` keeps
 one ``{col: SuperPoly}`` dict of nonzero polynomials per row, as
-:class:`~critlocus.linalg.DenseMatrix` keeps nonzero scalars; its producers
-write only nonzero entries, its readers visit only those, and its product
-is row-wise, row i being the sum of a_ik times row k of the right factor,
-with a constant alone in its row applied as a scaling.  Its ``data`` is a
-dense copy for readers outside the package.
+:class:`~critlocus.linalg.DenseMatrix` keeps nonzero scalars, and like it
+is written once: a builder fills row dicts (``add_entry`` adds to one) and
+hands them to ``from_sparse``.  Its producers write only nonzero entries,
+its readers visit only those, and its product is row-wise, row i being the
+sum of a_ik times row k of the right factor, with a constant alone in its
+row applied as a scaling.  A product, sum, complex or chain map that mixes
+generator tables raises ValueError.  Its ``data`` is a dense copy for
+readers outside the package.
 
 Complexes arising as generator-degree presentations of dg modules also
 carry *twist* components: matrices from degree k to degree l >= k+2 whose
@@ -31,9 +34,11 @@ entry.  A :class:`ChainMap` joins two symbolic complexes and checks its
 squares symbolically, comparing the two sides of each, or at a point.
 Setting every negative-degree generator to zero kills the twist
 components, so evaluation at a classical point of the critical locus
-always produces an honest numeric complex.  A matrix that reads no
-generator evaluates to the same matrix at every point, so its compiled
-form builds that matrix once per field.
+always produces an honest numeric complex.  Evaluation takes one kind of
+point, a ``_Point`` cleared over the matrix's own table, as
+``MatrixCdga.point`` makes it.  A matrix that reads no generator evaluates
+to the same matrix at every point, so its compiled form builds that matrix
+once per field.
 """
 
 from __future__ import annotations
@@ -49,42 +54,35 @@ from .superpoly import ONE_MONOMIAL, Derivation, GeneratorTable, SuperPoly, add_
 
 class SymMatrix:
     """A rows x cols matrix with SuperPoly entries over one generator table,
-    stored as sparse rows: one ``{col: SuperPoly}`` dict per row holding
-    only its nonzero entries, as ``DenseMatrix`` stores scalars.  Entries
-    are changed through ``set`` only, which drops the compiled form."""
+    stored as sparse rows (see the module docstring).  It is written once
+    and then only read, so its compiled form lives as long as it does."""
 
     __slots__ = ("table", "rows", "cols", "sparse_rows", "_compiled")
 
     def __init__(self, table: GeneratorTable, rows: int, cols: int, data=None):
-        """The zero matrix, or the matrix of dense row-major ``data`` with its
-        zero polynomials dropped."""
-        self.table = table
-        self.rows = rows
-        self.cols = cols
+        """The zero matrix, or the matrix of dense row-major ``data``, whose
+        rows are read as ``from_sparse`` reads them."""
+        if data is not None and any(len(r) != cols for r in data):
+            raise ValueError("shape mismatch")
+        sparse = [{} for _ in range(rows)] if data is None else [dict(enumerate(r)) for r in data]
+        self.table, self.rows, self.cols, self.sparse_rows = table, rows, cols, _checked(table, rows, cols, sparse)
         self._compiled = None
-        if data is None:
-            self.sparse_rows = [{} for _ in range(rows)]
-        else:
-            if len(data) != rows or any(len(r) != cols for r in data):
-                raise ValueError("shape mismatch")
-            self.sparse_rows = [{j: p for j, p in enumerate(r) if p.terms} for r in data]
 
     @classmethod
-    def zero(cls, table, rows, cols):
-        return cls(table, rows, cols)
+    def from_sparse(cls, table: GeneratorTable, rows: int, cols: int, sparse_rows) -> "SymMatrix":
+        """From one ``{col: SuperPoly}`` dict per row; zero polynomials are
+        dropped.  A wrong row count, a column outside the matrix or an entry
+        over another table raises ValueError."""
+        return _sym(table, rows, cols, _checked(table, rows, cols, [dict(row) for row in sparse_rows]))
 
     @classmethod
     def identity(cls, table, n):
-        out = cls(table, n, n)
         one = SuperPoly.one(table)
-        for i, row in enumerate(out.sparse_rows):
-            row[i] = one
-        return out
+        return _sym(table, n, n, [{i: one} for i in range(n)])
 
     @property
     def data(self):
-        """A dense row-major copy, with a zero polynomial in empty entries.
-        Writing to it does not change the matrix; ``set`` does."""
+        """A dense row-major copy, with a zero polynomial in empty entries."""
         zero = SuperPoly.zero(self.table)
         out = []
         for row in self.sparse_rows:
@@ -101,21 +99,6 @@ class SymMatrix:
             and (self.rows, self.cols) == (other.rows, other.cols)
             and self.sparse_rows == other.sparse_rows
         )
-
-    def set(self, i, j, p: SuperPoly):
-        """Set entry (i, j) to ``p``; a zero ``p`` clears it."""
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError(f"entry ({i}, {j}) outside a {self.rows}x{self.cols} matrix")
-        self._compiled = None
-        if p.terms:
-            self.sparse_rows[i][j] = p
-        else:
-            self.sparse_rows[i].pop(j, None)
-
-    def add_to(self, i, j, p: SuperPoly):
-        """Add ``p`` to entry (i, j); a sum that cancels clears it."""
-        q = self.sparse_rows[i].get(j)
-        self.set(i, j, p if q is None else q + p)
 
     def entry(self, i, j) -> SuperPoly:
         return self.sparse_rows[i].get(j) or SuperPoly.zero(self.table)
@@ -145,9 +128,10 @@ class SymMatrix:
         entries goes through ``add_product``."""
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matmul")
-        out = SymMatrix(self.table, self.rows, other.cols)
+        _over(self.table, {other.table})
+        out = [{} for _ in range(self.rows)]
         brows = other.sparse_rows
-        for row, acc in zip(self.sparse_rows, out.sparse_rows):
+        for row, acc in zip(self.sparse_rows, out):
             if len(row) == 1:
                 ((k, a),) = row.items()
                 c = _constant(a)
@@ -176,49 +160,93 @@ class SymMatrix:
             for j, terms in sums.items():
                 if terms:
                     acc[j] = SuperPoly._of_terms(self.table, terms)
-        return out
+        return _sym(self.table, self.rows, other.cols, out)
 
     def add(self, other: "SymMatrix") -> "SymMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in add")
-        out = SymMatrix(self.table, self.rows, self.cols)
-        out.sparse_rows = [dict(row) for row in self.sparse_rows]
-        for i, row in enumerate(other.sparse_rows):
+        _over(self.table, {other.table})
+        out = [dict(row) for row in self.sparse_rows]
+        for row, acc in zip(other.sparse_rows, out):
             for j, p in row.items():
-                out.add_to(i, j, p)
-        return out
+                add_entry(acc, j, p)
+        return _sym(self.table, self.rows, self.cols, out)
 
     def scale(self, c) -> "SymMatrix":
         return self.map_entries(lambda p: p.scale(c))
 
     def transpose(self) -> "SymMatrix":
-        out = SymMatrix(self.table, self.cols, self.rows)
+        out = [{} for _ in range(self.cols)]
         for i, row in enumerate(self.sparse_rows):
             for j, p in row.items():
-                out.sparse_rows[j][i] = p
-        return out
+                out[j][i] = p
+        return _sym(self.table, self.cols, self.rows, out)
 
     def map_entries(self, fn) -> "SymMatrix":
         """``fn`` applied to each nonzero entry, zero results dropped.  ``fn``
         must send zero to zero, as a linear map such as
         ``Derivation.apply`` does, since empty entries are not visited."""
-        out = SymMatrix(self.table, self.rows, self.cols)
-        for row, acc in zip(self.sparse_rows, out.sparse_rows):
+        out = [{} for _ in range(self.rows)]
+        for row, acc in zip(self.sparse_rows, out):
             for j, p in row.items():
                 q = fn(p)
                 if q.terms:
                     acc[j] = q
-        return out
+        return _sym(self.table, self.rows, self.cols, out)
 
     def compiled(self) -> "CompiledMatrix":
-        """The compiled form, built on the first call and kept until ``set``."""
+        """The compiled form, built on the first call and kept."""
         if self._compiled is None:
             self._compiled = CompiledMatrix(self)
         return self._compiled
 
-    def evaluate(self, assignment, field=QQ) -> DenseMatrix:
-        """The numeric matrix at a point, as ``FreeComplex.evaluate_at`` sets it."""
-        return self.compiled().evaluate(_point_values(self.table, assignment), field)
+    def evaluate(self, point: "_Point", field=QQ) -> DenseMatrix:
+        """The numeric matrix at a point cleared over this matrix's table,
+        as ``FreeComplex.evaluate_at`` sets it."""
+        return self.compiled().evaluate(_point_over(self.table, point), field)
+
+
+def _sym(table, rows: int, cols: int, sparse_rows) -> SymMatrix:
+    """A matrix on rows that hold only nonzero polynomials over ``table``."""
+    m = SymMatrix.__new__(SymMatrix)
+    m.table, m.rows, m.cols, m.sparse_rows, m._compiled = table, rows, cols, sparse_rows, None
+    return m
+
+
+def _checked(table, rows: int, cols: int, sparse: list) -> list:
+    """``sparse`` with its zeros dropped, once ``from_sparse`` accepts it."""
+    if len(sparse) != rows:
+        raise ValueError("row count mismatch")
+    # the table of each entry, None standing for a zero one
+    tables = {p.table if p.terms else None for row in sparse for p in row.values()}
+    if None in tables:
+        tables.discard(None)
+        sparse = [{j: p for j, p in row.items() if p.terms} for row in sparse]
+    used = set().union(*sparse)
+    if used and (min(used) < 0 or max(used) >= cols):
+        raise ValueError(f"a column outside range({cols})")
+    _over(table, tables)
+    return sparse
+
+
+def _over(table, tables: set):
+    """Raise ValueError unless every table in ``tables`` is ``table``."""
+    if not tables <= {table}:
+        raise ValueError("operands built over different generator tables")
+
+
+def add_entry(row: dict, j, p: SuperPoly):
+    """Add ``p`` to entry ``j`` of the sparse row ``row``: a first
+    contribution is stored as it is, a later one added, and a sum that
+    cancels clears the entry."""
+    q = row.get(j)
+    if q is None:
+        if p.terms:
+            row[j] = p
+    elif (s := q + p).terms:
+        row[j] = s
+    else:
+        del row[j]
 
 
 class CompiledMatrix:
@@ -243,7 +271,8 @@ class CompiledMatrix:
     lists for its nonzero generators, and the constant entries.  With
     ``by_gen`` empty the matrix has degree 0 and does not depend on the
     point: ``fixed`` keeps its value per field, and ``ranks`` the rank of
-    that value once ``rank_of`` has decided it.
+    that value once ``rank_of`` has decided it, both as long as the matrix
+    lives.
     """
 
     __slots__ = ("rows", "cols", "entries", "scale", "degree", "by_gen", "constant", "fixed", "ranks")
@@ -377,6 +406,8 @@ class FreeComplex:
                 raise ValueError("twist components must jump at least 2 degrees")
             if m.cols != self.ranks.get(k, 0) or m.rows != self.ranks.get(l, 0):
                 raise ValueError(f"twist component {k}->{l} has wrong shape")
+        if self.symbolic:
+            _over(self.base, {m.table for m in (*self.diff.values(), *self.twist.values())})
 
     def degrees(self):
         return sorted(self.ranks)
@@ -393,7 +424,7 @@ class FreeComplex:
         if m is not None:
             return m
         if self.symbolic:
-            return SymMatrix.zero(self.base, self.rank(l), self.rank(k))
+            return SymMatrix(self.base, self.rank(l), self.rank(k))
         return DenseMatrix.zero(self.rank(l), self.rank(k), self.base)
 
     # -- structural checks ---------------------------------------------------
@@ -464,19 +495,19 @@ class FreeComplex:
 
     # -- evaluation ------------------------------------------------------------
 
-    def evaluate_at(self, assignment: dict, field=QQ) -> "FreeComplex":
+    def evaluate_at(self, point: "_Point", field=QQ) -> "FreeComplex":
         """Set degree-0 generators to scalars, all others to zero.
 
-        ``assignment`` maps generator index (or name) to a rational, or is a
-        point already cleared by ``_point_values`` or ``MatrixCdga.point``.
-        The point's denominators are cleared once, and every matrix reads
-        the same integer numerators through the compiled form it keeps (see
-        ``CompiledMatrix``).  Twist components have strictly negative entry
-        degrees, so they evaluate to zero and are dropped; this is asserted.
+        ``point`` is a ``_Point`` cleared over this complex's table, as
+        ``MatrixCdga.point`` makes it; anything else raises ValueError.
+        Every matrix reads its integer numerators through the compiled form
+        it keeps (see ``CompiledMatrix``).  Twist components have strictly
+        negative entry degrees, so they evaluate to zero and are dropped;
+        this is asserted.
         """
         if not self.symbolic:
             raise ValueError("complex is already numeric")
-        point = _point_values(self.base, assignment)
+        point = _point_over(self.base, point)
         diff = {k: m.compiled().evaluate(point, field) for k, m in self.diff.items()}
         for m in self.twist.values():
             if next(m.compiled().values(point), None) is not None:
@@ -601,25 +632,11 @@ class _Point:
         self.nonzero = [k for k, n in enumerate(self.nums) if n]
 
 
-def _point_values(table: GeneratorTable, assignment) -> _Point:
-    """``assignment``, keyed by generator name or index, cleared to a
-    ``_Point`` over ``table``; a ``_Point`` over ``table`` is returned as it
-    is.  Every degree-0 generator must have an exact value.  A key that
-    ``GeneratorTable.idx`` refuses raises KeyError naming it; values for
-    the other generators are checked to be exact but never enter the
-    point."""
-    if isinstance(assignment, _Point):
-        if assignment.table is not table:
-            raise ValueError("point was cleared over another generator table")
-        return assignment
-    given = {table.idx(k): QQ.of(v) for k, v in assignment.items()}
-    values = {}
-    for k, g in enumerate(table.gens):
-        if g.cdeg == 0 and g.fdeg == 0:
-            if k not in given:
-                raise KeyError(f"missing assignment for degree-0 generator {g.name}")
-            values[k] = given[k]
-    return _Point(table, values)
+def _point_over(table: GeneratorTable, point) -> _Point:
+    """``point`` if it is a ``_Point`` cleared over ``table``, else ValueError."""
+    if not (isinstance(point, _Point) and point.table is table):
+        raise ValueError("evaluation takes a _Point cleared over the same generator table")
+    return point
 
 
 def _constant(p: SuperPoly):
@@ -641,14 +658,15 @@ def _matrix_entries(m: SymMatrix) -> dict:
 
 
 class ChainMap:
-    """A degree-0 map of symbolic complexes, one SymMatrix per degree; a
-    numeric source or target raises ValueError.
+    """A degree-0 map of symbolic complexes, one SymMatrix per degree over
+    the source's table; a numeric source or target, or a block over another
+    table, raises ValueError.
 
     ``check_symbolic`` compares the two sides of each square, twist
     components included, and ``check_at_point`` evaluates everything at a
     point.  A block that reads no generator, as the signed permutations of
     the comparison map do, is evaluated and its rank decided once per
-    field, through the compiled form it keeps until ``SymMatrix.set``."""
+    field, through the compiled form it keeps."""
 
     def __init__(self, source: FreeComplex, target: FreeComplex, blocks: dict):
         if not (source.symbolic and target.symbolic):
@@ -659,12 +677,13 @@ class ChainMap:
         for k, m in self.blocks.items():
             if m.cols != source.rank(k) or m.rows != target.rank(k):
                 raise ValueError(f"block at degree {k} has wrong shape")
+        _over(source.base, {m.table for m in self.blocks.values()})
 
     def block(self, k: int):
         b = self.blocks.get(k)
         if b is not None:
             return b
-        return SymMatrix.zero(self.source.base, self.target.rank(k), self.source.rank(k))
+        return SymMatrix(self.source.base, self.target.rank(k), self.source.rank(k))
 
     def check_symbolic(self) -> dict:
         """All squares commute, including twist components: for a < c,
@@ -683,14 +702,13 @@ class ChainMap:
                     report["failures"].append((a, c, i, j))
         return report
 
-    def check_at_point(self, assignment: dict, field=QQ) -> dict:
+    def check_at_point(self, point: _Point, field=QQ) -> dict:
         """Evaluate both complexes and the blocks, check squares and invertibility.
 
-        The point's denominators are cleared once, and both complexes and
-        every block are evaluated at that one cleared point, each through
-        the compiled form its matrix keeps.
+        ``point`` is a ``_Point`` cleared over the source's table, as for
+        ``FreeComplex.evaluate_at``.  Both complexes and every block are
+        evaluated at it, each through the compiled form its matrix keeps.
         """
-        point = _point_values(self.source.base, assignment)
         src = self.source.evaluate_at(point, field)
         tgt = self.target.evaluate_at(point, field)
         report = {"ok": True, "failures": [], "invertible": {}}

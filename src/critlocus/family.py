@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from itertools import product as iproduct
 
-from .complexes import ChainMap, FreeComplex, SymMatrix, homology_representatives
+from .complexes import ChainMap, FreeComplex, SymMatrix, add_entry, homology_representatives
 from .freenc import DEGREE, DIFFERENTIAL_ON_LETTERS, NCElement
 from .linalg import DenseMatrix
 from .points import koszul_ext_oracle
@@ -180,10 +180,8 @@ def build_universal_family(n: int, cdga: MatrixCdga = None) -> DModuleAction:
 
 def _row_sum_diagonal(m: SymMatrix) -> SymMatrix:
     """The diagonal matrix whose (i,i) entry is the sum of row i of ``m``."""
-    out = SymMatrix(m.table, m.rows, m.rows)
-    for i, row in enumerate(m.sparse_rows):
-        out.set(i, i, sum(row.values(), SuperPoly.zero(m.table)))
-    return out
+    sums = [{i: sum(row.values(), SuperPoly.zero(m.table))} for i, row in enumerate(m.sparse_rows)]
+    return SymMatrix.from_sparse(m.table, m.rows, m.rows, sums)
 
 
 # -- the bimodule resolution of k[x,y,z] ----------------------------------------------
@@ -344,29 +342,26 @@ class EndomorphismModel:
         n, t = self.n, self.cdga.table
         nn = n * n
         slots = {mask: (q, b * nn) for q, masks in MASKS_BY_DEGREE.items() for b, mask in enumerate(masks)}
-        blocks = {}
+        rows = {(q, r): [{} for _ in range(self.ranks[r])] for q in range(4) for r in range(q + 1, 4)}
         for matrix, amask, sgn, parity in self.terms:
             for mask, (q, src) in slots.items():
                 if amask & mask:
                     continue
                 r, tgt = slots[amask | mask]
-                if (q, r) not in blocks:
-                    blocks[(q, r)] = SymMatrix(t, self.ranks[r], self.ranks[q])
-                block = blocks[(q, r)]
+                block = rows[(q, r)]
                 # [A, b] = A b - (-1)^{|b|} b A, with |b| = |S|
                 left = sgn * product_sign(amask, mask, 0)
                 right = -sgn * product_sign(mask, amask, parity) * (-1) ** popcount(mask)
                 for i, row in enumerate(matrix.sparse_rows):
                     for j, poly in row.items():
-                        lpoly, rpoly = poly.scale(left), poly.scale(right)
+                        lpoly = poly if left == 1 else poly.scale(left)
+                        rpoly = poly if right == 1 else poly.scale(right)
                         for f in range(n):
-                            block.add_to(tgt + i * n + f, src + j * n + f, lpoly)
-                            block.add_to(tgt + f * n + j, src + f * n + i, rpoly)
-        blocks = {key: m for key, m in blocks.items() if not m.is_zero()}
+                            add_entry(block[tgt + i * n + f], src + j * n + f, lpoly)
+                            add_entry(block[tgt + f * n + j], src + f * n + i, rpoly)
+        blocks = {(q, r): SymMatrix.from_sparse(t, self.ranks[r], self.ranks[q], m) for (q, r), m in rows.items() if any(m)}
         diff = {q: blocks[(q, q + 1)] for q in range(3) if (q, q + 1) in blocks}
-        twist = {
-            (q, r): m for (q, r), m in blocks.items() if r >= q + 2
-        }
+        twist = {(q, r): m for (q, r), m in blocks.items() if r >= q + 2}
         return FreeComplex(t, self.ranks, diff, twist)
 
     # -- evaluation ----------------------------------------------------------------
@@ -523,9 +518,7 @@ class TangentModel:
         twist = {}
         for q in range(4):
             for r in range(q + 1, 4):
-                a, b = 1 - q, 1 - r
-                src = c.component(b, a)
-                m = src.transpose()
+                m = c.component(1 - r, 1 - q).transpose()
                 if self.DUAL_SIGNS[(q, r)] < 0:
                     m = m.scale(-1)
                 if m.is_zero():
@@ -542,15 +535,14 @@ def _signed_permutation(table, n, slot_signs, flavor):
     and flavor = 1 transposes the (i,j) labels inside each slot."""
     nn = n * n
     size = len(slot_signs) * nn
-    m = SymMatrix(table, size, size)
+    rows = [{} for _ in range(size)]
     for b, sign in enumerate(slot_signs):
         s = SuperPoly.scalar(table, sign)
         for i in range(n):
             for j in range(n):
                 src = b * nn + i * n + j
-                tgt = b * nn + (j * n + i if flavor else i * n + j)
-                m.set(tgt, src, s)
-    return m
+                rows[b * nn + (j * n + i if flavor else i * n + j)][src] = s
+    return SymMatrix.from_sparse(table, size, size, rows)
 
 
 # Identity on the gl block and the letter slots, transposed labels with the
@@ -558,7 +550,7 @@ def _signed_permutation(table, n, slot_signs, flavor):
 CANONICAL_COMPARISON = ((0, (1,)), (0, (1, 1, 1)), (1, (-1, 1, -1)), (0, (1,)))
 
 
-def build_comparison_map(n: int, cdga: MatrixCdga = None, search: bool = None):
+def build_comparison_map(n: int, cdga: MatrixCdga = None):
     """The signed-permutation chain map from the shifted tangent model to
     the endomorphism model.
 
@@ -571,7 +563,7 @@ def build_comparison_map(n: int, cdga: MatrixCdga = None, search: bool = None):
     three of its squares commute.  Survivors are verified symbolically,
     twist components included.  Returns (chain map, record).
 
-    ``search`` defaults to n <= 3; above that the canonical solution is
+    The search runs for n <= 3; above that the canonical solution is
     constructed directly.  Either way the returned map is verified
     symbolically, twist components included.
     """
@@ -584,10 +576,7 @@ def build_comparison_map(n: int, cdga: MatrixCdga = None, search: bool = None):
     def chain_map(blocks):
         return ChainMap(tangent.complex, endo.complex, dict(enumerate(blocks)))
 
-    if search is None:
-        search = n <= 3
-
-    if not search:
+    if n > 3:
         combo = CANONICAL_COMPARISON
         cm = chain_map(_signed_permutation(t, n, signs, flavor) for flavor, signs in combo)
         rep = cm.check_symbolic()

@@ -159,14 +159,15 @@ class MatrixCdga:
         n, t = self.n, self.table
         nn = n * n
         d_top = SymMatrix(t, 1, 3 * nn, [self.jacobian_entries()])
-        d_bot = SymMatrix(t, 3 * nn, nn)
         # the odd generators, in table order, are the rows of d_bot
         start = degree_starts(t)
         odd = range(start[-1], start[-1] + 3 * nn)
+        rows = [{} for _ in odd]
         for col in range(nn):
             image = self.differential.image_of(start[-2] + col)
             for k, coeff in image.linear_coefficients(odd).items():
-                d_bot.set(k - start[-1], col, coeff)
+                rows[k - start[-1]][col] = coeff
+        d_bot = SymMatrix.from_sparse(t, 3 * nn, nn, rows)
         return FreeComplex(
             t,
             {-2: nn, -1: 3 * nn, 0: 1},
@@ -198,9 +199,11 @@ class MatrixCdga:
         self._ext = (ext, d_ext, ddr)
         return self._ext
 
-    def point_assignment(self, X, Y, Z) -> dict:
-        """Map degree-0 generator k to entry k of X, Y, Z, each read
-        row-major, in that order, as the canonical table lists X0, Y0, Z0.
+    def point(self, X, Y, Z) -> _Point:
+        """The point X0 = X, Y0 = Y, Z0 = Z with its denominators cleared,
+        which every evaluation at the triple reads: degree-0 generator k
+        takes entry k of X, Y, Z, each read row-major, in that order, as the
+        canonical table lists X0, Y0, Z0.
 
         A matrix of any other shape raises ValueError naming both shapes,
         and a float or bool entry raises TypeError naming it (``QQ.of``).
@@ -208,12 +211,7 @@ class MatrixCdga:
         for name, m in (("X", X), ("Y", Y), ("Z", Z)):
             check_square(name, m, self.n)
         entries = (x for m in (X, Y, Z) for row in m for x in row)
-        return {k: QQ.of(x) for k, x in enumerate(entries)}
-
-    def point(self, X, Y, Z) -> _Point:
-        """The point X0 = X, Y0 = Y, Z0 = Z with its denominators cleared,
-        which every evaluation at the triple reads."""
-        return _Point(self.table, self.point_assignment(X, Y, Z))
+        return _Point(self.table, {k: QQ.of(x) for k, x in enumerate(entries)})
 
 
 def degree_starts(table) -> dict:
@@ -316,13 +314,9 @@ class CotangentModel:
         forms = range(base, len(ext))
         # the gl slots (a,b), row-major
         actions = [coaction_derivation(cdga, a + 1, b + 1) for a in range(n) for b in range(n)]
-        # every component, empty ones included; a target in any other
-        # degree has no block and raises KeyError
-        blocks = {
-            (q, r): SymMatrix(t, self.ranks[r], self.ranks[q])
-            for q in range(-2, 1)
-            for r in range(q + 1, 2)
-        }
+        # the rows of every component, empty ones included; a target in any
+        # other degree has no block and raises KeyError
+        rows = {(q, r): [{} for _ in range(self.ranks[r])] for q in range(-2, 1) for r in range(q + 1, 2)}
         for k in range(base):
             q = t.cdeg(k)
             col = k - start[q]
@@ -331,12 +325,13 @@ class CotangentModel:
             split = d_ext.image_of(base + k).linear_coefficients(forms)
             for tgt, coeff in split.items():
                 r = t.cdeg(tgt - base)
-                blocks[(q, r)].set(tgt - base - start[r], col, SuperPoly._of_terms(t, coeff.terms))
+                rows[(q, r)][tgt - base - start[r]][col] = SuperPoly._of_terms(t, coeff.terms)
         # an action's row is its gl slot; it stores about 2n images a block
         for slot, action in enumerate(actions):
             for k, image in action.images.items():
                 q = t.cdeg(k)
-                blocks[(q, 1)].set(slot, k - start[q], image.scale(self.COACTION_SIGN))
+                rows[(q, 1)][slot][k - start[q]] = image.scale(self.COACTION_SIGN)
+        blocks = {(q, r): SymMatrix.from_sparse(t, self.ranks[r], self.ranks[q], m) for (q, r), m in rows.items()}
         diff = {q: blocks[(q, q + 1)] for q in range(-2, 1)}
         twist = {(q, r): m for (q, r), m in blocks.items() if r >= q + 2}
         return FreeComplex(t, self.ranks, diff, twist)
@@ -353,9 +348,8 @@ class CotangentModel:
         n, c = self.n, self.complex
         # d(0) transposed, its columns relabelled (a,b) -> (b,a)
         top = c.differential(0).sparse_rows
-        mirror = SymMatrix(self.cdga.table, n * n, 3 * n * n)
-        mirror.sparse_rows = [top[j * n + i] for i in range(n) for j in range(n)]
-        mirror = mirror.transpose()
+        rows = [top[j * n + i] for i in range(n) for j in range(n)]
+        mirror = SymMatrix.from_sparse(c.base, n * n, 3 * n * n, rows).transpose()
         signs = [sign for sign in (1, -1) if c.differential(-2) == mirror.scale(sign)]
         # both signs match only when both outer blocks vanish (n = 1)
         outer_sign = signs[0] if len(signs) == 1 else None
@@ -366,9 +360,6 @@ class CotangentModel:
             "outer_sign": outer_sign,
             "middle_symmetric": mid_symmetric,
         }
-
-    def evaluate_at(self, X, Y, Z, field=None) -> FreeComplex:
-        return self.complex.evaluate_at(self.cdga.point(X, Y, Z), field or QQ)
 
 
 def build_cotangent_complex(n: int, cdga: MatrixCdga = None) -> CotangentModel:
@@ -427,16 +418,13 @@ def verify_superpotential_identities(cdga: MatrixCdga) -> dict:
     report["omega_form_degree"] = omega.fdeg()
     report["omega_internal_degree"] = omega.cdeg()
 
+    # each derivation sends a generator to its stored image, so each image
+    # is read once and the three identities apply the derivations to it
     calc_ok = True
     for k in range(len(ext)):
-        g = SuperPoly.gen(ext, k)
-        if not d_ext.apply(d_ext.apply(g)).is_zero():
-            calc_ok = False
-        if not ddr.apply(ddr.apply(g)).is_zero():
-            calc_ok = False
-        anti = d_ext.apply(ddr.apply(g)) + ddr.apply(d_ext.apply(g))
-        if not anti.is_zero():
-            calc_ok = False
+        dg, rg = d_ext.image_of(k), ddr.image_of(k)
+        squares = (d_ext.apply(dg), ddr.apply(rg), d_ext.apply(rg) + ddr.apply(dg))
+        calc_ok = calc_ok and all(p.is_zero() for p in squares)
     report["calculus_consistent"] = calc_ok
     report["ok"] = (
         report["ddr_phi_equals_omega"]

@@ -118,10 +118,15 @@ class SurfaceSpec:
         if not (isinstance(self.base, str) and re.fullmatch(r"P2|F(0|[1-9][0-9]*)", self.base)):
             raise ValueError(f'base surface {self.base!r} is not "P2" or "F<k>", k a decimal with no sign or leading zero')
 
+    @property
+    def k(self) -> Optional[int]:
+        """The index k of the base F<k>, or None on P2."""
+        return None if self.base == "P2" else int(self.base[1:])
+
     def base_fan(self) -> Fan2D:
         if self.base == "P2":
             return p2_fan()
-        return hirzebruch_fan(int(self.base[1:]))
+        return hirzebruch_fan(self.k)
 
     @classmethod
     def from_json_obj(cls, obj) -> "SurfaceSpec":
@@ -610,16 +615,14 @@ def find_chart(surface: Surface, points) -> ChartResult:
         elif spec.base == "P2":
             fits = isinstance(p, P2Point)
         else:
-            fits = isinstance(p, FnPoint) and p.k == int(spec.base[1:])
+            fits = isinstance(p, FnPoint) and p.k == spec.k
         if not fits:
             raise ValueError(f"point {idx}: {p!r} is not a point of {spec.to_json_obj()}")
     if spec.blowups:
         return find_chart_tower(surface, points)
     if spec.base == "P2":
         return find_chart_p2(points)
-    if spec.base.startswith("F"):
-        return find_chart_fn(int(spec.base[1:]), points)
-    raise ValueError(f"unsupported surface {spec.base}")
+    return find_chart_fn(spec.k, points)
 
 
 def chart_embedder(surface: Surface, description: dict):
@@ -631,7 +634,7 @@ def chart_embedder(surface: Surface, description: dict):
         return tower_chart_embedder(description)
     if spec.base == "P2":
         return lambda u, v: p2_chart_embed(description, u, v)
-    return lambda u, v: fn_chart_embed(int(spec.base[1:]), description, u, v)
+    return lambda u, v: fn_chart_embed(spec.k, description, u, v)
 
 
 # -- statistics ----------------------------------------------------------------
@@ -653,7 +656,7 @@ def random_point(surface: Surface, rng):
             return P2Point(0, d, n)
         return P2Point(0, 0, 1)
     if spec.base.startswith("F") and not spec.blowups:
-        k = int(spec.base[1:])
+        k = spec.k
         while True:
             (n1, d1), (n3, d3) = _random_ratio(rng), _random_ratio(rng)
             (n2, d2), (n4, d4) = _random_ratio(rng), _random_ratio(rng)

@@ -127,3 +127,9 @@ def compile_calls(monkeypatch):
 
     monkeypatch.setattr(CompiledMatrix, "__init__", counting)
     return calls
+
+
+def point_values(point):
+    """The values of the cleared ``point``, keyed by generator index, as
+    ``SuperPoly.evaluate`` reads them."""
+    return {k: Fraction(x, point.den) for k, x in enumerate(point.nums)}

@@ -11,6 +11,7 @@ import time
 import pytest
 
 from critlocus.family import (
+    CANONICAL_COMPARISON,
     build_comparison_map,
     build_ginzburg_resolution,
     build_universal_family,
@@ -140,12 +141,13 @@ def test_criterion_07_chain_map():
         cdga = MatrixCdga(n)
         # the frozen signed permutation verifies symbolically here too,
         # beyond the sampled-point requirement
-        cm, record = build_comparison_map(n, cdga, search=False)
-        assert record["symbolic"]
+        cm, record = build_comparison_map(n, cdga)
+        assert record["chosen"] == CANONICAL_COMPARISON
+        assert (record["symbolic_solutions"] == 2) if n <= 3 else record["symbolic"]
         failures = 0
         for pt in random_conjugate_points(n, 20, rng):
             assert is_cyclic(pt)
-            rep = cm.check_at_point(cdga.point_assignment(pt.X, pt.Y, pt.Z))
+            rep = cm.check_at_point(cdga.point(pt.X, pt.Y, pt.Z))
             if not (rep["ok"] and rep["all_invertible"]):
                 failures += 1
         assert failures == 0, f"rank {n}: {failures} failures"

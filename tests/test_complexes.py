@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import densify
+from conftest import densify, point_values
 from critlocus import complexes
 from critlocus.complexes import ChainMap, FreeComplex, SymMatrix
 from critlocus.family import (
@@ -18,14 +18,11 @@ from critlocus.linalg import DenseMatrix
 from critlocus.points import enumerate_partitions, point_from_partition, random_conjugate_points
 from critlocus.potential import MatrixCdga
 from critlocus.scalars import DEFAULT_PRIME, GF, QQ
-from critlocus.superpoly import GeneratorTable, SuperPoly
+from critlocus.superpoly import Generator, GeneratorTable, SuperPoly
 
 
 def sym_identity(table, n):
-    m = SymMatrix(table, n, n)
-    for i in range(n):
-        m.set(i, i, SuperPoly.one(table))
-    return m
+    return SymMatrix.identity(table, n)
 
 
 def test_two_term_complex_trivially_square_zero():
@@ -72,17 +69,9 @@ def test_numeric_d_squared_failures_are_first_entries_of_the_dense_products(fiel
 def test_evaluate_zero_differential():
     cdga = MatrixCdga(1)
     t = cdga.table
-    c = FreeComplex(t, {0: 2, 1: 3}, {0: SymMatrix.zero(t, 3, 2)})
-    ev = c.evaluate_at(cdga.point_assignment([[1]], [[2]], [[3]]))
+    c = FreeComplex(t, {0: 2, 1: 3}, {0: SymMatrix(t, 3, 2)})
+    ev = c.evaluate_at(cdga.point([[1]], [[2]], [[3]]))
     assert ev.differential(0).is_zero()
-
-
-def test_evaluate_requires_full_assignment():
-    cdga = MatrixCdga(1)
-    t = cdga.table
-    c = FreeComplex(t, {0: 1, 1: 1}, {0: sym_identity(t, 1)})
-    with pytest.raises(KeyError):
-        c.evaluate_at({t.idx("X0(1,1)"): Fraction(1)})
 
 
 def test_homology_identity_complex_acyclic():
@@ -173,8 +162,7 @@ def test_homology_dims_agree_mod_p_default_prime():
 
 def test_identity_chain_map_commutes():
     t = GeneratorTable.canonical(1)
-    d = SymMatrix(t, 1, 1)
-    d.set(0, 0, SuperPoly.gen(t, "X0(1,1)"))
+    d = SymMatrix(t, 1, 1, [[SuperPoly.gen(t, "X0(1,1)")]])
     c = FreeComplex(t, {0: 1, 1: 1}, {0: d})
     cm = ChainMap(c, c, {0: sym_identity(t, 1), 1: sym_identity(t, 1)})
     assert cm.check_symbolic()["ok"]
@@ -212,7 +200,7 @@ def test_evaluation_is_a_chain_functor():
             [[rng.randint(-3, 3) for _ in range(2)] for _ in range(2)]
             for _ in range(3)
         ]
-        ev = disp.evaluate_at(cdga.point_assignment(*mats))
+        ev = disp.evaluate_at(cdga.point(*mats))
         ok, failures = ev.check_d_squared()
         assert ok, failures
 
@@ -266,7 +254,6 @@ points = st.fixed_dictionaries({k: st.sampled_from(POINT_VALUES) for k in DEGREE
 # so some entries have a reduced denominator divisible by p and some do not
 P = DEFAULT_PRIME
 PRIME_VALUES = POINT_VALUES + [Fraction(1, P), Fraction(-2, P), Fraction(P), Fraction(-3 * P)]
-OTHER_GENS = [k for k in range(len(EVAL_TABLE)) if k not in DEGREE_ZERO]
 
 
 @settings(max_examples=200, deadline=None)
@@ -277,22 +264,17 @@ OTHER_GENS = [k for k in range(len(EVAL_TABLE)) if k not in DEGREE_ZERO]
         st.fixed_dictionaries({k: st.sampled_from(PRIME_VALUES) for k in DEGREE_ZERO}),
         st.just({k: Fraction(0) for k in DEGREE_ZERO}),
     ),
-    st.dictionaries(st.sampled_from(OTHER_GENS), st.sampled_from(PRIME_VALUES[1:]), max_size=2),
 )
-def test_compiled_evaluation_matches_entrywise(m, point, others):
-    # values for the other generators are ignored, and never enter the
-    # cleared denominator
-    cleared = complexes._point_values(EVAL_TABLE, point)
-    with_others = complexes._point_values(EVAL_TABLE, {**point, **others})
-    assert (with_others.den, with_others.nums) == (cleared.den, cleared.nums)
+def test_compiled_evaluation_matches_entrywise(m, point):
+    cleared = complexes._Point(EVAL_TABLE, point)
     for field in (QQ, GF(DEFAULT_PRIME)):
         try:
             want = [[field.of(p.evaluate(point)) for p in row] for row in m.data]
         except ZeroDivisionError:
             with pytest.raises(ZeroDivisionError, match=f"denominator divisible by {P}"):
-                m.evaluate({**point, **others}, field)
+                m.evaluate(cleared, field)
             continue
-        got = m.evaluate({**point, **others}, field)
+        got = m.evaluate(cleared, field)
         assert (got.rows, got.cols) == (m.rows, m.cols)
         assert got.data == want
         assert all(x for row in got.sparse_rows for x in row.values())
@@ -301,18 +283,23 @@ def test_compiled_evaluation_matches_entrywise(m, point, others):
 
 
 def test_generator_keys_outside_the_table_raise():
+    # evaluation reads only a point cleared over the evaluated table: a
+    # dict of values, keyed by index or by name, and a point cleared over
+    # another table are refused by every evaluator
     cdga = MatrixCdga(1)
     t = cdga.table
-    c = FreeComplex(t, {0: 1}, {})
-    point = cdga.point_assignment([[1]], [[2]], [[3]])
-    for key in (len(t), 999, -1, True, False, "nosuch"):
-        # the key comes first, so a bool keeps its place beside index 0 or 1
-        with pytest.raises(KeyError, match=repr(key) if isinstance(key, str) else str(key)):
-            c.evaluate_at({key: 5, **point})
-    # a cleared point is indexed by its own table
-    other = FreeComplex(MatrixCdga(1).table, {0: 1}, {})
-    with pytest.raises(ValueError, match="another generator table"):
-        other.evaluate_at(complexes._point_values(t, point))
+    point = cdga.point([[1]], [[2]], [[3]])
+    m = SymMatrix(t, 1, 1, [[SuperPoly.gen(t, "X0(1,1)")]])
+    c = FreeComplex(t, {0: 1, 1: 1}, {0: m})
+    cm = ChainMap(c, c, {0: sym_identity(t, 1), 1: sym_identity(t, 1)})
+    refused = [point_values(point), {"X0(1,1)": 1, "Y0(1,1)": 2, "Z0(1,1)": 3}, MatrixCdga(1).point([[1]], [[2]], [[3]])]
+    for bad in refused:
+        for evaluate in (m.evaluate, c.evaluate_at, cm.check_at_point):
+            with pytest.raises(ValueError, match="takes a _Point cleared over the same generator table"):
+                evaluate(bad)
+    assert m.evaluate(point).data == [[1]]
+    assert c.evaluate_at(point).differential(0) == m.evaluate(point)
+    assert cm.check_at_point(point)["ok"]
 
 
 # -- sparse storage ----------------------------------------------------------------
@@ -352,16 +339,22 @@ def test_sparse_producers_match_entrywise_references(data):
         assert _stores_only_nonzeros(got), name
     assert not any(a.add(a.scale(-1)).sparse_rows) and not any(a.scale(0).sparse_rows)
 
-    # set and add_to clear an entry they cancel
-    cleared = SymMatrix(t, r, n, A)
-    for i, row in enumerate(a.sparse_rows):
+    # add_entry stores a first contribution as it is and clears an entry
+    # it cancels; from_sparse drops a zero polynomial
+    rows = [{} for _ in range(r)]
+    for row, acc in zip(a.sparse_rows, rows):
         for j, p in row.items():
+            complexes.add_entry(acc, j, p)
+            assert acc[j] is p
+            complexes.add_entry(acc, j, zero)
             if data.draw(st.booleans()):
-                cleared.add_to(i, j, -p)
+                complexes.add_entry(acc, j, -p)
+                assert j not in acc
             else:
-                cleared.set(i, j, zero)
-            assert _stores_only_nonzeros(cleared)
-    assert cleared == SymMatrix.zero(t, r, n) and not any(cleared.sparse_rows)
+                acc[j] = zero
+    cleared = SymMatrix.from_sparse(t, r, n, rows)
+    assert _stores_only_nonzeros(cleared)
+    assert cleared == SymMatrix(t, r, n) and not any(cleared.sparse_rows)
 
     # .data is a copy
     dense = a.data
@@ -378,14 +371,42 @@ def test_zero_matrices_over_distinct_tables_differ():
 
 def test_entries_outside_the_matrix_raise():
     t = GeneratorTable.canonical(1)
-    m = SymMatrix(t, 2, 2)
     one = SuperPoly.one(t)
-    for i, j in [(-1, 0), (0, -1), (-1, -2), (2, 0), (0, 2)]:
-        with pytest.raises(IndexError):
-            m.set(i, j, one)
-        with pytest.raises(IndexError):
-            m.add_to(i, j, one)
-    assert m.is_zero()
+    for j in (-1, -2, 2, 5):
+        with pytest.raises(ValueError, match=r"a column outside range\(2\)"):
+            SymMatrix.from_sparse(t, 2, 2, [{0: one}, {j: one}])
+    for rows in ([{0: one}], [{}, {}, {}]):
+        with pytest.raises(ValueError, match="row count mismatch"):
+            SymMatrix.from_sparse(t, 2, 2, rows)
+    m = SymMatrix.from_sparse(t, 2, 2, [{1: one}, {0: SuperPoly.zero(t)}])
+    assert m.sparse_rows == [{1: one}, {}]
+
+
+def test_matrices_over_different_tables_do_not_mix():
+    # two tables of two generators each: read in the other table, d would
+    # be taken for b, its index there
+    t1 = GeneratorTable([Generator("a", 0), Generator("b", 0)])
+    t2 = GeneratorTable([Generator("c", 0), Generator("d", 0)])
+    b, d = SuperPoly.gen(t1, "b"), SuperPoly.gen(t2, "d")
+    m1, m2 = SymMatrix(t1, 1, 1, [[b]]), SymMatrix(t2, 1, 1, [[d]])
+    mixed = "operands built over different generator tables"
+    for x, y in ((m1, m2), (m2, m1)):
+        for combine in (x.matmul, x.add):
+            with pytest.raises(ValueError, match=mixed):
+                combine(y)
+    with pytest.raises(ValueError, match=mixed):
+        SymMatrix(t1, 1, 2, [[b, d]])
+    with pytest.raises(ValueError, match=mixed):
+        SymMatrix.from_sparse(t1, 2, 1, [{0: b}, {0: d}])
+    with pytest.raises(ValueError, match=mixed):
+        FreeComplex(t1, {0: 1, 1: 1}, {0: m2})
+    with pytest.raises(ValueError, match=mixed):
+        FreeComplex(t1, {0: 1, 2: 1}, {}, {(0, 2): m2})
+    c1 = FreeComplex(t1, {0: 1, 1: 1}, {0: m1})
+    with pytest.raises(ValueError, match=mixed):
+        ChainMap(c1, c1, {0: SymMatrix.identity(t1, 1), 1: SymMatrix.identity(t2, 1)})
+    assert m1.matmul(m1) == SymMatrix(t1, 1, 1, [[b * b]])
+    assert ChainMap(c1, c1, {0: SymMatrix.identity(t1, 1), 1: SymMatrix.identity(t1, 1)}).check_symbolic()["ok"]
 
 
 @pytest.mark.parametrize("rank", [1.5, True, "2"], ids=["1.5", "true", '"2"'])
@@ -416,13 +437,12 @@ def test_zero_complex_is_flat_round_trips_and_maps_to_itself():
 def test_surviving_twist_component_raises():
     cdga = MatrixCdga(1)
     t = cdga.table
-    twist = SymMatrix(t, 1, 1)
-    twist.set(0, 0, SuperPoly.gen(t, "X0(1,1)"))
+    twist = SymMatrix(t, 1, 1, [[SuperPoly.gen(t, "X0(1,1)")]])
     c = FreeComplex(t, {0: 1, 1: 1, 2: 1}, {}, {(0, 2): twist})
     # the entry vanishes where X does, and survives elsewhere
-    assert c.evaluate_at(cdga.point_assignment([[0]], [[1]], [[1]])).ranks == c.ranks
+    assert c.evaluate_at(cdga.point([[0]], [[1]], [[1]])).ranks == c.ranks
     with pytest.raises(AssertionError, match="twist component survived"):
-        c.evaluate_at(cdga.point_assignment([[1]], [[1]], [[1]]))
+        c.evaluate_at(cdga.point([[1]], [[1]], [[1]]))
 
 
 def test_bad_prime_is_met_entry_by_entry():
@@ -441,30 +461,23 @@ def test_bad_prime_is_met_entry_by_entry():
 
 
 def test_each_complex_and_block_compiles_once(compile_calls):
-    cm, _ = build_comparison_map(2, search=False)
+    cdga = MatrixCdga(2)
+    cm, _ = build_comparison_map(2, cdga)
+    # the search's prefilter compiles both complexes and every candidate
+    # block at its one point, the chosen blocks among them
+    searched = len(compile_calls)
+    chain_parts = [m for cx in (cm.source, cm.target) for m in (*cx.diff.values(), *cx.twist.values())]
+    assert {id(m) for m in chain_parts + list(cm.blocks.values())} <= {id(m) for m in compile_calls}
     model = EndomorphismModel(build_universal_family(2))
     pts = [point_from_partition(pp) for pp in enumerate_partitions(2)]
     pts += random_conjugate_points(2, 3, random.Random(11))
-    assert not compile_calls  # nothing is compiled before the first point
+    assert len(compile_calls) == searched  # the model compiles nothing before the first point
     for pt in pts:
         for field in (QQ, GF(DEFAULT_PRIME)):
             model.evaluate_at(pt.X, pt.Y, pt.Z, field)
-            assert cm.check_at_point(model.cdga.point_assignment(pt.X, pt.Y, pt.Z), field)["ok"]
-    parts = [model.complex, cm.source, cm.target]
-    want = sum(len(cx.diff) + len(cx.twist) for cx in parts) + len(cm.source.ranks)
-    assert len(compile_calls) == want
-
-
-def test_set_drops_the_compiled_form():
-    x, y = SuperPoly.gen(EVAL_TABLE, "X0(1,1)"), SuperPoly.gen(EVAL_TABLE, "Y0(1,1)")
-    m = SymMatrix(EVAL_TABLE, 1, 2, [[x, SuperPoly.zero(EVAL_TABLE)]])
-    point = {k: Fraction(k + 2) for k in DEGREE_ZERO}
-    value = lambda p: QQ.of(p.evaluate(point))
-    assert m.evaluate(point).data == [[value(x), 0]]
-    m.set(0, 1, y)
-    assert m.evaluate(point).data == [[value(x), value(y)]]
-    m.set(0, 0, SuperPoly.zero(EVAL_TABLE))
-    assert m.evaluate(point).data == [[0, value(y)]]
+            assert cm.check_at_point(cdga.point(pt.X, pt.Y, pt.Z), field)["ok"]
+    assert len(compile_calls) == searched + len(model.complex.diff) + len(model.complex.twist)
+    assert len({id(m) for m in compile_calls}) == len(compile_calls)
 
 
 # -- symbolic identity checks against their matrix-building references ------------
@@ -585,12 +598,12 @@ def _copy(m):
 def _perturbed(m, rng):
     """A copy of ``m`` with one entry (i, j) changed: cleared, or added a
     constant or a generator of the table."""
-    out = _copy(m)
     i, j = rng.randrange(m.rows), rng.randrange(m.cols)
     p = m.entry(i, j)
     change = rng.choice([-p, SuperPoly.one(m.table), SuperPoly.gen(m.table, rng.randrange(len(m.table)))])
-    out.set(i, j, p + change)
-    return out
+    rows = [dict(row) for row in m.sparse_rows]
+    rows[i][j] = p + change
+    return SymMatrix.from_sparse(m.table, m.rows, m.cols, rows)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -622,7 +635,7 @@ def test_flatness_failures_match_the_matrix_reference(n):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_chain_map_failures_match_the_matrix_reference(n):
-    cm, _ = build_comparison_map(n, search=False)
+    cm, _ = build_comparison_map(n)
     assert cm.check_symbolic() == reference_check_symbolic(cm) == {"ok": True, "failures": []}
     rng = random.Random(n)
     for k in sorted(cm.blocks):
@@ -638,12 +651,13 @@ def test_chain_map_failures_match_the_matrix_reference(n):
 # -- blocks that read no generator are evaluated once per field ----------------------
 
 
-def reference_check_at_point(cm, assignment, field):
+def reference_check_at_point(cm, point, field):
     """``check_at_point`` with every matrix evaluated entry by entry by
     ``SuperPoly.evaluate`` at this point."""
+    values = point_values(point)
 
     def ev(m):
-        return DenseMatrix(field, m.rows, m.cols, [[field.of(p.evaluate(assignment)) for p in row] for row in m.data])
+        return DenseMatrix(field, m.rows, m.cols, [[field.of(p.evaluate(values)) for p in row] for row in m.data])
 
     degs = set(cm.source.degrees()) | set(cm.target.degrees())
     src, tgt, blocks = {}, {}, {k: ev(cm.block(k)) for k in degs}
@@ -663,29 +677,32 @@ def reference_check_at_point(cm, assignment, field):
     return report
 
 
-def test_constant_blocks_are_kept_per_field_and_dropped_by_set():
+def test_constant_blocks_are_kept_per_field():
     cdga = MatrixCdga(2)
-    cm, _ = build_comparison_map(2, cdga, search=False)
+    cm, _ = build_comparison_map(2, cdga)
     pts = [point_from_partition(pp) for pp in enumerate_partitions(2)]
     pts += random_conjugate_points(2, 2, random.Random(4))
-    assignments = [cdga.point_assignment(pt.X, pt.Y, pt.Z) for pt in pts]
+    points = [cdga.point(pt.X, pt.Y, pt.Z) for pt in pts]
     fields = (QQ, GF(1048583))
 
     def fresh(blocks):
         return ChainMap(cm.source, cm.target, {k: _copy(m) for k, m in blocks.items()})
 
     for field in fields:
-        for a in assignments:
-            assert cm.check_at_point(a, field) == fresh(cm.blocks).check_at_point(a, field)
-    # a block edited after those checks is read afresh at the next one
-    block = cm.blocks[1]
-    i, row = next((i, row) for i, row in enumerate(block.sparse_rows) if row)
-    j = next(iter(row))
-    block.set(i, j, SuperPoly.zero(cdga.table))
-    for field in fields:
-        for a in assignments:
+        for a in points:
             got = cm.check_at_point(a, field)
             assert got == fresh(cm.blocks).check_at_point(a, field) == reference_check_at_point(cm, a, field)
+    # a map whose block has one entry cleared reads its own kept values,
+    # not those of the block it was copied from
+    block = cm.blocks[1]
+    i, row = next((i, row) for i, row in enumerate(block.sparse_rows) if row)
+    rows = [dict(r) for r in block.sparse_rows]
+    del rows[i][next(iter(row))]
+    edited = ChainMap(cm.source, cm.target, {**cm.blocks, 1: SymMatrix.from_sparse(cdga.table, block.rows, block.cols, rows)})
+    for field in fields:
+        for a in points:
+            got = edited.check_at_point(a, field)
+            assert got == reference_check_at_point(edited, a, field)
             assert not got["invertible"][1]
 
 
@@ -698,7 +715,7 @@ def test_blocks_that_read_a_generator_are_evaluated_at_every_point():
     cm = ChainMap(cx, cx, {0: scaled, 1: sym_identity(t, 2)})
     for field in (QQ, GF(DEFAULT_PRIME)):
         for xv, yv in ((0, 1), (2, 1), (0, 0), (Fraction(1, 3), 5), (0, 2)):
-            a = {0: Fraction(xv), 1: Fraction(yv), 2: Fraction(0)}
+            a = complexes._Point(t, {0: Fraction(xv), 1: Fraction(yv), 2: Fraction(0)})
             got = cm.check_at_point(a, field)
             assert got == reference_check_at_point(cm, a, field)
             assert got["invertible"][0] == (xv != 0)

@@ -579,7 +579,7 @@ def test_comparison_map_at_points_rank_two_and_three():
         cdga = MatrixCdga(n)
         cm, _ = build_comparison_map(n, cdga)
         for pt in random_conjugate_points(n, count, rng):
-            rep = cm.check_at_point(cdga.point_assignment(pt.X, pt.Y, pt.Z))
+            rep = cm.check_at_point(cdga.point(pt.X, pt.Y, pt.Z))
             assert rep["ok"]
             assert rep["all_invertible"]
 
@@ -593,7 +593,7 @@ def test_comparison_map_perturbed_sign_fails():
     blocks[2] = blocks[2].scale(-1)  # flip one block's sign
     bad = ChainMap(cm.source, cm.target, blocks)
     pt = nilpotent_regular_point(2)
-    rep = bad.check_at_point(cdga.point_assignment(pt.X, pt.Y, pt.Z))
+    rep = bad.check_at_point(cdga.point(pt.X, pt.Y, pt.Z))
     assert not rep["ok"]
 
 
@@ -637,9 +637,9 @@ def reference_comparison_search(n):
     tangent = TangentModel(CotangentModel(cdga))
     endo = EndomorphismModel(build_universal_family(n, cdga))
     pt = nilpotent_regular_point(n)
-    assignment = cdga.point_assignment(pt.X, pt.Y, pt.Z)
-    src_num = tangent.complex.evaluate_at(assignment)
-    tgt_num = endo.complex.evaluate_at(assignment)
+    point = cdga.point(pt.X, pt.Y, pt.Z)
+    src_num = tangent.complex.evaluate_at(point)
+    tgt_num = endo.complex.evaluate_at(point)
 
     def numeric_block(flavor, slot_signs):
         nn = n * n
@@ -702,6 +702,9 @@ def test_comparison_search_tests_each_square_pair_once(matmul_calls):
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_comparison_map_symbolic_above_search_rank(n):
-    cm, record = build_comparison_map(n, search=False)
-    assert record["symbolic"]
+    # n = 3 is the last rank that searches; above it the canonical map is
+    # built directly, and either way it is verified symbolically
+    cm, record = build_comparison_map(n)
+    assert record["search"] == (n <= 3)
+    assert (record["symbolic_solutions"] == 2) if n <= 3 else record["symbolic"]
     assert record["chosen"] == CANONICAL_COMPARISON

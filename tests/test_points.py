@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import adjoint_matrix, sparsify
+from conftest import adjoint_matrix, point_values, sparsify
 from critlocus.linalg import DenseMatrix
 from critlocus.points import (
     MatrixPoint,
@@ -126,8 +126,8 @@ def is_critical_via_symbolic_gradient(pt):
     there: a reference for ``MatrixPoint.is_commuting`` that shares no code
     with it."""
     cdga = MatrixCdga(pt.n)
-    assignment = cdga.point_assignment(pt.X, pt.Y, pt.Z)
-    return all(p.evaluate(assignment) == 0 for p in cdga.jacobian_entries())
+    values = point_values(cdga.point(pt.X, pt.Y, pt.Z))
+    return all(p.evaluate(values) == 0 for p in cdga.jacobian_entries())
 
 
 def test_critical_matches_symbolic_gradient():

@@ -317,8 +317,8 @@ def test_surface_names_and_fiber_degrees_are_read_strictly():
     for base in ("F-1", "F01", "F", "P3", "f1", "F1 ", None):
         with pytest.raises(ValueError, match=re.escape(repr(base))):
             SurfaceSpec(base)
-    for base in ("P2", "F0", "F1", "F10"):
-        assert SurfaceSpec(base).base == base
+    for base, k in (("P2", None), ("F0", 0), ("F1", 1), ("F10", 10)):
+        assert (SurfaceSpec(base).base, SurfaceSpec(base).k) == (base, k)
     for k in (-1, 1.0, True, "1"):
         with pytest.raises(ValueError, match=re.escape(f"k = {k!r}")):
             FnPoint(k, 1, 2, 3, 4)

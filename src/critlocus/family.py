@@ -133,49 +133,31 @@ def build_universal_family(n: int, cdga: MatrixCdga = None) -> DModuleAction:
     """
     cdga = cdga_of_rank(n, cdga)
     d = cdga.differential
-    matrices = {
-        "x": cdga.x0,
-        "y": cdga.y0,
-        "z": cdga.z0,
+    family = DModuleAction(cdga, {"x": cdga.x0, "y": cdga.y0, "z": cdga.z0}, dict.fromkeys("xyz", "symbol"))
+    candidates = {
+        letter: [("symbol", sym), ("transposed symbol", sym.transpose())]
+        for letter, sym in (("u", cdga.xm1), ("v", cdga.ym1), ("w", cdga.zm1))
     }
-    provenance = {"x": "symbol", "y": "symbol", "z": "symbol"}
-
-    partial = DModuleAction(cdga, dict(matrices), {})
-
-    def resolve(letter, candidates):
-        target = partial.act(DIFFERENTIAL_ON_LETTERS[letter])
+    candidates["t"] = [
+        ("symbol", cdga.tgen),
+        ("transposed symbol", cdga.tgen.transpose()),
+        ("row-summed diagonal", _row_sum_diagonal(cdga.tgen)),
+        ("column-summed diagonal", _row_sum_diagonal(cdga.tgen.transpose())),
+    ]
+    # each letter's differential reads only the letters resolved before it
+    for letter, cands in candidates.items():
+        target = family.act(DIFFERENTIAL_ON_LETTERS[letter])
         winners = []
-        for tag, cand in candidates:
-            if cand.map_entries(d.apply) == target:
-                if not any(cand == w[1] for w in winners):
-                    winners.append((tag, cand))
+        for tag, cand in cands:
+            if cand.map_entries(d.apply) == target and not any(cand == w for _, w in winners):
+                winners.append((tag, cand))
         if len(winners) != 1:
             raise ValueError(
                 f"Leibniz search for {letter!r} found {len(winners)} inequivalent "
                 f"candidates: {[w[0] for w in winners]}"
             )
-        return winners[0]
-
-    for letter, sym in (("u", cdga.xm1), ("v", cdga.ym1), ("w", cdga.zm1)):
-        tag, m = resolve(
-            letter, [("symbol", sym), ("transposed symbol", sym.transpose())]
-        )
-        matrices[letter] = m
-        provenance[letter] = tag
-        partial = DModuleAction(cdga, dict(matrices), {})
-
-    tag, m = resolve(
-        "t",
-        [
-            ("symbol", cdga.tgen),
-            ("transposed symbol", cdga.tgen.transpose()),
-            ("row-summed diagonal", _row_sum_diagonal(cdga.tgen)),
-            ("column-summed diagonal", _row_sum_diagonal(cdga.tgen.transpose())),
-        ],
-    )
-    matrices["t"] = m
-    provenance["t"] = tag
-    return DModuleAction(cdga, matrices, provenance)
+        family.provenance[letter], family.matrices[letter] = winners[0]
+    return family
 
 
 def _row_sum_diagonal(m: SymMatrix) -> SymMatrix:
@@ -215,52 +197,44 @@ class BimodElement(Terms):
         )))
 
 
-CYCLIC_NEXT = {"x": ("y", "z"), "y": ("z", "x"), "z": ("x", "y")}
-
-
 class GinzburgResolution:
     """The length-3 self-dual bimodule resolution of C = k[x,y,z].
 
     Slots: None for C (x) C, a letter for C (x) E (x) C, a starred letter
-    for C (x) E* (x) C.
+    for C (x) E* (x) C.  Each map is C-bilinear: it is its image on the
+    generator of each slot it accepts, moved by the outer words.  A slot it
+    does not accept raises ValueError naming the map.
     """
 
-    def alpha0(self, elem: BimodElement) -> BimodElement:
+    def __init__(self):
+        term = BimodElement.term
+        self._alpha0 = {a: term((a,), None, ()) - term((), None, (a,)) for a in "xyz"}
+        self._alpha_m1 = {
+            a + "*": term((b,), d, ()) + term((), b, (d,)) - term((d,), b, ()) - term((), d, (b,))
+            for a, b, d in ("xyz", "yzx", "zxy")
+        }
+        alpha_m2 = BimodElement()
+        for a in "xyz":
+            alpha_m2 += term((), a + "*", (a,)) - term((a,), a + "*", ())
+        self._alpha_m2 = {None: alpha_m2}
+
+    @staticmethod
+    def _bilinear(images, elem: BimodElement, message: str) -> BimodElement:
         out = BimodElement()
         for (l, s, rt), c in elem.terms.items():
-            if s is None or s.endswith("*"):
-                raise ValueError("alpha0 expects E-slot elements")
-            out += BimodElement.term(l + (s,), None, rt, c)
-            out -= BimodElement.term(l, None, (s,) + rt, c)
+            if s not in images:
+                raise ValueError(message)
+            out += images[s].lmul(l).rmul(rt).scale(c)
         return out
+
+    def alpha0(self, elem: BimodElement) -> BimodElement:
+        return self._bilinear(self._alpha0, elem, "alpha0 expects E-slot elements")
 
     def alpha_m1(self, elem: BimodElement) -> BimodElement:
-        out = BimodElement()
-        for (l, s, rt), c in elem.terms.items():
-            if s is None or not s.endswith("*"):
-                raise ValueError("alpha_m1 expects E*-slot elements")
-            a = s[0]
-            b, d = CYCLIC_NEXT[a]
-            img = (
-                BimodElement.term((b,), d, ())
-                + BimodElement.term((), b, (d,))
-                - BimodElement.term((d,), b, ())
-                - BimodElement.term((), d, (b,))
-            )
-            out += img.lmul(l).rmul(rt).scale(c)
-        return out
+        return self._bilinear(self._alpha_m1, elem, "alpha_m1 expects E*-slot elements")
 
     def alpha_m2(self, elem: BimodElement) -> BimodElement:
-        out = BimodElement()
-        for (l, s, rt), c in elem.terms.items():
-            if s is not None:
-                raise ValueError("alpha_m2 expects C (x) C elements")
-            img = BimodElement()
-            for a in ("x", "y", "z"):
-                img += BimodElement.term((), a + "*", (a,))
-                img -= BimodElement.term((a,), a + "*", ())
-            out += img.lmul(l).rmul(rt).scale(c)
-        return out
+        return self._bilinear(self._alpha_m2, elem, "alpha_m2 expects C (x) C elements")
 
     def multiply_out(self, elem: BimodElement) -> BimodElement:
         """The augmentation C (x) C -> C, as sorted words with empty slot."""

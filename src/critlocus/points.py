@@ -190,20 +190,15 @@ def is_cyclic(pt: MatrixPoint) -> bool:
 # -- plane partitions ---------------------------------------------------------------
 
 
-def _is_downward_closed(cells) -> bool:
-    s = set(cells)
-    for (a, b, c) in s:
-        for d in range(3):
-            p = list((a, b, c))
-            if p[d] > 0:
-                p[d] -= 1
-                if tuple(p) not in s:
-                    return False
-    return True
+def _below(cell):
+    """The cells one step below ``cell`` along each axis, inside N^3."""
+    a, b, c = cell
+    return [p for p in ((a - 1, b, c), (a, b - 1, c), (a, b, c - 1)) if -1 not in p]
 
 
 class PlanePartition:
-    """A finite nonempty downward-closed subset of N^3."""
+    """A finite nonempty downward-closed subset of N^3: every cell one step
+    below a cell is a cell."""
 
     def __init__(self, cells):
         self.cells = frozenset(tuple(c) for c in cells)
@@ -212,7 +207,7 @@ class PlanePartition:
         for c in self.cells:
             if len(c) != 3 or any(type(x) is not int or x < 0 for x in c):
                 raise ValueError(f"cell {c!r} is not in N^3")
-        if not _is_downward_closed(self.cells):
+        if not all(self.cells.issuperset(_below(c)) for c in self.cells):
             raise ValueError("cell set is not downward closed")
 
     def __len__(self):
@@ -234,82 +229,43 @@ def enumerate_partitions(n: int):
         raise ValueError("size must be positive")
     level = {frozenset({(0, 0, 0)})}
     for _ in range(n - 1):
-        nxt = set()
-        for s in level:
-            for cell in _addable_cells(s):
-                nxt.add(s | {cell})
-        level = nxt
+        level = {s | {c} for s in level for c in _addable_cells(s)}
     return [PlanePartition(s) for s in sorted(level, key=sorted)]
 
 
 def _addable_cells(s):
-    out = set()
-    for (a, b, c) in s:
-        for d in range(3):
-            p = [a, b, c]
-            p[d] += 1
-            cand = tuple(p)
-            if cand in s:
-                continue
-            ok = True
-            for e in range(3):
-                q = list(cand)
-                if q[e] > 0:
-                    q[e] -= 1
-                    if tuple(q) not in s:
-                        ok = False
-                        break
-            if ok:
-                out.add(cand)
-    return out
+    """The cells outside ``s`` whose cells below all lie in ``s``."""
+    above = {q for a, b, c in s for q in ((a + 1, b, c), (a, b + 1, c), (a, b, c + 1))}
+    return {c for c in above - s if s.issuperset(_below(c))}
 
 
 def enumerate_partitions_by_heights(n: int):
     """Independent strategy: a plane partition is a height matrix h(a, b),
-    weakly decreasing along rows and columns, with total sum n."""
+    weakly decreasing along rows and columns, with total sum n.  Row a is
+    a nonempty weakly decreasing row entrywise under row a - 1; each
+    partition is built once from its cells, and the list is sorted by
+    cells as ``enumerate_partitions`` sorts it."""
     if n < 1:
         raise ValueError("size must be positive")
-    results = []
-
-    def extend_rows(remaining, prev_row, acc):
-        # acc rows are weakly decreasing tuples; each entrywise <= prev_row
-        if remaining == 0:
-            results.append(tuple(acc))
-            return
-        for row in _weakly_decreasing_rows(remaining, prev_row):
-            weight = sum(row)
-            if weight == 0:
-                continue
-            extend_rows(remaining - weight, row, acc + [row])
-
-    def _weakly_decreasing_rows(budget, bound_row):
-        # all nonzero weakly decreasing tuples fitting under bound_row
-        out = []
-
-        def rec(pos, last, left, acc):
-            if acc:
-                out.append(tuple(acc))
-            if pos >= len(bound_row):
-                return
-            cap = min(last, bound_row[pos], left)
-            for v in range(cap, 0, -1):
-                rec(pos + 1, v, left - v, acc + [v])
-
-        rec(0, budget, budget, [])
-        return out
-
-    top = tuple([n] * n)
-    extend_rows(n, top, [])
     parts = []
-    for mat in results:
-        cells = []
-        for a, row in enumerate(mat):
-            for b, h in enumerate(row):
-                for c in range(h):
-                    cells.append((a, b, c))
-        parts.append(PlanePartition(cells))
-    uniq = sorted({p.cells for p in parts}, key=sorted)
-    return [PlanePartition(c) for c in uniq]
+
+    def place(cells, a, row, left, above):
+        # ``row`` holds the heights of row a so far, ``above`` those of
+        # row a - 1 (None for the first row), ``left`` the boxes still due
+        if row:
+            if not left:
+                parts.append(PlanePartition(cells))
+                return
+            place(cells, a + 1, (), left, row)
+        b = len(row)
+        cap = min(left, row[-1]) if row else left
+        if above is not None:
+            cap = min(cap, above[b] if b < len(above) else 0)
+        for h in range(1, cap + 1):
+            place(cells + [(a, b, c) for c in range(h)], a, row + (h,), left - h, above)
+
+    place([], 0, (), n, None)
+    return sorted(parts, key=PlanePartition.sorted_cells)
 
 
 def point_from_partition(pp: PlanePartition) -> MatrixPoint:

@@ -141,10 +141,8 @@ class Surface:
     def __init__(self, spec: SurfaceSpec):
         self.spec = spec
         fan = spec.base_fan()
-        self.steps = [fan]
         for cone_index in spec.blowups:
             fan = fan.blowup(cone_index)
-            self.steps.append(fan)
         self.fan = fan
         if not (self.fan.is_smooth() and self.fan.is_complete()):
             raise ValueError("blowup tower produced a bad fan")
@@ -305,12 +303,18 @@ class ChartResult:
 
 def find_chart_p2(points) -> ChartResult:
     """Complement of a line x0 + t x1 + t^2 x2 avoiding every point."""
-    for t in range(0, 2 * len(points) + 1):
-        ells = [_p2_line_value(p, t) for p in points]
-        if all(ells):
-            coords = [_p2_chart_coords(p, ell) for p, ell in zip(points, ells)]
-            return ChartResult({"surface": "P2", "line_t": str(t)}, coords)
-    raise AssertionError("pigeonhole violated in plane chart search")
+    t = _plane_line(points)
+    coords = [_p2_chart_coords(p, _p2_line_value(p, t)) for p in points]
+    return ChartResult({"surface": "P2", "line_t": str(t)}, coords)
+
+
+def _plane_line(points) -> int:
+    """The least t whose line x0 + t x1 + t^2 x2 = 0 misses every point; a
+    point lies on at most two of these lines, so t <= 2 len(points)."""
+    for t in range(2 * len(points) + 1):
+        if all(_p2_line_value(p, t) for p in points):
+            return t
+    raise AssertionError("pigeonhole violated in plane line search")
 
 
 def _p2_line_value(p: P2Point, t: int) -> int:
@@ -466,11 +470,7 @@ def find_chart_tower(surface: Surface, points) -> ChartResult:
     probe = [p.base for p in points if not p.exceptional]
     probe += [p.direction for p in points if p.exceptional]
     probe += [P2_FIXED_POINTS[c] for c in sorted(exceptional_centers)]
-    for t in range(0, 2 * len(probe) + 1):
-        if all(_p2_line_value(q, t) for q in probe):
-            break
-    else:
-        raise AssertionError("pigeonhole violated in tower base chart")
+    t = _plane_line(probe)
 
     def base_coords(q: P2Point):
         ell = _p2_line_value(q, t)

@@ -117,6 +117,16 @@ def test_ginzburg_alpha_m1_quoted_expansion():
     assert img == want
 
 
+@pytest.mark.parametrize("name,accepted", [("alpha0", "x"), ("alpha_m1", "x*"), ("alpha_m2", None)])
+def test_ginzburg_maps_refuse_the_slots_they_do_not_accept(name, accepted):
+    apply = getattr(build_ginzburg_resolution(), name)
+    apply(BimodElement.term(("y",), accepted, ("z",)))
+    for slot in (None, "x", "x*", "q", "q*"):
+        if slot != accepted:
+            with pytest.raises(ValueError, match=f"^{name} expects"):
+                apply(BimodElement.term(("y",), slot, ("z",)))
+
+
 def test_ginzburg_needs_rewriting_before_cancelling():
     res = build_ginzburg_resolution()
     img = res.alpha0(res.alpha_m1(BimodElement.term((), "x*", ())))
